@@ -54,21 +54,45 @@ def _wall_clock_seconds(benchmark) -> float | None:
         return None
 
 
-def report(result, benchmark=None, slug=None, metadata=None) -> None:
-    """Print an experiment's rows and archive them under benchmark_results/.
+def pytest_addoption(parser) -> None:
+    parser.addoption(
+        "--write-bench",
+        action="store_true",
+        default=False,
+        help="archive each benchmark's table and BENCH_<slug>.json under "
+             "benchmark_results/ (default: print only, leave the tree clean)",
+    )
 
-    The archived ``<slug>.txt`` tables are what EXPERIMENTS.md's measured
-    numbers come from; printing as well means ``pytest -s`` shows them
-    inline.  When the pytest-benchmark fixture is passed along, a
+
+@pytest.fixture
+def report(request):
+    """``report(result, benchmark=None, slug=None, metadata=None)``: print, and archive on request.
+
+    Always prints the experiment's rows (``pytest -s`` shows them inline).
+    Under ``--write-bench`` it also archives them under benchmark_results/:
+    the ``<slug>.txt`` tables are what EXPERIMENTS.md's measured numbers
+    come from, and when the pytest-benchmark fixture is passed along a
     machine-readable ``BENCH_<slug>.json`` is written next to the table with
     the wall-clock and simulation-event throughput, giving future PRs a perf
-    trajectory to compare against.  ``slug`` overrides the filename stem
-    (default: slugified ``result.name``); ``metadata`` merges extra keys
-    into the JSON payload (e.g. an A/B throughput breakdown).
+    trajectory to compare against.  Writing is opt-in because the wall-clock
+    fields differ on every run: an ordinary test run must not rewrite
+    committed files.  ``slug`` overrides the filename stem (default:
+    slugified ``result.name``); ``metadata`` merges extra keys into the JSON
+    payload (e.g. an A/B throughput breakdown).
     """
-    table = to_text(result)
-    print()
-    print(table)
+    write = request.config.getoption("--write-bench")
+
+    def report(result, benchmark=None, slug=None, metadata=None) -> None:
+        table = to_text(result)
+        print()
+        print(table)
+        if write:
+            _archive(result, table, benchmark, slug, metadata)
+
+    return report
+
+
+def _archive(result, table, benchmark, slug, metadata) -> None:
     results_dir = pathlib.Path(__file__).resolve().parent.parent / "benchmark_results"
     results_dir.mkdir(exist_ok=True)
     if slug is None:

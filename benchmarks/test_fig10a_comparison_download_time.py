@@ -1,11 +1,11 @@
 """Fig. 10a — download time: DAPES vs Bithoc vs Ekta."""
 
-from conftest import report, run_sweep
+from conftest import run_sweep
 
 from repro.experiments import ResultSet
 
 
-def test_fig10a_comparison_download_time(benchmark, bench_config):
+def test_fig10a_comparison_download_time(benchmark, bench_config, report):
     result = run_sweep(benchmark, "fig10", bench_config, axes={"wifi_range": (60.0,)})
     report(result, benchmark)
 

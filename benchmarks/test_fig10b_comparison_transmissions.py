@@ -1,11 +1,11 @@
 """Fig. 10b — transmissions (overhead): DAPES vs Bithoc vs Ekta."""
 
-from conftest import report, run_sweep
+from conftest import run_sweep
 
 from repro.experiments import ResultSet
 
 
-def test_fig10b_comparison_transmissions(benchmark, bench_config):
+def test_fig10b_comparison_transmissions(benchmark, bench_config, report):
     result = run_sweep(benchmark, "fig10", bench_config, axes={"wifi_range": (60.0,)})
     report(result, benchmark)
 

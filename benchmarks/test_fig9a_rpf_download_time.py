@@ -1,11 +1,11 @@
 """Fig. 9a — file-collection download time for the RPF strategy variants."""
 
-from conftest import BENCH_WIFI_RANGES, report, run_sweep
+from conftest import BENCH_WIFI_RANGES, run_sweep
 
 from repro.experiments import ResultSet
 
 
-def test_fig9a_rpf_download_time(benchmark, bench_config):
+def test_fig9a_rpf_download_time(benchmark, bench_config, report):
     result = run_sweep(benchmark, "fig9a", bench_config, axes={"wifi_range": BENCH_WIFI_RANGES})
     report(result, benchmark)
 

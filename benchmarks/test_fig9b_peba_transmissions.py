@@ -1,11 +1,11 @@
 """Fig. 9b — transmissions for both RPF flavours, with and without PEBA."""
 
-from conftest import BENCH_WIFI_RANGES, report, run_sweep
+from conftest import BENCH_WIFI_RANGES, run_sweep
 
 from repro.experiments import ResultSet
 
 
-def test_fig9b_peba_transmissions(benchmark, bench_config):
+def test_fig9b_peba_transmissions(benchmark, bench_config, report):
     result = run_sweep(benchmark, "fig9b", bench_config, axes={"wifi_range": BENCH_WIFI_RANGES})
     report(result, benchmark)
 

@@ -1,11 +1,11 @@
 """Fig. 9d — download time when bitmap exchanges are interleaved with data."""
 
-from conftest import BENCH_WIFI_RANGES, report, run_sweep
+from conftest import BENCH_WIFI_RANGES, run_sweep
 
 from repro.experiments.fig9_bitmaps import SPEC_FIG9C, SPEC_FIG9D, budget_variants
 
 
-def test_fig9d_bitmaps_interleaved(benchmark, bench_config):
+def test_fig9d_bitmaps_interleaved(benchmark, bench_config, report):
     spec = SPEC_FIG9D.with_variants(budget_variants((1, 2, 4, None)))
     result = run_sweep(benchmark, spec, bench_config, axes={"wifi_range": BENCH_WIFI_RANGES})
     report(result, benchmark)

@@ -1,9 +1,9 @@
 """Fig. 9e — download time for a varying number of files per collection."""
 
-from conftest import report, run_sweep
+from conftest import run_sweep
 
 
-def test_fig9e_varying_number_of_files(benchmark, quick_config):
+def test_fig9e_varying_number_of_files(benchmark, quick_config, report):
     result = run_sweep(
         benchmark, "fig9e", quick_config,
         axes={"wifi_range": (60.0,), "num_files_factor": (1, 3)},

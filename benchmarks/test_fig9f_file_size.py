@@ -1,9 +1,9 @@
 """Fig. 9f — download time for a varying file size."""
 
-from conftest import report, run_sweep
+from conftest import run_sweep
 
 
-def test_fig9f_varying_file_size(benchmark, quick_config):
+def test_fig9f_varying_file_size(benchmark, quick_config, report):
     result = run_sweep(
         benchmark, "fig9f", quick_config,
         axes={"wifi_range": (60.0,), "file_size_factor": (1, 5)},

@@ -1,11 +1,11 @@
 """Fig. 9h — transmissions for single-hop vs multi-hop forwarding probabilities."""
 
-from conftest import report, run_sweep
+from conftest import run_sweep
 
 from repro.experiments.fig9_multihop import SPEC_FIG9GH, probability_variants
 
 
-def test_fig9h_forwarding_probability_transmissions(benchmark, bench_config):
+def test_fig9h_forwarding_probability_transmissions(benchmark, bench_config, report):
     spec = SPEC_FIG9GH.with_variants(probability_variants((None, 0.2, 0.6)))
     result = run_sweep(benchmark, spec, bench_config, axes={"wifi_range": (60.0,)})
     report(result, benchmark)

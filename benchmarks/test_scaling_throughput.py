@@ -18,7 +18,7 @@ the dedicated tests in tests/test_sharded_medium.py.
 from __future__ import annotations
 
 import pytest
-from conftest import report, run_sweep
+from conftest import run_sweep
 
 #: Large-population factors over the small preset (6 mobile downloaders, so
 #: 24 and 48); factors 1-2 are covered by the default sweep's CI smoke.
@@ -48,7 +48,7 @@ def _outcome(point) -> tuple:
 
 
 @pytest.mark.parametrize("node_factor", LARGE_NODE_FACTORS)
-def test_scaling_large_population_sharded_ab(benchmark, bench_config, node_factor):
+def test_scaling_large_population_sharded_ab(benchmark, bench_config, node_factor, report):
     config = bench_config.with_overrides(neighbor_index="grid_array")
     result = run_sweep(
         benchmark, "scaling", config, axes={"node_factor": (node_factor,)}

@@ -1,11 +1,11 @@
 """Table I — the real-world feasibility study scenarios."""
 
-from conftest import report, run_sweep
+from conftest import run_sweep
 
 from repro.experiments import ExperimentConfig
 
 
-def test_table1_feasibility_study(benchmark):
+def test_table1_feasibility_study(benchmark, report):
     config = ExperimentConfig.small().with_overrides(
         trials=1, max_duration=400.0, base_seed=7
     )

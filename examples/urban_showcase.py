@@ -58,14 +58,11 @@ def main() -> None:
     if profiles:
         merged = merge_profiles(profiles)
         checks = merged.get("propagation.occlusion_checks", 0)
-        hits = merged.get("propagation.occlusion_cache_hits", 0)
-        total = checks + hits
+        links = merged.get("wireless.link_evaluations", 0)
         print()
         print(
-            f"occlusion work across obstacle runs: {checks:,.0f} ray tests, "
-            f"{hits:,.0f} cache hits ({hits / total:.0%} of lookups cached)"
-            if total
-            else "no occlusion lookups recorded"
+            f"occlusion work across obstacle runs: {checks:,.0f} ray tests "
+            f"for {links:,.0f} link evaluations"
         )
 
     print()

@@ -405,8 +405,11 @@ class Coordinator:
             result = RunResult.from_dict(dict(message["result"]))
         except (KeyError, TypeError, ValueError) as exc:
             return {"ok": False, "error": f"unparseable result for {key}: {exc}"}
-        task, accepted = self.table.complete(key, worker)
         with self._lock:
+            # Marking the task done and storing its result are one step: a
+            # concurrent upload that sees the grid complete finalizes it, and
+            # must find every result in place.
+            task, accepted = self.table.complete(key, worker)
             info = self._touch_worker(worker)
             if accepted:
                 info.done += 1

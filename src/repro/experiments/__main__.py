@@ -720,9 +720,10 @@ def build_parser() -> argparse.ArgumentParser:
                             help="intra-trial shard executor (default thread; only "
                                  "consulted when --shard-workers > 1)")
         target.add_argument("--scalar-query-limit", type=int, default=None,
-                            help="population threshold for the array index's "
-                                 "scalar/vectorized crossover (default: 256 for grid, "
-                                 "1 for grid_array)")
+                            help="explicit population cut-off for the array index's "
+                                 "scalar/vectorized choice (default: decided from "
+                                 "bucket occupancy for grid, always vectorized for "
+                                 "grid_array)")
         target.add_argument("--tag", default=None,
                             help="tag saved runs, e.g. --tag nightly")
         target.add_argument("--no-resume", action="store_true",

@@ -99,9 +99,9 @@ class ExperimentConfig:
     shards: int = 1
     shard_workers: int = 1
     shard_executor: str = "thread"
-    # Population threshold for the array-native index's scalar/vectorized
-    # crossover (None keeps the measured defaults: 256 for "grid", 1 for
-    # "grid_array"); see ChannelConfig.scalar_query_limit.
+    # Explicit population cut-off for the array-native index's scalar /
+    # vectorized choice (None: the index decides from bucket occupancy; always
+    # vectorized under "grid_array"); see ChannelConfig.scalar_query_limit.
     scalar_query_limit: Optional[int] = None
     # Collect a performance profile per trial (repro.profiling); the profile
     # rides along in RunResult.profile and the CLI's --profile output.  Off

@@ -49,6 +49,11 @@ class MobilityModel(ABC):
         the coordinate pair, and leg-cached models can produce it without
         allocating a :class:`Position` per query.  Must return bit-identical
         floats to :meth:`position`.
+
+        Called once per link of every transmission, so a model is expected
+        to answer in O(1) amortised time — independent of how long the
+        node's trajectory is — typically by keeping the node's current leg
+        (every built-in model does); this default is only a fallback.
         """
         p = self.position(node_id, time)
         return (p.x, p.y)
@@ -107,6 +112,11 @@ class MobilityModel(ABC):
         The grid neighbor index uses this to bound how far a node can drift
         from its snapshotted position; models that cannot provide a bound
         force the index to refresh its snapshot at every new timestamp.
+
+        Called at every snapshot rebuild (once per simulated second by
+        default), so it is expected to be O(1): a bound that has to be
+        derived from the trajectories is computed once per
+        :meth:`mobility_version` and kept.
         """
         return math.inf
 

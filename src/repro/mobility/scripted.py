@@ -10,8 +10,10 @@ disconnected and sometimes in range of each other (scenario 3).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from operator import attrgetter
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.arrays import numpy_or_none
 from repro.mobility.base import LegArrayCache, MobilityModel, Position
@@ -30,20 +32,33 @@ class Waypoint:
         return Position(self.x, self.y)
 
 
+_waypoint_time = attrgetter("time")
+
+
 class ScriptedMobility(MobilityModel):
     """Piecewise-linear movement through explicit, timed waypoints.
 
     Before the first waypoint the node sits at the first waypoint's position;
     after the last it sits at the last waypoint's position.  Between
     waypoints the position is linearly interpolated.
+
+    Every query path — :meth:`position`, :meth:`position_xy` and
+    :meth:`positions_array` — evaluates the same *leg*: a tuple ``(valid_from,
+    valid_to, t0, span, x0, y0, dx, dy)`` with ``position = (x0, y0) +
+    (dx, dy) * ((time - t0) / span)`` for ``valid_from <= time <= valid_to``.
+    :meth:`_find_leg` is the only place that resolves a timestamp to a leg
+    (one ``bisect`` over the node's waypoints), and each node's most
+    recent leg is kept, so a query costs O(1) while time stays within a leg
+    and O(log waypoints) when it leaves it — in either direction.
     """
 
     def __init__(self):
         self._waypoints: Dict[str, List[Waypoint]] = {}
+        # Each node's most recently resolved leg.
+        self._current_leg: Dict[str, Tuple[float, ...]] = {}
         self._version = 0
-        # Vectorized leg rows for positions_array: one row of
-        # (valid_from, valid_to, t0, span, x0, y0, dx, dy) per node, where
-        # position = (x0, y0) + (dx, dy) * (time - t0) / span.
+        self._speed_bound: Optional[float] = None
+        # The same leg tuples, one row per node, for positions_array.
         self._leg_rows = LegArrayCache(8)
 
     def add_node(self, node_id: str, waypoints: Iterable[Waypoint | Tuple[float, float, float]]) -> None:
@@ -57,6 +72,8 @@ class ScriptedMobility(MobilityModel):
             raise ValueError(f"node {node_id!r} needs at least one waypoint")
         parsed.sort(key=lambda w: w.time)
         self._waypoints[node_id] = parsed
+        self._current_leg.pop(node_id, None)
+        self._speed_bound = None
         self._version += 1
 
     def add_static_node(self, node_id: str, x: float, y: float) -> None:
@@ -68,11 +85,14 @@ class ScriptedMobility(MobilityModel):
         return list(self._waypoints)
 
     def position(self, node_id: str, time: float) -> Position:
-        try:
-            waypoints = self._waypoints[node_id]
-        except KeyError:
-            raise KeyError(f"node {node_id!r} has no scripted trace") from None
-        return _interpolate(waypoints, time)
+        return Position(*self.position_xy(node_id, time))
+
+    def position_xy(self, node_id: str, time: float) -> Tuple[float, float]:
+        leg = self._current_leg.get(node_id)
+        if leg is None or not leg[0] <= time <= leg[1]:
+            leg = self._find_leg(node_id, time)
+        fraction = (time - leg[2]) / leg[3]
+        return (leg[4] + leg[6] * fraction, leg[5] + leg[7] * fraction)
 
     def mobility_version(self) -> int:
         return self._version
@@ -82,81 +102,79 @@ class ScriptedMobility(MobilityModel):
         if np is None:
             return super().positions_array(node_ids, time)
         rows = self._leg_rows.rows_for(
-            np, node_ids, self._version, time, self._leg_row_at(time)
+            np, node_ids, self._version, time, lambda node_id: self._find_leg(node_id, time)
         )
         fraction = (time - rows[:, 2]) / rows[:, 3]
         return rows[:, 4:6] + rows[:, 6:8] * fraction[:, None]
 
-    def _leg_row_at(self, time: float):
-        """Refresh callback: the leg row whose evaluation matches _interpolate.
+    def _find_leg(self, node_id: str, time: float) -> Tuple[float, ...]:
+        """Resolve (and remember) the leg of ``node_id`` that covers ``time``.
 
-        Validity windows must partition time exactly the way the scalar scan
-        resolves boundary queries (first matching pair wins, the after-last
-        branch wins at the final waypoint's own timestamp), so a cached row
-        never answers a timestamp the scalar code would have resolved with a
-        different leg.  Hence the half-open windows via ``math.nextafter``.
+        Boundary rules: at or before the first waypoint's time the node
+        rests at the first waypoint, at or after the last waypoint's time at
+        the last one, and in between waypoint pair ``(i-1, i)`` owns
+        ``(t_{i-1}, t_i]``.  ``bisect_left`` finds exactly that pair, and
+        because ``t_{i-1} < time`` its span is never zero: waypoints sharing
+        a timestamp are a jump taken just after that instant.  The windows
+        are closed intervals (``math.nextafter`` turns the open ends into
+        closed ones) so that one ``valid_from <= time <= valid_to`` test
+        serves the scalar cache and the array rows alike.
         """
-
-        def refresh(node_id: str):
-            try:
-                waypoints = self._waypoints[node_id]
-            except KeyError:
-                raise KeyError(f"node {node_id!r} has no scripted trace") from None
-            first, last = waypoints[0], waypoints[-1]
-            if time <= first.time:
-                return (-math.inf, first.time, 0.0, 1.0, first.x, first.y, 0.0, 0.0)
-            if time >= last.time:
-                return (last.time, math.inf, 0.0, 1.0, last.x, last.y, 0.0, 0.0)
-            for earlier, later in zip(waypoints, waypoints[1:]):
-                if earlier.time <= time <= later.time:
-                    # Pair j owns (t_j, t_{j+1}]: at time == t_j the scalar
-                    # scan already matched pair j-1, and time >= t_last goes
-                    # to the constant branch above.
-                    valid_from = math.nextafter(earlier.time, math.inf)
-                    valid_to = later.time
-                    if later is last:
-                        valid_to = math.nextafter(valid_to, -math.inf)
-                    span = later.time - earlier.time
-                    if span == 0:
-                        return (valid_from, valid_to, 0.0, 1.0, earlier.x, earlier.y, 0.0, 0.0)
-                    return (
-                        valid_from,
-                        valid_to,
-                        earlier.time,
-                        span,
-                        earlier.x,
-                        earlier.y,
-                        later.x - earlier.x,
-                        later.y - earlier.y,
-                    )
-            return (time, time, 0.0, 1.0, last.x, last.y, 0.0, 0.0)  # pragma: no cover - defensive
-
-        return refresh
+        try:
+            waypoints = self._waypoints[node_id]
+        except KeyError:
+            raise KeyError(f"node {node_id!r} has no scripted trace") from None
+        first, last = waypoints[0], waypoints[-1]
+        if time <= first.time:
+            leg = (-math.inf, first.time, 0.0, 1.0, first.x, first.y, 0.0, 0.0)
+        elif time >= last.time:
+            valid_from = last.time
+            if valid_from == first.time:
+                # A trace squeezed into one instant: that instant belongs to
+                # the branch above.
+                valid_from = math.nextafter(valid_from, math.inf)
+            leg = (valid_from, math.inf, 0.0, 1.0, last.x, last.y, 0.0, 0.0)
+        else:
+            # Leaving a leg is rare next to querying within one, so the
+            # keyed bisect needs no parallel list of timestamps.
+            index = bisect_left(waypoints, time, key=_waypoint_time)
+            earlier, later = waypoints[index - 1], waypoints[index]
+            valid_to = later.time
+            if valid_to >= last.time:
+                # The resting branch above owns the last timestamp itself.
+                valid_to = math.nextafter(valid_to, -math.inf)
+            leg = (
+                math.nextafter(earlier.time, math.inf),
+                valid_to,
+                earlier.time,
+                later.time - earlier.time,
+                earlier.x,
+                earlier.y,
+                later.x - earlier.x,
+                later.y - earlier.y,
+            )
+        self._current_leg[node_id] = leg
+        return leg
 
     def speed_bound(self) -> float:
-        """Fastest leg speed across all traces (exact: traces are known upfront)."""
-        fastest = 0.0
-        for waypoints in self._waypoints.values():
-            for earlier, later in zip(waypoints, waypoints[1:]):
-                span = later.time - earlier.time
-                if span <= 0:
-                    continue
-                speed = earlier.position.distance_to(later.position) / span
-                fastest = max(fastest, speed)
+        """Fastest leg speed across all traces (exact: traces are known upfront).
+
+        Walks every trace once per :meth:`add_node` generation — the spatial
+        index asks at every snapshot rebuild, and traces run to thousands of
+        waypoints — and only when first asked, so registering nodes stays
+        O(own waypoints).
+        """
+        fastest = self._speed_bound
+        if fastest is None:
+            fastest = 0.0
+            hypot = math.hypot
+            for waypoints in self._waypoints.values():
+                for earlier, later in zip(waypoints, waypoints[1:]):
+                    span = later.time - earlier.time
+                    if span <= 0:
+                        continue
+                    speed = hypot(earlier.x - later.x, earlier.y - later.y) / span
+                    if speed > fastest:
+                        fastest = speed
+            self._speed_bound = fastest
         return fastest
-
-
-def _interpolate(waypoints: Sequence[Waypoint], time: float) -> Position:
-    if time <= waypoints[0].time:
-        return waypoints[0].position
-    if time >= waypoints[-1].time:
-        return waypoints[-1].position
-    for earlier, later in zip(waypoints, waypoints[1:]):
-        if earlier.time <= time <= later.time:
-            span = later.time - earlier.time
-            fraction = 0.0 if span == 0 else (time - earlier.time) / span
-            return Position(
-                earlier.x + (later.x - earlier.x) * fraction,
-                earlier.y + (later.y - earlier.y) * fraction,
-            )
-    return waypoints[-1].position  # pragma: no cover - defensive

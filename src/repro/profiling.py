@@ -98,11 +98,9 @@ def collect_run_profile(sim, medium, wall_clock_s: float, churn=None, faults=Non
         profile["propagation.vectorized_link_evaluations"] = float(vectorized)
 
     propagation = getattr(medium, "propagation", None)
-    if propagation is not None:
-        for counter in ("occlusion_checks", "occlusion_cache_hits"):
-            value = getattr(propagation, counter, None)
-            if value is not None:
-                profile[f"propagation.{counter}"] = float(value)
+    occlusion_checks = getattr(propagation, "occlusion_checks", None)
+    if occlusion_checks is not None:
+        profile["propagation.occlusion_checks"] = float(occlusion_checks)
     if wall_clock_s > 0:
         profile["wireless.frames_per_sec"] = stats.frames_transmitted / wall_clock_s
         profile["wireless.deliveries_per_sec"] = stats.deliveries / wall_clock_s

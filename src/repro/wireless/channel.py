@@ -98,13 +98,15 @@ class ChannelConfig:
         propagation reach, i.e. the default grid cell edge).  Experiment
         configs set ``area / shards`` so regions tile the area evenly.
     scalar_query_limit:
-        Population threshold below which the array-native grid index runs
-        its scalar strategy (NumPy's fixed per-call costs lose to leg-cached
-        scalar loops at small N).  ``None`` keeps the measured defaults —
-        256 for ``"grid"``, 1 (always vectorize) for ``"grid_array"``; an
-        explicit value overrides both, letting experiments tune the
-        crossover and letting shard-local populations pick their own
-        strategy.  Purely a performance switch: results are identical.
+        Population cut-off below which the array-native grid index runs its
+        scalar strategy.  ``None`` (the default) leaves the choice to the
+        index, which goes vectorized once a query would scan more than
+        :data:`repro.wireless.spatial.ARRAY_SCAN_THRESHOLD` candidates (mean
+        bucket occupancy x cells touched, re-checked at every snapshot
+        rebuild; per region when sharded) — or always, under
+        ``"grid_array"``.  An explicit value replaces that rule; ``1``
+        forces the vectorized path at any size.  Purely a performance
+        switch: results are identical.
     """
 
     data_rate_bps: float = 11_000_000.0

@@ -15,10 +15,12 @@ snapshotted without defensive copies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
 Segment = Tuple[float, float, float, float]  # (ax, ay, bx, by)
+Box = Tuple[float, float, float, float]  # (min_x, min_y, max_x, max_y)
 
 
 @dataclass(frozen=True)
@@ -88,6 +90,11 @@ def segments_intersect(
     return False
 
 
+def _box_of(segment: Segment) -> Box:
+    ax, ay, bx, by = segment
+    return (min(ax, bx), min(ay, by), max(ax, bx), max(ay, by))
+
+
 class Environment:
     """Immutable obstacle geometry a propagation model can ray-test against.
 
@@ -100,7 +107,7 @@ class Environment:
         Free-standing wall segments as ``(ax, ay, bx, by)`` tuples.
     """
 
-    __slots__ = ("obstacles", "_walls", "_boxes")
+    __slots__ = ("obstacles", "_walls", "_wall_groups")
 
     def __init__(
         self,
@@ -113,17 +120,26 @@ class Environment:
                 obstacle = Obstacle(*obstacle)
             parsed.append(obstacle)
         self.obstacles: Tuple[Obstacle, ...] = tuple(parsed)
-        segments: List[Segment] = []
-        for obstacle in self.obstacles:
-            segments.extend(obstacle.walls)
-        segments.extend(tuple(wall) for wall in walls)
-        self._walls: Tuple[Segment, ...] = tuple(segments)
-        # Per-wall bounding boxes let occlusion checks reject most walls with
-        # four comparisons instead of four orientation products.
-        self._boxes: Tuple[Tuple[float, float, float, float], ...] = tuple(
-            (min(ax, bx), min(ay, by), max(ax, bx), max(ay, by))
-            for ax, ay, bx, by in segments
-        )
+        free_walls: Tuple[Segment, ...] = tuple(tuple(wall) for wall in walls)
+        self._walls: Tuple[Segment, ...] = tuple(
+            wall for obstacle in self.obstacles for wall in obstacle.walls
+        ) + free_walls
+        # Occlusion tests go rectangle by rectangle: a ray whose bounding box
+        # misses an obstacle's rectangle misses the box of each of its four
+        # walls, so one comparison stands in for four.  A group is (bounding
+        # box, ((wall box, wall), ...)); the free-standing walls share one
+        # group that no ray misses.
+        groups: List[Tuple[Box, Tuple[Tuple[Box, Segment], ...]]] = [
+            (
+                (obstacle.x0, obstacle.y0, obstacle.x1, obstacle.y1),
+                tuple((_box_of(wall), wall) for wall in obstacle.walls),
+            )
+            for obstacle in self.obstacles
+        ]
+        if free_walls:
+            everywhere = (-math.inf, -math.inf, math.inf, math.inf)
+            groups.append((everywhere, tuple((_box_of(wall), wall) for wall in free_walls)))
+        self._wall_groups = tuple(groups)
 
     # ---------------------------------------------------------------- queries
     @property
@@ -135,13 +151,14 @@ class Environment:
         return bool(self._walls)
 
     def occludes(self, ax: float, ay: float, bx: float, by: float) -> bool:
-        """Whether the straight ray a-b crosses any wall segment."""
+        """Whether the straight ray a-b crosses (or touches) any wall segment."""
+        # Runs once per link of every transmission: the two box tests are
+        # spelled out because a helper call costs more than the test.
         ray_min_x = ax if ax < bx else bx
         ray_max_x = ax if ax > bx else bx
         ray_min_y = ay if ay < by else by
         ray_max_y = ay if ay > by else by
-        walls = self._walls
-        for index, (min_x, min_y, max_x, max_y) in enumerate(self._boxes):
+        for (min_x, min_y, max_x, max_y), walls in self._wall_groups:
             if (
                 max_x < ray_min_x
                 or min_x > ray_max_x
@@ -149,9 +166,16 @@ class Environment:
                 or min_y > ray_max_y
             ):
                 continue
-            wall = walls[index]
-            if segments_intersect(ax, ay, bx, by, *wall):
-                return True
+            for (min_x, min_y, max_x, max_y), wall in walls:
+                if (
+                    max_x < ray_min_x
+                    or min_x > ray_max_x
+                    or max_y < ray_min_y
+                    or min_y > ray_max_y
+                ):
+                    continue
+                if segments_intersect(ax, ay, bx, by, *wall):
+                    return True
         return False
 
     def contains(self, x: float, y: float) -> bool:

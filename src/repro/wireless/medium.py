@@ -290,12 +290,12 @@ class WirelessMedium:
         sender_x, sender_y = sender_xy
         link_quality = self.propagation.link_quality
         link_rng = self._link_rng
+        self.link_evaluations += len(candidates)
         reachable = []
         for receiver_id in candidates:
             receiver_xy = position_xy(receiver_id, now)
             dx = receiver_xy[0] - sender_x
             dy = receiver_xy[1] - sender_y
-            self.link_evaluations += 1
             loss = link_quality(
                 sender_xy,
                 receiver_xy,

@@ -14,9 +14,9 @@ This module shards the world into K spatial regions so that
 * all K region snapshots can be rebuilt **concurrently** at each epoch
   barrier (threads release the GIL inside the NumPy batches; a process
   fallback exists for GIL-bound environments), and
-* per-region populations pick their own query strategy (a dense downtown
-  region can vectorize while a sparse suburb stays scalar — see
-  ``scalar_query_limit``).
+* each region picks its own query strategy from its own bucket occupancy
+  (a dense downtown region can vectorize while a sparse suburb stays
+  scalar — see :class:`~repro.wireless.spatial.ArrayGridNeighborIndex`).
 
 Determinism contract
 --------------------
@@ -243,7 +243,7 @@ class ShardedNeighborIndex(NeighborIndex):
         region_width: Optional[float] = None,
         epoch: float = 1.0,
         use_array: bool = False,
-        scalar_query_limit: int = 256,
+        scalar_query_limit: Optional[int] = None,
         workers: int = 1,
         executor: str = "thread",
     ):
@@ -507,6 +507,10 @@ class ShardedNeighborIndex(NeighborIndex):
             sub._snapshot_speed = sub.positions.speed_bound()
             sub._snapshot_version = sub.positions.mobility_version()
             self.snapshot_builds += 1
+            if isinstance(sub, ArrayGridNeighborIndex) and sub._settle_strategy():
+                # The region's occupancy now calls for the other layout: let
+                # the shard rebuild itself in it at its next query.
+                sub._snapshot_time = None
 
 
 def partition_for_config(config, max_range: Optional[float] = None) -> RegionPartition:

@@ -34,6 +34,13 @@ from repro.mobility.base import MobilityModel, PositionCache
 #: Default validity window (simulated seconds) of one grid snapshot.
 DEFAULT_REBUILD_INTERVAL = 1.0
 
+#: Candidates scanned per query above which :class:`ArrayGridNeighborIndex`
+#: answers queries vectorized.  Set from an interleaved A/B of the two
+#: strategies over random-direction worlds of 262-4 000 nodes (CHANGES.md,
+#: PR 12): the scalar bucket loop wins up to ~430 scanned candidates (~120
+#: neighbours per query), the vectorized query from ~540 on.
+ARRAY_SCAN_THRESHOLD = 512
+
 
 class NeighborIndex:
     """Base class: tracks attached node ids and answers range queries."""
@@ -252,16 +259,14 @@ class ArrayGridNeighborIndex(GridNeighborIndex):
     """Array-native grid index: NumPy snapshot, vectorized classification.
 
     Same drift-bounded snapshot contract (and therefore the same results) as
-    :class:`GridNeighborIndex`, with a population-adaptive strategy (both
-    modes are result-identical to the scalar backends):
+    :class:`GridNeighborIndex`, with two result-identical strategies chosen
+    per snapshot from how crowded the buckets are:
 
-    * ``N < scalar_query_limit`` — behaves exactly like the parent scalar
-      grid.  NumPy's fixed per-call costs (array allocation, mask
-      evaluation) outweigh a handful of leg-cached scalar lookups at small
-      populations — measured on the fig9a benchmark config, the scalar
-      loops win well past 50 nodes — so vectorizing there would *cost*
-      throughput.
-    * larger ``N`` — the snapshot becomes one
+    * *scalar* — behaves exactly like the parent scalar grid.  A query's
+      cost there grows with the candidates it scans, while the vectorized
+      query pays NumPy's fixed per-call costs (array allocation, mask
+      evaluation, ``flatnonzero``) whatever it scans.
+    * *array* — the snapshot becomes one
       :meth:`~repro.mobility.base.MobilityModel.positions_array` call into
       contiguous ``(N, 2)`` coordinates plus vectorized cell bucketing:
       ``floor`` into integer cell coordinates, encode ``(cx, cy)`` into one
@@ -269,11 +274,19 @@ class ArrayGridNeighborIndex(GridNeighborIndex):
       answer queries with two ``searchsorted`` calls per touched cell and
       fused squared-distance classification masks.
 
+    The rule (:meth:`_settle_strategy`) estimates the candidates one query
+    scans as *mean occupancy of the occupied cells x 9 cells touched* and
+    goes vectorized above :data:`ARRAY_SCAN_THRESHOLD`.  It is re-evaluated
+    at every rebuild from the snapshot just taken, so a world that thins
+    out or crowds together changes strategy on its own.  An explicit
+    ``scalar_query_limit`` replaces the rule by a population cut-off (scalar
+    below it): ``scalar_query_limit=1`` forces the vectorized machinery at
+    any size (``neighbor_index="grid_array"`` requests exactly that), which
+    is how the equivalence suites keep an oracle on both sides.
+
     The uncertain ring (snapshot distance between ``inner`` and ``outer``)
     still does exact per-node position checks through the same scalar
     ``position_xy`` the oracle uses — bit-identical floats by contract.
-    ``scalar_query_limit=1`` forces the vectorized machinery at any size
-    (``neighbor_index="grid_array"`` requests exactly that).
     """
 
     #: Injective (cx, cy) -> int64 encoding stride (|cx|, |cy| < 2**31).
@@ -284,7 +297,7 @@ class ArrayGridNeighborIndex(GridNeighborIndex):
         mobility: MobilityModel,
         cell_size: float,
         rebuild_interval: float = DEFAULT_REBUILD_INTERVAL,
-        scalar_query_limit: int = 256,
+        scalar_query_limit: Optional[int] = None,
     ):
         super().__init__(mobility, cell_size, rebuild_interval)
         np = numpy_or_none()
@@ -302,31 +315,43 @@ class ArrayGridNeighborIndex(GridNeighborIndex):
         self._row_of: Dict[str, int] = {}
         self._sorted_codes = None
         self._sorted_rows = None
+        # Settled by the first rebuild, under either rule.
         self._scalar_strategy = True
 
-    # ------------------------------------------------------------ membership
-    # The query strategy depends only on the population size, which only
-    # changes on attach/detach — deciding it here keeps the per-query
-    # dispatch to a single attribute check (no double snapshot validation).
-    def attach(self, node_id: str) -> None:
-        super().attach(node_id)
-        self._scalar_strategy = len(self._attach_order) < self.scalar_query_limit
+    def _settle_strategy(self) -> bool:
+        """Adopt the strategy the rule picks for the snapshot just taken.
 
-    def detach(self, node_id: str) -> None:
-        super().detach(node_id)
-        self._scalar_strategy = len(self._attach_order) < self.scalar_query_limit
+        Returns whether it changed (the snapshot then has the other layout).
+        Either layout reports its occupied cells without another pass over
+        the nodes, which is what makes checking at every rebuild free.
+        """
+        if self._scalar_strategy:
+            occupied = len(self._cells)
+        else:
+            codes = self._sorted_codes
+            occupied = int(self._np.count_nonzero(codes[1:] != codes[:-1])) + 1 if len(codes) else 0
+        population = len(self._attach_order)
+        if self.scalar_query_limit is not None:
+            scalar = population < self.scalar_query_limit
+        else:
+            # A query at the cell-sized default radius touches 3 x 3 cells.
+            scalar = 9 * population <= ARRAY_SCAN_THRESHOLD * occupied
+        changed = scalar != self._scalar_strategy
+        self._scalar_strategy = scalar
+        return changed
 
     def _rebuild(self, time: float) -> None:
-        if self._scalar_strategy:
-            # Small population: the scalar rebuild + bucket query is the
-            # measured winner (NumPy's fixed per-call costs — array
-            # allocation, mask evaluation, flatnonzero — outweigh a dozen
-            # leg-cached position lookups), so below the threshold this
-            # index IS the scalar grid, bit for bit and microsecond for
-            # microsecond.  ``array_rebuilds`` counts only vectorized
-            # snapshots, so profiles show which strategy actually ran.
-            super()._rebuild(time)
-            return
+        # Only a rebuild that changes strategy goes round twice and builds
+        # both layouts; a query in flight keeps reading the one it started on.
+        for _ in range(2):
+            if self._scalar_strategy:
+                GridNeighborIndex._rebuild(self, time)
+            else:
+                self._rebuild_array(time)
+            if not self._settle_strategy():
+                return
+
+    def _rebuild_array(self, time: float) -> None:
         np = self._np
         order = self.node_ids
         pos = self._positions_array(order, time)
@@ -342,14 +367,13 @@ class ArrayGridNeighborIndex(GridNeighborIndex):
         rows = np.argsort(codes, kind="stable")
         self._sorted_codes = codes[rows]
         self._sorted_rows = rows
+        # Counts vectorized snapshots only, so profiles show which strategy ran.
         self.array_rebuilds += 1
 
     def neighbors(self, node_id: str, radius: float, time: float) -> List[str]:
         if self._scalar_strategy:
-            # The parent's bucket loop (including its own staleness check,
-            # which lands in our _rebuild and therefore scans positions_array
-            # coordinates) — the vectorized query's fixed per-call NumPy
-            # overhead loses to it below scalar_query_limit nodes.
+            # The parent's bucket loop; its staleness check lands in our
+            # _rebuild, which may hand the *next* query to the array path.
             return super().neighbors(node_id, radius, time)
         np = self._np
         position_xy = self._position_xy
@@ -432,8 +456,8 @@ def build_neighbor_index(
                 max_range = getattr(config, "max_range", lambda: config.wifi_range)()
             cell_size = max_range
         # ``grid`` auto-upgrades to the array-native index when the resolved
-        # array backend is NumPy (population-adaptive: it vectorizes only
-        # once the world is big enough to pay off); ``grid_array`` asks for
+        # array backend is NumPy (occupancy-adaptive: it vectorizes only
+        # once buckets are crowded enough to pay off); ``grid_array`` asks for
         # the vectorized machinery explicitly at any size (and degrades to
         # the scalar grid — with resolve's warning — without NumPy).  All
         # combinations return identical neighbor sets.
@@ -441,12 +465,12 @@ def build_neighbor_index(
         if backend == "grid_array" and array_choice == "auto":
             array_choice = "numpy"
         use_array = resolve_array_backend(array_choice) == "numpy"
-        # The adaptive crossover is tunable per-experiment
-        # (ChannelConfig.scalar_query_limit); the measured defaults stay
-        # 256 for "grid" and 1 (always vectorize) for "grid_array".
+        # An explicit ChannelConfig.scalar_query_limit is a population
+        # cut-off; unset, "grid" follows the occupancy rule and "grid_array"
+        # always vectorizes.
         scalar_query_limit = getattr(config, "scalar_query_limit", None)
-        if scalar_query_limit is None:
-            scalar_query_limit = 1 if backend == "grid_array" else 256
+        if scalar_query_limit is None and backend == "grid_array":
+            scalar_query_limit = 1
         shards = getattr(config, "shards", 1)
         if shards > 1:
             from repro.wireless.sharded import ShardedNeighborIndex, partition_for_config

@@ -39,6 +39,7 @@ from repro.wireless.propagation import (
     UnitDiskPropagation,
 )
 from repro.wireless.spatial import (
+    ARRAY_SCAN_THRESHOLD,
     ArrayGridNeighborIndex,
     BruteForceNeighborIndex,
     GridNeighborIndex,
@@ -66,11 +67,11 @@ def test_channel_config_validates_array_backend():
 @requires_numpy
 def test_build_neighbor_index_selects_array_grid():
     mobility = StaticPlacement({"a": (0.0, 0.0)})
-    # "grid" auto-upgrades when the resolved backend is numpy (population-
-    # adaptive: vectorizes only at scale)...
+    # "grid" auto-upgrades when the resolved backend is numpy (occupancy-
+    # adaptive: vectorizes only once buckets are crowded)...
     auto = build_neighbor_index(ChannelConfig(neighbor_index="grid"), mobility)
     assert isinstance(auto, ArrayGridNeighborIndex)
-    assert auto.scalar_query_limit == 256
+    assert auto.scalar_query_limit is None
     # ...while "grid_array" forces the vectorized machinery at any size.
     forced = build_neighbor_index(ChannelConfig(neighbor_index="grid_array"), mobility)
     assert isinstance(forced, ArrayGridNeighborIndex)
@@ -226,8 +227,9 @@ def test_array_grid_matches_grid_and_brute(
     mobility, _static, node_ids = build_mixed_mobility(seed)
     brute = BruteForceNeighborIndex(mobility)
     grid = GridNeighborIndex(mobility, cell_size=cell_size, rebuild_interval=rebuild_interval)
-    # scalar_query_limit=1 forces the bucketed (lexsort + searchsorted) query
-    # strategy even for tiny worlds; 256 forces the whole-snapshot masks.
+    # An explicit scalar_query_limit is a population cut-off: 1 forces the
+    # bucketed (argsort + searchsorted) query strategy even for tiny worlds,
+    # 256 keeps these (at most 36-node) worlds on the scalar grid.
     array = ArrayGridNeighborIndex(
         mobility,
         cell_size=cell_size,
@@ -264,6 +266,68 @@ def test_array_grid_tracks_attach_and_detach(scalar_query_limit):
     array.attach("b")
     # Re-attached nodes rejoin at the back of the attach order.
     assert array.neighbors("a", 30.0, 0.0) == ["c", "b"]
+
+
+@requires_numpy
+@pytest.mark.parametrize("start", ["sparse", "crowded"])
+def test_occupancy_rule_picks_the_strategy_and_both_sides_agree(start):
+    """The unforced index goes vectorized by bucket occupancy, not population.
+
+    120 nodes either spread over ~64 cells (a query scans ~17 candidates) or
+    packed into one (a query scans 1080, above ARRAY_SCAN_THRESHOLD); the
+    world then teleports to the other layout and the index follows.  On both
+    sides of the threshold scalar == array == brute.
+    """
+    rng = random.Random(5)
+    cell, count = 50.0, 120
+    extents = {"sparse": 400.0, "crowded": 45.0}
+    node_ids = [f"n{i}" for i in range(count)]
+    mobility = StaticPlacement()
+
+    def scatter(layout):
+        for node_id in node_ids:
+            mobility.place(node_id, rng.uniform(0.0, extents[layout]), rng.uniform(0.0, extents[layout]))
+
+    scatter(start)
+    indexes = {
+        "brute": BruteForceNeighborIndex(mobility),
+        "scalar": GridNeighborIndex(mobility, cell_size=cell),
+        "forced": build_neighbor_index(
+            ChannelConfig(neighbor_index="grid_array", index_cell_size=cell), mobility
+        ),
+        "adaptive": build_neighbor_index(
+            ChannelConfig(neighbor_index="grid", index_cell_size=cell), mobility
+        ),
+    }
+    for node_id in node_ids:
+        for index in indexes.values():
+            index.attach(node_id)
+    adaptive, forced = indexes["adaptive"], indexes["forced"]
+    assert adaptive.scalar_query_limit is None and forced.scalar_query_limit == 1
+
+    def check(when):
+        for node_id in node_ids:
+            expected = indexes["brute"].neighbors(node_id, cell, when)
+            for name in ("scalar", "forced", "adaptive"):
+                assert indexes[name].neighbors(node_id, cell, when) == expected, name
+
+    other = "crowded" if start == "sparse" else "sparse"
+    for phase, layout in enumerate((start, other)):
+        if phase:
+            scatter(layout)  # a teleport: the version bump forces a rebuild
+        vectorized_before = adaptive.array_rebuilds
+        check(float(phase))
+        occupied = len(indexes["scalar"]._cells)
+        crowded = 9 * count > ARRAY_SCAN_THRESHOLD * occupied
+        assert crowded == (layout == "crowded")
+        assert adaptive._scalar_strategy != crowded
+        if crowded:
+            assert adaptive.array_rebuilds > vectorized_before
+    if start == "sparse":
+        # Never vectorized while sparse: the switch came with the crowd.
+        assert adaptive.array_rebuilds == 1
+    # grid_array vectorizes whatever the occupancy.
+    assert forced.array_rebuilds == forced.rebuilds > 0
 
 
 # --------------------------------------------- propagation link batching

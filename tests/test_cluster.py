@@ -420,6 +420,67 @@ def test_worker_killed_mid_task_redispatches_and_aggregate_is_identical(tmp_path
     assert (worker_1, worker_2) == ("dead", "w0")
 
 
+def test_simultaneous_last_uploads_finalize_once(tmp_path, monkeypatch):
+    """Regression: the last two uploads of a grid arriving together.
+
+    Marking a task done and storing its result used to be two steps, so the
+    second upload could find the grid complete, finalize, and miss the
+    first one's result (``KeyError: (point, trial)`` to that worker, sweeps
+    listed twice in ``stored``).  The stall injected into
+    ``LeaseTable.complete`` holds the first upload exactly there.
+    """
+    [serial] = run_suite([_tiny_request()], workers=1)
+    store = ResultStore(tmp_path)
+    coordinator = Coordinator(store=store, port=0)  # in-process: no sockets needed
+    coordinator.handle({"op": "submit", **_tiny_payload(tag="cluster")})
+    uploads = []
+    while True:
+        task = coordinator.handle({"op": "claim", "worker": "w0"})["task"]
+        if task is None:
+            break
+        result = serial.points[task["point"]].trial_results[task["trial"]]
+        uploads.append(
+            {"op": "result", "worker": "w0", "task": task["key"],
+             "seed": task["seed"], "result": result.to_dict()}
+        )
+    assert len(uploads) == 4
+    for upload in uploads[:-2]:
+        assert coordinator.handle(upload)["accepted"]
+
+    first_marked_done = threading.Event()
+    second_answered = threading.Event()
+    complete = coordinator.table.complete
+
+    def stalling_complete(key, worker):
+        outcome = complete(key, worker)
+        if not first_marked_done.is_set():
+            first_marked_done.set()
+            # Long enough for the other upload to run to its end if nothing
+            # holds it back; it is cut short as soon as that one is answered.
+            second_answered.wait(timeout=0.5)
+        return outcome
+
+    monkeypatch.setattr(coordinator.table, "complete", stalling_complete)
+    replies = {}
+    first = threading.Thread(
+        target=lambda: replies.update(first=coordinator.handle(uploads[-2])), daemon=True
+    )
+    first.start()
+    assert first_marked_done.wait(timeout=10)
+    replies["second"] = coordinator.handle(uploads[-1])
+    second_answered.set()
+    first.join(timeout=10)
+    assert not first.is_alive()
+
+    for name in ("first", "second"):
+        assert replies[name] == {"ok": True, "accepted": True}, replies
+    [submission] = coordinator.status()["submissions"]
+    assert submission["state"] == "done" and submission["errors"] == []
+    refs = [f"{ref['spec']}@{ref['key']}" for ref in submission["stored"]]
+    assert len(refs) == len(set(refs)) == 1
+    assert store.load("fig9a@cluster").to_json() == serial.to_json()
+
+
 def test_duplicate_in_flight_submission_is_rejected(tmp_path):
     coordinator = Coordinator(store=ResultStore(tmp_path), port=0)
     coordinator.handle({"op": "submit", **_tiny_payload()})

@@ -4,7 +4,9 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.arrays import numpy_available
 from repro.mobility import (
     CompositeMobility,
     Position,
@@ -12,6 +14,7 @@ from repro.mobility import (
     RandomWaypointMobility,
     ScriptedMobility,
     StaticPlacement,
+    StreetGridMobility,
     Waypoint,
 )
 
@@ -147,6 +150,118 @@ def test_scripted_mobility_requires_waypoints():
 def test_scripted_mobility_unknown_node_raises():
     with pytest.raises(KeyError):
         ScriptedMobility().position("ghost", 0.0)
+
+
+# ---- scripted hot paths vs. the linear-scan reference they replaced ------
+def interpolate_by_scan(waypoints, time):
+    """The reference: first waypoint pair whose closed interval holds ``time``."""
+    if time <= waypoints[0].time:
+        return (waypoints[0].x, waypoints[0].y)
+    if time >= waypoints[-1].time:
+        return (waypoints[-1].x, waypoints[-1].y)
+    for earlier, later in zip(waypoints, waypoints[1:]):
+        if earlier.time <= time <= later.time:
+            span = later.time - earlier.time
+            fraction = 0.0 if span == 0 else (time - earlier.time) / span
+            return (
+                earlier.x + (later.x - earlier.x) * fraction,
+                earlier.y + (later.y - earlier.y) * fraction,
+            )
+    raise AssertionError("unreachable for sorted waypoints")
+
+
+def speed_bound_by_walk(traces):
+    """The reference: every leg of every trace, through ``Position.distance_to``."""
+    fastest = 0.0
+    for waypoints in traces:
+        for earlier, later in zip(waypoints, waypoints[1:]):
+            span = later.time - earlier.time
+            if span > 0:
+                fastest = max(fastest, earlier.position.distance_to(later.position) / span)
+    return fastest
+
+
+def bits(xy):
+    return tuple(float(value).hex() for value in xy)
+
+
+# Times come from a small lattice as often as not, so traces hold duplicate
+# timestamps (zero-span legs); "+ 0.0" folds -0.0 into 0.0 (resting legs
+# evaluate ``x + 0.0 * f``, which is x for every x but -0.0).
+_coordinate = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False).map(lambda v: v + 0.0)
+_time = st.one_of(
+    st.integers(min_value=0, max_value=6).map(float),
+    st.floats(min_value=0.0, max_value=50.0, allow_nan=False),
+)
+_trace = st.lists(st.tuples(_time, _coordinate, _coordinate), min_size=1, max_size=9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(traces=st.lists(_trace, min_size=1, max_size=3), extra=st.lists(_time, max_size=6), data=st.data())
+def test_scripted_hot_paths_match_the_linear_scan_bit_for_bit(traces, extra, data):
+    model = ScriptedMobility()
+    node_ids = tuple(f"n{index}" for index in range(len(traces)))
+    for node_id, trace in zip(node_ids, traces):
+        model.add_node(node_id, trace)
+    stamps = sorted({time for trace in traces for time, _x, _y in trace})
+    queries = set(extra) | set(stamps) | {stamps[0] - 1.0, stamps[-1] + 1.0}
+    for stamp in stamps:  # a hair either side of every waypoint
+        queries |= {math.nextafter(stamp, -math.inf), math.nextafter(stamp, math.inf)}
+    queries |= {(a + b) / 2 for a, b in zip(stamps, stamps[1:])}
+    # One model instance answers them all, out of time order.
+    for time in data.draw(st.permutations(sorted(queries))):
+        rows = model.positions_array(node_ids, time).tolist() if numpy_available() else None
+        for row, node_id in enumerate(node_ids):
+            expected = bits(interpolate_by_scan(model._waypoints[node_id], time))
+            assert bits(model.position_xy(node_id, time)) == expected, (node_id, time)
+            assert bits(tuple(model.position(node_id, time))) == expected, (node_id, time)
+            if rows is not None:
+                assert bits(rows[row]) == expected, (node_id, time)
+
+
+def test_scripted_duplicate_timestamps_jump_after_the_instant():
+    model = ScriptedMobility()
+    model.add_node("n", [(0.0, 0.0, 0.0), (10.0, 10.0, 0.0), (10.0, 50.0, 5.0), (20.0, 60.0, 5.0)])
+    assert model.position_xy("n", 10.0) == (10.0, 0.0)          # still the first leg's end
+    assert model.position_xy("n", math.nextafter(10.0, 11.0))[0] >= 50.0
+    # Duplicates at the very end: the resting branch owns the last timestamp,
+    # even with the preceding leg already cached.
+    model.add_node("m", [(0.0, 0.0, 0.0), (10.0, 10.0, 0.0), (10.0, 50.0, 5.0)])
+    assert model.position_xy("m", 5.0) == (5.0, 0.0)
+    assert model.position_xy("m", 10.0) == (50.0, 5.0)
+    if numpy_available():
+        assert model.positions_array(("m",), 5.0).tolist() == [[5.0, 0.0]]
+        assert model.positions_array(("m",), 10.0).tolist() == [[50.0, 5.0]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(first=_trace, second=_trace, replacement=_trace)
+def test_scripted_speed_bound_tracks_every_registration(first, second, replacement):
+    model = ScriptedMobility()
+    assert model.speed_bound() == 0.0
+    model.add_node("a", first)
+    assert model.speed_bound() == speed_bound_by_walk(model._waypoints.values())
+    model.add_node("b", second)
+    assert model.speed_bound() == speed_bound_by_walk(model._waypoints.values())
+    # Re-registering replaces the trace: its old legs no longer count.
+    model.add_node("a", replacement)
+    assert model.speed_bound() == speed_bound_by_walk(model._waypoints.values())
+    assert model.speed_bound() == model.speed_bound()
+
+
+def test_speed_bound_through_street_grid_and_composite():
+    street = StreetGridMobility(
+        xs=(0.0, 50.0, 100.0), ys=(0.0, 50.0, 100.0),
+        min_speed=1.0, max_speed=4.0, rng=random.Random(9), duration=120.0,
+    )
+    composite = CompositeMobility()
+    composite.assign("repo", StaticPlacement({"repo": (0.0, 0.0)}))
+    for index in range(5):
+        street.add_node(f"w{index}")
+        composite.assign(f"w{index}", street)
+        expected = speed_bound_by_walk(street._scripted._waypoints.values())
+        assert 0.0 < expected <= 4.0
+        assert street.speed_bound() == composite.speed_bound() == expected
 
 
 def test_composite_mobility_dispatches_by_node():

@@ -10,8 +10,8 @@ pinned:
   registered-spec-level via a test-only non-trivial unit-disk subclass.
 * **log_distance determinism** — rerunning a trial, reordering link
   queries, and serial-vs-parallel sweeps must all agree.
-* **obstacle occlusion** — geometry, the per-pair cache (hits, coordinate
-  validation, mobility-version invalidation) and lossy wall penetration.
+* **obstacle occlusion** — geometry (rectangle-culled ray tests against the
+  flat all-walls reference), ray-test accounting and lossy wall penetration.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.experiments import ExperimentConfig, run_protocol_trial
 from repro.experiments.sweep import run_experiment
@@ -274,6 +275,59 @@ def test_environment_occlusion_and_containment():
         Obstacle(10.0, 10.0, 10.0, 20.0)
 
 
+def occludes_flat(env: Environment, ax, ay, bx, by) -> bool:
+    """The reference: every wall in turn, box reject then exact test."""
+    ray_box = (min(ax, bx), min(ay, by), max(ax, bx), max(ay, by))
+    for wx0, wy0, wx1, wy1 in env.walls:
+        if (
+            max(wx0, wx1) < ray_box[0] or min(wx0, wx1) > ray_box[2]
+            or max(wy0, wy1) < ray_box[1] or min(wy0, wy1) > ray_box[3]
+        ):
+            continue
+        if segments_intersect(ax, ay, bx, by, wx0, wy0, wx1, wy1):
+            return True
+    return False
+
+
+# Obstacles, free walls and most ray endpoints share one small lattice, so
+# rays through corners, along walls and of zero length turn up all the time;
+# the rest are arbitrary floats.
+_lattice = st.integers(min_value=0, max_value=12).map(float)
+_ordinate = st.one_of(_lattice, _lattice, st.floats(min_value=-2.0, max_value=14.0, allow_nan=False))
+_obstacle = st.tuples(_lattice, _lattice, _lattice, _lattice).filter(
+    lambda r: r[0] != r[2] and r[1] != r[3]
+).map(lambda r: (min(r[0], r[2]), min(r[1], r[3]), max(r[0], r[2]), max(r[1], r[3])))
+_wall = st.tuples(_lattice, _lattice, _lattice, _lattice)
+_ray = st.tuples(_ordinate, _ordinate, _ordinate, _ordinate)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    obstacles=st.lists(_obstacle, max_size=5),
+    walls=st.lists(_wall, max_size=3),
+    rays=st.lists(_ray, min_size=1, max_size=20),
+)
+def test_rectangle_culled_occlusion_matches_the_flat_wall_scan(obstacles, walls, rays):
+    env = Environment(obstacles=obstacles, walls=walls)
+    assert len(env.walls) == 4 * len(obstacles) + len(walls)
+    probes = list(rays)
+    for x0, y0, x1, y1 in obstacles:
+        probes += [
+            (x0, y0, x0, y0),                  # a point on a corner
+            (x0 - 1.0, y0 - 1.0, x0, y0),      # ends on a corner
+            (x0 - 1.0, y0 + 1.0, x0 + 1.0, y0 - 1.0),  # clips a corner diagonally
+            (x0 - 2.0, y0, x1 + 2.0, y0),      # runs along a wall and beyond
+            (x0, y0, x1, y0),                  # is a wall
+            ((x0 + x1) / 2, (y0 + y1) / 2, (x0 + x1) / 2, (y0 + y1) / 2),  # a point inside
+        ]
+    for ray in probes:
+        expected = occludes_flat(env, *ray)
+        assert env.occludes(*ray) == expected, ray
+        assert env.occludes(ray[2], ray[3], ray[0], ray[1]) == occludes_flat(
+            env, ray[2], ray[3], ray[0], ray[1]
+        ), ray
+
+
 def test_obstacle_model_blocks_and_penetrates():
     env = Environment(obstacles=[(40, -10, 50, 10)])
     blocked = ObstaclePropagation()
@@ -290,33 +344,39 @@ def test_obstacle_model_blocks_and_penetrates():
     assert open_field.link_quality((0, 0), (120, 0), 120.0, 100.0, None, ("a", "b")) is None
 
 
-def test_occlusion_cache_hits_and_coordinate_validation():
+def test_obstacle_model_counts_ray_tests_and_answers_both_directions_alike():
     env = Environment(obstacles=[(40, -10, 50, 10)])
     model = ObstaclePropagation()
     model.bind(environment=env)
     assert model.link_quality((0, 0), (80, 0), 80.0, 100.0, None, ("a", "b")) is None
     assert model.occlusion_checks == 1
-    # Same pair, same coordinates (either direction): served from the cache.
+    # Same pair from the other end: a ray test of its own, the same verdict.
     assert model.link_quality((80, 0), (0, 0), 80.0, 100.0, None, ("b", "a")) is None
-    assert model.occlusion_checks == 1
-    assert model.occlusion_cache_hits == 1
-    # The pair moved: the stale entry must not answer.
+    assert model.occlusion_checks == 2
+    # The pair moved clear of the building.
     assert model.link_quality((0, 20), (80, 20), 80.0, 100.0, None, ("a", "b")) == 0.0
-    assert model.occlusion_checks == 2
+    assert model.occlusion_checks == 3
+    # Out of range: no ray is cast.
+    assert model.link_quality((0, 0), (120, 0), 120.0, 100.0, None, ("a", "b")) is None
+    assert model.occlusion_checks == 3
 
 
-def test_occlusion_cache_invalidated_by_mobility_version():
-    env = Environment(obstacles=[(40, -10, 50, 10)])
-    placement = StaticPlacement({"a": (0.0, 0.0), "b": (80.0, 0.0)})
+def test_obstacle_model_casts_the_ray_from_the_smaller_id():
+    """Both directions of a link must run the *same* float computation."""
+    rays = []
+
+    class Recording(Environment):
+        __slots__ = ()
+
+        def occludes(self, ax, ay, bx, by):
+            rays.append((ax, ay, bx, by))
+            return super().occludes(ax, ay, bx, by)
+
     model = ObstaclePropagation()
-    model.bind(environment=env, mobility=placement)
-    assert model.link_quality((0, 0), (80, 0), 80.0, 100.0, None, ("a", "b")) is None
-    assert model.occlusion_cache_size == 1
-    # Teleport b around the building: the version bump drops the cache.
-    placement.place("b", 80.0, 30.0)
-    assert model.link_quality((0, 0), (80, 30), math.hypot(80, 30), 100.0, None, ("a", "b")) == 0.0
-    assert model.occlusion_checks == 2
-    assert model.occlusion_cache_size == 1
+    model.bind(environment=Recording(obstacles=[(40, -10, 50, 10)]))
+    model.link_quality((0.0, 1.0), (80.0, 2.0), 80.0, 100.0, None, ("a", "b"))
+    model.link_quality((80.0, 2.0), (0.0, 1.0), 80.0, 100.0, None, ("b", "a"))
+    assert rays == [(0.0, 1.0, 80.0, 2.0)] * 2
 
 
 def test_obstacle_medium_end_to_end_blocks_and_profiles():
