@@ -113,6 +113,11 @@ def collect_run_profile(sim, medium, wall_clock_s: float, churn=None, faults=Non
         array_rebuilds = getattr(index, "array_rebuilds", None)
         if array_rebuilds is not None:
             profile["spatial.array_rebuilds"] = float(array_rebuilds)
+        # Neighbour-set reuse traffic (grid backends; brute remembers nothing).
+        reuse_hits = getattr(index, "reuse_hits", None)
+        if reuse_hits is not None:
+            profile["spatial.reuse_hits"] = float(reuse_hits)
+            profile["spatial.reuse_misses"] = float(index.reuse_misses)
         # Region-sharding counters — only when the medium is sharded, so
         # unsharded profiles keep their pre-sharding key set.
         if getattr(index, "partition", None) is not None:

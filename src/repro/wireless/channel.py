@@ -63,10 +63,9 @@ class ChannelConfig:
         Model-specific parameters, validated against the selected backend's
         declared parameter set (unknown keys or out-of-range values raise).
     unicast_retry_limit:
-        802.11-style link-layer ARQ retry ceiling for unicast frames
-        (historically the ``UNICAST_RETRY_LIMIT`` module constant in
-        :mod:`repro.wireless.medium`; defaults unchanged so fault specs can
-        sweep it without perturbing every other run).
+        802.11-style link-layer ARQ retry ceiling for unicast frames (a
+        config field so fault specs can sweep it without perturbing every
+        other run).
     unicast_retry_backoff:
         Base ARQ retransmission backoff in seconds; the k-th retry waits
         ``k * unicast_retry_backoff`` plus a small random jitter.

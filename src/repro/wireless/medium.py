@@ -32,15 +32,15 @@ study depend on them:
 Delivery scheduling has two modes (``ChannelConfig.delivery``):
 
 * ``"batched"`` (default) — one completion event per *transmission* walks
-  the receiver list at ``end_time``.  Per-receiver collision/half-duplex
-  state lives in compact interval records created when the transmission
-  begins, so corruption, CSMA busy-sensing, loss and ARQ semantics — and
-  event ordering — are identical to per-receiver scheduling: the seed
-  scheduler gave one transmission's reception events consecutive sequence
-  numbers, so they always fired back-to-back with nothing interleaved, which
-  is exactly what the batch loop reproduces.  ``Simulator.events_processed``
-  still advances by one per reception so throughput accounting stays
-  comparable across modes.
+  the receiver list at ``end_time``.  Collisions and half-duplex losses are
+  settled when the transmission begins (one record per reception, two
+  scalars per receiver), so corruption, CSMA busy-sensing, loss and ARQ
+  semantics — and event ordering — are identical to per-receiver
+  scheduling: the seed scheduler gave one transmission's reception events
+  consecutive sequence numbers, so they always fired back-to-back with
+  nothing interleaved, which is exactly what the batch loop reproduces.
+  ``Simulator.events_processed`` still advances by one per reception so
+  throughput accounting stays comparable across modes.
 * ``"per_receiver"`` — the seed behaviour (one event per receiver), kept as
   the reference for the equivalence tests.
 """
@@ -60,30 +60,23 @@ from repro.wireless.propagation import build_propagation
 from repro.wireless.spatial import build_neighbor_index
 from repro.wireless.stats import MediumStats
 
-# Historical module-level defaults; the live values now come from
-# ChannelConfig (unicast_retry_limit / unicast_retry_backoff /
-# inter_frame_space) so fault specs can sweep them per run.
-INTER_FRAME_SPACE = 0.00005  # 50 us, approximates DIFS + MAC processing
-MAX_CSMA_DEFERRALS = 16      # give up sensing and transmit anyway after this many deferrals
-UNICAST_RETRY_LIMIT = 3      # 802.11 link-layer ARQ retries for unicast frames
-UNICAST_RETRY_BACKOFF = 0.002
+#: Give up sensing and transmit anyway after this many deferrals.
+MAX_CSMA_DEFERRALS = 16
 
 
 class _Reception:
-    """An in-flight reception interval at a particular receiver.
+    """One frame in flight towards a particular receiver.
 
     A compact mutable record (no dataclass machinery, ``__slots__`` only):
     one exists per (receiver, in-flight frame) and they are created and
     destroyed on the hottest path of the simulator.
     """
 
-    __slots__ = ("frame", "start_time", "end_time", "corrupted", "link_loss")
+    __slots__ = ("frame", "corrupted", "link_loss")
 
-    def __init__(self, frame: Frame, start_time: float, end_time: float, link_loss: float = 0.0):
+    def __init__(self, frame: Frame, corrupted: bool, link_loss: float):
         self.frame = frame
-        self.start_time = start_time
-        self.end_time = end_time
-        self.corrupted = False
+        self.corrupted = corrupted
         self.link_loss = link_loss
 
 
@@ -138,8 +131,14 @@ class WirelessMedium:
             self.config, mobility, max_range=self.config.max_range()
         )
         self._radios: Dict[str, "Radio"] = {}
-        self._receptions: Dict[str, List[_Reception]] = {}
         self._busy_until: Dict[str, float] = {}
+        # What a receiver needs to know about its receptions in flight (those
+        # with end time > now), in two scalars: when the last of them ends —
+        # carrier sense and "does this arrival overlap anything" — and the
+        # one that is still uncorrupted, if any (two that overlap corrupt
+        # each other, so there is never a second).
+        self._rx_busy_until: Dict[str, float] = {}
+        self._rx_clean: Dict[str, Optional[_Reception]] = {}
         self._loss_rng = sim.rng("wireless.loss")
         self._backoff_rng = sim.rng("wireless.csma")
         # Per-link loss draws (propagation models only) use their own named
@@ -195,16 +194,18 @@ class WirelessMedium:
                 f"({wifi_range!r}); must be a positive finite number or None"
             )
         self._radios[radio.node_id] = radio
-        self._receptions[radio.node_id] = []
         self._busy_until[radio.node_id] = 0.0
+        self._rx_busy_until[radio.node_id] = 0.0
+        self._rx_clean[radio.node_id] = None
         self._node_ids_cache = None
         self._index.attach(radio.node_id)
 
     def detach(self, node_id: str) -> None:
         """Detach a node's radio (e.g. a node powering off)."""
         self._radios.pop(node_id, None)
-        self._receptions.pop(node_id, None)
         self._busy_until.pop(node_id, None)
+        self._rx_busy_until.pop(node_id, None)
+        self._rx_clean.pop(node_id, None)
         self._node_ids_cache = None
         self._index.detach(node_id)
         # Drop ARQ state referencing the node: its pending retries can never
@@ -377,21 +378,12 @@ class WirelessMedium:
             self._begin_transmission(sender_id, frame, airtime, 0)
         return airtime
 
-    def _channel_busy_at(self, node_id: str, now: float) -> float:
-        """Until when the channel is sensed busy at ``node_id`` (0.0 if idle)."""
-        receptions = self._receptions.get(node_id, ())
-        busy_until = 0.0
-        for reception in receptions:
-            if reception.end_time > now:
-                busy_until = max(busy_until, reception.end_time)
-        return busy_until
-
     def _begin_transmission(self, sender_id: str, frame: Frame, airtime: float, deferrals: int) -> None:
         if sender_id not in self._radios:
             return  # radio detached while the frame was queued
         now = self.sim.now
         # Carrier sense: defer while another transmission is audible here.
-        busy_until = self._channel_busy_at(sender_id, now)
+        busy_until = self._rx_busy_until[sender_id]
         if busy_until > now and deferrals < MAX_CSMA_DEFERRALS:
             self.csma_deferrals += 1
             backoff = self._backoff_rng.uniform(0.0, 0.001)
@@ -404,7 +396,7 @@ class WirelessMedium:
 
         nominal = self._range_of(sender_id)
         batch = []
-        busy_until = self._busy_until
+        open_reception = self._open_reception
         faults = self._faults
         if self._trivial:
             # Seed fast path: every index candidate is a loss-free receiver
@@ -416,13 +408,7 @@ class WirelessMedium:
                         continue  # link blocked (flap or partition boundary)
                 else:
                     extra = 0.0
-                reception = _Reception(frame, now, end_time, extra)
-                # Half-duplex: a transmitting node cannot receive.
-                if busy_until.get(receiver_id, 0.0) > now:
-                    reception.corrupted = True
-                self._mark_collisions(receiver_id, reception)
-                self._receptions[receiver_id].append(reception)
-                batch.append((receiver_id, reception))
+                batch.append((receiver_id, open_reception(receiver_id, frame, now, end_time, extra)))
         else:
             candidates = self._index.neighbors(
                 sender_id, self.propagation.max_range(nominal), now
@@ -436,12 +422,9 @@ class WirelessMedium:
                         continue
                     if extra:
                         link_loss = 1.0 - (1.0 - link_loss) * (1.0 - extra)
-                reception = _Reception(frame, now, end_time, link_loss)
-                if busy_until.get(receiver_id, 0.0) > now:
-                    reception.corrupted = True
-                self._mark_collisions(receiver_id, reception)
-                self._receptions[receiver_id].append(reception)
-                batch.append((receiver_id, reception))
+                batch.append(
+                    (receiver_id, open_reception(receiver_id, frame, now, end_time, link_loss))
+                )
         if not batch:
             return
         # The two modes share the reception records above and differ only in
@@ -456,26 +439,34 @@ class WirelessMedium:
         radio = self._radios[node_id]
         return radio.wifi_range if radio.wifi_range is not None else self.config.wifi_range
 
-    def _mark_collisions(self, receiver_id: str, incoming: _Reception) -> None:
-        active = self._receptions[receiver_id]
-        # Prune receptions that already completed to keep the list short.
-        still_active = [r for r in active if r.end_time > incoming.start_time]
-        self._receptions[receiver_id] = still_active
-        if not still_active:
-            return
-        # Each reception counts once toward ``stats.collisions`` — when it
-        # first becomes corrupted by an overlap.  Receptions already
-        # corrupted (an earlier overlap, or the receiver's own half-duplex
-        # transmission) must not be counted again.
-        collisions = 0
-        for existing in still_active:
-            if not existing.corrupted:
-                existing.corrupted = True
-                collisions += 1
-        if not incoming.corrupted:
-            incoming.corrupted = True
-            collisions += 1
-        self.stats.collisions += collisions
+    def _open_reception(
+        self, receiver_id: str, frame: Frame, now: float, end_time: float, link_loss: float
+    ) -> _Reception:
+        """Start ``frame`` arriving at ``receiver_id`` until ``end_time``."""
+        # Half-duplex: a transmitting node cannot receive.
+        reception = _Reception(frame, self._busy_until[receiver_id] > now, link_loss)
+        rx_busy_until = self._rx_busy_until[receiver_id]
+        if rx_busy_until > now:
+            # Overlaps a reception still in flight: they corrupt each other,
+            # and each counts once toward ``stats.collisions`` — when an
+            # overlap first corrupts it (one lost earlier, to an overlap or
+            # to half-duplex, is not counted again).  A clean reception on
+            # record here is in flight: it was the last arrival, so it is
+            # the one that ends at ``rx_busy_until``.
+            clean = self._rx_clean[receiver_id]
+            if clean is not None:
+                clean.corrupted = True
+                self.stats.collisions += 1
+                self._rx_clean[receiver_id] = None
+            if not reception.corrupted:
+                reception.corrupted = True
+                self.stats.collisions += 1
+            if end_time > rx_busy_until:
+                self._rx_busy_until[receiver_id] = end_time
+        else:
+            self._rx_busy_until[receiver_id] = end_time
+            self._rx_clean[receiver_id] = None if reception.corrupted else reception
+        return reception
 
     def _complete_transmission(
         self, batch: List[Tuple[str, _Reception]], resume_slot: Optional[int] = None
@@ -510,16 +501,9 @@ class WirelessMedium:
         sim.events_processed += processed - 1
 
     def _complete_reception(self, receiver_id: str, reception: _Reception) -> None:
-        receptions = self._receptions.get(receiver_id)
-        if receptions is None:
-            return  # radio detached mid-flight
-        try:
-            receptions.remove(reception)
-        except ValueError:
-            pass  # already pruned by a later transmission's collision scan
         radio = self._radios.get(receiver_id)
         if radio is None:
-            return
+            return  # radio detached mid-flight
         if reception.corrupted:
             radio.stats.frames_collided += 1
             self._maybe_retry_unicast(receiver_id, reception.frame)

@@ -318,6 +318,14 @@ class ShardedNeighborIndex(NeighborIndex):
         return sum(getattr(sub, "array_rebuilds", 0) for sub in self._subs)
 
     @property
+    def reuse_hits(self) -> int:
+        return sum(sub.reuse_hits for sub in self._subs)
+
+    @property
+    def reuse_misses(self) -> int:
+        return sum(sub.reuse_misses for sub in self._subs)
+
+    @property
     def epoch_rolls(self) -> int:
         return self.clock.rolls
 

@@ -2,25 +2,40 @@
 
 Every frame a node transmits must be delivered to the radios within WiFi
 range at that moment, so neighbor resolution sits on the hottest path of the
-whole simulator.  Two interchangeable backends answer the query "which
-attached radios are within ``radius`` metres of ``node_id`` at ``time``":
+whole simulator.  Interchangeable backends answer the query "which attached
+radios are within ``radius`` metres of ``node_id`` at ``time``":
 
 * :class:`BruteForceNeighborIndex` — the reference implementation: an O(N)
   scan over every attached radio, exactly what the medium did historically.
+  It remembers nothing between queries, which makes it the oracle.
 * :class:`GridNeighborIndex` — a uniform-grid bucket index.  Node positions
   are snapshotted into square cells and the snapshot stays valid for a
   window of simulated time; a query only inspects the cells a disk of radius
   ``radius + speed_bound * drift`` can touch, then filters candidates with
   exact positions.  Because nodes cannot outrun the mobility model's
   :meth:`~repro.mobility.base.MobilityModel.speed_bound`, the cell scan can
-  never miss a true neighbor, so the two backends return *identical* results
+  never miss a true neighbor, so the backends return *identical* results
   (the equivalence is asserted property-style in the test suite).
+  :class:`ArrayGridNeighborIndex` is the same index with a NumPy snapshot
+  layout for crowded worlds.
 
-Both backends share a :class:`~repro.mobility.base.PositionCache` so that
-repeated position lookups at one timestamp (sender plus candidates, frame
-after frame) hit memoized answers, and both order their results by radio
-attach order so that reception events are scheduled in the same order — a
-requirement for run results to be bit-identical across backends.
+The grid additionally *reuses* answers.  Queries arrive at ever-new
+timestamps (one per transmission), so memoizing positions per timestamp
+almost never hits; what does repeat is the *answer* — the same sender asks
+again within milliseconds and nobody has moved across its range circle.  A
+scan therefore also measures how far the closest node stands from the
+circle (its *clearance*) and remembers the set until a *horizon*
+``t0 + (clearance - hair) / (2 * speed_bound)``: sender and candidate each
+move at most ``speed_bound * dt``, so their distance changes by at most
+twice that and no node can cross the circle before the horizon.  A later
+query by the same node, at the same radius and mobility version, inside
+``[t0, horizon]`` returns the remembered set without touching the snapshot
+or the mobility model (``reuse_hits`` / ``reuse_misses`` count the traffic).
+
+All backends order their results by radio attach order so that reception
+events are scheduled in the same order — a requirement for run results to
+be bit-identical across backends — and none returns an object it keeps:
+callers own the list they get.
 """
 
 from __future__ import annotations
@@ -40,6 +55,15 @@ DEFAULT_REBUILD_INTERVAL = 1.0
 #: PR 12): the scalar bucket loop wins up to ~430 scanned candidates (~120
 #: neighbours per query), the vectorized query from ~540 on.
 ARRAY_SCAN_THRESHOLD = 512
+
+#: Clearance (metres) by which a scan widens its exact-check ring, so that
+#: every node the snapshot classifies unchecked stands at least this far
+#: from the range circle and the remembered set outlives the timestamp.  A
+#: constant, not a config field: the measured reuse hit rate has its knee
+#: here (0 / 0.5 / 1 / 2 / 4 m: Ekta 24 / 64 / 67 / 68 / 69 %, Bithoc 36 / 75 /
+#: 78 / 80 / 82 % — CHANGES.md, PR 13) while the ring, and with it the exact
+#: checks a miss pays, keeps growing.
+REUSE_CLEARANCE = 1.0
 
 
 class NeighborIndex:
@@ -137,42 +161,85 @@ class GridNeighborIndex(NeighborIndex):
         self._snapshot_speed = math.inf
         self._snapshot_version = -1
         self.rebuilds = 0
+        # node_id -> (t0, horizon, radius, mobility_version, neighbor ids):
+        # the last scan's answer and how long it provably stays the answer.
+        self._remembered: Dict[str, Tuple[float, float, float, int, Tuple[str, ...]]] = {}
+        self.reuse_hits = 0
+        self.reuse_misses = 0
 
     # ------------------------------------------------------------ membership
     def attach(self, node_id: str) -> None:
         super().attach(node_id)
         self._snapshot_time = None
+        self._remembered.clear()
 
     def detach(self, node_id: str) -> None:
         super().detach(node_id)
         self._snapshot_time = None
+        self._remembered.clear()
 
     # --------------------------------------------------------------- queries
     def neighbors(self, node_id: str, radius: float, time: float) -> List[str]:
-        # Queries arrive at ever-new timestamps (one per transmission), so
-        # the per-timestamp PositionCache almost never hits here; going
-        # straight to the model's leg-cached position_xy (bit-identical
-        # floats, no Position allocation) is cheaper for both the origin
-        # and the uncertain-ring exact checks below.
+        remembered = self._remembered.get(node_id)
+        if (
+            remembered is not None
+            and remembered[0] <= time <= remembered[1]
+            and remembered[2] == radius
+            and remembered[3] == self._mobility_version()
+        ):
+            self.reuse_hits += 1
+            return list(remembered[4])
+        self.reuse_misses += 1
+        found, clearance = self._scan(node_id, radius, time)
+        # Nobody crosses the circle while the closest node's clearance (less
+        # a hair for float rounding) outlasts the pair closing in at twice
+        # the speed bound.  The scan left the snapshot current, so its speed
+        # and version are the ones in force at ``time``; an unbounded speed
+        # or a node on the circle leaves same-timestamp reuse only, a static
+        # world reuses until the version moves.
+        spare = clearance - 1e-9 * (1.0 + radius)
+        speed = self._snapshot_speed
+        if spare <= 0.0:
+            horizon = time
+        elif speed > 0.0:
+            horizon = time + spare / (2.0 * speed)
+        else:
+            horizon = math.inf
+        self._remembered[node_id] = (time, horizon, radius, self._snapshot_version, found)
+        return list(found)
+
+    def _scan(self, node_id: str, radius: float, time: float) -> Tuple[Tuple[str, ...], float]:
+        """Answer from the snapshot: ``(neighbor ids, smallest clearance)``.
+
+        The clearance is how far the node closest to the range circle stands
+        from it (inside or outside), capped at :data:`REUSE_CLEARANCE`.
+        """
+        # Going straight to the model's leg-cached position_xy (bit-identical
+        # floats, no Position allocation) is the cheapest way to both the
+        # origin and the uncertain-ring exact checks below.
         position_xy = self._position_xy
         origin_x, origin_y = position_xy(node_id, time)
-        # The epsilon widens the uncertain ring by a hair so float rounding in
-        # the drift bound can never flip a borderline node past the exact check.
-        slack = self._ensure_snapshot(time) + 1e-9 * (1.0 + radius)
+        # A candidate has drifted at most ``speed * age`` from its snapshot
+        # position.  The epsilon widens the uncertain ring by a hair so float
+        # rounding in that bound can never flip a borderline node past the
+        # exact check; the clearance widens it so that the nodes classified
+        # unchecked stand at least that far from the range circle.
+        slack = self._ensure_snapshot(time) + 1e-9 * (1.0 + radius) + REUSE_CLEARANCE
         reach = radius + slack
         cell = self.cell_size
         min_cx = math.floor((origin_x - reach) / cell)
         max_cx = math.floor((origin_x + reach) / cell)
         min_cy = math.floor((origin_y - reach) / cell)
         max_cy = math.floor((origin_y + reach) / cell)
-        # A candidate's true position lies within ``slack`` of its snapshot
-        # position, so the snapshot distance classifies most nodes without
-        # touching the mobility model: certainly in range below the inner
-        # ring, certainly out beyond the outer ring, exact check between.
+        # The snapshot distance thus classifies most nodes without touching
+        # the mobility model: certainly in range below the inner ring,
+        # certainly out beyond the outer ring, exact check between.
         inner = radius - slack
         inner_sq = inner * inner if inner > 0.0 else -1.0
         outer_sq = reach * reach
         radius_sq = radius * radius
+        clearance = REUSE_CLEARANCE
+        sqrt = math.sqrt
         cells = self._cells
         nearby = []
         for cx in range(min_cx, max_cx + 1):
@@ -195,15 +262,19 @@ class GridNeighborIndex(NeighborIndex):
                     other_x, other_y = position_xy(other_id, time)
                     dx = other_x - origin_x
                     dy = other_y - origin_y
-                    if dx * dx + dy * dy <= radius_sq:
+                    exact_sq = dx * dx + dy * dy
+                    if exact_sq <= radius_sq:
                         nearby.append(candidate)
+                    gap = abs(sqrt(exact_sq) - radius)
+                    if gap < clearance:
+                        clearance = gap
         # Reception events must be scheduled in attach order regardless of
         # which cell a neighbor fell in, so runs match the reference backend;
         # the attach sequence leads each bucket tuple, so sorting the tuples
         # sorts by attach order without any key function.
         if len(nearby) > 1:
             nearby.sort()
-        return [candidate[1] for candidate in nearby]
+        return tuple([candidate[1] for candidate in nearby]), clearance
 
     # -------------------------------------------------------------- internal
     def _ensure_snapshot(self, time: float) -> float:
@@ -370,18 +441,17 @@ class ArrayGridNeighborIndex(GridNeighborIndex):
         # Counts vectorized snapshots only, so profiles show which strategy ran.
         self.array_rebuilds += 1
 
-    def neighbors(self, node_id: str, radius: float, time: float) -> List[str]:
+    def _scan(self, node_id: str, radius: float, time: float) -> Tuple[Tuple[str, ...], float]:
         if self._scalar_strategy:
             # The parent's bucket loop; its staleness check lands in our
-            # _rebuild, which may hand the *next* query to the array path.
-            return super().neighbors(node_id, radius, time)
+            # _rebuild, which may hand the *next* scan to the array path.
+            return super()._scan(node_id, radius, time)
         np = self._np
         position_xy = self._position_xy
         origin_x, origin_y = position_xy(node_id, time)
-        # Identical slack / ring arithmetic to GridNeighborIndex.neighbors —
-        # the classification thresholds must match the scalar oracle bit for
-        # bit for the two backends to return identical node sets.
-        slack = self._ensure_snapshot(time) + 1e-9 * (1.0 + radius)
+        # Identical slack / ring arithmetic to GridNeighborIndex._scan, so
+        # both strategies send the same candidates to the exact check.
+        slack = self._ensure_snapshot(time) + 1e-9 * (1.0 + radius) + REUSE_CLEARANCE
         reach = radius + slack
         inner = radius - slack
         inner_sq = inner * inner if inner > 0.0 else -1.0
@@ -408,8 +478,9 @@ class ArrayGridNeighborIndex(GridNeighborIndex):
         spans = [
             self._sorted_rows[lo:hi] for lo, hi in zip(left, right) if hi > lo
         ]
+        clearance = REUSE_CLEARANCE
         if not spans:
-            return []
+            return (), clearance
         rows = np.concatenate(spans)
         pos = self._snap_pos[rows]
         dx = pos[:, 0] - origin_x
@@ -424,16 +495,16 @@ class ArrayGridNeighborIndex(GridNeighborIndex):
             other_x, other_y = position_xy(other_id, time)
             ex = other_x - origin_x
             ey = other_y - origin_y
-            if ex * ex + ey * ey <= radius_sq:
+            exact_sq = ex * ex + ey * ey
+            if exact_sq <= radius_sq:
                 certain[index] = True
+            gap = abs(math.sqrt(exact_sq) - radius)
+            if gap < clearance:
+                clearance = gap
         selected = np.flatnonzero(certain)
         selected = np.sort(rows[selected])
         self_row = self._row_of.get(node_id)
-        return [
-            order[row]
-            for row in selected
-            if row != self_row
-        ]
+        return tuple([order[row] for row in selected if row != self_row]), clearance
 
 
 def build_neighbor_index(

@@ -39,6 +39,20 @@ def test_run_profile_collected_only_when_enabled():
     assert profiled == plain
 
 
+def test_run_profile_reports_neighbour_set_reuse_traffic():
+    config = ExperimentConfig.tiny().with_overrides(max_duration=30.0, profile=True)
+    profile = run_protocol_trial("bithoc", config, seed=1).profile
+    hits, misses = profile["spatial.reuse_hits"], profile["spatial.reuse_misses"]
+    # IP senders ask for their neighbours and transmit at one timestamp, so
+    # some queries are always answered from memory; every snapshot rebuild
+    # was forced by a query that was not.
+    assert hits > 0 and misses >= profile["spatial.snapshot_rebuilds"] > 0
+    # The brute-force oracle remembers nothing and reports nothing.
+    brute = run_protocol_trial("bithoc", config.with_overrides(neighbor_index="brute"), seed=1)
+    assert "spatial.reuse_hits" not in brute.profile
+    assert brute.profile["wireless.deliveries"] == profile["wireless.deliveries"]
+
+
 def test_profile_roundtrips_through_json_but_stays_optional():
     result = RunResult(protocol="dapes", seed=1, events=10)
     assert "profile" not in result.to_dict()  # unprofiled payloads unchanged
@@ -70,6 +84,7 @@ def test_cli_run_with_profile_smoke(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "profile:" in out and "[wireless]" in out
+    assert "reuse_hits" in out and "reuse_misses" in out
 
 
 # ---------------------------------------------------------------- perf gate

@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) for the core data structures and invariants."""
 
 import json
+import random
 import string
 
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,10 @@ from repro.core.peba import PebaScheduler, peba_average_delay
 from repro.crypto import KeyPair, MerkleTree, sign, verify
 from repro.experiments.metrics import percentile
 from repro.ndn import Data, Interest, Name
+from repro.mobility import CompositeMobility, RandomWaypointMobility, StaticPlacement
 from repro.ndn.tlv import decode_data, decode_interest, encode_data, encode_interest
+from repro.wireless.sharded import ShardedNeighborIndex
+from repro.wireless.spatial import ArrayGridNeighborIndex, BruteForceNeighborIndex
 
 name_components = st.lists(
     st.text(alphabet=string.ascii_lowercase + string.digits + "-_.", min_size=1, max_size=12),
@@ -208,3 +212,67 @@ def test_percentile_bounded_by_min_and_max(values, q):
 def test_percentile_extremes(values):
     assert percentile(values, 0) == min(values)
     assert percentile(values, 100) == max(values)
+
+
+# -------------------------------------------------- neighbour-set reuse
+# One history of queries, time steps (forwards, none, backwards), teleports
+# and radio churn is played to the memoryless brute-force oracle and to every
+# grid flavour at once; remembered sets must never show through.
+_SIDE = 120.0
+_STEPS = (0.0, 0.0, 1e-4, 0.002, 0.03, 0.2, 1.5, 20.0, -0.001, -0.5, -30.0)
+_spot = st.floats(min_value=0.0, max_value=_SIDE, allow_nan=False)
+_history = st.lists(
+    st.one_of(
+        # Listed twice so that about half of a history's entries are queries.
+        st.tuples(st.just("ask"), st.integers(0, 7), st.sampled_from((35.0, 60.0))),
+        st.tuples(st.just("ask"), st.integers(0, 7), st.sampled_from((35.0, 60.0))),
+        st.tuples(st.just("step"), st.sampled_from(_STEPS), st.none()),
+        st.tuples(st.just("teleport"), st.integers(0, 3), st.tuples(_spot, _spot)),
+        st.tuples(st.just("toggle"), st.integers(0, 7), st.none()),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**16), pinned=st.lists(st.tuples(_spot, _spot), min_size=4, max_size=4),
+       history=_history)
+def test_grid_flavours_match_brute_force_through_any_history(seed, pinned, history):
+    nodes = [f"n{i}" for i in range(8)]
+    static = StaticPlacement(dict(zip(nodes[:4], pinned)))
+    walkers = RandomWaypointMobility(
+        width=_SIDE, height=_SIDE, min_speed=1.0, max_speed=15.0, pause_time=1.0,
+        rng=random.Random(seed),
+    )
+    mobility = CompositeMobility()
+    for node_id in nodes[:4]:
+        mobility.assign(node_id, static)
+    for node_id in nodes[4:]:
+        walkers.add_node(node_id)
+        mobility.assign(node_id, walkers)
+    brute = BruteForceNeighborIndex(mobility)
+    flavours = [
+        ArrayGridNeighborIndex(mobility, 40.0, rebuild_interval=1.0),
+        ArrayGridNeighborIndex(mobility, 40.0, rebuild_interval=1.0, scalar_query_limit=1),
+        ShardedNeighborIndex(mobility, cell_size=40.0, shards=3, region_width=_SIDE / 3, epoch=1.0),
+    ]
+    attached = set(nodes)
+    for index in [brute, *flavours]:
+        for node_id in nodes:
+            index.attach(node_id)
+    now = 50.0
+    for action, first, second in history:
+        if action == "step":
+            now += first
+        elif action == "teleport":
+            static.place(nodes[first], *second)
+        elif action == "toggle":
+            node_id = nodes[first]
+            for index in [brute, *flavours]:
+                (index.detach if node_id in attached else index.attach)(node_id)
+            attached ^= {node_id}
+        elif nodes[first] in attached:
+            expected = brute.neighbors(nodes[first], second, now)
+            for index in flavours:
+                assert index.neighbors(nodes[first], second, now) == expected

@@ -294,3 +294,147 @@ def test_per_radio_range_override():
     long_range.broadcast("far", 100, kind="test")
     sim.run()
     assert len(received) == 1
+
+
+# ----------------------------------------------------- reception bookkeeping
+# The medium keeps two scalars per receiver (when its last reception in
+# flight ends; the one still uncorrupted) instead of a list.  Expectations
+# below are worked out by hand on a 1 ms-per-1000-bytes channel; "a", "b",
+# "c", "d" are hidden from one another and all audible at "x".
+MS = 0.001
+HIDDEN = {"a": (60, 0), "b": (-60, 0), "c": (0, 60), "d": (0, -60), "x": (0, 0)}
+
+
+def timed_world(positions, delivery, ranges=None):
+    sim = Simulator(seed=1)
+    config = ChannelConfig(
+        wifi_range=65.0, loss_rate=0.0, data_rate_bps=8_000_000.0,
+        per_frame_overhead_s=0.0, delivery=delivery,
+    )
+    medium = WirelessMedium(sim, StaticPlacement(positions), config)
+    radios = {
+        node: Radio(sim, medium, node, wifi_range=(ranges or {}).get(node)) for node in positions
+    }
+    assert config.airtime(1000) == MS
+    return sim, medium, radios
+
+
+def record_arrivals(sim, radio, log):
+    radio.on_receive = lambda frame: log.append((frame.sender, sim.now))
+
+
+DELIVERY_MODES = pytest.mark.parametrize("delivery", ["batched", "per_receiver"])
+
+
+@DELIVERY_MODES
+def test_staggered_overlaps_corrupt_and_count_each_reception_once(delivery):
+    sim, medium, radios = timed_world(HIDDEN, delivery)
+    heard = []
+    record_arrivals(sim, radios["x"], heard)
+    # a [0, 1] and b [0.4, 1.4] corrupt each other (2); c [0.8, 1.8] overlaps
+    # both, already corrupted, and is itself corrupted (3); d [1.5, 2.5]
+    # overlaps only c — corrupted long ago — and is corrupted too (4).
+    # A second frame from a at [3, 4] finds the channel clear.
+    radios["a"].broadcast("a1", 1000, kind="test")
+    sim.schedule(0.4 * MS, radios["b"].broadcast, "b1", 1000, "test")
+    sim.schedule(0.8 * MS, radios["c"].broadcast, "c1", 1000, "test")
+    sim.schedule(1.5 * MS, radios["d"].broadcast, "d1", 1000, "test")
+    sim.schedule(3.0 * MS, radios["a"].broadcast, "a2", 1000, "test")
+    sim.run()
+    assert medium.stats.collisions == 4
+    assert radios["x"].stats.frames_collided == 4
+    assert heard == [("a", pytest.approx(4.0 * MS))]
+    assert medium.stats.deliveries == 1
+
+
+@DELIVERY_MODES
+def test_arrival_overlapping_only_a_half_duplex_loss_counts_one_collision(delivery):
+    # x transmits during [0, 2] to nobody (5 m range).  a's frame [1.5, 2.5]
+    # is lost to half-duplex: corrupted on arrival, no collision counted.
+    # b's frame [2.2, 3.2] arrives when x is silent again but a's is still
+    # in flight: b's is the only reception this overlap newly corrupts.
+    sim, medium, radios = timed_world(HIDDEN, delivery, ranges={"x": 5.0})
+    heard = []
+    record_arrivals(sim, radios["x"], heard)
+    radios["x"].broadcast("own", 2000, kind="test")
+    sim.schedule(1.5 * MS, radios["a"].broadcast, "a1", 1000, "test")
+    sim.schedule(2.2 * MS, radios["b"].broadcast, "b1", 1000, "test")
+    sim.run()
+    assert heard == []
+    assert radios["x"].stats.frames_collided == 2
+    assert medium.stats.collisions == 1
+
+
+@DELIVERY_MODES
+@pytest.mark.parametrize("b_scheduled_first", [True, False])
+def test_arrival_exactly_at_an_end_time_does_not_collide(delivery, b_scheduled_first):
+    # b starts at the very instant a's frame ends at x, whichever of the two
+    # same-timestamp events (a's completion, b's start) the heap fires first.
+    sim, medium, radios = timed_world(HIDDEN, delivery)
+    heard = []
+    record_arrivals(sim, radios["x"], heard)
+    if b_scheduled_first:
+        sim.schedule(MS, radios["b"].broadcast, "b1", 1000, "test")
+    radios["a"].broadcast("a1", 1000, kind="test")
+    if not b_scheduled_first:
+        sim.schedule(MS, radios["b"].broadcast, "b1", 1000, "test")
+    sim.run()
+    assert heard == [("a", MS), ("b", MS + MS)]
+    assert medium.stats.collisions == 0
+
+
+@DELIVERY_MODES
+def test_carrier_sense_waits_for_the_longest_reception_in_flight(delivery):
+    # s hears a's long frame [0, 4] and b's short one [1, 1.5] (a and b are
+    # hidden from each other).  Handed a frame at 2 ms, s must defer until
+    # a's ends — not find the channel idle because the *latest* arrival,
+    # b's, is over.  r hears only s.
+    positions = {"s": (0, 0), "a": (50, 0), "b": (-50, 0), "r": (0, 60)}
+    sim, medium, radios = timed_world(positions, delivery)
+    heard = []
+    record_arrivals(sim, radios["r"], heard)
+    radios["a"].broadcast("long", 4000, kind="test")
+    sim.schedule(1.0 * MS, radios["b"].broadcast, "short", 500, "test")
+    sim.schedule(2.0 * MS, radios["s"].broadcast, "deferred", 1000, "test")
+    sim.run()
+    assert medium.csma_deferrals == 1
+    ((sender, when),) = heard
+    earliest = 4.0 * MS + medium.config.inter_frame_space + MS
+    assert sender == "s" and earliest <= when <= earliest + 0.001
+    # s itself lost both receptions to each other, counted once each.
+    assert radios["s"].stats.frames_collided == 2
+    assert medium.stats.collisions == 2
+
+
+@DELIVERY_MODES
+def test_detach_mid_flight_and_reattach_before_completion(delivery):
+    # x leaves 0.3 ms into a's frame [0, 1] and a new radio takes its id at
+    # 0.5 ms.  A fresh radio knows nothing of frames already on the air: b's
+    # frame [0.7, 1.7] finds the channel clear there, and a's — never
+    # corrupted — completes into the radio that is attached by then.
+    sim, medium, radios = timed_world(HIDDEN, delivery)
+    heard = []
+
+    def reattach():
+        radios["x"] = Radio(sim, medium, "x")
+        record_arrivals(sim, radios["x"], heard)
+
+    radios["a"].broadcast("a1", 1000, kind="test")
+    sim.schedule(0.3 * MS, medium.detach, "x")
+    sim.schedule(0.5 * MS, reattach)
+    sim.schedule(0.7 * MS, radios["b"].broadcast, "b1", 1000, "test")
+    sim.run()
+    assert heard == [("a", pytest.approx(MS)), ("b", pytest.approx(1.7 * MS))]
+    assert medium.stats.collisions == 0
+
+
+@DELIVERY_MODES
+def test_detached_receiver_drops_the_frame_in_flight(delivery):
+    sim, medium, radios = timed_world(HIDDEN, delivery)
+    heard = []
+    record_arrivals(sim, radios["x"], heard)
+    radios["a"].broadcast("a1", 1000, kind="test")
+    sim.schedule(0.3 * MS, medium.detach, "x")
+    sim.run()
+    assert heard == []
+    assert medium.stats.deliveries == 0 and medium.stats.collisions == 0
