@@ -7,8 +7,23 @@ array-native path over contiguous NumPy arrays keyed by node index.  Both
 produce byte-identical results — the scalar code is the oracle the array
 path is tested against — so which one runs is purely a performance choice.
 
-This module is the single place that imports NumPy.  Everything else asks
-:func:`resolve_array_backend` which path to take:
+This module is the single place that imports NumPy, and it does so *on the
+first* :func:`numpy_or_none` *call*, not when :mod:`repro` is imported: most
+runs never vectorize anything (the grid index goes vectorized only above
+``ARRAY_SCAN_THRESHOLD`` candidates per query), and every pool worker,
+cluster worker and CLI call would otherwise pay NumPy's import time and
+resident memory for nothing.  The contract for callers:
+
+* *Selecting* a path — :func:`numpy_available`, :func:`resolve_array_backend`
+  — and *recording* it — :func:`numpy_version` — never load NumPy; they ask
+  the import system whether it is installed.  Constructors and config
+  validation may call these freely.
+* :func:`numpy_or_none` is for the code that is about to build or consume an
+  array (``positions_array``, a vectorized snapshot or scan, batched link
+  evaluation).  Call it there, not in ``__init__``, and do not keep the
+  module on an instance: the call is a global read once NumPy is loaded.
+
+Everything else asks :func:`resolve_array_backend` which path to take:
 
 ``"auto"`` (default)
     NumPy when importable, scalar otherwise.  Silent either way — an
@@ -28,38 +43,66 @@ importing :mod:`repro` must never require it.
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import warnings
 from typing import Optional
 
-try:  # NumPy is optional: every scalar path works without it.
-    import numpy as _numpy
-except ImportError:  # pragma: no cover - exercised via monkeypatching in tests
-    _numpy = None
-
 #: Accepted values of ``ChannelConfig.array_backend``.
 ARRAY_BACKENDS = ("auto", "numpy", "scalar")
+
+_NOT_LOADED = object()
+# The numpy module once numpy_or_none() has imported it; None when it is not
+# importable (tests patch None in to simulate a bare install).
+_numpy = _NOT_LOADED
 
 _warned_missing_numpy = False
 
 
 def numpy_or_none():
-    """The :mod:`numpy` module, or ``None`` when it is not installed."""
+    """The :mod:`numpy` module (imported on the first call), or ``None``."""
+    global _numpy
+    if _numpy is _NOT_LOADED:
+        try:  # NumPy is optional: every scalar path works without it.
+            import numpy
+        except ImportError:
+            numpy = None
+        _numpy = numpy
     return _numpy
 
 
 def numpy_available() -> bool:
-    """Whether the array-native hot path can run in this environment."""
+    """Whether the array-native hot path can run here (does not load NumPy).
+
+    Asks the import system until the first :func:`numpy_or_none`; an
+    installed NumPy that then fails to import reads unavailable from there on.
+    """
+    if _numpy is _NOT_LOADED:
+        return _numpy_installed()
     return _numpy is not None
 
 
+@functools.cache
+def _numpy_installed() -> bool:
+    return importlib.util.find_spec("numpy") is not None
+
+
 def numpy_version() -> Optional[str]:
-    """The active NumPy version string, or ``None`` without NumPy.
+    """The installed NumPy version string, or ``None`` without NumPy.
 
     Recorded in :class:`~repro.experiments.store.ResultStore` metadata and
     the committed ``BENCH_*.json`` artifacts so cross-backend comparisons
-    are visible in ``repro-experiments diff``.
+    are visible in ``repro-experiments diff``.  Read from the distribution
+    metadata, so recording it does not load NumPy.
     """
-    return None if _numpy is None else str(_numpy.__version__)
+    if not numpy_available():
+        return None
+    from importlib import metadata
+
+    try:
+        return metadata.version("numpy")
+    except metadata.PackageNotFoundError:  # importable but not pip-installed
+        return str(numpy_or_none().__version__)
 
 
 def resolve_array_backend(choice: str = "auto") -> str:
@@ -75,7 +118,7 @@ def resolve_array_backend(choice: str = "auto") -> str:
         )
     if choice == "scalar":
         return "scalar"
-    if _numpy is not None:
+    if numpy_available():
         return "numpy"
     if choice == "numpy" and not _warned_missing_numpy:
         _warned_missing_numpy = True

@@ -443,10 +443,9 @@ class DapesPeer:
             except ValueError:
                 segment = 0
         data = session.metadata_segments.get(segment)
-        if data is None or data.name != interest.name:
-            # Serve only exact matches (digest must agree).
-            if data is None:
-                return
+        if data is None or not interest.matches(data):
+            # Serve only what satisfies the Interest (digest must agree).
+            return
         delay = self._rng.uniform(0.0, self.config.transmission_window)
         self._schedule_response(data, delay)
 

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, List, Optional
 
 from repro.core import DapesConfig
@@ -155,6 +153,9 @@ def run_trials(
     seeds = trial_seeds(config)
     results: Optional[List[RunResult]] = None
     if workers > 1 and len(seeds) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
         tasks = [(protocol, config, seed, dapes_config, parameters) for seed in seeds]
         try:
             with ProcessPoolExecutor(max_workers=min(workers, len(seeds))) as pool:

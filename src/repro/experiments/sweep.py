@@ -31,8 +31,6 @@ import hashlib
 import json
 import pickle
 import warnings
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -315,6 +313,11 @@ def run_suite(
             stacklevel=2,
         )
     if workers > 1 and len(parallelizable) > 1:
+        # Imported where the pool is created: a serial sweep, a cluster
+        # worker and the read-only CLI subcommands never load multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+        from concurrent.futures.process import BrokenProcessPool
+
         try:
             with ProcessPoolExecutor(max_workers=min(workers, len(parallelizable))) as pool:
                 futures = {pool.submit(_execute_task, task): task for task in parallelizable}

@@ -19,6 +19,7 @@ deterministic.
 
 from __future__ import annotations
 
+import sys
 import time
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Mapping, Optional
@@ -96,6 +97,10 @@ def collect_run_profile(sim, medium, wall_clock_s: float, churn=None, faults=Non
     vectorized = getattr(medium, "vectorized_link_evaluations", None)
     if vectorized is not None:
         profile["propagation.vectorized_link_evaluations"] = float(vectorized)
+
+    # Whether the array backend ever engaged in this process (NumPy loads on
+    # first use, see repro.arrays); merged profiles count the trials it had.
+    profile["arrays.numpy_loaded"] = float("numpy" in sys.modules)
 
     propagation = getattr(medium, "propagation", None)
     occlusion_checks = getattr(propagation, "occlusion_checks", None)

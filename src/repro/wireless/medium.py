@@ -56,7 +56,7 @@ from repro.simulation import Simulator
 from repro.wireless.channel import ChannelConfig
 from repro.wireless.environment import Environment
 from repro.wireless.frames import Frame
-from repro.wireless.propagation import build_propagation
+from repro.wireless.propagation import PropagationModel, build_propagation
 from repro.wireless.spatial import build_neighbor_index
 from repro.wireless.stats import MediumStats
 
@@ -115,12 +115,13 @@ class WirelessMedium:
         self._trivial = self.propagation.trivial
         self._position_xy = mobility.position_xy
         # Array-native link evaluation: active when the resolved backend is
-        # NumPy and the propagation model opts in via link_quality_array
-        # (set back to None on the first opt-out so the check stays cheap).
-        self._np = numpy_or_none()
+        # NumPy and the propagation model overrides link_quality_array (set
+        # back to None if the override opts out, so the check stays cheap).
+        # A per-pair-only model never engages it, and so never loads NumPy.
         self._link_quality_array = (
             self.propagation.link_quality_array
-            if self._np is not None
+            if type(self.propagation).link_quality_array
+            is not PropagationModel.link_quality_array
             and resolve_array_backend(self.config.array_backend) == "numpy"
             else None
         )
@@ -320,7 +321,7 @@ class WirelessMedium:
         are one fused sqrt.  Returns ``None`` — and disables itself — when
         the propagation model's ``link_quality_array`` opts out.
         """
-        np = self._np
+        np = numpy_or_none()
         node_ids = self.node_ids
         id_row = self._id_row
         if id_row is None or self._id_row_order is not node_ids:

@@ -192,7 +192,8 @@ class PropagationModel:
         :meth:`link_quality` per pair — or ``None`` when the model only
         supports per-pair evaluation (geometry-dependent models like
         ``obstacle`` need the endpoint coordinates and fall back).  Only
-        models that never draw from the link RNG may opt in.
+        models that never draw from the link RNG may opt in — by overriding
+        this method: the medium batches (and loads NumPy) for overriders only.
         """
         return None
 
@@ -341,9 +342,9 @@ class ObstaclePropagation(PropagationModel):
         occluded links outright (no reception, no carrier sense); values in
         ``[0, 1)`` model lossy wall penetration instead.
 
-    Per-pair only: the model does not implement ``link_quality_array``
+    Per-pair only: the model does not override ``link_quality_array``
     (occlusion depends on the endpoint geometry, not just the distance), so
-    the medium's batched link evaluator falls back to per-pair calls.
+    the medium never engages its batched link evaluator for it.
 
     Without an environment (or with an empty one) the model degrades to
     ``unit_disk`` semantics.  Verdicts are not memoized: endpoints move

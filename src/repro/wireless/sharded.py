@@ -50,7 +50,7 @@ import math
 import warnings
 from typing import Dict, List, Optional, Tuple
 
-from repro.arrays import numpy_or_none
+from repro.arrays import numpy_available, numpy_or_none
 from repro.mobility.base import MobilityModel
 from repro.simulation.epochs import EpochClock
 from repro.wireless.channel import SHARD_EXECUTOR_MODES
@@ -258,7 +258,7 @@ class ShardedNeighborIndex(NeighborIndex):
         self.executor = ShardExecutor(executor, workers)
         self._position_xy = mobility.position_xy
         self._coordinates_at = mobility.coordinates_at
-        self._use_array = use_array and numpy_or_none() is not None
+        self._use_array = use_array and numpy_available()
         if self._use_array:
             self._subs: List[GridNeighborIndex] = [
                 ArrayGridNeighborIndex(
@@ -480,7 +480,6 @@ class ShardedNeighborIndex(NeighborIndex):
             members[self._membership[node_id]].append(
                 (attach_order[node_id], node_id, x, y)
             )
-        np = numpy_or_none()
         tasks = []
         targets = []
         for shard, entries in enumerate(members):
@@ -491,6 +490,7 @@ class ShardedNeighborIndex(NeighborIndex):
                 isinstance(sub, ArrayGridNeighborIndex) and not sub._scalar_strategy
             )
             if array_layout:
+                np = numpy_or_none()
                 pos = np.asarray(
                     [(entry[2], entry[3]) for entry in entries], dtype=np.float64
                 )

@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Tuple
 
-from repro.arrays import numpy_or_none, resolve_array_backend
+from repro.arrays import numpy_available, numpy_or_none, resolve_array_backend
 from repro.mobility.base import MobilityModel, PositionCache
 
 #: Default validity window (simulated seconds) of one grid snapshot.
@@ -371,13 +371,11 @@ class ArrayGridNeighborIndex(GridNeighborIndex):
         scalar_query_limit: Optional[int] = None,
     ):
         super().__init__(mobility, cell_size, rebuild_interval)
-        np = numpy_or_none()
-        if np is None:
+        if not numpy_available():
             raise RuntimeError(
                 "ArrayGridNeighborIndex requires NumPy; use GridNeighborIndex "
                 "on the scalar path (see repro.arrays.resolve_array_backend)"
             )
-        self._np = np
         self.scalar_query_limit = scalar_query_limit
         self._positions_array = mobility.positions_array
         self.array_rebuilds = 0
@@ -400,7 +398,7 @@ class ArrayGridNeighborIndex(GridNeighborIndex):
             occupied = len(self._cells)
         else:
             codes = self._sorted_codes
-            occupied = int(self._np.count_nonzero(codes[1:] != codes[:-1])) + 1 if len(codes) else 0
+            occupied = int(numpy_or_none().count_nonzero(codes[1:] != codes[:-1])) + 1 if len(codes) else 0
         population = len(self._attach_order)
         if self.scalar_query_limit is not None:
             scalar = population < self.scalar_query_limit
@@ -423,7 +421,7 @@ class ArrayGridNeighborIndex(GridNeighborIndex):
                 return
 
     def _rebuild_array(self, time: float) -> None:
-        np = self._np
+        np = numpy_or_none()
         order = self.node_ids
         pos = self._positions_array(order, time)
         self._snap_order = order
@@ -446,7 +444,7 @@ class ArrayGridNeighborIndex(GridNeighborIndex):
             # The parent's bucket loop; its staleness check lands in our
             # _rebuild, which may hand the *next* scan to the array path.
             return super()._scan(node_id, radius, time)
-        np = self._np
+        np = numpy_or_none()
         position_xy = self._position_xy
         origin_x, origin_y = position_xy(node_id, time)
         # Identical slack / ring arithmetic to GridNeighborIndex._scan, so

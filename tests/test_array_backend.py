@@ -110,6 +110,34 @@ def test_missing_numpy_falls_back_to_scalar_and_warns_once(monkeypatch):
     assert type(index) is GridNeighborIndex
 
 
+def test_selection_and_metadata_do_not_import_numpy(monkeypatch):
+    """The lazy contract: deciding on (and recording) a backend loads nothing;
+    the first ``numpy_or_none()`` imports once and the module is then kept."""
+    imports = []
+    real_import = __import__
+
+    def counting_import(name, globals=None, *args, **kwargs):
+        # NumPy's own modules import numpy too; count the simulator's only.
+        if name == "numpy" and (globals or {}).get("__name__", "").startswith("repro"):
+            imports.append(globals["__name__"])
+        return real_import(name, globals, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.__import__", counting_import)
+    monkeypatch.setattr(arrays, "_numpy", arrays._NOT_LOADED)
+    expected = "numpy" if numpy_available() else "scalar"
+    assert resolve_array_backend("auto") == expected
+    index = build_neighbor_index(ChannelConfig(), StaticPlacement({"a": (0.0, 0.0)}))
+    assert isinstance(index, ArrayGridNeighborIndex) == (expected == "numpy")
+    WirelessMedium(Simulator(seed=1), StaticPlacement({"a": (0.0, 0.0)}), ChannelConfig())
+    assert (arrays.numpy_version() is None) == (expected == "scalar")
+    assert imports == []
+    assert arrays._numpy is arrays._NOT_LOADED
+    first = arrays.numpy_or_none()
+    assert arrays.numpy_or_none() is first
+    assert (first is not None) == (expected == "numpy")
+    assert imports == ["repro.arrays"]
+
+
 # ------------------------------------------------- mobility bit-identity
 def build_mixed_mobility(seed: int):
     """One of every mobility family under a composite, like real scenarios."""

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.core import CollectionBuilder, DapesConfig, build_dapes_peer, build_repository
+from repro.core import CollectionBuilder, DapesConfig, DapesNamespace, build_dapes_peer, build_repository
 from repro.crypto import KeyPair, TrustAnchorStore
 from repro.mobility import ScriptedMobility, StaticPlacement
+from repro.ndn import Interest
 from repro.simulation import Simulator
 from repro.wireless import ChannelConfig, WirelessMedium
 
@@ -82,6 +83,26 @@ def test_digest_metadata_format_end_to_end():
     downloader.start()
     sim.run(until=90.0)
     assert downloader.peer.progress(metadata.collection) == 1.0
+
+
+def test_metadata_interest_with_forged_digest_is_not_answered():
+    """An Interest naming a different metadata digest must not get our segment."""
+    sim, medium, producer, downloader, _ = build_pair()
+    metadata = producer.peer.publish_collection(build_collection())
+    peer = producer.peer
+    forged = Interest(name=DapesNamespace.metadata_name(metadata.collection, "0" * 16, segment=0))
+    peer._respond_metadata(forged)
+    assert not peer._pending_responses
+    genuine = metadata.name(segment=0)
+    peer._respond_metadata(Interest(name=genuine))
+    assert list(peer._pending_responses) == [genuine]
+    # A prefix Interest (no segment component) is satisfied by segment 0 only
+    # when it says it can be a prefix.
+    peer._cancel_pending_response(genuine)
+    peer._respond_metadata(Interest(name=metadata.name()))
+    assert not peer._pending_responses
+    peer._respond_metadata(Interest(name=metadata.name(), can_be_prefix=True))
+    assert list(peer._pending_responses) == [genuine]
 
 
 def test_untrusted_producer_is_rejected():

@@ -67,7 +67,7 @@ def _broken_pool(*args, **kwargs):
 def test_run_trials_fallback_to_serial_warns(monkeypatch):
     config = ExperimentConfig.tiny().with_overrides(trials=2, max_duration=180.0)
     reference = run_trials("dapes", config, "DAPES", workers=1)
-    monkeypatch.setattr("repro.experiments.runner.ProcessPoolExecutor", _broken_pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _broken_pool)
     with pytest.warns(RuntimeWarning, match="falling back to serial"):
         fallback = run_trials("dapes", config, "DAPES", workers=2)
     assert fallback == reference
@@ -77,7 +77,7 @@ def test_sweep_fallback_to_serial_warns(monkeypatch):
     config = ExperimentConfig.tiny().with_overrides(trials=2, max_duration=180.0)
     axes = {"wifi_range": (80.0,)}
     reference = run_experiment("fig9a", config, axes=axes, workers=1)
-    monkeypatch.setattr("repro.experiments.sweep.ProcessPoolExecutor", _broken_pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _broken_pool)
     with pytest.warns(RuntimeWarning, match="falling back to serial"):
         fallback = run_experiment("fig9a", config, axes=axes, workers=4)
     assert fallback == reference

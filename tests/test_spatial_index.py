@@ -12,6 +12,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.arrays import numpy_available
 from repro.experiments import ExperimentConfig, run_protocol_trial
 from repro.mobility import (
     CompositeMobility,
@@ -199,8 +200,12 @@ WORLDS = {
     "composite": _composite,
 }
 
+# Without NumPy (the scalar-only CI job) "scalar" is the plain grid — the same
+# reuse logic — and "array" is skipped.
 INDEXES = {
-    "scalar": lambda mobility: ArrayGridNeighborIndex(mobility, 45.0, rebuild_interval=1.0),
+    "scalar": lambda mobility: (ArrayGridNeighborIndex if numpy_available() else GridNeighborIndex)(
+        mobility, 45.0, rebuild_interval=1.0
+    ),
     "array": lambda mobility: ArrayGridNeighborIndex(
         mobility, 45.0, rebuild_interval=1.0, scalar_query_limit=1
     ),
@@ -215,6 +220,8 @@ NODES = [f"n{i}" for i in range(12)]
 
 def oracle_and_index(mobility, index, nodes=NODES):
     """``(brute oracle, index under test)`` over ``mobility``, nodes attached."""
+    if index == "array" and not numpy_available():
+        pytest.skip("the vectorized strategy needs NumPy")
     brute = BruteForceNeighborIndex(mobility)
     tested = INDEXES[index](mobility)
     for node_id in nodes:
