@@ -66,7 +66,7 @@ def pytest_addoption(parser) -> None:
 
 @pytest.fixture
 def report(request):
-    """``report(result, benchmark=None, slug=None, metadata=None)``: print, and archive on request.
+    """``report(result, benchmark=None, slug=None)``: print, and archive on request.
 
     Always prints the experiment's rows (``pytest -s`` shows them inline).
     Under ``--write-bench`` it also archives them under benchmark_results/:
@@ -77,22 +77,21 @@ def report(request):
     trajectory to compare against.  Writing is opt-in because the wall-clock
     fields differ on every run: an ordinary test run must not rewrite
     committed files.  ``slug`` overrides the filename stem (default:
-    slugified ``result.name``); ``metadata`` merges extra keys into the JSON
-    payload (e.g. an A/B throughput breakdown).
+    slugified ``result.name``).
     """
     write = request.config.getoption("--write-bench")
 
-    def report(result, benchmark=None, slug=None, metadata=None) -> None:
+    def report(result, benchmark=None, slug=None) -> None:
         table = to_text(result)
         print()
         print(table)
         if write:
-            _archive(result, table, benchmark, slug, metadata)
+            _archive(result, table, benchmark, slug)
 
     return report
 
 
-def _archive(result, table, benchmark, slug, metadata) -> None:
+def _archive(result, table, benchmark, slug) -> None:
     results_dir = pathlib.Path(__file__).resolve().parent.parent / "benchmark_results"
     results_dir.mkdir(exist_ok=True)
     if slug is None:
@@ -113,8 +112,6 @@ def _archive(result, table, benchmark, slug, metadata) -> None:
         "numpy_version": numpy_version() if backend == "numpy" else None,
         "points": result.rows(),
     }
-    if metadata:
-        payload.update(metadata)
     (results_dir / f"BENCH_{slug}.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
         encoding="utf-8",

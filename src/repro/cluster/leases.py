@@ -179,11 +179,10 @@ class LeaseTable:
     def expire_stale(self) -> List[ClusterTask]:
         """Reclaim every lease whose deadline passed; return the tasks.
 
-        Called lazily before claims and status snapshots (mirroring the
-        sharded medium's lazy epoch barriers: no background thread, no
-        wall-clock nondeterminism in tests).  An expired task re-dispatches
-        immediately — at-least-once delivery — unless its attempt budget is
-        spent, which poisons it.
+        Called lazily before claims and status snapshots (no background
+        thread, no wall-clock nondeterminism in tests).  An expired task
+        re-dispatches immediately — at-least-once delivery — unless its
+        attempt budget is spent, which poisons it.
         """
         now = self.clock()
         reclaimed: List[ClusterTask] = []

@@ -58,7 +58,7 @@ from repro.experiments import report as report_mod
 from repro.experiments.metrics import SweepResult
 from repro.experiments.query import ResultSet
 from repro.experiments.scenario import ExperimentConfig
-from repro.experiments.spec import available_experiments, get_experiment
+from repro.experiments.spec import PlanError, available_experiments, get_experiment
 from repro.experiments.store import ResultStore, StoredRun, content_key
 from repro.experiments.sweep import (
     SweepRequest,
@@ -165,14 +165,6 @@ def _config_from_args(args: argparse.Namespace) -> tuple:
         overrides["invariants"] = True
     if args.array_backend is not None:
         overrides["array_backend"] = args.array_backend
-    if args.shards is not None:
-        overrides["shards"] = args.shards
-    if args.shard_workers is not None:
-        overrides["shard_workers"] = args.shard_workers
-    if args.shard_executor is not None:
-        overrides["shard_executor"] = args.shard_executor
-    if args.scalar_query_limit is not None:
-        overrides["scalar_query_limit"] = args.scalar_query_limit
     if getattr(args, "workers", None) is not None:
         overrides["workers"] = args.workers
     if args.profile:
@@ -594,6 +586,9 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     requests = _build_requests(names, config, axes, overrides)
     if args.dry_run:
         return _print_task_listing(requests, None, resume=not args.no_resume)
+    # Refuse a bad grid here rather than after a round trip to the coordinator.
+    for request in requests:
+        request.spec.plan(request.config, request.axes)
     payload = build_submission_payload(
         names,
         config,
@@ -709,21 +704,6 @@ def build_parser() -> argparse.ArgumentParser:
                             choices=["auto", "numpy", "scalar"],
                             help="hot-path implementation (results are byte-identical; "
                                  "'auto' uses NumPy when importable)")
-        target.add_argument("--shards", type=int, default=None,
-                            help="region-shard the medium into K x-stripe regions "
-                                 "(byte-identical results; see repro.wireless.sharded)")
-        target.add_argument("--shard-workers", type=int, default=None,
-                            help="step shard snapshot builds with this many workers "
-                                 "at each epoch barrier (default 1 = serial)")
-        target.add_argument("--shard-executor", default=None,
-                            choices=["thread", "process", "serial"],
-                            help="intra-trial shard executor (default thread; only "
-                                 "consulted when --shard-workers > 1)")
-        target.add_argument("--scalar-query-limit", type=int, default=None,
-                            help="explicit population cut-off for the array index's "
-                                 "scalar/vectorized choice (default: decided from "
-                                 "bucket occupancy for grid, always vectorized for "
-                                 "grid_array)")
         target.add_argument("--tag", default=None,
                             help="tag saved runs, e.g. --tag nightly")
         target.add_argument("--no-resume", action="store_true",
@@ -916,8 +896,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except PlanError as exc:
+        # The grid was refused before anything ran: the usage text is not the
+        # problem, so print argparse's error line without it.
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 
 if __name__ == "__main__":

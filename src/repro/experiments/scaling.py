@@ -43,20 +43,7 @@ SPEC_SCALING = register_experiment(
                 scale_by="mobile_downloaders",
             ),
         ),
-        variants=(
-            Variant(label="Mobile downloaders={mobile_downloaders}"),
-            # The region-sharded medium (repro.wireless.sharded): byte-
-            # identical download/overhead results to the unsharded variant
-            # (asserted in tests/test_sharded_medium.py), so any events/sec
-            # difference between the two series is pure medium overhead /
-            # speedup — the interleaved A/B the ROADMAP perf trajectory and
-            # the BENCH_scaling artifact record.
-            Variant(
-                label="Mobile downloaders={mobile_downloaders}, sharded K=4",
-                overrides={"shards": 4, "shard_workers": 4},
-                parameters={"sharded": 1},
-            ),
-        ),
+        variants=(Variant(label="Mobile downloaders={mobile_downloaders}"),),
         # Profiles are the point of this spec: events/sec lives there.
         # (trials stays CLI-controllable; spec overrides would shadow it.)
         overrides={"profile": True},

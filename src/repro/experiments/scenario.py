@@ -24,7 +24,7 @@ topology catalogue and the parallel trial runner.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, Dict, List, Optional, Type
 
 from repro.crypto.keys import KeyPair
@@ -89,20 +89,6 @@ class ExperimentConfig:
     # array-native NumPy path when importable, scalar otherwise; results are
     # byte-identical across backends.
     array_backend: str = "auto"
-    # Region sharding (see repro.wireless.sharded): shards=1 keeps the single
-    # world-spanning index; K > 1 partitions the area into K x-stripe regions
-    # of area_size/K metres each, with deterministic epoch-synchronized
-    # membership.  shard_workers > 1 steps shard snapshot builds concurrently
-    # at each epoch barrier (shard_executor: thread/process/serial).  All
-    # combinations are byte-identical — sharding is purely a
-    # scalability/parallelism switch.
-    shards: int = 1
-    shard_workers: int = 1
-    shard_executor: str = "thread"
-    # Explicit population cut-off for the array-native index's scalar /
-    # vectorized choice (None: the index decides from bucket occupancy; always
-    # vectorized under "grid_array"); see ChannelConfig.scalar_query_limit.
-    scalar_query_limit: Optional[int] = None
     # Collect a performance profile per trial (repro.profiling); the profile
     # rides along in RunResult.profile and the CLI's --profile output.  Off
     # by default: profiles hold wall-clock numbers, which are not
@@ -231,6 +217,9 @@ class ExperimentConfig:
 
         plain = dict(data)
         dapes = plain.pop("dapes", None)
+        unknown = sorted(set(plain) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown ExperimentConfig field(s): {', '.join(unknown)}")
         config = cls(**plain)
         if dapes is not None:
             config = replace(config, dapes=DapesConfig(**dapes))
@@ -248,12 +237,6 @@ class ExperimentConfig:
         return per_file * self.num_files
 
     def channel(self) -> ChannelConfig:
-        # Region width defaults to area/shards so the K shards tile the
-        # simulation area evenly (the ChannelConfig-level default — the grid
-        # cell edge — is for direct medium users who have no area to tile).
-        region_width = None
-        if self.shards > 1:
-            region_width = max(self.area_size / self.shards, 1e-9)
         return ChannelConfig(
             wifi_range=self.wifi_range,
             loss_rate=self.loss_rate,
@@ -262,11 +245,6 @@ class ExperimentConfig:
             delivery=self.delivery,
             propagation=self.propagation,
             propagation_params=dict(self.propagation_params),
-            shards=self.shards,
-            shard_workers=self.shard_workers,
-            shard_executor=self.shard_executor,
-            shard_region_width=region_width,
-            scalar_query_limit=self.scalar_query_limit,
         )
 
 

@@ -32,6 +32,10 @@ AggregateFn = Callable[[str, Dict[str, object], Sequence[RunResult], float], Swe
 ConfigTransform = Callable[[ExperimentConfig], ExperimentConfig]
 
 
+class PlanError(ValueError):
+    """A sweep point that cannot run, found while planning (nothing executed)."""
+
+
 @dataclass(frozen=True)
 class Axis:
     """One sweep dimension of an experiment.
@@ -155,7 +159,13 @@ class ExperimentSpec:
         config: Optional[ExperimentConfig] = None,
         axes: Optional[Mapping[str, Sequence[object]]] = None,
     ) -> List[PointPlan]:
-        """Flatten the spec into ordered sweep points (axes outer, variants inner)."""
+        """Flatten the spec into ordered sweep points (axes outer, variants inner).
+
+        Every point is validated here — the one place ``run``, ``--dry-run``,
+        ``task_listing`` and the coordinator's ``submit`` all pass — so a bad
+        axis value or ``trials < 1`` raises :class:`PlanError` before any
+        task runs or is leased to a worker.
+        """
         from repro.experiments.runner import trial_seeds
 
         spec = self.with_axes(axes)
@@ -179,6 +189,15 @@ class ExperimentSpec:
                 label = variant.label
                 if "{" in label:
                     label = label.format(**parameters, **format_extras)
+                try:
+                    if point_config.trials < 1:
+                        raise ValueError("trials must be at least 1")
+                    point_config.channel()
+                except ValueError as exc:
+                    where = ", ".join(f"{key}={value}" for key, value in parameters.items())
+                    raise PlanError(
+                        f"{spec.name} point {label}" + (f" ({where})" if where else "") + f": {exc}"
+                    ) from None
                 plans.append(
                     PointPlan(
                         index=len(plans),

@@ -239,11 +239,6 @@ class ResultStore:
                 "numpy_version": numpy_version() if resolved_backend == "numpy" else None,
                 "churn": getattr(config, "churn", "none"),
                 "faults": getattr(config, "faults", "none"),
-                # Region sharding is byte-identity-neutral, but recording the
-                # layout keeps throughput comparisons honest (a sharded and
-                # an unsharded run are different perf regimes).
-                "shards": getattr(config, "shards", 1),
-                "shard_workers": getattr(config, "shard_workers", 1),
             }
         if extra:
             meta.update(extra)

@@ -135,10 +135,12 @@ def _prepare(
     out_dir: Optional[Union[str, Path]],
     store: Optional[ResultStore],
 ) -> List[_PreparedRequest]:
+    # Plan every request before the first cache directory is created, so an
+    # invalid point anywhere in the suite leaves nothing behind.
+    planned = [request.spec.plan(request.config, request.axes) for request in requests]
     prepared: List[_PreparedRequest] = []
-    for request in requests:
+    for request, plans in zip(requests, planned):
         spec = request.spec
-        plans = spec.plan(request.config, request.axes)
         cache: Optional[TaskCache] = None
         cache_key: Optional[str] = None
         if out_dir is not None or store is not None:

@@ -12,7 +12,6 @@ from repro.faults.base import (
     KINDS,
     LINK,
     PARTITION,
-    SHARD,
     SPATIAL,
     STALL,
     FaultEpisode,
@@ -41,7 +40,6 @@ __all__ = [
     "KINDS",
     "LINK",
     "PARTITION",
-    "SHARD",
     "SPATIAL",
     "STALL",
     "Degrade",

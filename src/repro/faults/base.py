@@ -48,11 +48,6 @@ KINDS = (LINK, PARTITION, STALL, DEGRADE)
 #: Subject sentinel: resolve partition membership spatially at episode start.
 SPATIAL = "spatial"
 
-#: Subject sentinel: resolve partition membership as one region shard at
-#: episode start — the "shard goes dark" rehearsal for the region-sharded
-#: medium (see :mod:`repro.wireless.sharded`).  Subject form: ``(SHARD, k)``.
-SHARD = "shard"
-
 #: ``stream(entity)`` -> the entity's deterministic fault RNG.
 StreamFn = Callable[[str], object]
 

@@ -36,7 +36,6 @@ from repro.faults.base import (
     DEGRADE,
     LINK,
     PARTITION,
-    SHARD,
     SPATIAL,
     STALL,
     FaultEpisode,
@@ -307,11 +306,6 @@ class FaultManager:
         across spatial backends and execution modes.
         """
         subject = episode.subject
-        if (
-            isinstance(subject, tuple) and len(subject) >= 2 and subject[0] == SHARD
-            and isinstance(subject[1], int)
-        ):
-            return self._resolve_shard_group(subject)
         spatial = subject == SPATIAL or (
             isinstance(subject, tuple) and len(subject) == 2 and subject[0] == SPATIAL
             and isinstance(subject[1], float)
@@ -328,41 +322,6 @@ class FaultManager:
         ranked = sorted(present, key=lambda node_id: (position(node_id, now)[0], node_id))
         size = max(1, min(len(ranked) - 1, math.ceil(fraction * len(ranked))))
         return frozenset(ranked[:size])
-
-    def _resolve_shard_group(self, subject) -> FrozenSet[str]:
-        """Shard-dark membership: the nodes region shard ``subject[1]`` owns now.
-
-        Resolved through the medium's active :class:`RegionPartition` when
-        the medium is sharded, else through the partition geometry the
-        channel config describes — one batched coordinate lookup at a fixed
-        simulated time, deterministic across spatial backends and executor
-        modes.  A ``(SHARD, k, shards, region_width)`` subject pins the
-        geometry explicitly (the :class:`~repro.faults.partition.Partition`
-        ``shards``/``region_width`` params), so a sharded and an unsharded
-        run of the same rehearsal cut exactly the same group.
-        """
-        from repro.wireless.sharded import RegionPartition, partition_for_config
-
-        shard = subject[1]
-        partition = getattr(self.medium, "region_partition", None)
-        if partition is None:
-            partition = partition_for_config(self.medium.config)
-        if len(subject) > 2:
-            shards, width = subject[2], subject[3]
-            partition = RegionPartition(
-                int(shards) if shards is not None else partition.shards,
-                float(width) if width is not None else partition.region_width,
-            )
-        now = self.sim.now
-        attached = set(self.medium.node_ids)
-        present = [node_id for node_id in self.node_ids if node_id in attached]
-        coords = self.medium.mobility.coordinates_at(present, now)
-        target = shard % partition.shards if partition.shards else 0
-        return frozenset(
-            node_id
-            for node_id, (x, _) in zip(present, coords)
-            if partition.shard_of(x) == target
-        )
 
     def _notify_heal(self, group) -> None:
         # Registration order (dict order) keeps the nudges deterministic.

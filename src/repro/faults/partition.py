@@ -12,11 +12,6 @@ seconds.  Two membership modes:
   positions (the westmost ``fraction`` by x coordinate): a physical barrier
   appearing across the area.  Position lookups at a fixed simulated time
   are deterministic, so this stays reproducible across backends.
-* ``shard``      — the group is region shard ``shard`` of the medium's
-  :class:`~repro.wireless.sharded.RegionPartition`, resolved when the split
-  begins: the "one shard goes dark" rehearsal for the region-sharded
-  medium.  Works against unsharded media too (the partition geometry is
-  derived from the channel config), so the rehearsal can A/B both.
 
 Healing is the interesting part: the lifecycle manager records the heal
 time and measures time-to-recover — the delay until the first delivery
@@ -31,7 +26,6 @@ from typing import List, Sequence
 
 from repro.faults.base import (
     PARTITION,
-    SHARD,
     SPATIAL,
     FaultEpisode,
     FaultModel,
@@ -50,20 +44,8 @@ def _fraction(value):
 
 
 def _mode(value):
-    if value not in ("membership", SPATIAL, SHARD):
-        return f"must be 'membership', {SPATIAL!r} or {SHARD!r}"
-    return None
-
-
-def _shard_index(value):
-    if not isinstance(value, int) or value < 0:
-        return "must be a non-negative integer shard index"
-    return None
-
-
-def _shard_count(value):
-    if not isinstance(value, int) or value < 1:
-        return "must be a positive integer shard count"
+    if value not in ("membership", SPATIAL):
+        return f"must be 'membership' or {SPATIAL!r}"
     return None
 
 
@@ -76,9 +58,6 @@ class Partition(FaultModel):
         "duration": positive_number,
         "mode": _mode,
         "fraction": _fraction,
-        "shard": _shard_index,
-        "shards": _shard_count,
-        "region_width": positive_number,
         "repeat_every": positive_number,
     }
 
@@ -92,18 +71,6 @@ class Partition(FaultModel):
         if mode == SPATIAL:
             # The manager resolves membership from positions at begin time.
             subject = (SPATIAL, fraction)
-        elif mode == SHARD:
-            # Shard-dark rehearsal: the group is whatever region shard
-            # ``shard`` owns when the split begins — resolved by the manager
-            # through the medium's RegionPartition, so the fault cuts exactly
-            # the nodes the sharded index assigns to that region.  Optional
-            # ``shards``/``region_width`` pin the geometry explicitly, so an
-            # unsharded A/B run of the same rehearsal cuts the same group.
-            subject = (SHARD, int(self.param("shard", 0)))
-            shards = self.param("shards", None)
-            width = self.param("region_width", None)
-            if shards is not None or width is not None:
-                subject = subject + (shards, width)
         else:
             ordered = sorted(node_ids)
             size = max(1, min(len(ordered) - 1, math.ceil(fraction * len(ordered))))

@@ -89,23 +89,6 @@ class MobilityModel(ABC):
             self.positions_at(node_ids, time), dtype=np.float64
         ).reshape(-1, 2)
 
-    def coordinates_at(
-        self, node_ids: Sequence[str], time: float
-    ) -> List[Tuple[float, float]]:
-        """Batched ``(x, y)`` pairs as plain Python floats, fastest path wins.
-
-        Takes :meth:`positions_array` when NumPy is importable (one fused
-        vectorized evaluation over all nodes, then ``tolist`` back to float
-        pairs) and :meth:`positions_at` otherwise.  Both produce bit-identical
-        floats by the :meth:`positions_array` contract, so callers that feed
-        these coordinates into snapshots or membership assignment get the
-        same bytes on every backend.  The sharded medium's epoch barrier and
-        the fault manager's spatial group resolution are the main consumers.
-        """
-        if numpy_or_none() is not None:
-            return [tuple(row) for row in self.positions_array(node_ids, time).tolist()]
-        return list(self.positions_at(node_ids, time))
-
     def speed_bound(self) -> float:
         """An upper bound on any node's speed in m/s (``inf`` if unknown).
 

@@ -123,19 +123,6 @@ def collect_run_profile(sim, medium, wall_clock_s: float, churn=None, faults=Non
         if reuse_hits is not None:
             profile["spatial.reuse_hits"] = float(reuse_hits)
             profile["spatial.reuse_misses"] = float(index.reuse_misses)
-        # Region-sharding counters — only when the medium is sharded, so
-        # unsharded profiles keep their pre-sharding key set.
-        if getattr(index, "partition", None) is not None:
-            profile["spatial.shards"] = float(index.partition.shards)
-            profile["spatial.epoch_rolls"] = float(index.epoch_rolls)
-            profile["spatial.shard_snapshot_builds"] = float(index.snapshot_builds)
-            profile["spatial.shard_migrations"] = float(index.shard_migrations)
-            profile["spatial.boundary_queries"] = float(index.boundary_queries)
-            profile["spatial.boundary_candidates"] = float(index.boundary_candidates)
-            profile["spatial.boundary_merged"] = float(index.boundary_merged)
-            profile["spatial.parallel_barriers"] = float(
-                index.executor.parallel_barriers
-            )
 
     mobility = getattr(medium, "mobility", None)
     legs = _count_mobility_legs(mobility)

@@ -8,12 +8,10 @@ so that adding a new consumer of randomness does not perturb existing ones.
 """
 
 from repro.simulation.engine import EventHandle, Simulator, SimulationError
-from repro.simulation.epochs import EpochClock
 from repro.simulation.random_streams import RandomStreams
 from repro.simulation.timers import PeriodicTimer, Timer
 
 __all__ = [
-    "EpochClock",
     "EventHandle",
     "PeriodicTimer",
     "RandomStreams",

@@ -29,11 +29,6 @@ from repro.wireless.propagation import (
     register_propagation,
 )
 from repro.wireless.radio import Radio
-from repro.wireless.sharded import (
-    RegionPartition,
-    ShardedNeighborIndex,
-    partition_for_config,
-)
 from repro.wireless.spatial import (
     BruteForceNeighborIndex,
     GridNeighborIndex,
@@ -56,11 +51,8 @@ __all__ = [
     "ObstaclePropagation",
     "PropagationModel",
     "Radio",
-    "RegionPartition",
-    "ShardedNeighborIndex",
     "UnitDiskPropagation",
     "WirelessMedium",
-    "partition_for_config",
     "available_propagation_models",
     "build_neighbor_index",
     "build_propagation",

@@ -9,7 +9,6 @@ from repro.arrays import ARRAY_BACKENDS
 
 NEIGHBOR_INDEX_BACKENDS = ("grid", "grid_array", "brute")
 DELIVERY_MODES = ("batched", "per_receiver")
-SHARD_EXECUTOR_MODES = ("serial", "thread", "process")
 
 
 @dataclass
@@ -72,40 +71,6 @@ class ChannelConfig:
     inter_frame_space:
         Gap between back-to-back frames of one sender in seconds,
         approximating DIFS + MAC processing.
-    shards:
-        Number of spatial region shards (see :mod:`repro.wireless.sharded`).
-        ``1`` (the default) keeps the single world-spanning index; ``K > 1``
-        partitions the world into K x-stripe regions with deterministic
-        epoch-synchronized membership.  Results are byte-identical either
-        way — sharding is purely a scalability/parallelism switch.  Requires
-        a grid backend (``"brute"`` has no regions to shard).
-    shard_workers:
-        Worker count for stepping shard snapshot builds concurrently at
-        each epoch barrier.  ``1`` (the default) steps serially; ``> 1``
-        uses the executor selected by ``shard_executor``.  Byte-identical
-        results in every mode.
-    shard_executor:
-        ``"thread"`` (the default — NumPy snapshot kernels release the GIL),
-        ``"process"`` (GIL-free fallback, pays pickling per barrier) or
-        ``"serial"``.  Only consulted when ``shard_workers > 1``.
-    shard_epoch:
-        Synchronization epoch length in simulated seconds (``None`` means
-        use ``index_rebuild_interval``): membership is reassigned and shard
-        snapshots are rebuilt at every epoch barrier.
-    shard_region_width:
-        Width in metres of one x-stripe region (``None`` means the true
-        propagation reach, i.e. the default grid cell edge).  Experiment
-        configs set ``area / shards`` so regions tile the area evenly.
-    scalar_query_limit:
-        Population cut-off below which the array-native grid index runs its
-        scalar strategy.  ``None`` (the default) leaves the choice to the
-        index, which goes vectorized once a query would scan more than
-        :data:`repro.wireless.spatial.ARRAY_SCAN_THRESHOLD` candidates (mean
-        bucket occupancy x cells touched, re-checked at every snapshot
-        rebuild; per region when sharded) — or always, under
-        ``"grid_array"``.  An explicit value replaces that rule; ``1``
-        forces the vectorized path at any size.  Purely a performance
-        switch: results are identical.
     """
 
     data_rate_bps: float = 11_000_000.0
@@ -122,12 +87,6 @@ class ChannelConfig:
     unicast_retry_limit: int = 3
     unicast_retry_backoff: float = 0.002
     inter_frame_space: float = 0.00005
-    shards: int = 1
-    shard_workers: int = 1
-    shard_executor: str = "thread"
-    shard_epoch: Optional[float] = None
-    shard_region_width: Optional[float] = None
-    scalar_query_limit: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.data_rate_bps <= 0:
@@ -160,28 +119,6 @@ class ChannelConfig:
             raise ValueError("unicast_retry_backoff must be non-negative")
         if self.inter_frame_space < 0:
             raise ValueError("inter_frame_space must be non-negative")
-        if not isinstance(self.shards, int) or self.shards < 1:
-            raise ValueError("shards must be a positive integer")
-        if self.shards > 1 and self.neighbor_index == "brute":
-            raise ValueError(
-                "shards > 1 requires a grid neighbor index (brute has no "
-                "regions to shard); use neighbor_index='grid' or 'grid_array'"
-            )
-        if not isinstance(self.shard_workers, int) or self.shard_workers < 1:
-            raise ValueError("shard_workers must be a positive integer")
-        if self.shard_executor not in SHARD_EXECUTOR_MODES:
-            raise ValueError(
-                f"shard_executor must be one of {SHARD_EXECUTOR_MODES}, "
-                f"got {self.shard_executor!r}"
-            )
-        if self.shard_epoch is not None and self.shard_epoch <= 0:
-            raise ValueError("shard_epoch must be positive")
-        if self.shard_region_width is not None and self.shard_region_width <= 0:
-            raise ValueError("shard_region_width must be positive")
-        if self.scalar_query_limit is not None and (
-            not isinstance(self.scalar_query_limit, int) or self.scalar_query_limit < 1
-        ):
-            raise ValueError("scalar_query_limit must be a positive integer")
         # Validate the propagation selection eagerly so misconfigured sweeps
         # fail at config construction, not mid-trial in a pool worker.
         from repro.wireless.propagation import validate_propagation

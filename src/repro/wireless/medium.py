@@ -223,16 +223,6 @@ class WirelessMedium:
                 if not peers:
                     del self._retry_index[other]
 
-    @property
-    def region_partition(self):
-        """The active shard geometry when region-sharded, else ``None``.
-
-        The fault manager's shard-dark partition mode resolves its group
-        through this so that "shard k goes dark" cuts exactly the nodes the
-        sharded index assigns to region ``k``.
-        """
-        return getattr(self._index, "partition", None)
-
     def radio_of(self, node_id: str) -> "Radio":
         """The attached radio for ``node_id`` (KeyError when detached)."""
         return self._radios[node_id]

@@ -534,36 +534,12 @@ def build_neighbor_index(
         if backend == "grid_array" and array_choice == "auto":
             array_choice = "numpy"
         use_array = resolve_array_backend(array_choice) == "numpy"
-        # An explicit ChannelConfig.scalar_query_limit is a population
-        # cut-off; unset, "grid" follows the occupancy rule and "grid_array"
-        # always vectorizes.
-        scalar_query_limit = getattr(config, "scalar_query_limit", None)
-        if scalar_query_limit is None and backend == "grid_array":
-            scalar_query_limit = 1
-        shards = getattr(config, "shards", 1)
-        if shards > 1:
-            from repro.wireless.sharded import ShardedNeighborIndex, partition_for_config
-
-            epoch = getattr(config, "shard_epoch", None)
-            if epoch is None:
-                epoch = config.index_rebuild_interval
-            return ShardedNeighborIndex(
-                mobility,
-                cell_size=cell_size,
-                shards=shards,
-                region_width=partition_for_config(config, max_range).region_width,
-                epoch=epoch,
-                use_array=use_array,
-                scalar_query_limit=scalar_query_limit,
-                workers=getattr(config, "shard_workers", 1),
-                executor=getattr(config, "shard_executor", "thread"),
-            )
         if use_array:
             return ArrayGridNeighborIndex(
                 mobility,
                 cell_size=cell_size,
                 rebuild_interval=config.index_rebuild_interval,
-                scalar_query_limit=scalar_query_limit,
+                scalar_query_limit=1 if backend == "grid_array" else None,
             )
         return GridNeighborIndex(
             mobility,

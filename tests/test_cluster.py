@@ -488,6 +488,33 @@ def test_duplicate_in_flight_submission_is_rejected(tmp_path):
     assert reply["ok"] is False and "already in flight" in reply["error"]
 
 
+@pytest.mark.parametrize(
+    "trials, axes, reason",
+    [
+        (1, {"wifi_range": [80.0, -5.0]}, "wifi_range must be positive"),
+        (0, {"wifi_range": [80.0]}, "trials must be at least 1"),
+    ],
+    ids=["bad_axis_value", "zero_trials"],
+)
+def test_submit_refuses_an_invalid_grid_before_leasing_anything(tmp_path, trials, axes, reason):
+    coordinator = Coordinator(store=ResultStore(tmp_path), port=0)
+    config = ExperimentConfig.tiny().with_overrides(trials=trials)
+    payload = build_submission_payload(["fig9a"], config, {"fig9a": axes})
+    reply = coordinator.handle({"op": "submit", **payload})
+    assert reply["ok"] is False and reason in reply["error"]
+    assert not coordinator.table.tasks()
+    assert not (tmp_path / "tasks").exists()
+
+
+def test_submit_from_a_client_with_extra_config_fields_names_them(tmp_path):
+    coordinator = Coordinator(store=ResultStore(tmp_path), port=0)
+    payload = _tiny_payload()
+    payload["requests"][0]["config"].update(shards=4, shard_workers=2)
+    reply = coordinator.handle({"op": "submit", **payload})
+    assert reply["ok"] is False
+    assert "unknown ExperimentConfig field(s): shard_workers, shards" in reply["error"]
+
+
 def test_worker_reported_failure_poisons_submission(tmp_path):
     coordinator = Coordinator(store=ResultStore(tmp_path), port=0, max_attempts=1)
     coordinator.handle({"op": "submit", **_tiny_payload()})

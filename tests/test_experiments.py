@@ -1,5 +1,7 @@
 """Tests for the experiment harness: configs, metrics, scenarios and runners."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.core import DapesConfig
@@ -10,6 +12,7 @@ from repro.experiments.fig9_multihop import _probability_label
 from repro.experiments.metrics import SweepPoint, SweepResult, aggregate_trials
 from repro.experiments.runner import run_protocol_trial, run_trials
 from repro.experiments.scenario import build_collection, build_dapes_scenario, build_ip_scenario
+from repro.wireless import ChannelConfig
 
 
 # --------------------------------------------------------------------- config
@@ -29,6 +32,43 @@ def test_config_with_overrides_reaches_dapes_fields():
     assert config.dapes.rpf_strategy == "encounter"
     # The original is unchanged (value semantics).
     assert ExperimentConfig.tiny().dapes.rpf_strategy == "local"
+
+
+# A valid non-default value per field ExperimentConfig mirrors from
+# ChannelConfig; a newly mirrored field fails the lookup until it has one.
+SHARED_CHANNEL_FIELDS = {
+    "wifi_range": 33.0,
+    "loss_rate": 0.25,
+    "neighbor_index": "brute",
+    "array_backend": "scalar",
+    "delivery": "per_receiver",
+    "propagation": "log_distance",
+    "propagation_params": {"exponent": 3.5},
+}
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted({f.name for f in fields(ExperimentConfig)} & {f.name for f in fields(ChannelConfig)}),
+)
+def test_channel_threads_every_field_shared_with_channel_config(name):
+    value = SHARED_CHANNEL_FIELDS[name]
+    assert value != getattr(ExperimentConfig.tiny(), name)
+    overrides = {name: value}
+    if name == "propagation_params":
+        overrides["propagation"] = "log_distance"  # the model these params belong to
+    config = ExperimentConfig.tiny().with_overrides(**overrides)
+    assert getattr(config.channel(), name) == value
+    assert getattr(ExperimentConfig.from_dict(config.as_dict()).channel(), name) == value
+
+
+def test_from_dict_names_unknown_keys():
+    data = ExperimentConfig.tiny().as_dict()
+    data.update(shards=4, scalar_query_limit=7)
+    with pytest.raises(ValueError, match=r"unknown ExperimentConfig field\(s\): scalar_query_limit, shards"):
+        ExperimentConfig.from_dict(data)
+    with pytest.raises(TypeError):  # a removed knob is an error, not a warning
+        ExperimentConfig.tiny().with_overrides(shards=4)
 
 
 def test_dapes_config_validation():

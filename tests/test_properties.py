@@ -15,8 +15,11 @@ from repro.experiments.metrics import percentile
 from repro.ndn import Data, Interest, Name
 from repro.mobility import CompositeMobility, RandomWaypointMobility, StaticPlacement
 from repro.ndn.tlv import decode_data, decode_interest, encode_data, encode_interest
-from repro.wireless.sharded import ShardedNeighborIndex
-from repro.wireless.spatial import ArrayGridNeighborIndex, BruteForceNeighborIndex
+from repro.wireless.spatial import (
+    ArrayGridNeighborIndex,
+    BruteForceNeighborIndex,
+    GridNeighborIndex,
+)
 
 name_components = st.lists(
     st.text(alphabet=string.ascii_lowercase + string.digits + "-_.", min_size=1, max_size=12),
@@ -253,10 +256,8 @@ def test_grid_flavours_match_brute_force_through_any_history(seed, pinned, histo
         walkers.add_node(node_id)
         mobility.assign(node_id, walkers)
     brute = BruteForceNeighborIndex(mobility)
-    flavours = [
-        ShardedNeighborIndex(mobility, cell_size=40.0, shards=3, region_width=_SIDE / 3, epoch=1.0),
-    ]
-    if numpy_available():  # the scalar-only CI job keeps the sharded (scalar grid) flavour
+    flavours = [GridNeighborIndex(mobility, 40.0, rebuild_interval=1.0)]
+    if numpy_available():  # the scalar-only CI job keeps the plain scalar grid
         flavours += [
             ArrayGridNeighborIndex(mobility, 40.0, rebuild_interval=1.0),
             ArrayGridNeighborIndex(mobility, 40.0, rebuild_interval=1.0, scalar_query_limit=1),

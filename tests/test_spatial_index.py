@@ -24,7 +24,6 @@ from repro.mobility import (
 )
 from repro.simulation import Simulator
 from repro.wireless import ChannelConfig, Radio, WirelessMedium
-from repro.wireless.sharded import ShardedNeighborIndex
 from repro.wireless.spatial import (
     ArrayGridNeighborIndex,
     BruteForceNeighborIndex,
@@ -209,9 +208,6 @@ INDEXES = {
     "array": lambda mobility: ArrayGridNeighborIndex(
         mobility, 45.0, rebuild_interval=1.0, scalar_query_limit=1
     ),
-    "sharded": lambda mobility: ShardedNeighborIndex(
-        mobility, cell_size=45.0, shards=3, region_width=AREA / 3, epoch=1.0
-    ),
 }
 
 
@@ -331,12 +327,8 @@ def test_unbounded_speed_reuses_within_one_timestamp_only(index):
     for when in revisited:
         for _ in range(2):
             assert_matches_oracle(tested, brute, nodes, 60.0, when)
-    # Only the second probe of each timestamp can have been a reuse (the
-    # sharded index counts one per shard consulted, so only "some" there).
-    if index == "sharded":
-        assert tested.reuse_hits > 0
-    else:
-        assert tested.reuse_hits == len(revisited) * len(nodes)
+    # Only the second probe of each timestamp can have been a reuse.
+    assert tested.reuse_hits == len(revisited) * len(nodes)
 
 
 @pytest.mark.parametrize("index", sorted(INDEXES))

@@ -190,6 +190,58 @@ def test_cli_rejects_unknown_experiment():
         cli.main(["run", "fig99", "--preset", "tiny"])
 
 
+# ----------------------------------------------------- plan-time validation
+BAD_GRIDS = {
+    "bad_axis_value": (["--trials", "1", "--axis", "wifi_range=80,-5"], "wifi_range must be positive"),
+    "zero_trials": (["--trials", "0", "--axis", "wifi_range=80"], "trials must be at least 1"),
+}
+
+
+@pytest.mark.parametrize("mode", [[], ["--dry-run"]], ids=["run", "dry_run"])
+@pytest.mark.parametrize("grid", sorted(BAD_GRIDS))
+def test_cli_refuses_an_invalid_grid_before_anything_runs(tmp_path, capsys, grid, mode):
+    flags, reason = BAD_GRIDS[grid]
+    out_dir = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["run", "fig9a", "--preset", "tiny", *flags, "--out", str(out_dir), *mode])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("repro-experiments: error: fig9a point ")
+    assert reason in captured.err and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert "[   1/" not in captured.out and "task-0000" not in captured.out
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("grid", sorted(BAD_GRIDS))
+def test_cli_submit_refuses_an_invalid_grid_without_a_coordinator(capsys, grid):
+    flags, reason = BAD_GRIDS[grid]
+    with pytest.raises(SystemExit) as exit_info:
+        # Port 1 has no coordinator: reaching it would be a connection error.
+        cli.main(["submit", "fig9a", "--preset", "tiny", *flags, "--port", "1"])
+    assert exit_info.value.code == 2
+    assert reason in capsys.readouterr().err
+
+
+def test_plan_error_names_the_spec_the_point_and_the_reason():
+    spec = get_experiment("fig9a")
+    with pytest.raises(ValueError, match=r"fig9a point .*wifi_range=-5.*: wifi_range must be positive"):
+        spec.plan(ExperimentConfig.tiny(), axes={"wifi_range": (80, -5)})
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        spec.task_count(ExperimentConfig.tiny().with_overrides(trials=0))
+
+
+def test_suite_with_one_invalid_request_leaves_no_cache_directory(tmp_path):
+    from repro.experiments import SweepRequest, run_suite
+
+    spec = get_experiment("fig9a")
+    good = SweepRequest(spec=spec, config=ExperimentConfig.tiny(), axes={"wifi_range": (80.0,)})
+    bad = SweepRequest(spec=spec, config=ExperimentConfig.tiny(), axes={"wifi_range": (-5.0,)})
+    with pytest.raises(ValueError, match="wifi_range must be positive"):
+        run_suite([good, bad], workers=1, out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 # ------------------------------------------------------------ review fixes
 def test_adhoc_spec_with_custom_trial_fn_runs_in_process():
     """Unregistered specs with bespoke trial hooks must use them, not the default."""
