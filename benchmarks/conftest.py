@@ -15,7 +15,6 @@ import re
 
 import pytest
 
-from repro.arrays import numpy_version, resolve_array_backend
 from repro.experiments import ExperimentConfig, run_experiment, to_text
 
 # WiFi ranges swept by the reduced-scale harness (paper: 20-100 m).
@@ -100,16 +99,11 @@ def _archive(result, table, benchmark, slug) -> None:
 
     wall_s = _wall_clock_seconds(benchmark) if benchmark is not None else None
     events = sum(int(point.extras.get("events", 0)) for point in result.points)
-    backend = resolve_array_backend()
     payload = {
         "name": result.name,
         "wall_clock_s": round(wall_s, 4) if wall_s is not None else None,
         "events": events,
         "events_per_sec": round(events / wall_s, 1) if wall_s else None,
-        # Which hot path produced the wall-clock numbers: throughput across
-        # different array backends is not comparable (diff flags it).
-        "array_backend": backend,
-        "numpy_version": numpy_version() if backend == "numpy" else None,
         "points": result.rows(),
     }
     (results_dir / f"BENCH_{slug}.json").write_text(

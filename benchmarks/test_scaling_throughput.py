@@ -2,8 +2,7 @@
 
 Not a paper figure — the perf counterpart to the figure benchmarks.  Each
 parametrized run sweeps the ``scaling`` spec at one large ``node_factor``
-(4x and 8x the small preset's mobile-downloader population) on the
-array-native ``grid_array`` backend.  The archived
+(4x and 8x the small preset's mobile-downloader population).  The archived
 ``BENCH_scaling-node-factor-<k>.json`` records the wall clock and events/sec
 the CI scaling perf gate compares against.
 """
@@ -20,9 +19,8 @@ LARGE_NODE_FACTORS = (4, 8)
 
 @pytest.mark.parametrize("node_factor", LARGE_NODE_FACTORS)
 def test_scaling_large_population(benchmark, bench_config, node_factor, report):
-    config = bench_config.with_overrides(neighbor_index="grid_array")
     result = run_sweep(
-        benchmark, "scaling", config, axes={"node_factor": (node_factor,)}
+        benchmark, "scaling", bench_config, axes={"node_factor": (node_factor,)}
     )
     report(result, benchmark, slug=f"scaling-node-factor-{node_factor}")
 

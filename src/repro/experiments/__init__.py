@@ -28,8 +28,8 @@ Aliases resolve too (``fig9g``/``fig9h`` → ``fig9gh``, ``fig10a``/``fig10b``
 (``repro.experiments.urban``) sweeps obstacle density on the Manhattan
 ``urban_grid`` topology under unit-disk vs obstacle propagation, and
 ``scaling`` (``repro.experiments.scaling``) measures simulator events/sec
-against node count — the performance artefact behind the ROADMAP's
-array-native hot-path trajectory.  ``churn`` and ``flashcrowd``
+against node count — the performance counterpart to the paper-figure
+specs.  ``churn`` and ``flashcrowd``
 (``repro.experiments.churn``) exercise population dynamics — sustained
 Poisson churn with graceful/abrupt departures, and burst arrivals into an
 initially empty swarm (see :mod:`repro.churn`) — and ``faults`` and

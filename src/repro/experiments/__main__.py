@@ -163,8 +163,6 @@ def _config_from_args(args: argparse.Namespace) -> tuple:
         overrides["faults"] = args.faults
     if args.invariants:
         overrides["invariants"] = True
-    if args.array_backend is not None:
-        overrides["array_backend"] = args.array_backend
     if getattr(args, "workers", None) is not None:
         overrides["workers"] = args.workers
     if args.profile:
@@ -447,46 +445,14 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
-    side_a, record_a = _load_run(args.a, args.store)
-    side_b, record_b = _load_run(args.b, args.store)
+    side_a, _ = _load_run(args.a, args.store)
+    side_b, _ = _load_run(args.b, args.store)
     diff_report = report_mod.diff(
         side_a, side_b, tolerance=args.tolerance, trial_level=not args.no_trials
     )
     text = diff_report.to_markdown() if args.format == "md" else diff_report.summary()
-    note = _cross_backend_note(record_a, record_b)
-    if note:
-        text = f"{note}\n\n{text}"
     _write_output(text, args.out)
     return 1 if diff_report.verdict == report_mod.REGRESSED else 0
-
-
-def _cross_backend_note(record_a, record_b) -> Optional[str]:
-    """A warning line when the two runs used different hot-path backends.
-
-    Simulation results are byte-identical across array backends, but any
-    wall-clock/profile numbers are not comparable across them — flag it
-    rather than letting a perf comparison silently span backends.
-    """
-    backends = []
-    for record in (record_a, record_b):
-        if record is None:
-            return None
-        registries = record.meta.get("registries") or {}
-        backends.append(
-            (registries.get("array_backend"), registries.get("numpy_version"))
-        )
-    if backends[0] == backends[1] or None in (backends[0][0], backends[1][0]):
-        return None
-
-    def label(entry):
-        backend, version = entry
-        return f"{backend} (numpy {version})" if version else str(backend)
-
-    return (
-        f"NOTE: cross-backend comparison — a ran array_backend={label(backends[0])}, "
-        f"b ran array_backend={label(backends[1])}; results must still match, "
-        "but wall-clock/profile numbers are not comparable."
-    )
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
@@ -700,10 +666,6 @@ def build_parser() -> argparse.ArgumentParser:
         target.add_argument("--invariants", action="store_true",
                             help="enable runtime safety/liveness invariant monitoring "
                                  "(pure observation; a violation fails the trial)")
-        target.add_argument("--array-backend", default=None,
-                            choices=["auto", "numpy", "scalar"],
-                            help="hot-path implementation (results are byte-identical; "
-                                 "'auto' uses NumPy when importable)")
         target.add_argument("--tag", default=None,
                             help="tag saved runs, e.g. --tag nightly")
         target.add_argument("--no-resume", action="store_true",
@@ -886,9 +848,9 @@ def build_parser() -> argparse.ArgumentParser:
                                   "for the scaling workload (repeatable; replaces the "
                                   "fig9a wifi_range default)")
     gate_parser.add_argument("--neighbor-index", default=None,
-                             choices=["grid", "grid_array", "brute"],
+                             choices=["grid", "brute"],
                              help="neighbor index of the timed run (match the baseline's "
-                                  "recorded configuration, e.g. grid_array for scaling)")
+                                  "recorded configuration)")
     gate_parser.add_argument("--no-warmup", dest="warmup", action="store_false",
                              help="skip the untimed warm-up pass")
     gate_parser.set_defaults(func=_cmd_perf_gate)

@@ -3,10 +3,8 @@
 Not a paper figure — a first-class *performance* artefact.  The ROADMAP's
 perf trajectory tracks events/sec on one fixed benchmark config (fig9a);
 this spec makes the other axis visible: how throughput scales with node
-count, which is where the array-native hot path (``ChannelConfig.
-array_backend``) pulls ahead of the scalar reference paths.  Per-trial
-profiles are always collected (the ``profile`` override below), so
-``profile.engine.events_per_sec`` is a queryable metric::
+count.  Per-trial profiles are always collected (the ``profile`` override
+below), so ``profile.engine.events_per_sec`` is a queryable metric::
 
     repro-experiments run scaling --store
     repro-experiments export <key> --metric profile.engine.events_per_sec --level trial
@@ -14,9 +12,8 @@ profiles are always collected (the ``profile`` override below), so
 The swept axis scales the preset's mobile-downloader population, the group
 that dominates both medium traffic and neighbor-query load; the resolved
 count is recorded under ``mobile_downloaders`` in every row.  Wall-clock
-derived metrics vary machine to machine — compare scaling *shapes* (and
-check the metadata's ``array_backend``) rather than absolute rates, and
-note ``repro-experiments diff`` flags cross-backend comparisons.
+derived metrics vary machine to machine — compare scaling *shapes* rather
+than absolute rates.
 """
 
 from __future__ import annotations

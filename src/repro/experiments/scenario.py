@@ -85,10 +85,6 @@ class ExperimentConfig:
     workers: int = 1
     neighbor_index: str = "grid"
     delivery: str = "batched"
-    # Hot-path implementation selector (see repro.arrays): "auto" picks the
-    # array-native NumPy path when importable, scalar otherwise; results are
-    # byte-identical across backends.
-    array_backend: str = "auto"
     # Collect a performance profile per trial (repro.profiling); the profile
     # rides along in RunResult.profile and the CLI's --profile output.  Off
     # by default: profiles hold wall-clock numbers, which are not
@@ -241,7 +237,6 @@ class ExperimentConfig:
             wifi_range=self.wifi_range,
             loss_rate=self.loss_rate,
             neighbor_index=self.neighbor_index,
-            array_backend=self.array_backend,
             delivery=self.delivery,
             propagation=self.propagation,
             propagation_params=dict(self.propagation_params),

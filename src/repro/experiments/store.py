@@ -34,7 +34,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.arrays import numpy_version, resolve_array_backend
 from repro.experiments.metrics import RunResult, SweepResult
 
 SCHEMA_VERSION = 1
@@ -224,19 +223,10 @@ class ResultStore:
         }
         if config is not None:
             meta["config_hash"] = config_hash(config)
-            resolved_backend = resolve_array_backend(
-                getattr(config, "array_backend", "auto")
-            )
             meta["registries"] = {
                 "topology": getattr(config, "topology", None),
                 "propagation": getattr(config, "propagation", None),
                 "neighbor_index": getattr(config, "neighbor_index", None),
-                # Resolved hot-path backend (never "auto"): results are
-                # byte-identical across backends, but diff flags
-                # cross-backend comparisons so perf numbers are not read
-                # across different hot paths by accident.
-                "array_backend": resolved_backend,
-                "numpy_version": numpy_version() if resolved_backend == "numpy" else None,
                 "churn": getattr(config, "churn", "none"),
                 "faults": getattr(config, "faults", "none"),
             }

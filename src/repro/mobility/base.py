@@ -71,19 +71,17 @@ class MobilityModel(ABC):
         """Batched :meth:`position_xy` as an ``(N, 2)`` float64 NumPy array.
 
         Row ``i`` is the position of ``node_ids[i]`` at ``time``, bit-identical
-        to :meth:`position_xy` — the array-native spatial index and the
-        batched link evaluator are built on this contract, with the scalar
-        per-node queries as the oracle.  Models with leg caches override
-        this with a fused vectorized evaluation over all nodes; the default
-        materialises :meth:`positions_at`.  Requires NumPy (callers resolve
-        the backend through :func:`repro.arrays.resolve_array_backend` and
-        only take this path when it is available).
+        to :meth:`position_xy`, the scalar per-node query that is its oracle.
+        Models with leg caches override this with a fused vectorized
+        evaluation over all nodes; the default materialises
+        :meth:`positions_at`.  No trial calls it (the benchmark's probe pass
+        does); requires NumPy (:func:`repro.arrays.numpy_available`).
         """
         np = numpy_or_none()
         if np is None:
             raise RuntimeError(
-                "positions_array requires NumPy; use positions_at on the "
-                "scalar path (see repro.arrays.resolve_array_backend)"
+                "positions_array requires NumPy; positions_at is the scalar "
+                "equivalent (see repro.arrays.numpy_available)"
             )
         return np.asarray(
             self.positions_at(node_ids, time), dtype=np.float64

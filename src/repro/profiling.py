@@ -19,7 +19,6 @@ deterministic.
 
 from __future__ import annotations
 
-import sys
 import time
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Mapping, Optional
@@ -94,13 +93,6 @@ def collect_run_profile(sim, medium, wall_clock_s: float, churn=None, faults=Non
     profile["wireless.arq_retries"] = float(medium.arq_retries)
     profile["wireless.completed_transmissions"] = float(medium.completed_transmissions)
     profile["wireless.link_evaluations"] = float(getattr(medium, "link_evaluations", 0))
-    vectorized = getattr(medium, "vectorized_link_evaluations", None)
-    if vectorized is not None:
-        profile["propagation.vectorized_link_evaluations"] = float(vectorized)
-
-    # Whether the array backend ever engaged in this process (NumPy loads on
-    # first use, see repro.arrays); merged profiles count the trials it had.
-    profile["arrays.numpy_loaded"] = float("numpy" in sys.modules)
 
     propagation = getattr(medium, "propagation", None)
     occlusion_checks = getattr(propagation, "occlusion_checks", None)
@@ -115,9 +107,6 @@ def collect_run_profile(sim, medium, wall_clock_s: float, churn=None, faults=Non
         rebuilds = getattr(index, "rebuilds", None)
         if rebuilds is not None:
             profile["spatial.snapshot_rebuilds"] = float(rebuilds)
-        array_rebuilds = getattr(index, "array_rebuilds", None)
-        if array_rebuilds is not None:
-            profile["spatial.array_rebuilds"] = float(array_rebuilds)
         # Neighbour-set reuse traffic (grid backends; brute remembers nothing).
         reuse_hits = getattr(index, "reuse_hits", None)
         if reuse_hits is not None:

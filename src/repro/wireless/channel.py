@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.arrays import ARRAY_BACKENDS
-
-NEIGHBOR_INDEX_BACKENDS = ("grid", "grid_array", "brute")
+NEIGHBOR_INDEX_BACKENDS = ("grid", "brute")
 DELIVERY_MODES = ("batched", "per_receiver")
 
 
@@ -32,18 +31,8 @@ class ChannelConfig:
         preamble/header and MAC framing.
     neighbor_index:
         Neighbor-resolution backend: ``"grid"`` (bucketed spatial index, the
-        default — auto-upgraded to the array-native index when the resolved
-        ``array_backend`` is NumPy), ``"grid_array"`` (the array-native
-        index, explicitly) or ``"brute"`` (O(N) reference scan).  All
-        produce identical results; ``"brute"`` exists for equivalence
-        testing.
-    array_backend:
-        Hot-path implementation selector (see :mod:`repro.arrays`):
-        ``"auto"`` (the default — NumPy when importable, scalar otherwise),
-        ``"numpy"`` (array-native; warns once and degrades to scalar if
-        NumPy is missing) or ``"scalar"`` (the reference oracle paths).
-        Purely a performance switch: results are byte-identical across
-        backends.
+        default) or ``"brute"`` (O(N) reference scan).  Both produce
+        identical results; ``"brute"`` exists for equivalence testing.
     index_cell_size:
         Grid cell edge in metres (``None`` means use ``wifi_range``).
     index_rebuild_interval:
@@ -78,7 +67,6 @@ class ChannelConfig:
     loss_rate: float = 0.10
     per_frame_overhead_s: float = 0.000192
     neighbor_index: str = "grid"
-    array_backend: str = "auto"
     index_cell_size: Optional[float] = None
     index_rebuild_interval: float = 1.0
     delivery: str = "batched"
@@ -89,6 +77,15 @@ class ChannelConfig:
     inter_frame_space: float = 0.00005
 
     def __post_init__(self) -> None:
+        # NaN compares false against every bound below and inf passes the
+        # positive ones, so non-finite numbers are rejected by name first.
+        for name in (
+            "data_rate_bps", "wifi_range", "per_frame_overhead_s", "index_cell_size",
+            "index_rebuild_interval", "unicast_retry_backoff", "inter_frame_space",
+        ):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.data_rate_bps <= 0:
             raise ValueError("data_rate_bps must be positive")
         if self.wifi_range <= 0:
@@ -100,10 +97,6 @@ class ChannelConfig:
         if self.neighbor_index not in NEIGHBOR_INDEX_BACKENDS:
             raise ValueError(
                 f"neighbor_index must be one of {NEIGHBOR_INDEX_BACKENDS}, got {self.neighbor_index!r}"
-            )
-        if self.array_backend not in ARRAY_BACKENDS:
-            raise ValueError(
-                f"array_backend must be one of {ARRAY_BACKENDS}, got {self.array_backend!r}"
             )
         if self.index_cell_size is not None and self.index_cell_size <= 0:
             raise ValueError("index_cell_size must be positive")

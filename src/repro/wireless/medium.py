@@ -50,13 +50,12 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 import math
-from repro.arrays import numpy_or_none, resolve_array_backend
 from repro.mobility.base import MobilityModel
 from repro.simulation import Simulator
 from repro.wireless.channel import ChannelConfig
 from repro.wireless.environment import Environment
 from repro.wireless.frames import Frame
-from repro.wireless.propagation import PropagationModel, build_propagation
+from repro.wireless.propagation import build_propagation
 from repro.wireless.spatial import build_neighbor_index
 from repro.wireless.stats import MediumStats
 
@@ -114,20 +113,6 @@ class WirelessMedium:
         # this is the seed fast path, byte-identical by construction.
         self._trivial = self.propagation.trivial
         self._position_xy = mobility.position_xy
-        # Array-native link evaluation: active when the resolved backend is
-        # NumPy and the propagation model overrides link_quality_array (set
-        # back to None if the override opts out, so the check stays cheap).
-        # A per-pair-only model never engages it, and so never loads NumPy.
-        self._link_quality_array = (
-            self.propagation.link_quality_array
-            if type(self.propagation).link_quality_array
-            is not PropagationModel.link_quality_array
-            and resolve_array_backend(self.config.array_backend) == "numpy"
-            else None
-        )
-        self._positions_array = mobility.positions_array
-        self._id_row: Optional[Dict[str, int]] = None
-        self._id_row_order: Optional[Tuple[str, ...]] = None
         self._index = build_neighbor_index(
             self.config, mobility, max_range=self.config.max_range()
         )
@@ -167,7 +152,6 @@ class WirelessMedium:
         self.arq_retries = 0
         self.completed_transmissions = 0
         self.link_evaluations = 0
-        self.vectorized_link_evaluations = 0
         self.orphaned_sends = 0
 
     # ---------------------------------------------------------------- faults
@@ -273,10 +257,6 @@ class WirelessMedium:
         preserving the index's attach order so event scheduling stays
         deterministic across spatial backends.
         """
-        if self._link_quality_array is not None and len(candidates) > 1:
-            reachable = self._evaluate_links_array(sender_id, nominal, candidates, now)
-            if reachable is not None:
-                return reachable
         position_xy = self._position_xy
         sender_xy = position_xy(sender_id, now)
         sender_x, sender_y = sender_xy
@@ -299,44 +279,6 @@ class WirelessMedium:
             if loss is not None:
                 reachable.append((receiver_id, loss))
         return reachable
-
-    def _evaluate_links_array(
-        self, sender_id: str, nominal: float, candidates: list[str], now: float
-    ) -> Optional[list[Tuple[str, float]]]:
-        """Batched _evaluate_links over NumPy arrays; bit-identical results.
-
-        Positions come from one ``positions_array`` call over *all* attached
-        nodes (a stable node-order tuple, so the mobility models' array
-        caches keep hitting) with the candidate rows gathered out; distances
-        are one fused sqrt.  Returns ``None`` — and disables itself — when
-        the propagation model's ``link_quality_array`` opts out.
-        """
-        np = numpy_or_none()
-        node_ids = self.node_ids
-        id_row = self._id_row
-        if id_row is None or self._id_row_order is not node_ids:
-            id_row = self._id_row = {
-                node_id: row for row, node_id in enumerate(node_ids)
-            }
-            self._id_row_order = node_ids
-        positions = self._positions_array(node_ids, now)
-        pos = positions[[id_row[receiver_id] for receiver_id in candidates]]
-        sender_x, sender_y = self._position_xy(sender_id, now)
-        dx = pos[:, 0] - sender_x
-        dy = pos[:, 1] - sender_y
-        distances = np.sqrt(dx * dx + dy * dy)
-        losses = self._link_quality_array(np, sender_id, candidates, distances, nominal)
-        if losses is None:
-            self._link_quality_array = None  # per-pair-only model: stop asking
-            return None
-        count = len(candidates)
-        self.link_evaluations += count
-        self.vectorized_link_evaluations += count
-        return [
-            (receiver_id, loss)
-            for receiver_id, loss in zip(candidates, losses)
-            if loss is not None
-        ]
 
     # ----------------------------------------------------------- transmission
     def transmit(self, sender_id: str, frame: Frame) -> float:

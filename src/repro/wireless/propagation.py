@@ -182,21 +182,6 @@ class PropagationModel:
         """
         raise NotImplementedError
 
-    def link_quality_array(self, np, sender_id, receiver_ids, distances, nominal_range):
-        """Batched :meth:`link_quality` over one sender's candidate set.
-
-        ``distances`` is a float64 array aligned with ``receiver_ids``
-        (computed by the medium from the mobility model's batched
-        positions).  Returns a list aligned with ``receiver_ids`` — loss in
-        ``[0, 1)`` or ``None`` per candidate, bit-identical to calling
-        :meth:`link_quality` per pair — or ``None`` when the model only
-        supports per-pair evaluation (geometry-dependent models like
-        ``obstacle`` need the endpoint coordinates and fall back).  Only
-        models that never draw from the link RNG may opt in — by overriding
-        this method: the medium batches (and loads NumPy) for overriders only.
-        """
-        return None
-
 
 def _positive(value) -> Optional[str]:
     if not isinstance(value, (int, float)) or not value > 0:
@@ -230,15 +215,6 @@ class UnitDiskPropagation(PropagationModel):
 
     def link_quality(self, sender_xy, receiver_xy, distance, nominal_range, rng, link=("", "")):
         return 0.0 if distance <= nominal_range else None
-
-    def link_quality_array(self, np, sender_id, receiver_ids, distances, nominal_range):
-        # The medium's trivial fast path normally bypasses link evaluation
-        # for unit_disk entirely; this exists for direct callers and keeps
-        # the batched contract total over the built-in non-geometric models.
-        return [
-            0.0 if in_range else None
-            for in_range in (distances <= nominal_range).tolist()
-        ]
 
 
 @register_propagation("log_distance")
@@ -307,29 +283,6 @@ class LogDistancePropagation(PropagationModel):
             return None
         return (effective / reach) ** self.exponent
 
-    def link_quality_array(self, np, sender_id, receiver_ids, distances, nominal_range):
-        reach = nominal_range * self.cutoff
-        if self.sigma == 0.0:
-            effective = distances
-        else:
-            # Shadow factors are hashed per pair and memoized, so this loop
-            # is a dict gather after the first evaluation of each link.
-            factor_of = self._shadow_factor
-            factors = np.asarray(
-                [factor_of(sender_id, receiver_id) for receiver_id in receiver_ids],
-                dtype=np.float64,
-            )
-            effective = distances * factors
-        # Elementwise multiply/divide match the scalar arithmetic bit for
-        # bit; the final ``**`` must NOT (np.power's SIMD pow can differ in
-        # the last ulp from Python's), so the pow runs on Python floats.
-        ratios = (effective / reach).tolist()
-        exponent = self.exponent
-        return [
-            None if distance > reach or eff >= reach else ratio ** exponent
-            for distance, eff, ratio in zip(distances.tolist(), effective.tolist(), ratios)
-        ]
-
 
 @register_propagation("obstacle")
 class ObstaclePropagation(PropagationModel):
@@ -341,10 +294,6 @@ class ObstaclePropagation(PropagationModel):
         Extra loss probability of an occluded link.  The default 1.0 blocks
         occluded links outright (no reception, no carrier sense); values in
         ``[0, 1)`` model lossy wall penetration instead.
-
-    Per-pair only: the model does not override ``link_quality_array``
-    (occlusion depends on the endpoint geometry, not just the distance), so
-    the medium never engages its batched link evaluator for it.
 
     Without an environment (or with an empty one) the model degrades to
     ``unit_disk`` semantics.  Verdicts are not memoized: endpoints move

@@ -16,8 +16,6 @@ radios are within ``radius`` metres of ``node_id`` at ``time``":
   :meth:`~repro.mobility.base.MobilityModel.speed_bound`, the cell scan can
   never miss a true neighbor, so the backends return *identical* results
   (the equivalence is asserted property-style in the test suite).
-  :class:`ArrayGridNeighborIndex` is the same index with a NumPy snapshot
-  layout for crowded worlds.
 
 The grid additionally *reuses* answers.  Queries arrive at ever-new
 timestamps (one per transmission), so memoizing positions per timestamp
@@ -43,18 +41,10 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Tuple
 
-from repro.arrays import numpy_available, numpy_or_none, resolve_array_backend
 from repro.mobility.base import MobilityModel, PositionCache
 
 #: Default validity window (simulated seconds) of one grid snapshot.
 DEFAULT_REBUILD_INTERVAL = 1.0
-
-#: Candidates scanned per query above which :class:`ArrayGridNeighborIndex`
-#: answers queries vectorized.  Set from an interleaved A/B of the two
-#: strategies over random-direction worlds of 262-4 000 nodes (CHANGES.md,
-#: PR 12): the scalar bucket loop wins up to ~430 scanned candidates (~120
-#: neighbours per query), the vectorized query from ~540 on.
-ARRAY_SCAN_THRESHOLD = 512
 
 #: Clearance (metres) by which a scan widens its exact-check ring, so that
 #: every node the snapshot classifies unchecked stands at least this far
@@ -307,7 +297,7 @@ class GridNeighborIndex(NeighborIndex):
         """Bucket every node's exact position at ``time``.
 
         The batched positions_at query avoids allocating one Position per
-        node.  Subclasses override this with alternative snapshot layouts.
+        node.
         """
         node_ids = self.node_ids
         coords = self._positions_at(node_ids, time)
@@ -326,185 +316,6 @@ class GridNeighborIndex(NeighborIndex):
         self._cells = cells
 
 
-class ArrayGridNeighborIndex(GridNeighborIndex):
-    """Array-native grid index: NumPy snapshot, vectorized classification.
-
-    Same drift-bounded snapshot contract (and therefore the same results) as
-    :class:`GridNeighborIndex`, with two result-identical strategies chosen
-    per snapshot from how crowded the buckets are:
-
-    * *scalar* — behaves exactly like the parent scalar grid.  A query's
-      cost there grows with the candidates it scans, while the vectorized
-      query pays NumPy's fixed per-call costs (array allocation, mask
-      evaluation, ``flatnonzero``) whatever it scans.
-    * *array* — the snapshot becomes one
-      :meth:`~repro.mobility.base.MobilityModel.positions_array` call into
-      contiguous ``(N, 2)`` coordinates plus vectorized cell bucketing:
-      ``floor`` into integer cell coordinates, encode ``(cx, cy)`` into one
-      int64, stable-argsort so each cell's rows stay in attach order, then
-      answer queries with two ``searchsorted`` calls per touched cell and
-      fused squared-distance classification masks.
-
-    The rule (:meth:`_settle_strategy`) estimates the candidates one query
-    scans as *mean occupancy of the occupied cells x 9 cells touched* and
-    goes vectorized above :data:`ARRAY_SCAN_THRESHOLD`.  It is re-evaluated
-    at every rebuild from the snapshot just taken, so a world that thins
-    out or crowds together changes strategy on its own.  An explicit
-    ``scalar_query_limit`` replaces the rule by a population cut-off (scalar
-    below it): ``scalar_query_limit=1`` forces the vectorized machinery at
-    any size (``neighbor_index="grid_array"`` requests exactly that), which
-    is how the equivalence suites keep an oracle on both sides.
-
-    The uncertain ring (snapshot distance between ``inner`` and ``outer``)
-    still does exact per-node position checks through the same scalar
-    ``position_xy`` the oracle uses — bit-identical floats by contract.
-    """
-
-    #: Injective (cx, cy) -> int64 encoding stride (|cx|, |cy| < 2**31).
-    _CELL_STRIDE = 1 << 32
-
-    def __init__(
-        self,
-        mobility: MobilityModel,
-        cell_size: float,
-        rebuild_interval: float = DEFAULT_REBUILD_INTERVAL,
-        scalar_query_limit: Optional[int] = None,
-    ):
-        super().__init__(mobility, cell_size, rebuild_interval)
-        if not numpy_available():
-            raise RuntimeError(
-                "ArrayGridNeighborIndex requires NumPy; use GridNeighborIndex "
-                "on the scalar path (see repro.arrays.resolve_array_backend)"
-            )
-        self.scalar_query_limit = scalar_query_limit
-        self._positions_array = mobility.positions_array
-        self.array_rebuilds = 0
-        self._snap_order: Tuple[str, ...] = ()
-        self._snap_pos = None
-        self._row_of: Dict[str, int] = {}
-        self._sorted_codes = None
-        self._sorted_rows = None
-        # Settled by the first rebuild, under either rule.
-        self._scalar_strategy = True
-
-    def _settle_strategy(self) -> bool:
-        """Adopt the strategy the rule picks for the snapshot just taken.
-
-        Returns whether it changed (the snapshot then has the other layout).
-        Either layout reports its occupied cells without another pass over
-        the nodes, which is what makes checking at every rebuild free.
-        """
-        if self._scalar_strategy:
-            occupied = len(self._cells)
-        else:
-            codes = self._sorted_codes
-            occupied = int(numpy_or_none().count_nonzero(codes[1:] != codes[:-1])) + 1 if len(codes) else 0
-        population = len(self._attach_order)
-        if self.scalar_query_limit is not None:
-            scalar = population < self.scalar_query_limit
-        else:
-            # A query at the cell-sized default radius touches 3 x 3 cells.
-            scalar = 9 * population <= ARRAY_SCAN_THRESHOLD * occupied
-        changed = scalar != self._scalar_strategy
-        self._scalar_strategy = scalar
-        return changed
-
-    def _rebuild(self, time: float) -> None:
-        # Only a rebuild that changes strategy goes round twice and builds
-        # both layouts; a query in flight keeps reading the one it started on.
-        for _ in range(2):
-            if self._scalar_strategy:
-                GridNeighborIndex._rebuild(self, time)
-            else:
-                self._rebuild_array(time)
-            if not self._settle_strategy():
-                return
-
-    def _rebuild_array(self, time: float) -> None:
-        np = numpy_or_none()
-        order = self.node_ids
-        pos = self._positions_array(order, time)
-        self._snap_order = order
-        self._snap_pos = pos
-        if len(order) != len(self._row_of) or order != tuple(self._row_of):
-            self._row_of = {node_id: row for row, node_id in enumerate(order)}
-        # floor(x / cell) per axis, encoded into one int64 per node; a
-        # stable argsort keeps each cell's rows in attach order (row index
-        # == attach order: node_ids iterates in attach sequence).
-        cells = np.floor(pos / self.cell_size).astype(np.int64)
-        codes = cells[:, 0] * self._CELL_STRIDE + cells[:, 1]
-        rows = np.argsort(codes, kind="stable")
-        self._sorted_codes = codes[rows]
-        self._sorted_rows = rows
-        # Counts vectorized snapshots only, so profiles show which strategy ran.
-        self.array_rebuilds += 1
-
-    def _scan(self, node_id: str, radius: float, time: float) -> Tuple[Tuple[str, ...], float]:
-        if self._scalar_strategy:
-            # The parent's bucket loop; its staleness check lands in our
-            # _rebuild, which may hand the *next* scan to the array path.
-            return super()._scan(node_id, radius, time)
-        np = numpy_or_none()
-        position_xy = self._position_xy
-        origin_x, origin_y = position_xy(node_id, time)
-        # Identical slack / ring arithmetic to GridNeighborIndex._scan, so
-        # both strategies send the same candidates to the exact check.
-        slack = self._ensure_snapshot(time) + 1e-9 * (1.0 + radius) + REUSE_CLEARANCE
-        reach = radius + slack
-        inner = radius - slack
-        inner_sq = inner * inner if inner > 0.0 else -1.0
-        outer_sq = reach * reach
-        radius_sq = radius * radius
-        order = self._snap_order
-        cell = self.cell_size
-        min_cx = math.floor((origin_x - reach) / cell)
-        max_cx = math.floor((origin_x + reach) / cell)
-        min_cy = math.floor((origin_y - reach) / cell)
-        max_cy = math.floor((origin_y + reach) / cell)
-        stride = self._CELL_STRIDE
-        codes = np.asarray(
-            [
-                cx * stride + cy
-                for cx in range(min_cx, max_cx + 1)
-                for cy in range(min_cy, max_cy + 1)
-            ],
-            dtype=np.int64,
-        )
-        sorted_codes = self._sorted_codes
-        left = np.searchsorted(sorted_codes, codes, side="left")
-        right = np.searchsorted(sorted_codes, codes, side="right")
-        spans = [
-            self._sorted_rows[lo:hi] for lo, hi in zip(left, right) if hi > lo
-        ]
-        clearance = REUSE_CLEARANCE
-        if not spans:
-            return (), clearance
-        rows = np.concatenate(spans)
-        pos = self._snap_pos[rows]
-        dx = pos[:, 0] - origin_x
-        dy = pos[:, 1] - origin_y
-        snap_sq = dx * dx + dy * dy
-        certain = snap_sq <= inner_sq
-        uncertain = (snap_sq <= outer_sq) & ~certain
-        for index in np.flatnonzero(uncertain):
-            other_id = order[rows[index]]
-            if other_id == node_id:
-                continue
-            other_x, other_y = position_xy(other_id, time)
-            ex = other_x - origin_x
-            ey = other_y - origin_y
-            exact_sq = ex * ex + ey * ey
-            if exact_sq <= radius_sq:
-                certain[index] = True
-            gap = abs(math.sqrt(exact_sq) - radius)
-            if gap < clearance:
-                clearance = gap
-        selected = np.flatnonzero(certain)
-        selected = np.sort(rows[selected])
-        self_row = self._row_of.get(node_id)
-        return tuple([order[row] for row in selected if row != self_row]), clearance
-
-
 def build_neighbor_index(
     config, mobility: MobilityModel, max_range: Optional[float] = None
 ) -> NeighborIndex:
@@ -518,29 +329,12 @@ def build_neighbor_index(
     backend = getattr(config, "neighbor_index", "grid")
     if backend == "brute":
         return BruteForceNeighborIndex(mobility)
-    if backend in ("grid", "grid_array"):
+    if backend == "grid":
         cell_size = config.index_cell_size
         if cell_size is None:
             if max_range is None:
                 max_range = getattr(config, "max_range", lambda: config.wifi_range)()
             cell_size = max_range
-        # ``grid`` auto-upgrades to the array-native index when the resolved
-        # array backend is NumPy (occupancy-adaptive: it vectorizes only
-        # once buckets are crowded enough to pay off); ``grid_array`` asks for
-        # the vectorized machinery explicitly at any size (and degrades to
-        # the scalar grid — with resolve's warning — without NumPy).  All
-        # combinations return identical neighbor sets.
-        array_choice = getattr(config, "array_backend", "auto")
-        if backend == "grid_array" and array_choice == "auto":
-            array_choice = "numpy"
-        use_array = resolve_array_backend(array_choice) == "numpy"
-        if use_array:
-            return ArrayGridNeighborIndex(
-                mobility,
-                cell_size=cell_size,
-                rebuild_interval=config.index_rebuild_interval,
-                scalar_query_limit=1 if backend == "grid_array" else None,
-            )
         return GridNeighborIndex(
             mobility,
             cell_size=cell_size,

@@ -2,11 +2,11 @@
 
 Three families of invariants, now under a *changing* population:
 
-* spatial-backend equivalence — ``grid``, ``grid_array`` and ``brute``
-  neighbor indices produce identical results under sustained churn, across
-  propagation models;
-* execution-mode equivalence — scalar==numpy hot paths and serial==parallel
-  sweeps stay byte-identical when nodes arrive, drain and die mid-run;
+* spatial-backend equivalence — ``grid`` and ``brute`` neighbor indices
+  produce identical results under sustained churn, across propagation
+  models;
+* execution-mode equivalence — serial==parallel sweeps stay byte-identical
+  when nodes arrive, drain and die mid-run;
 * liveness under fault injection — abrupt kills mid-ARQ-retry and
   mid-batched-delivery complete without raising, without orphaned events
   mutating dead state, and with the drop observable in ``orphaned_sends``.
@@ -17,7 +17,6 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.arrays import numpy_available
 from repro.experiments import ExperimentConfig, run_experiment, run_trials
 from repro.experiments.runner import run_protocol_trial
 from repro.mobility import StaticPlacement
@@ -34,7 +33,7 @@ CHURN_CONFIG = dict(
     max_duration=45.0,
 )
 
-NEIGHBOR_INDICES = ("grid", "grid_array", "brute")
+NEIGHBOR_INDICES = ("grid", "brute")
 
 
 def run_fingerprint(config, seed=42, protocol="dapes"):
@@ -48,17 +47,8 @@ def test_neighbor_indices_identical_under_sustained_churn(propagation):
     base = ExperimentConfig.tiny().with_overrides(propagation=propagation, **CHURN_CONFIG)
     reference = run_fingerprint(base.with_overrides(neighbor_index="grid"))
     assert reference["extras"]["churn.abrupt_kills"] > 0  # churn actually ran
-    for index in ("grid_array", "brute"):
-        candidate = run_fingerprint(base.with_overrides(neighbor_index=index))
-        assert candidate == reference, f"{index} diverged from grid under churn"
-
-
-@pytest.mark.skipif(not numpy_available(), reason="requires numpy")
-def test_scalar_and_numpy_backends_identical_under_churn():
-    base = ExperimentConfig.tiny().with_overrides(**CHURN_CONFIG)
-    scalar = run_fingerprint(base.with_overrides(array_backend="scalar"))
-    vectorized = run_fingerprint(base.with_overrides(array_backend="numpy"))
-    assert scalar == vectorized
+    candidate = run_fingerprint(base.with_overrides(neighbor_index="brute"))
+    assert candidate == reference, "brute diverged from grid under churn"
 
 
 @pytest.mark.parametrize("protocol", ["bithoc", "ekta"])
@@ -237,8 +227,8 @@ def test_indices_agree_under_attach_detach_interleaving(case):
 @settings(max_examples=15, deadline=None)
 @given(interleavings())
 def test_indices_agree_with_moving_nodes_under_churn(case):
-    """Attach/detach interleaving with mobile nodes: grid snapshots and the
-    array position caches must invalidate on every population change."""
+    """Attach/detach interleaving with mobile nodes: grid snapshots and
+    remembered neighbour sets must invalidate on every population change."""
     from repro.mobility import RandomDirectionMobility
 
     nodes, ops = case

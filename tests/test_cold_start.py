@@ -18,7 +18,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-#: What a run that never vectorizes and never opens a pool must not load.
+#: What a run that never opens a pool must not load.
 OPTIONAL = ("numpy", "multiprocessing", "concurrent.futures.process")
 
 _STAGES = """
@@ -41,14 +41,16 @@ run_protocol_trial("bithoc", tiny, 1)
 run_protocol_trial("ekta", tiny, 1)
 stage("ip trials")
 urban = tiny.with_overrides(topology="urban_grid", propagation="obstacle")
-trial = run_protocol_trial("dapes", urban.with_overrides(profile=True), 1)
-assert trial.profile["arrays.numpy_loaded"] == 0.0
+run_protocol_trial("dapes", urban, 1)
 stage("urban_grid + obstacle trial")
+run_protocol_trial("dapes", tiny.with_overrides(propagation="log_distance"), 1)
+stage("log_distance trial")
 run_experiment("fig9a", tiny.with_overrides(trials=1), axes={"wifi_range": (80.0,)}, workers=1)
 stage("serial sweep")
-forced = run_protocol_trial("dapes", tiny.with_overrides(neighbor_index="grid_array", profile=True), 1)
-assert forced.profile["arrays.numpy_loaded"] == float(numpy_available())
-stage("grid_array trial")
+if numpy_available():
+    from repro.mobility import StaticPlacement
+    StaticPlacement({"a": (0.0, 0.0)}).positions_array(("a",), 0.0)
+stage("positions_array call")
 print(json.dumps({"stages": report, "numpy_available": numpy_available()}))
 """ % (OPTIONAL,)
 
@@ -69,15 +71,16 @@ def report() -> dict:
 
 
 def test_runs_that_never_vectorize_load_nothing_optional(report):
-    before_forcing = {
-        stage: loaded for stage, loaded in report["stages"].items() if stage != "grid_array trial"
+    runs = {
+        stage: loaded for stage, loaded in report["stages"].items() if stage != "positions_array call"
     }
-    assert before_forcing == {stage: [] for stage in before_forcing}
+    assert "log_distance trial" in runs
+    assert runs == {stage: [] for stage in runs}
 
 
-def test_forced_array_index_loads_numpy_and_only_numpy(report):
+def test_positions_array_loads_numpy_and_only_numpy(report):
     expected = ["numpy"] if report["numpy_available"] else []
-    assert report["stages"]["grid_array trial"] == expected
+    assert report["stages"]["positions_array call"] == expected
 
 
 if __name__ == "__main__":

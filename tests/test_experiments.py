@@ -40,7 +40,6 @@ SHARED_CHANNEL_FIELDS = {
     "wifi_range": 33.0,
     "loss_rate": 0.25,
     "neighbor_index": "brute",
-    "array_backend": "scalar",
     "delivery": "per_receiver",
     "propagation": "log_distance",
     "propagation_params": {"exponent": 3.5},
@@ -64,11 +63,14 @@ def test_channel_threads_every_field_shared_with_channel_config(name):
 
 def test_from_dict_names_unknown_keys():
     data = ExperimentConfig.tiny().as_dict()
-    data.update(shards=4, scalar_query_limit=7)
-    with pytest.raises(ValueError, match=r"unknown ExperimentConfig field\(s\): scalar_query_limit, shards"):
+    data.update(shards=4, scalar_query_limit=7, array_backend="numpy")
+    with pytest.raises(
+        ValueError, match=r"unknown ExperimentConfig field\(s\): array_backend, scalar_query_limit, shards"
+    ):
         ExperimentConfig.from_dict(data)
-    with pytest.raises(TypeError):  # a removed knob is an error, not a warning
-        ExperimentConfig.tiny().with_overrides(shards=4)
+    for removed in ({"shards": 4}, {"array_backend": "scalar"}):
+        with pytest.raises(TypeError):  # a removed knob is an error, not a warning
+            ExperimentConfig.tiny().with_overrides(**removed)
 
 
 def test_dapes_config_validation():

@@ -2,11 +2,10 @@
 
 Four families of invariants, now under an *unreliable* network:
 
-* spatial-backend equivalence — ``grid``, ``grid_array`` and ``brute``
-  neighbor indices produce identical results under sustained link flapping;
-* execution-mode equivalence — scalar==numpy hot paths and serial==parallel
-  sweeps stay byte-identical while links drop, partitions split and heal,
-  and nodes stall mid-transfer;
+* spatial-backend equivalence — ``grid`` and ``brute`` neighbor indices
+  produce identical results under sustained link flapping;
+* execution-mode equivalence — serial==parallel sweeps stay byte-identical
+  while links drop, partitions split and heal, and nodes stall mid-transfer;
 * recovery — a healed partition re-knits the swarm (time-to-recover
   extras), retransmission survives sustained loss, and churn kills compose
   with stalls without tripping a single runtime invariant;
@@ -20,7 +19,6 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.arrays import numpy_available
 from repro.experiments import ExperimentConfig, run_experiment, run_trials
 from repro.experiments.runner import run_protocol_trial
 from repro.faults import FaultEpisode, FaultManager, FaultModel, FaultPlan, InvariantMonitor, LINK, STALL
@@ -39,7 +37,7 @@ FAULT_CONFIG = dict(
     max_duration=45.0,
 )
 
-NEIGHBOR_INDICES = ("grid", "grid_array", "brute")
+NEIGHBOR_INDICES = ("grid", "brute")
 
 
 def run_fingerprint(config, seed=42, protocol="dapes"):
@@ -53,17 +51,8 @@ def test_neighbor_indices_identical_under_link_flapping(propagation):
     base = ExperimentConfig.tiny().with_overrides(propagation=propagation, **FAULT_CONFIG)
     reference = run_fingerprint(base.with_overrides(neighbor_index="grid"))
     assert reference["extras"]["faults.link_blocks"] > 0  # faults actually ran
-    for index in ("grid_array", "brute"):
-        candidate = run_fingerprint(base.with_overrides(neighbor_index=index))
-        assert candidate == reference, f"{index} diverged from grid under faults"
-
-
-@pytest.mark.skipif(not numpy_available(), reason="requires numpy")
-def test_scalar_and_numpy_backends_identical_under_faults():
-    base = ExperimentConfig.tiny().with_overrides(**FAULT_CONFIG)
-    scalar = run_fingerprint(base.with_overrides(array_backend="scalar"))
-    vectorized = run_fingerprint(base.with_overrides(array_backend="numpy"))
-    assert scalar == vectorized
+    candidate = run_fingerprint(base.with_overrides(neighbor_index="brute"))
+    assert candidate == reference, "brute diverged from grid under faults"
 
 
 @pytest.mark.parametrize("protocol", ["bithoc", "ekta"])

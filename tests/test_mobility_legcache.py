@@ -2,20 +2,32 @@
 
 ``position_xy`` / ``positions_at`` / ``current_leg`` are the hot-path
 variants the spatial index uses; these tests pin them against ``position``
-for arbitrary (including non-monotonic) query orders.
+for arbitrary (including non-monotonic) query orders, and the vectorized
+``positions_array`` (NumPy, called by the benchmark's probes only) against
+``position_xy``.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import repro.arrays as arrays
+from repro.arrays import numpy_available
 from repro.mobility import (
     CompositeMobility,
     Position,
     RandomDirectionMobility,
     RandomWaypointMobility,
+    ScriptedMobility,
     StaticPlacement,
 )
+
+requires_numpy = pytest.mark.skipif(
+    not numpy_available(), reason="NumPy not installed (scalar-only environment)"
+)
+
+AREA = 200.0
 
 
 def build_models():
@@ -105,3 +117,100 @@ def test_composite_registers_shared_model_once():
     composite.assign("b", mobile)
     assert len(composite._model_list) == 1
     assert composite.speed_bound() == mobile.speed_bound()
+
+
+# ------------------------------------------------ positions_array bit-identity
+def build_mixed_mobility(seed: int):
+    """One of every mobility family under a composite, like real scenarios."""
+    rng = random.Random(seed)
+    mobility = CompositeMobility()
+    node_ids = []
+    static = StaticPlacement()
+    for index in range(3):
+        node_id = f"s{index}"
+        static.place(node_id, rng.uniform(0, AREA), rng.uniform(0, AREA))
+        mobility.assign(node_id, static)
+        node_ids.append(node_id)
+    walkers = RandomDirectionMobility(
+        width=AREA, height=AREA, min_speed=1.0, max_speed=12.0,
+        epoch_duration=5.0, rng=random.Random(seed + 1),
+    )
+    for index in range(4):
+        node_id = f"d{index}"
+        walkers.add_node(node_id)
+        mobility.assign(node_id, walkers)
+        node_ids.append(node_id)
+    waypointers = RandomWaypointMobility(
+        width=AREA, height=AREA, min_speed=1.0, max_speed=9.0,
+        pause_time=2.0, rng=random.Random(seed + 2),
+    )
+    for index in range(4):
+        node_id = f"w{index}"
+        waypointers.add_node(node_id)
+        mobility.assign(node_id, waypointers)
+        node_ids.append(node_id)
+    scripted = ScriptedMobility()
+    scripted.add_node("route", [(0.0, 10.0, 10.0), (8.0, 50.0, 20.0), (8.0, 60.0, 30.0), (20.0, 5.0, 5.0)])
+    mobility.assign("route", scripted)
+    node_ids.append("route")
+    return mobility, static, node_ids
+
+
+def assert_positions_bitidentical(mobility, node_ids, time):
+    coords = mobility.positions_array(tuple(node_ids), time)
+    assert coords.shape == (len(node_ids), 2)
+    for row, node_id in enumerate(node_ids):
+        x, y = mobility.position_xy(node_id, time)
+        # Bit-identity, not approximation: the scalar query is the oracle.
+        assert float(coords[row, 0]) == x, (node_id, time)
+        assert float(coords[row, 1]) == y, (node_id, time)
+
+
+@requires_numpy
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**16),
+    times=st.lists(
+        st.floats(min_value=0.0, max_value=120.0, allow_nan=False), min_size=1, max_size=10
+    ),
+)
+def test_positions_array_bitidentical_to_position_xy(seed, times):
+    mobility, _static, node_ids = build_mixed_mobility(seed)
+    # Boundary timestamps of the scripted trace are the hardest case: the
+    # scalar scan resolves exact waypoint times by branch order, and the
+    # cached leg rows must agree.
+    probe_times = list(times) + [0.0, 8.0, 20.0, 25.0]
+    for when in probe_times:  # given order — possibly non-monotonic
+        assert_positions_bitidentical(mobility, node_ids, when)
+
+
+@requires_numpy
+def test_positions_array_tracks_replans_teleports_and_churn():
+    mobility, static, node_ids = build_mixed_mobility(seed=7)
+    # Warm the leg caches, then force mid-leg re-plans by querying far ahead
+    # (every walker re-draws several legs) and coming back.
+    for when in (0.0, 60.0, 3.5, 61.0, 2.0):
+        assert_positions_bitidentical(mobility, node_ids, when)
+    # Teleport: a mobility mutation must invalidate cached rows.
+    static.place("s0", -40.0, 99.0)
+    assert_positions_bitidentical(mobility, node_ids, 2.0)
+    # Membership churn: a new node and a different query order both force a
+    # fresh row layout without disturbing existing nodes' trajectories.
+    static.place("late", 12.0, 34.0)
+    mobility.assign("late", static)
+    assert_positions_bitidentical(mobility, ["late"] + node_ids, 5.0)
+    assert_positions_bitidentical(mobility, list(reversed(node_ids)), 66.0)
+
+
+def test_positions_array_without_numpy_matches_positions_at(monkeypatch):
+    monkeypatch.setattr(arrays, "_numpy", None)
+    mobility, _static, node_ids = build_mixed_mobility(seed=3)
+    if numpy_available():
+        # The guarded default materializes through scalar positions_at.
+        coords = mobility.positions_array(tuple(node_ids), 4.0)
+        for row, node_id in enumerate(node_ids):
+            x, y = mobility.position_xy(node_id, 4.0)
+            assert (float(coords[row, 0]), float(coords[row, 1])) == (x, y)
+    else:
+        with pytest.raises(RuntimeError):
+            mobility.positions_array(tuple(node_ids), 4.0)

@@ -6,7 +6,6 @@ import string
 
 from hypothesis import given, settings, strategies as st
 
-from repro.arrays import numpy_available
 from repro.core import Bitmap, DapesNamespace
 from repro.core.metadata import build_metadata
 from repro.core.peba import PebaScheduler, peba_average_delay
@@ -16,7 +15,6 @@ from repro.ndn import Data, Interest, Name
 from repro.mobility import CompositeMobility, RandomWaypointMobility, StaticPlacement
 from repro.ndn.tlv import decode_data, decode_interest, encode_data, encode_interest
 from repro.wireless.spatial import (
-    ArrayGridNeighborIndex,
     BruteForceNeighborIndex,
     GridNeighborIndex,
 )
@@ -220,8 +218,8 @@ def test_percentile_extremes(values):
 
 # -------------------------------------------------- neighbour-set reuse
 # One history of queries, time steps (forwards, none, backwards), teleports
-# and radio churn is played to the memoryless brute-force oracle and to every
-# grid flavour at once; remembered sets must never show through.
+# and radio churn is played to the memoryless brute-force oracle and to the
+# grid at once; remembered sets must never show through.
 _SIDE = 120.0
 _STEPS = (0.0, 0.0, 1e-4, 0.002, 0.03, 0.2, 1.5, 20.0, -0.001, -0.5, -30.0)
 _spot = st.floats(min_value=0.0, max_value=_SIDE, allow_nan=False)
@@ -256,14 +254,9 @@ def test_grid_flavours_match_brute_force_through_any_history(seed, pinned, histo
         walkers.add_node(node_id)
         mobility.assign(node_id, walkers)
     brute = BruteForceNeighborIndex(mobility)
-    flavours = [GridNeighborIndex(mobility, 40.0, rebuild_interval=1.0)]
-    if numpy_available():  # the scalar-only CI job keeps the plain scalar grid
-        flavours += [
-            ArrayGridNeighborIndex(mobility, 40.0, rebuild_interval=1.0),
-            ArrayGridNeighborIndex(mobility, 40.0, rebuild_interval=1.0, scalar_query_limit=1),
-        ]
+    grid = GridNeighborIndex(mobility, 40.0, rebuild_interval=1.0)
     attached = set(nodes)
-    for index in [brute, *flavours]:
+    for index in (brute, grid):
         for node_id in nodes:
             index.attach(node_id)
     now = 50.0
@@ -274,10 +267,10 @@ def test_grid_flavours_match_brute_force_through_any_history(seed, pinned, histo
             static.place(nodes[first], *second)
         elif action == "toggle":
             node_id = nodes[first]
-            for index in [brute, *flavours]:
+            for index in (brute, grid):
                 (index.detach if node_id in attached else index.attach)(node_id)
             attached ^= {node_id}
         elif nodes[first] in attached:
-            expected = brute.neighbors(nodes[first], second, now)
-            for index in flavours:
-                assert index.neighbors(nodes[first], second, now) == expected
+            assert grid.neighbors(nodes[first], second, now) == brute.neighbors(
+                nodes[first], second, now
+            )

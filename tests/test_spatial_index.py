@@ -12,7 +12,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.arrays import numpy_available
 from repro.experiments import ExperimentConfig, run_protocol_trial
 from repro.mobility import (
     CompositeMobility,
@@ -25,7 +24,6 @@ from repro.mobility import (
 from repro.simulation import Simulator
 from repro.wireless import ChannelConfig, Radio, WirelessMedium
 from repro.wireless.spatial import (
-    ArrayGridNeighborIndex,
     BruteForceNeighborIndex,
     GridNeighborIndex,
     build_neighbor_index,
@@ -199,15 +197,10 @@ WORLDS = {
     "composite": _composite,
 }
 
-# Without NumPy (the scalar-only CI job) "scalar" is the plain grid — the same
-# reuse logic — and "array" is skipped.
+# name -> index under test against the brute oracle; the name is part of
+# each test id.
 INDEXES = {
-    "scalar": lambda mobility: (ArrayGridNeighborIndex if numpy_available() else GridNeighborIndex)(
-        mobility, 45.0, rebuild_interval=1.0
-    ),
-    "array": lambda mobility: ArrayGridNeighborIndex(
-        mobility, 45.0, rebuild_interval=1.0, scalar_query_limit=1
-    ),
+    "scalar": lambda mobility: GridNeighborIndex(mobility, 45.0, rebuild_interval=1.0),
 }
 
 
@@ -216,8 +209,6 @@ NODES = [f"n{i}" for i in range(12)]
 
 def oracle_and_index(mobility, index, nodes=NODES):
     """``(brute oracle, index under test)`` over ``mobility``, nodes attached."""
-    if index == "array" and not numpy_available():
-        pytest.skip("the vectorized strategy needs NumPy")
     brute = BruteForceNeighborIndex(mobility)
     tested = INDEXES[index](mobility)
     for node_id in nodes:

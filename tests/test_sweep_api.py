@@ -190,9 +190,17 @@ def test_cli_rejects_unknown_experiment():
         cli.main(["run", "fig99", "--preset", "tiny"])
 
 
+def test_cli_rejects_the_removed_array_backend_flag(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["run", "fig9a", "--preset", "tiny", "--array-backend", "numpy"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --array-backend" in capsys.readouterr().err
+
+
 # ----------------------------------------------------- plan-time validation
 BAD_GRIDS = {
     "bad_axis_value": (["--trials", "1", "--axis", "wifi_range=80,-5"], "wifi_range must be positive"),
+    "nan_axis_value": (["--trials", "1", "--axis", "wifi_range=nan"], "wifi_range must be finite"),
     "zero_trials": (["--trials", "0", "--axis", "wifi_range=80"], "trials must be at least 1"),
 }
 

@@ -29,6 +29,26 @@ def test_channel_config_validation():
         ChannelConfig(loss_rate=1.5)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "data_rate_bps", "wifi_range", "loss_rate", "per_frame_overhead_s", "index_cell_size",
+        "index_rebuild_interval", "unicast_retry_backoff", "inter_frame_space",
+    ],
+)
+def test_channel_config_rejects_non_finite_numbers(name, value):
+    with pytest.raises(ValueError, match=name):
+        ChannelConfig(**{name: float(value)})
+
+
+def test_channel_config_rejects_the_removed_array_names():
+    with pytest.raises(TypeError):
+        ChannelConfig(array_backend="numpy")
+    with pytest.raises(ValueError, match="neighbor_index must be one of"):
+        ChannelConfig(neighbor_index="grid_array")
+
+
 def test_frame_requires_positive_size():
     with pytest.raises(ValueError):
         Frame(sender="a", payload=None, size_bytes=0, kind="x")
