@@ -7,21 +7,21 @@ by the whole-grid sweep scheduler in :mod:`repro.experiments.sweep` —
 run fig9a`` (also installed as ``repro-experiments``) from the command
 line.  The mapping between paper artefacts and registered experiments is:
 
-=============  =============================================  ==========  =============================
-Paper artefact  What it shows                                 Experiment  Module (spec + deprecated shim)
-=============  =============================================  ==========  =============================
-Fig. 9a        download time vs WiFi range per RPF variant   ``fig9a``   ``fig9_rpf`` (``RpfStrategyExperiment``)
-Fig. 9b        transmissions, RPF variants with/without PEBA  ``fig9b``   ``fig9_rpf`` (``PebaExperiment``)
-Fig. 9c        download time, bitmaps exchanged before data   ``fig9c``   ``fig9_bitmaps`` (``BitmapsBeforeDataExperiment``)
-Fig. 9d        download time, bitmaps interleaved with data   ``fig9d``   ``fig9_bitmaps`` (``BitmapsInterleavedExperiment``)
-Fig. 9e        download time vs number of files               ``fig9e``   ``fig9_scaling`` (``FileCountExperiment``)
-Fig. 9f        download time vs file size                     ``fig9f``   ``fig9_scaling`` (``FileSizeExperiment``)
-Fig. 9g        download time vs forwarding probability        ``fig9gh``  ``fig9_multihop`` (``ForwardingProbabilityExperiment``)
-Fig. 9h        transmissions vs forwarding probability        ``fig9gh``  ``fig9_multihop`` (``ForwardingProbabilityExperiment``)
-Fig. 10a       download time, DAPES vs Bithoc vs Ekta         ``fig10``   ``fig10_comparison`` (``ComparisonExperiment``)
-Fig. 10b       transmissions, DAPES vs Bithoc vs Ekta         ``fig10``   ``fig10_comparison`` (``ComparisonExperiment``)
-Table I        real-world feasibility scenarios               ``table1``  ``table1_feasibility`` (``FeasibilityStudy``)
-=============  =============================================  ==========  =============================
+==============  =============================================  ==========  ======================
+Paper artefact  What it shows                                  Experiment  Module
+==============  =============================================  ==========  ======================
+Fig. 9a         download time vs WiFi range per RPF variant    ``fig9a``   ``fig9_rpf``
+Fig. 9b         transmissions, RPF variants with/without PEBA  ``fig9b``   ``fig9_rpf``
+Fig. 9c         download time, bitmaps exchanged before data   ``fig9c``   ``fig9_bitmaps``
+Fig. 9d         download time, bitmaps interleaved with data   ``fig9d``   ``fig9_bitmaps``
+Fig. 9e         download time vs number of files               ``fig9e``   ``fig9_scaling``
+Fig. 9f         download time vs file size                     ``fig9f``   ``fig9_scaling``
+Fig. 9g         download time vs forwarding probability        ``fig9gh``  ``fig9_multihop``
+Fig. 9h         transmissions vs forwarding probability        ``fig9gh``  ``fig9_multihop``
+Fig. 10a        download time, DAPES vs Bithoc vs Ekta         ``fig10``   ``fig10_comparison``
+Fig. 10b        transmissions, DAPES vs Bithoc vs Ekta         ``fig10``   ``fig10_comparison``
+Table I         real-world feasibility scenarios               ``table1``  ``table1_feasibility``
+==============  =============================================  ==========  ======================
 
 Aliases resolve too (``fig9g``/``fig9h`` → ``fig9gh``, ``fig10a``/``fig10b``
 → ``fig10``, ``tablei`` → ``table1``).  Beyond the paper, ``urban``
@@ -46,16 +46,11 @@ CLI subcommands).  EXPERIMENTS.md documents the spec schema,
 resume/caching semantics, the store layout and CLI examples.
 """
 
-from repro.experiments.fig10_comparison import ComparisonExperiment, SPEC_FIG10, improvements
-from repro.experiments.fig9_bitmaps import (
-    SPEC_FIG9C,
-    SPEC_FIG9D,
-    BitmapsBeforeDataExperiment,
-    BitmapsInterleavedExperiment,
-)
-from repro.experiments.fig9_multihop import SPEC_FIG9GH, ForwardingProbabilityExperiment
-from repro.experiments.fig9_rpf import SPEC_FIG9A, SPEC_FIG9B, PebaExperiment, RpfStrategyExperiment
-from repro.experiments.fig9_scaling import SPEC_FIG9E, SPEC_FIG9F, FileCountExperiment, FileSizeExperiment
+from repro.experiments.fig10_comparison import SPEC_FIG10, improvements
+from repro.experiments.fig9_bitmaps import SPEC_FIG9C, SPEC_FIG9D
+from repro.experiments.fig9_multihop import SPEC_FIG9GH
+from repro.experiments.fig9_rpf import SPEC_FIG9A, SPEC_FIG9B
+from repro.experiments.fig9_scaling import SPEC_FIG9E, SPEC_FIG9F
 from repro.experiments.metrics import RunResult, SweepPoint, SweepResult, percentile
 from repro.experiments.query import ResultSet
 from repro.experiments.report import DiffReport, diff, to_csv, to_gnuplot, to_markdown, to_text
@@ -81,7 +76,7 @@ from repro.experiments.sweep import SweepRequest, run_experiment, run_suite
 from repro.experiments.churn import SPEC_CHURN, SPEC_FLASHCROWD
 from repro.experiments.faults import SPEC_FAULTS, SPEC_PARTITION
 from repro.experiments.scaling import SPEC_SCALING
-from repro.experiments.table1_feasibility import SPEC_TABLE1, FeasibilityStudy, run_feasibility_scenario
+from repro.experiments.table1_feasibility import SPEC_TABLE1, run_feasibility_scenario
 from repro.experiments.urban import SPEC_URBAN
 from repro.experiments.topology import (
     Topology,
@@ -92,20 +87,11 @@ from repro.experiments.topology import (
 
 __all__ = [
     "Axis",
-    "BitmapsBeforeDataExperiment",
-    "BitmapsInterleavedExperiment",
-    "ComparisonExperiment",
     "DiffReport",
     "ExperimentConfig",
     "ExperimentSpec",
-    "FeasibilityStudy",
-    "FileCountExperiment",
-    "FileSizeExperiment",
-    "ForwardingProbabilityExperiment",
-    "PebaExperiment",
     "ResultSet",
     "ResultStore",
-    "RpfStrategyExperiment",
     "RunResult",
     "Scenario",
     "ScenarioBuilder",

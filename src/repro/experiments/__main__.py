@@ -308,10 +308,7 @@ def _cmd_perf_gate(args: argparse.Namespace) -> int:
     if not baseline_rate:
         raise SystemExit(f"perf-gate: baseline {baseline_path} has no events_per_sec")
 
-    overrides: Dict[str, object] = {"trials": args.trials, "max_duration": 400.0}
-    if args.neighbor_index is not None:
-        overrides["neighbor_index"] = args.neighbor_index
-    config = ExperimentConfig.small().with_overrides(**overrides)
+    config = ExperimentConfig.small().with_overrides(trials=args.trials, max_duration=400.0)
     # --axis generalizes the gate beyond fig9a (e.g. the scaling workload);
     # without it the historical wifi_range default keeps old invocations
     # (and the committed fig9a BENCH axes) working unchanged.
@@ -847,10 +844,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="axis values of the timed run, e.g. --axis node_factor=4,8 "
                                   "for the scaling workload (repeatable; replaces the "
                                   "fig9a wifi_range default)")
-    gate_parser.add_argument("--neighbor-index", default=None,
-                             choices=["grid", "brute"],
-                             help="neighbor index of the timed run (match the baseline's "
-                                  "recorded configuration)")
     gate_parser.add_argument("--no-warmup", dest="warmup", action="store_false",
                              help="skip the untimed warm-up pass")
     gate_parser.set_defaults(func=_cmd_perf_gate)

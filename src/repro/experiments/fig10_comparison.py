@@ -8,25 +8,15 @@ topology and workload.
 The paper's headline numbers, which EXPERIMENTS.md tracks against this
 harness: DAPES achieves 15-27 % / 19-33 % lower download time and 62-71 % /
 50-59 % lower overhead than Bithoc / Ekta respectively — quantified by
-:func:`improvements`.  The historical class remains as a thin deprecated
-shim.
+:func:`improvements`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.experiments.metrics import SweepResult
-from repro.experiments.scenario import ExperimentConfig
-from repro.experiments.spec import (
-    Axis,
-    ExperimentSpec,
-    Variant,
-    deprecated_shim,
-    register_experiment,
-    warn_deprecated_shim,
-)
-from repro.experiments.sweep import run_experiment
+from repro.experiments.spec import Axis, ExperimentSpec, Variant, register_experiment
 
 DEFAULT_WIFI_RANGES = (20.0, 40.0, 60.0, 80.0, 100.0)
 DEFAULT_PROTOCOLS = ("dapes", "bithoc", "ekta")
@@ -83,27 +73,3 @@ def improvements(result: SweepResult, metric: str = "download_time") -> Dict[str
             for wifi_range in shared_ranges
         ]
     return relative
-
-
-# ------------------------------------------------- deprecated class shim
-@deprecated_shim(SPEC_FIG10)
-class ComparisonExperiment:
-    def __init__(
-        self,
-        config: Optional[ExperimentConfig] = None,
-        wifi_ranges: Sequence[float] = DEFAULT_WIFI_RANGES,
-        protocols: Sequence[str] = DEFAULT_PROTOCOLS,
-    ):
-        warn_deprecated_shim(self)
-        self.config = config if config is not None else ExperimentConfig.small()
-        self.wifi_ranges = list(wifi_ranges)
-        self.protocols = list(protocols)
-
-    def run(self, protocols: Optional[Sequence[str]] = None) -> SweepResult:
-        protocols = list(protocols) if protocols is not None else self.protocols
-        spec = self.spec.with_variants(protocol_variants(protocols))
-        return run_experiment(
-            spec, self.config, axes={"wifi_range": tuple(self.wifi_ranges)}
-        )
-
-    improvements = staticmethod(improvements)

@@ -7,25 +7,14 @@
   exchanges are interleaved with data downloading — the setting the paper
   recommends (16-23 % shorter downloads).
 
-Both are registered :class:`ExperimentSpec`s; the historical classes remain
-as thin deprecated shims.
+Both are registered :class:`ExperimentSpec`s.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence, Tuple
 
-from repro.experiments.metrics import SweepResult
-from repro.experiments.scenario import ExperimentConfig
-from repro.experiments.spec import (
-    Axis,
-    ExperimentSpec,
-    Variant,
-    deprecated_shim,
-    register_experiment,
-    warn_deprecated_shim,
-)
-from repro.experiments.sweep import run_experiment
+from repro.experiments.spec import Axis, ExperimentSpec, Variant, register_experiment
 
 DEFAULT_WIFI_RANGES = (20.0, 40.0, 60.0, 80.0, 100.0)
 DEFAULT_BITMAP_BUDGETS = (1, 2, 3, 4, None)  # None == "all bitmaps"
@@ -71,35 +60,3 @@ SPEC_FIG9D = register_experiment(
         overrides={"dapes_bitmap_exchange": "interleaved"},
     )
 )
-
-
-# ------------------------------------------------- deprecated class shims
-class _BitmapBudgetExperiment:
-    """Deprecated shim base: shared sweep over (wifi range x bitmap budget)."""
-
-    def __init__(
-        self,
-        config: Optional[ExperimentConfig] = None,
-        wifi_ranges: Sequence[float] = DEFAULT_WIFI_RANGES,
-        bitmap_budgets: Sequence[Optional[int]] = DEFAULT_BITMAP_BUDGETS,
-    ):
-        warn_deprecated_shim(self)
-        self.config = config if config is not None else ExperimentConfig.small()
-        self.wifi_ranges = list(wifi_ranges)
-        self.bitmap_budgets = list(bitmap_budgets)
-
-    def run(self) -> SweepResult:
-        spec = self.spec.with_variants(budget_variants(self.bitmap_budgets))
-        return run_experiment(
-            spec, self.config, axes={"wifi_range": tuple(self.wifi_ranges)}
-        )
-
-
-@deprecated_shim(SPEC_FIG9C)
-class BitmapsBeforeDataExperiment(_BitmapBudgetExperiment):
-    pass
-
-
-@deprecated_shim(SPEC_FIG9D)
-class BitmapsInterleavedExperiment(_BitmapBudgetExperiment):
-    pass

@@ -4,25 +4,14 @@ One registered spec (``fig9gh``, aliases ``fig9g`` / ``fig9h``) produces
 both figures: the download time (Fig. 9g) and the number of transmissions
 (Fig. 9h) when intermediate nodes (pure forwarders and DAPES nodes with no
 knowledge about the requested data) forward 0 % (single-hop), 20 %, 40 % or
-60 % of received Interests.  The historical class remains as a thin
-deprecated shim.
+60 % of received Interests.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence, Tuple
 
-from repro.experiments.metrics import SweepResult
-from repro.experiments.scenario import ExperimentConfig
-from repro.experiments.spec import (
-    Axis,
-    ExperimentSpec,
-    Variant,
-    deprecated_shim,
-    register_experiment,
-    warn_deprecated_shim,
-)
-from repro.experiments.sweep import run_experiment
+from repro.experiments.spec import Axis, ExperimentSpec, Variant, register_experiment
 
 DEFAULT_WIFI_RANGES = (20.0, 40.0, 60.0, 80.0, 100.0)
 DEFAULT_PROBABILITIES = (None, 0.2, 0.4, 0.6)  # None == single-hop
@@ -67,24 +56,3 @@ SPEC_FIG9GH = register_experiment(
         variants=probability_variants(DEFAULT_PROBABILITIES),
     )
 )
-
-
-# ------------------------------------------------- deprecated class shim
-@deprecated_shim(SPEC_FIG9GH)
-class ForwardingProbabilityExperiment:
-    def __init__(
-        self,
-        config: Optional[ExperimentConfig] = None,
-        wifi_ranges: Sequence[float] = DEFAULT_WIFI_RANGES,
-        probabilities: Sequence[Optional[float]] = DEFAULT_PROBABILITIES,
-    ):
-        warn_deprecated_shim(self)
-        self.config = config if config is not None else ExperimentConfig.small()
-        self.wifi_ranges = list(wifi_ranges)
-        self.probabilities = list(probabilities)
-
-    def run(self) -> SweepResult:
-        spec = self.spec.with_variants(probability_variants(self.probabilities))
-        return run_experiment(
-            spec, self.config, axes={"wifi_range": tuple(self.wifi_ranges)}
-        )

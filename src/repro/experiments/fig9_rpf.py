@@ -10,24 +10,13 @@
 
 Both are registered :class:`ExperimentSpec`s; run them with
 ``run_experiment("fig9a")`` or ``python -m repro.experiments run fig9a``.
-The historical classes remain as thin deprecated shims.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
-from repro.experiments.metrics import SweepResult
-from repro.experiments.scenario import ExperimentConfig
-from repro.experiments.spec import (
-    Axis,
-    ExperimentSpec,
-    Variant,
-    deprecated_shim,
-    register_experiment,
-    warn_deprecated_shim,
-)
-from repro.experiments.sweep import run_experiment
+from repro.experiments.spec import Axis, ExperimentSpec, Variant, register_experiment
 
 DEFAULT_WIFI_RANGES = (20.0, 40.0, 60.0, 80.0, 100.0)
 
@@ -81,28 +70,3 @@ SPEC_FIG9B = register_experiment(
         overrides={"dapes_bitmap_exchange": "before", "dapes_max_bitmaps": None},
     )
 )
-
-
-# ------------------------------------------------- deprecated class shims
-@deprecated_shim(SPEC_FIG9A)
-class RpfStrategyExperiment:
-    VARIANTS = _RPF_VARIANTS
-
-    def __init__(
-        self,
-        config: Optional[ExperimentConfig] = None,
-        wifi_ranges: Sequence[float] = DEFAULT_WIFI_RANGES,
-    ):
-        warn_deprecated_shim(self)
-        self.config = config if config is not None else ExperimentConfig.small()
-        self.wifi_ranges = list(wifi_ranges)
-
-    def run(self) -> SweepResult:
-        return run_experiment(
-            self.spec, self.config, axes={"wifi_range": tuple(self.wifi_ranges)}
-        )
-
-
-@deprecated_shim(SPEC_FIG9B)
-class PebaExperiment(RpfStrategyExperiment):
-    VARIANTS = _PEBA_VARIANTS

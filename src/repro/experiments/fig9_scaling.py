@@ -8,25 +8,12 @@
 At paper scale the sweeps are 10-70 files of 1 MB, and 1-15 MB files; the
 specs sweep *factors* over the preset's base workload (``Axis.scale_by``),
 so reduced-scale presets keep the same ratios and the curves keep their
-shape (EXPERIMENTS.md documents the scaling).  The historical classes
-remain as thin deprecated shims.
+shape (EXPERIMENTS.md documents the scaling).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
-from repro.experiments.metrics import SweepResult
-from repro.experiments.scenario import ExperimentConfig
-from repro.experiments.spec import (
-    Axis,
-    ExperimentSpec,
-    Variant,
-    deprecated_shim,
-    register_experiment,
-    warn_deprecated_shim,
-)
-from repro.experiments.sweep import run_experiment
+from repro.experiments.spec import Axis, ExperimentSpec, Variant, register_experiment
 
 DEFAULT_WIFI_RANGES = (20.0, 40.0, 60.0, 80.0, 100.0)
 # Multipliers over the base workload, mirroring 10/30/50/70 files and 1/5/10/15 MB.
@@ -60,52 +47,3 @@ SPEC_FIG9F = register_experiment(
         variants=(Variant(label="File size factor={file_size_factor}x"),),
     )
 )
-
-
-# ------------------------------------------------- deprecated class shims
-@deprecated_shim(SPEC_FIG9E)
-class FileCountExperiment:
-    def __init__(
-        self,
-        config: Optional[ExperimentConfig] = None,
-        wifi_ranges: Sequence[float] = DEFAULT_WIFI_RANGES,
-        count_factors: Sequence[int] = DEFAULT_FILE_COUNT_FACTORS,
-    ):
-        warn_deprecated_shim(self)
-        self.config = config if config is not None else ExperimentConfig.small()
-        self.wifi_ranges = list(wifi_ranges)
-        self.count_factors = list(count_factors)
-
-    def run(self) -> SweepResult:
-        return run_experiment(
-            self.spec,
-            self.config,
-            axes={
-                "wifi_range": tuple(self.wifi_ranges),
-                "num_files_factor": tuple(self.count_factors),
-            },
-        )
-
-
-@deprecated_shim(SPEC_FIG9F)
-class FileSizeExperiment:
-    def __init__(
-        self,
-        config: Optional[ExperimentConfig] = None,
-        wifi_ranges: Sequence[float] = DEFAULT_WIFI_RANGES,
-        size_factors: Sequence[int] = DEFAULT_FILE_SIZE_FACTORS,
-    ):
-        warn_deprecated_shim(self)
-        self.config = config if config is not None else ExperimentConfig.small()
-        self.wifi_ranges = list(wifi_ranges)
-        self.size_factors = list(size_factors)
-
-    def run(self) -> SweepResult:
-        return run_experiment(
-            self.spec,
-            self.config,
-            axes={
-                "wifi_range": tuple(self.wifi_ranges),
-                "file_size_factor": tuple(self.size_factors),
-            },
-        )

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -267,25 +266,6 @@ class SweepResult:
         """Rows in the same structure the paper's figures/tables plot."""
         return [point.as_dict() for point in self.points]
 
-    def series(self, metric: str = "download_time") -> Dict[str, List[float]]:
-        """Deprecated: group points by label and return the metric series per label.
-
-        Delegates to :meth:`repro.experiments.query.ResultSet.series`, which
-        accepts *any* point-level metric (scalar fields, ``extras`` keys,
-        parameters) instead of the historical two.  Unknown metric names now
-        raise ``KeyError`` instead of silently falling back to
-        ``transmissions``.
-        """
-        warnings.warn(
-            "SweepResult.series() is deprecated; use "
-            "ResultSet.from_sweep(result).series(metric) (repro.experiments.query)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.experiments.query import ResultSet
-
-        return ResultSet.from_sweep(self).series(metric)
-
     def point(self, label: str, **parameters) -> Optional[SweepPoint]:
         """Find a specific point by label and parameter values.
 
@@ -303,23 +283,6 @@ class SweepResult:
             if all(candidate.parameters.get(key) == value for key, value in parameters.items()):
                 return candidate
         return None
-
-    def summary(self) -> str:
-        """Deprecated: a plain-text table of every point.
-
-        Delegates to :func:`repro.experiments.report.to_text` — the single
-        table-rendering path shared with the ``report``/``export`` CLI
-        subcommands (byte-identical to the historical output).
-        """
-        warnings.warn(
-            "SweepResult.summary() is deprecated; use "
-            "repro.experiments.report.to_text(result)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.experiments.report import to_text
-
-        return to_text(self)
 
     # --------------------------------------------------------- serialization
     def to_dict(self) -> Dict[str, object]:

@@ -14,8 +14,7 @@ resolver: dataclass fields (``download_time``, ``transmissions``,
 ``collisions`` …), derived properties (``mean_download_time``,
 ``completion_ratio``), ``extras`` and ``profile`` entries (bare keys or the
 explicit ``extras.<key>`` / ``profile.<key>`` forms) and recorded sweep
-parameters (``wifi_range`` …).  This replaces the historical
-``SweepResult.series()``, which hardcoded exactly two metrics.
+parameters (``wifi_range`` …).
 
 Verbs compose left to right::
 
@@ -227,7 +226,7 @@ class ResultSet:
         return {value: ResultSet(rows) for value, rows in grouped.items()}
 
     def series(self, metric: str, by: str = "label") -> Dict[object, List[float]]:
-        """Per-group metric series — the generalized ``SweepResult.series()``."""
+        """Per-group metric series: ``{group value: [metric per row]}``."""
         return {
             value: subset.select(metric) for value, subset in self.group_by(by).items()
         }

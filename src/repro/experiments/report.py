@@ -3,9 +3,7 @@
 One module owns every human- and tool-facing view of a
 :class:`~repro.experiments.metrics.SweepResult`:
 
-* :func:`to_text` — the plain-text table the benchmarks archive (this is
-  the single rendering path behind the deprecated ``SweepResult.summary()``,
-  byte-identical to its historical output);
+* :func:`to_text` — the plain-text table the benchmarks archive;
 * :func:`to_markdown` / :func:`to_csv` / :func:`to_gnuplot` — exporters for
   docs, spreadsheets and plot scripts, all driven by the same row model and
   working for every registered spec;

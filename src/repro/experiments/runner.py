@@ -2,23 +2,20 @@
 
 One generic :func:`run_protocol_trial` drives any protocol registered in
 :mod:`repro.experiments.scenario` through the uniform :class:`Scenario`
-hooks, and :func:`run_trials` fans the per-trial work out over a process
-pool when :attr:`ExperimentConfig.workers` is above one.  Parallel execution
-is seed-deterministic: every trial derives its own seed from
-``config.base_seed`` exactly as in the serial path and results are
-aggregated in trial order, so the resulting :class:`SweepPoint` is identical
-whichever mode produced it.
+hooks; :func:`run_trials` runs ``config.trials`` of them as a one-point
+sweep on the sweep scheduler (:mod:`repro.experiments.sweep`), so its
+trials share that scheduler's seeds, process pool and serial fallback.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from typing import Dict, List, Optional
 
-from repro.core import DapesConfig
-from repro.experiments.metrics import RunResult, SweepPoint, aggregate_trials
+from repro.experiments.metrics import RunResult, SweepPoint
 from repro.experiments.scenario import ExperimentConfig, get_builder
+from repro.experiments.spec import ExperimentSpec, Variant
+from repro.experiments.sweep import run_experiment
 from repro.faults import InvariantViolationError, build_invariant_monitor
 from repro.profiling import collect_run_profile
 
@@ -27,11 +24,10 @@ def run_protocol_trial(
     protocol: str,
     config: ExperimentConfig,
     seed: int,
-    dapes_config: Optional[DapesConfig] = None,
     parameters: Optional[Dict[str, object]] = None,
 ) -> RunResult:
     """Run one trial of any registered protocol and collect the paper's metrics."""
-    scenario = get_builder(protocol).build(config, seed, dapes_config=dapes_config)
+    scenario = get_builder(protocol).build(config, seed)
     sim = scenario.sim
     expected = len(scenario.downloader_ids)
     completed: set = set()
@@ -98,41 +94,9 @@ def run_protocol_trial(
     )
 
 
-def run_dapes_trial(
-    config: ExperimentConfig,
-    seed: int,
-    dapes_config: Optional[DapesConfig] = None,
-    parameters: Optional[Dict[str, object]] = None,
-) -> RunResult:
-    """Run one DAPES trial and collect download times and overhead."""
-    return run_protocol_trial(
-        "dapes", config, seed, dapes_config=dapes_config, parameters=parameters
-    )
-
-
-def run_ip_trial(
-    config: ExperimentConfig,
-    seed: int,
-    protocol: str,
-    parameters: Optional[Dict[str, object]] = None,
-) -> RunResult:
-    """Run one Bithoc or Ekta trial and collect the same metrics."""
-    if protocol not in ("bithoc", "ekta"):
-        raise ValueError(f"unknown IP baseline {protocol!r}")
-    return run_protocol_trial(protocol, config, seed, parameters=parameters)
-
-
 def trial_seeds(config: ExperimentConfig) -> List[int]:
     """The deterministic per-trial seeds used by serial and parallel runs alike."""
     return [config.base_seed + trial * 1009 for trial in range(config.trials)]
-
-
-def _pool_trial(args) -> RunResult:
-    """Module-level worker so the process pool can pickle it."""
-    protocol, config, seed, dapes_config, parameters = args
-    return run_protocol_trial(
-        protocol, config, seed, dapes_config=dapes_config, parameters=parameters
-    )
 
 
 def run_trials(
@@ -140,50 +104,19 @@ def run_trials(
     config: ExperimentConfig,
     label: str,
     parameters: Optional[Dict[str, object]] = None,
-    dapes_config: Optional[DapesConfig] = None,
     workers: Optional[int] = None,
 ) -> SweepPoint:
     """Run ``config.trials`` trials and aggregate them into one sweep point.
 
     ``workers`` (default :attr:`ExperimentConfig.workers`) above one runs the
-    trials on a process pool; the aggregate is identical to the serial path
-    because seeds and aggregation order do not depend on the execution mode.
+    trials on the sweep scheduler's process pool; the point, its
+    ``trial_results`` included, is identical whichever mode produced it.
     """
-    workers = config.workers if workers is None else workers
-    seeds = trial_seeds(config)
-    results: Optional[List[RunResult]] = None
-    if workers > 1 and len(seeds) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        tasks = [(protocol, config, seed, dapes_config, parameters) for seed in seeds]
-        try:
-            with ProcessPoolExecutor(max_workers=min(workers, len(seeds))) as pool:
-                results = list(pool.map(_pool_trial, tasks))
-        except (OSError, BrokenProcessPool) as exc:
-            # Process pools may be unavailable (restricted sandboxes); the
-            # serial path below produces the same aggregate, just slower.
-            warnings.warn(
-                f"process pool unavailable ({exc!r}); "
-                f"falling back to serial execution of {len(seeds)} trials",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            results = None
-    if results is None:
-        results = [
-            run_protocol_trial(
-                protocol,
-                config,
-                seed,
-                dapes_config=dapes_config,
-                parameters=parameters,
-            )
-            for seed in seeds
-        ]
-    point = aggregate_trials(label, parameters or {}, results, q=config.percentile)
-    # Carry the raw trials so trial-level queries (ResultSet.trials()) and
-    # trial-level diffs work on single-point runs too; excluded from
-    # equality, so aggregates still compare identically without them.
-    point.trial_results = list(results)
-    return point
+    # Braces are doubled so the label is used verbatim, not as a template.
+    variant = Variant(
+        label=label.replace("{", "{{").replace("}", "}}"),
+        protocol=protocol,
+        parameters=dict(parameters or {}),
+    )
+    spec = ExperimentSpec(name="run_trials", title=label, description="", variants=(variant,))
+    return run_experiment(spec, config, workers=workers).points[0]

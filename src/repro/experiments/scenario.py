@@ -428,12 +428,7 @@ class ScenarioBuilder(ABC):
         return sim, names, medium, churn, faults
 
     @abstractmethod
-    def build(
-        self,
-        config: ExperimentConfig,
-        seed: int,
-        dapes_config: Optional[DapesConfig] = None,
-    ) -> Scenario:
+    def build(self, config: ExperimentConfig, seed: int) -> Scenario:
         """Assemble a ready-to-run scenario."""
 
 
@@ -441,8 +436,8 @@ class ScenarioBuilder(ABC):
 class DapesScenarioBuilder(ScenarioBuilder):
     """DAPES on every participating node, pure NDN forwarders elsewhere."""
 
-    def build(self, config, seed, dapes_config=None):
-        dapes_config = dapes_config if dapes_config is not None else config.dapes
+    def build(self, config, seed):
+        dapes_config = config.dapes
         sim, names, medium, churn, faults = self.world(config, seed)
 
         producer_key = KeyPair.generate(PRODUCER_IDENTITY, seed=b"producer-key")
@@ -525,7 +520,7 @@ class DapesScenarioBuilder(ScenarioBuilder):
 class IpScenarioBuilder(ScenarioBuilder):
     """One of the IP baselines (Bithoc or Ekta) on every node."""
 
-    def build(self, config, seed, dapes_config=None):
+    def build(self, config, seed):
         sim, names, medium, churn, faults = self.world(config, seed)
 
         per_file = max(1, -(-config.file_size // config.packet_size))
@@ -585,20 +580,3 @@ class IpScenarioBuilder(ScenarioBuilder):
             seed_id=seed_id,
             peers=peers,
         )
-
-
-# ------------------------------------------------- backwards-compatible API
-def build_dapes_scenario(
-    config: ExperimentConfig,
-    seed: int,
-    dapes_config: Optional[DapesConfig] = None,
-) -> DapesScenario:
-    """Assemble the configured topology with DAPES on every participating node."""
-    return get_builder("dapes").build(config, seed, dapes_config=dapes_config)
-
-
-def build_ip_scenario(config: ExperimentConfig, seed: int, protocol: str) -> IpScenario:
-    """Assemble the same topology with one of the IP baselines on every node."""
-    if protocol not in ("bithoc", "ekta"):
-        raise ValueError(f"unknown IP baseline {protocol!r}")
-    return get_builder(protocol).build(config, seed)

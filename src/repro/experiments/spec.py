@@ -17,7 +17,7 @@ the registry on the command line.
 
 from __future__ import annotations
 
-import warnings
+import numbers
 from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -60,6 +60,8 @@ class Axis:
     def resolve(self, base: ExperimentConfig, raw: object):
         """Return ``(param_key, param_value, config_overrides, format_extras)`` for one swept value."""
         if self.scale_by is not None:
+            if not isinstance(raw, numbers.Real):
+                raise ValueError(f"{self.name} must be a number, got {raw!r}")
             actual = getattr(base, self.scale_by) * raw
             key = self.config_key or self.scale_by
             return self.scale_by, actual, {key: actual}, {self.name: raw}
@@ -177,7 +179,10 @@ class ExperimentSpec:
             axis_overrides: Dict[str, object] = {}
             format_extras: Dict[str, object] = {}
             for axis, raw in zip(spec.axes, combo):
-                param_key, value, overrides, extras = axis.resolve(base, raw)
+                try:
+                    param_key, value, overrides, extras = axis.resolve(base, raw)
+                except ValueError as exc:
+                    raise PlanError(f"{spec.name} point ({axis.name}={raw}): {exc}") from None
                 axis_parameters[param_key] = value
                 axis_overrides.update(overrides)
                 format_extras.update(extras)
@@ -217,34 +222,6 @@ class ExperimentSpec:
     ) -> int:
         """How many ``(point, trial)`` tasks the spec flattens into."""
         return sum(len(plan.seeds) for plan in self.plan(config, axes))
-
-
-# ============================================================ shim support
-def deprecated_shim(spec: ExperimentSpec):
-    """Class decorator tying a historical figure class to its registry spec.
-
-    Sets ``cls.spec`` (the single source of truth the shim's ``run()`` must
-    forward to — tests assert no silent drift) and generates the one-line
-    docstring, so shim modules carry neither duplicated docstrings nor
-    duplicated spec references.
-    """
-
-    def apply(cls):
-        cls.spec = spec
-        cls.__doc__ = f"Deprecated shim over the registered ``{spec.name}`` spec."
-        return cls
-
-    return apply
-
-
-def warn_deprecated_shim(instance: object) -> None:
-    """Emit the standard shim deprecation warning (call from ``__init__``)."""
-    cls = type(instance)
-    warnings.warn(
-        f"{cls.__name__} is deprecated; use run_experiment({cls.spec.name!r}, ...)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 # ================================================================= registry

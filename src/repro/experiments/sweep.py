@@ -1,10 +1,9 @@
 """Whole-grid sweep scheduler: one process pool for an entire experiment suite.
 
-The historical figure classes called :func:`repro.experiments.runner.run_trials`
-once per sweep point, so the process pool was created, barriered and torn
-down at every point.  This module flattens an :class:`ExperimentSpec` — or a
-whole suite of specs — into one list of ``(point, trial)`` tasks executed
-over a *single persistent* ``ProcessPoolExecutor``:
+This module flattens an :class:`ExperimentSpec` — or a whole suite of
+specs — into one list of ``(point, trial)`` tasks executed over a *single
+persistent* ``ProcessPoolExecutor``, the only process pool in the package
+(:func:`repro.experiments.runner.run_trials` runs here as a one-point spec):
 
 * **Deterministic seeds** — every task's seed is derived from its point
   config exactly as in the serial path (``base_seed + trial * 1009``).

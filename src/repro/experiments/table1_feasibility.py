@@ -23,21 +23,15 @@ observes (scenario 3 fastest and cheapest in transmissions but heaviest in
 memory because of the extra multi-hop state).
 
 The study is registered as the ``table1`` spec with bespoke trial and
-aggregation hooks (one scripted scenario per sweep point); the historical
-:class:`FeasibilityStudy` class remains as a thin deprecated shim around
-:func:`run_feasibility_scenario`.
-
-Seeding note: the registry path derives each scenario's simulation seed
-from ``config.base_seed`` (preset default 42), whereas the historical
-class defaulted to its own ``seed=7``.  To reproduce the archived Table I
-numbers through the new API, pass ``base_seed=7`` (CLI: ``run table1
---seed 7``) — with the same seed the two paths are identical.
+aggregation hooks (one scripted scenario per sweep point, each run by
+:func:`run_feasibility_scenario`).  Each scenario's simulation seed
+derives from ``config.base_seed`` (preset default 42).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Sequence
 
 from repro.crypto.keys import KeyPair
 from repro.crypto.trust import TrustAnchorStore
@@ -45,16 +39,9 @@ from repro.mobility import ScriptedMobility
 from repro.simulation import Simulator
 from repro.wireless import ChannelConfig, WirelessMedium
 from repro.core import CollectionBuilder, build_dapes_peer, build_repository
-from repro.experiments.metrics import RunResult, SweepPoint, SweepResult
+from repro.experiments.metrics import RunResult, SweepPoint
 from repro.experiments.scenario import ExperimentConfig, PRODUCER_IDENTITY
-from repro.experiments.spec import (
-    ExperimentSpec,
-    Variant,
-    deprecated_shim,
-    register_experiment,
-    warn_deprecated_shim,
-)
-from repro.experiments.sweep import run_experiment
+from repro.experiments.spec import ExperimentSpec, Variant, register_experiment
 
 REAL_WORLD_WIFI_RANGE = 50.0
 DEFAULT_FEASIBILITY_SEED = 7
@@ -323,30 +310,3 @@ SPEC_TABLE1 = register_experiment(
         config_transform=_feasibility_config,
     )
 )
-
-
-# ------------------------------------------------- deprecated class shim
-@deprecated_shim(SPEC_TABLE1)
-class FeasibilityStudy:
-    def __init__(self, config: Optional[ExperimentConfig] = None, seed: int = DEFAULT_FEASIBILITY_SEED):
-        warn_deprecated_shim(self)
-        base = config if config is not None else ExperimentConfig.small()
-        self.config = base.with_overrides(wifi_range=REAL_WORLD_WIFI_RANGE)
-        self.seed = seed
-
-    # ------------------------------------------------------------------- API
-    def run(self, scenarios: Optional[List[int]] = None) -> SweepResult:
-        spec = self.spec
-        if scenarios:  # falsy (None or []) has always meant "all three"
-            for scenario in scenarios:
-                if scenario not in _SCENARIO_BUILDERS:
-                    raise ValueError("scenario must be 1, 2 or 3")
-            spec = spec.with_variants(
-                Variant(label=SCENARIO_NAMES[scenario], parameters={"scenario": scenario})
-                for scenario in scenarios
-            )
-        return run_experiment(spec, self.config.with_overrides(base_seed=self.seed))
-
-    def run_scenario(self, scenario: int) -> FeasibilityScenarioResult:
-        """Run one of the three scenarios and collect Table I metrics."""
-        return run_feasibility_scenario(self.config, scenario, self.seed)

@@ -77,14 +77,21 @@ class ChannelConfig:
     inter_frame_space: float = 0.00005
 
     def __post_init__(self) -> None:
-        # NaN compares false against every bound below and inf passes the
-        # positive ones, so non-finite numbers are rejected by name first.
+        # A string fails the bounds below with a TypeError, NaN compares false
+        # against every bound and inf passes the positive ones, so non-numbers
+        # and non-finite numbers are rejected by name first.
         for name in (
-            "data_rate_bps", "wifi_range", "per_frame_overhead_s", "index_cell_size",
+            "data_rate_bps", "wifi_range", "loss_rate", "per_frame_overhead_s", "index_cell_size",
             "index_rebuild_interval", "unicast_retry_backoff", "inter_frame_space",
         ):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if value is None:
+                continue
+            try:
+                finite = math.isfinite(value)
+            except TypeError:
+                raise ValueError(f"{name} must be a number, got {value!r}") from None
+            if not finite:
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if self.data_rate_bps <= 0:
             raise ValueError("data_rate_bps must be positive")

@@ -5,13 +5,21 @@ from dataclasses import fields
 import pytest
 
 from repro.core import DapesConfig
-from repro.experiments import ExperimentConfig, FeasibilityStudy, RunResult, percentile
-from repro.experiments.fig10_comparison import ComparisonExperiment
+from repro.experiments import (
+    ExperimentConfig,
+    ResultSet,
+    RunResult,
+    get_builder,
+    improvements,
+    percentile,
+    run_feasibility_scenario,
+    to_text,
+)
 from repro.experiments.fig9_bitmaps import _budget_label
 from repro.experiments.fig9_multihop import _probability_label
 from repro.experiments.metrics import SweepPoint, SweepResult, aggregate_trials
 from repro.experiments.runner import run_protocol_trial, run_trials
-from repro.experiments.scenario import build_collection, build_dapes_scenario, build_ip_scenario
+from repro.experiments.scenario import build_collection
 from repro.wireless import ChannelConfig
 
 
@@ -128,15 +136,12 @@ def test_sweep_result_rows_series_and_lookup():
     sweep.add_point(SweepPoint("A", {"wifi_range": 80}, 8.0, 120.0, 1.0, 1))
     sweep.add_point(SweepPoint("B", {"wifi_range": 40}, 20.0, 200.0, 1.0, 1))
     assert len(sweep.rows()) == 3
-    # series()/summary() are deprecated shims over ResultSet / report.to_text.
-    with pytest.warns(DeprecationWarning):
-        assert sweep.series("download_time")["A"] == [10.0, 8.0]
-    with pytest.warns(DeprecationWarning):
-        assert sweep.series("transmissions")["B"] == [200.0]
+    results = ResultSet.from_sweep(sweep)
+    assert results.series("download_time")["A"] == [10.0, 8.0]
+    assert results.series("transmissions")["B"] == [200.0]
     assert sweep.point("A", wifi_range=80).download_time == 8.0
     assert sweep.point("C") is None
-    with pytest.warns(DeprecationWarning):
-        assert sweep.summary()  # renders without error
+    assert to_text(sweep)  # renders without error
 
 
 def test_labels_helpers():
@@ -150,7 +155,7 @@ def test_labels_helpers():
 # ------------------------------------------------------------------- scenarios
 def test_dapes_scenario_structure():
     config = ExperimentConfig.tiny()
-    scenario = build_dapes_scenario(config, seed=1)
+    scenario = get_builder("dapes").build(config, 1)
     assert len(scenario.downloader_ids) == config.downloader_count
     assert scenario.producer_id not in scenario.downloader_ids
     assert len(scenario.pure_forwarders) == config.pure_forwarders
@@ -161,12 +166,12 @@ def test_dapes_scenario_structure():
 
 def test_ip_scenario_structure():
     config = ExperimentConfig.tiny()
-    scenario = build_ip_scenario(config, seed=1, protocol="bithoc")
+    scenario = get_builder("bithoc").build(config, 1)
     assert scenario.peers[scenario.seed_id].is_complete
     assert len(scenario.downloader_ids) == config.downloader_count
     assert all(not scenario.peers[node].is_complete for node in scenario.downloader_ids)
     with pytest.raises(ValueError):
-        build_ip_scenario(config, seed=1, protocol="gnutella")
+        get_builder("gnutella")
 
 
 # --------------------------------------------------------------------- runners
@@ -193,27 +198,58 @@ def test_run_trials_aggregates_with_label_and_parameters():
     assert point.download_time > 0
 
 
+def test_removed_compat_names_fail_loudly():
+    """The deleted second way in stays deleted: no shim, alias or fallback."""
+    import importlib
+
+    removed = {
+        "repro.experiments": ("RpfStrategyExperiment", "ComparisonExperiment", "FeasibilityStudy"),
+        "repro.experiments.fig9_rpf": ("RpfStrategyExperiment", "PebaExperiment"),
+        "repro.experiments.fig9_bitmaps": ("BitmapsBeforeDataExperiment", "BitmapsInterleavedExperiment"),
+        "repro.experiments.fig9_scaling": ("FileCountExperiment", "FileSizeExperiment"),
+        "repro.experiments.fig9_multihop": ("ForwardingProbabilityExperiment",),
+        "repro.experiments.fig10_comparison": ("ComparisonExperiment",),
+        "repro.experiments.table1_feasibility": ("FeasibilityStudy",),
+        "repro.experiments.spec": ("deprecated_shim", "warn_deprecated_shim"),
+        "repro.experiments.runner": ("run_dapes_trial", "run_ip_trial", "_pool_trial"),
+        "repro.experiments.scenario": ("build_dapes_scenario", "build_ip_scenario"),
+    }
+    with pytest.raises(ImportError):
+        from repro.experiments import RpfStrategyExperiment  # noqa: F401
+    for module_name, names in removed.items():
+        module = importlib.import_module(module_name)
+        for name in names:
+            assert not hasattr(module, name), f"{module_name}.{name}"
+    sweep = SweepResult(name="n", description="d")
+    for method in ("series", "summary"):
+        with pytest.raises(AttributeError):
+            getattr(sweep, method)
+    config = ExperimentConfig.tiny()
+    with pytest.raises(TypeError):
+        run_trials("dapes", config, "DAPES", dapes_config=DapesConfig())
+    with pytest.raises(TypeError):
+        run_protocol_trial("dapes", config, 1, dapes_config=DapesConfig())
+    with pytest.raises(TypeError):
+        get_builder("dapes").build(config, 1, dapes_config=DapesConfig())
+
+
 def test_comparison_improvements_math():
     sweep = SweepResult(name="cmp", description="")
     sweep.add_point(SweepPoint("DAPES", {"wifi_range": 60.0}, 10.0, 100.0, 1.0, 1))
     sweep.add_point(SweepPoint("Bithoc", {"wifi_range": 60.0}, 20.0, 400.0, 1.0, 1))
-    improvements = ComparisonExperiment.improvements(sweep, metric="download_time")
-    assert improvements["Bithoc"][0] == pytest.approx(0.5)
-    improvements = ComparisonExperiment.improvements(sweep, metric="transmissions")
-    assert improvements["Bithoc"][0] == pytest.approx(0.75)
+    assert improvements(sweep, metric="download_time")["Bithoc"][0] == pytest.approx(0.5)
+    assert improvements(sweep, metric="transmissions")["Bithoc"][0] == pytest.approx(0.75)
 
 
 # ------------------------------------------------------------------ Table I
 def test_feasibility_scenario_validation():
-    study = FeasibilityStudy(config=ExperimentConfig.tiny())
     with pytest.raises(ValueError):
-        study.run_scenario(4)
+        run_feasibility_scenario(ExperimentConfig.tiny(), 4)
 
 
 def test_feasibility_single_scenario_runs():
     config = ExperimentConfig.tiny().with_overrides(max_duration=300.0)
-    study = FeasibilityStudy(config=config)
-    outcome = study.run_scenario(2)
+    outcome = run_feasibility_scenario(config, 2)
     assert outcome.scenario == 2
     assert outcome.transmissions > 0
     assert outcome.download_time > 0

@@ -2,7 +2,6 @@
 
 import json
 import math
-import warnings
 
 import pytest
 
@@ -193,15 +192,13 @@ def test_result_set_select_where_group_by(fig9a_tiny):
     assert all(len(group) == 2 for group in groups.values())
 
 
-def test_result_set_series_matches_deprecated_series(fig9a_tiny):
+def test_result_set_series_groups_any_metric_by_label(fig9a_tiny):
     results = ResultSet.from_sweep(fig9a_tiny)
-    with pytest.warns(DeprecationWarning):
-        legacy = fig9a_tiny.series("download_time")
-    assert results.series("download_time") == legacy
-    with pytest.warns(DeprecationWarning):
-        legacy_tx = fig9a_tiny.series("transmissions")
-    assert results.series("transmissions") == legacy_tx
-    # The historical two-metric limitation is gone.
+    for metric in ("download_time", "transmissions"):
+        expected = {}
+        for point in fig9a_tiny.points:
+            expected.setdefault(point.label, []).append(getattr(point, metric))
+        assert results.series(metric) == expected
     assert results.series("completion_ratio")
     assert results.series("extras.events")
 
@@ -256,10 +253,8 @@ def test_result_set_pivot_and_unknown_metric():
 
 
 # ====================================================================== report
-def test_to_text_matches_deprecated_summary_format(fig9a_tiny):
+def test_to_text_keeps_the_fixed_width_table_format(fig9a_tiny):
     rendered = to_text(fig9a_tiny)
-    with pytest.warns(DeprecationWarning):
-        assert fig9a_tiny.summary() == rendered
     assert rendered.startswith(f"== {fig9a_tiny.name} ==")
     # Historical fixed-width layout: 18-char right-justified columns.
     header = rendered.splitlines()[2]
@@ -375,32 +370,6 @@ def test_nan_serializes_as_null_and_round_trips():
     # as_dict boundaries are strict too (mean_download_time can be NaN).
     assert incomplete.as_dict()["mean_download_time"] is None
     assert json.loads(json.dumps(point.as_dict(), allow_nan=False))["download_time_s"] is None
-
-
-# ==================================================================== shims
-SHIM_SPECS = {
-    "RpfStrategyExperiment": ("repro.experiments.fig9_rpf", "fig9a"),
-    "PebaExperiment": ("repro.experiments.fig9_rpf", "fig9b"),
-    "BitmapsBeforeDataExperiment": ("repro.experiments.fig9_bitmaps", "fig9c"),
-    "BitmapsInterleavedExperiment": ("repro.experiments.fig9_bitmaps", "fig9d"),
-    "FileCountExperiment": ("repro.experiments.fig9_scaling", "fig9e"),
-    "FileSizeExperiment": ("repro.experiments.fig9_scaling", "fig9f"),
-    "ForwardingProbabilityExperiment": ("repro.experiments.fig9_multihop", "fig9gh"),
-    "ComparisonExperiment": ("repro.experiments.fig10_comparison", "fig10"),
-    "FeasibilityStudy": ("repro.experiments.table1_feasibility", "table1"),
-}
-
-
-def test_every_shim_forwards_to_its_registry_spec():
-    """No silent drift: each deprecated class is pinned to the same-name spec."""
-    import importlib
-
-    for class_name, (module_name, spec_name) in SHIM_SPECS.items():
-        shim = getattr(importlib.import_module(module_name), class_name)
-        assert shim.spec is get_experiment(spec_name), class_name
-        assert f"``{spec_name}``" in shim.__doc__, class_name
-        with pytest.warns(DeprecationWarning, match=spec_name):
-            shim(config=ExperimentConfig.tiny())
 
 
 # ====================================================================== CLI

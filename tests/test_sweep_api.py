@@ -199,22 +199,26 @@ def test_cli_rejects_the_removed_array_backend_flag(capsys):
 
 # ----------------------------------------------------- plan-time validation
 BAD_GRIDS = {
-    "bad_axis_value": (["--trials", "1", "--axis", "wifi_range=80,-5"], "wifi_range must be positive"),
-    "nan_axis_value": (["--trials", "1", "--axis", "wifi_range=nan"], "wifi_range must be finite"),
-    "zero_trials": (["--trials", "0", "--axis", "wifi_range=80"], "trials must be at least 1"),
+    "bad_axis_value": ("fig9a", ["--trials", "1", "--axis", "wifi_range=80,-5"], "wifi_range must be positive"),
+    "nan_axis_value": ("fig9a", ["--trials", "1", "--axis", "wifi_range=nan"], "wifi_range must be finite"),
+    "text_axis_value": ("fig9a", ["--trials", "1", "--axis", "wifi_range=abc"], "wifi_range must be a number"),
+    "text_scale_factor": (
+        "fig9e", ["--trials", "1", "--axis", "num_files_factor=abc"], "num_files_factor must be a number",
+    ),
+    "zero_trials": ("fig9a", ["--trials", "0", "--axis", "wifi_range=80"], "trials must be at least 1"),
 }
 
 
 @pytest.mark.parametrize("mode", [[], ["--dry-run"]], ids=["run", "dry_run"])
 @pytest.mark.parametrize("grid", sorted(BAD_GRIDS))
 def test_cli_refuses_an_invalid_grid_before_anything_runs(tmp_path, capsys, grid, mode):
-    flags, reason = BAD_GRIDS[grid]
+    experiment, flags, reason = BAD_GRIDS[grid]
     out_dir = tmp_path / "out"
     with pytest.raises(SystemExit) as exit_info:
-        cli.main(["run", "fig9a", "--preset", "tiny", *flags, "--out", str(out_dir), *mode])
+        cli.main(["run", experiment, "--preset", "tiny", *flags, "--out", str(out_dir), *mode])
     assert exit_info.value.code == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("repro-experiments: error: fig9a point ")
+    assert captured.err.startswith(f"repro-experiments: error: {experiment} point ")
     assert reason in captured.err and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
     assert "[   1/" not in captured.out and "task-0000" not in captured.out
@@ -223,10 +227,10 @@ def test_cli_refuses_an_invalid_grid_before_anything_runs(tmp_path, capsys, grid
 
 @pytest.mark.parametrize("grid", sorted(BAD_GRIDS))
 def test_cli_submit_refuses_an_invalid_grid_without_a_coordinator(capsys, grid):
-    flags, reason = BAD_GRIDS[grid]
+    experiment, flags, reason = BAD_GRIDS[grid]
     with pytest.raises(SystemExit) as exit_info:
         # Port 1 has no coordinator: reaching it would be a connection error.
-        cli.main(["submit", "fig9a", "--preset", "tiny", *flags, "--port", "1"])
+        cli.main(["submit", experiment, "--preset", "tiny", *flags, "--port", "1"])
     assert exit_info.value.code == 2
     assert reason in capsys.readouterr().err
 
@@ -295,15 +299,3 @@ def test_suite_with_duplicate_experiment_names_does_not_clobber_results(tmp_path
 def test_cli_rejects_unknown_axis_names():
     with pytest.raises(SystemExit, match="matches no axis"):
         cli.main(["run", "fig9a", "--preset", "tiny", "--axis", "wifi_rage=40"])
-
-
-def test_feasibility_run_empty_list_means_all_scenarios():
-    import warnings as _warnings
-
-    from repro.experiments import FeasibilityStudy
-
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore", DeprecationWarning)
-        study = FeasibilityStudy(config=ExperimentConfig.tiny())
-    result = study.run([])
-    assert {point.parameters["scenario"] for point in result.points} == {1, 2, 3}

@@ -5,10 +5,10 @@ import pytest
 from repro.experiments import (
     ExperimentConfig,
     available_topologies,
+    get_builder,
     get_topology,
     run_protocol_trial,
 )
-from repro.experiments.scenario import build_dapes_scenario
 from repro.experiments.topology import (
     ClusteredTopology,
     CorridorTopology,
@@ -33,7 +33,7 @@ def test_unknown_topology_rejected():
     with pytest.raises(ValueError):
         get_topology("moebius-strip")
     with pytest.raises(ValueError):
-        build_dapes_scenario(ExperimentConfig.tiny().with_overrides(topology="nope"), seed=1)
+        get_builder("dapes").build(ExperimentConfig.tiny().with_overrides(topology="nope"), 1)
 
 
 def test_duplicate_registration_rejected():
@@ -104,7 +104,7 @@ def test_new_topologies_run_end_to_end(topology):
 
 def test_scenario_uses_configured_topology():
     config = ExperimentConfig.tiny().with_overrides(topology="corridor")
-    scenario = build_dapes_scenario(config, seed=3)
+    scenario = get_builder("dapes").build(config, 3)
     length = config.area_size * CorridorTopology.ASPECT
     p = scenario.medium.mobility.position("repo-0", 0.0)
     assert 0 < p.x < length

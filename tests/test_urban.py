@@ -10,13 +10,13 @@ from repro.experiments import (
     ExperimentConfig,
     available_experiments,
     available_topologies,
+    get_builder,
     get_experiment,
     get_topology,
     run_protocol_trial,
 )
 from repro.experiments.sweep import run_experiment
 from repro.experiments.topology import UrbanGridTopology
-from repro.experiments.scenario import build_dapes_scenario
 from repro.mobility import StreetGridMobility
 from repro.simulation import Simulator
 
@@ -137,12 +137,12 @@ def test_urban_scenario_threads_environment_into_the_medium():
     config = ExperimentConfig.tiny().with_overrides(
         topology="urban_grid", propagation="obstacle"
     )
-    scenario = build_dapes_scenario(config, seed=3)
+    scenario = get_builder("dapes").build(config, 3)
     assert scenario.environment is not None
     assert scenario.medium.environment is scenario.environment
     assert scenario.medium.propagation.environment is scenario.environment
     # Open-field topologies emit no environment.
-    open_field = build_dapes_scenario(ExperimentConfig.tiny(), seed=3)
+    open_field = get_builder("dapes").build(ExperimentConfig.tiny(), 3)
     assert open_field.environment is None
 
 

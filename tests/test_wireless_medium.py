@@ -42,6 +42,12 @@ def test_channel_config_rejects_non_finite_numbers(name, value):
         ChannelConfig(**{name: float(value)})
 
 
+@pytest.mark.parametrize("name", ["wifi_range", "loss_rate", "index_cell_size"])
+def test_channel_config_rejects_non_numbers_by_name(name):
+    with pytest.raises(ValueError, match=f"{name} must be a number"):
+        ChannelConfig(**{name: "abc"})
+
+
 def test_channel_config_rejects_the_removed_array_names():
     with pytest.raises(TypeError):
         ChannelConfig(array_backend="numpy")
