@@ -45,14 +45,6 @@ def quick_config() -> ExperimentConfig:
     return ExperimentConfig.small().with_overrides(trials=1, max_duration=400.0)
 
 
-def _wall_clock_seconds(benchmark) -> float | None:
-    """Total measured wall-clock of a pytest-benchmark fixture, if available."""
-    try:
-        return float(sum(benchmark.stats.stats.data))
-    except (AttributeError, TypeError):
-        return None
-
-
 def pytest_addoption(parser) -> None:
     parser.addoption(
         "--write-bench",
@@ -65,45 +57,40 @@ def pytest_addoption(parser) -> None:
 
 @pytest.fixture
 def report(request):
-    """``report(result, benchmark=None, slug=None)``: print, and archive on request.
+    """``report(result, slug=None)``: print, and archive on request.
 
     Always prints the experiment's rows (``pytest -s`` shows them inline).
     Under ``--write-bench`` it also archives them under benchmark_results/:
     the ``<slug>.txt`` tables are what EXPERIMENTS.md's measured numbers
-    come from, and when the pytest-benchmark fixture is passed along a
-    machine-readable ``BENCH_<slug>.json`` is written next to the table with
-    the wall-clock and simulation-event throughput, giving future PRs a perf
-    trajectory to compare against.  Writing is opt-in because the wall-clock
-    fields differ on every run: an ordinary test run must not rewrite
-    committed files.  ``slug`` overrides the filename stem (default:
-    slugified ``result.name``).
+    come from, and ``BENCH_<slug>.json`` holds the same rows machine-readably
+    (plus the simulated event count) for ``repro-experiments diff``.  Both
+    are pure functions of the code and the seeds, so a second
+    ``--write-bench`` leaves ``git diff benchmark_results/`` empty: that diff
+    is the exact regression gate.  ``slug`` overrides the filename stem
+    (default: slugified ``result.name``).
     """
     write = request.config.getoption("--write-bench")
 
-    def report(result, benchmark=None, slug=None) -> None:
+    def report(result, slug=None) -> None:
         table = to_text(result)
         print()
         print(table)
         if write:
-            _archive(result, table, benchmark, slug)
+            _archive(result, table, slug)
 
     return report
 
 
-def _archive(result, table, benchmark, slug) -> None:
+def _archive(result, table, slug) -> None:
     results_dir = pathlib.Path(__file__).resolve().parent.parent / "benchmark_results"
     results_dir.mkdir(exist_ok=True)
     if slug is None:
         slug = re.sub(r"[^a-z0-9]+", "-", result.name.lower()).strip("-")[:60]
     (results_dir / f"{slug}.txt").write_text(table + "\n", encoding="utf-8")
 
-    wall_s = _wall_clock_seconds(benchmark) if benchmark is not None else None
-    events = sum(int(point.extras.get("events", 0)) for point in result.points)
     payload = {
         "name": result.name,
-        "wall_clock_s": round(wall_s, 4) if wall_s is not None else None,
-        "events": events,
-        "events_per_sec": round(events / wall_s, 1) if wall_s else None,
+        "events": sum(int(point.extras.get("events", 0)) for point in result.points),
         "points": result.rows(),
     }
     (results_dir / f"BENCH_{slug}.json").write_text(

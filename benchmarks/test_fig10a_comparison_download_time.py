@@ -7,7 +7,7 @@ from repro.experiments import ResultSet
 
 def test_fig10a_comparison_download_time(benchmark, bench_config, report):
     result = run_sweep(benchmark, "fig10", bench_config, axes={"wifi_range": (60.0,)})
-    report(result, benchmark)
+    report(result)
 
     labels = {point.label for point in result.points}
     assert {"DAPES", "Bithoc", "Ekta"} <= labels

@@ -7,7 +7,7 @@ from repro.experiments import ResultSet
 
 def test_fig10b_comparison_transmissions(benchmark, bench_config, report):
     result = run_sweep(benchmark, "fig10", bench_config, axes={"wifi_range": (60.0,)})
-    report(result, benchmark)
+    report(result)
 
     series = ResultSet.from_sweep(result).series("transmissions")
     dapes = sum(series["DAPES"]) / len(series["DAPES"])

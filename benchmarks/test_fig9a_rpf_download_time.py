@@ -7,7 +7,7 @@ from repro.experiments import ResultSet
 
 def test_fig9a_rpf_download_time(benchmark, bench_config, report):
     result = run_sweep(benchmark, "fig9a", bench_config, axes={"wifi_range": BENCH_WIFI_RANGES})
-    report(result, benchmark)
+    report(result)
 
     assert result.points, "the sweep must produce data points"
     # Every variant must actually distribute the collection.

@@ -7,7 +7,7 @@ from repro.experiments import ResultSet
 
 def test_fig9b_peba_transmissions(benchmark, bench_config, report):
     result = run_sweep(benchmark, "fig9b", bench_config, axes={"wifi_range": BENCH_WIFI_RANGES})
-    report(result, benchmark)
+    report(result)
 
     assert result.points
     assert all(point.transmissions > 0 for point in result.points)

@@ -8,7 +8,7 @@ from repro.experiments.fig9_bitmaps import SPEC_FIG9C, budget_variants
 def test_fig9c_bitmaps_before_data(benchmark, bench_config, report):
     spec = SPEC_FIG9C.with_variants(budget_variants((1, 2, 4, None)))
     result = run_sweep(benchmark, spec, bench_config, axes={"wifi_range": BENCH_WIFI_RANGES})
-    report(result, benchmark)
+    report(result)
 
     assert result.points
     labels = {point.label for point in result.points}

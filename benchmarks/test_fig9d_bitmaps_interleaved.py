@@ -8,7 +8,7 @@ from repro.experiments.fig9_bitmaps import SPEC_FIG9C, SPEC_FIG9D, budget_varian
 def test_fig9d_bitmaps_interleaved(benchmark, bench_config, report):
     spec = SPEC_FIG9D.with_variants(budget_variants((1, 2, 4, None)))
     result = run_sweep(benchmark, spec, bench_config, axes={"wifi_range": BENCH_WIFI_RANGES})
-    report(result, benchmark)
+    report(result)
 
     assert result.points
     assert all(point.completion_ratio > 0.5 for point in result.points)

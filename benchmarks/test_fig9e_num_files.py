@@ -8,7 +8,7 @@ def test_fig9e_varying_number_of_files(benchmark, quick_config, report):
         benchmark, "fig9e", quick_config,
         axes={"wifi_range": (60.0,), "num_files_factor": (1, 3)},
     )
-    report(result, benchmark)
+    report(result)
 
     assert result.points
     # Paper claim (Fig. 9e): the download time grows with the amount of data.

@@ -8,7 +8,7 @@ def test_fig9f_varying_file_size(benchmark, quick_config, report):
         benchmark, "fig9f", quick_config,
         axes={"wifi_range": (60.0,), "file_size_factor": (1, 5)},
     )
-    report(result, benchmark)
+    report(result)
 
     assert result.points
     # Paper claim (Fig. 9f): the download time grows with the file size.

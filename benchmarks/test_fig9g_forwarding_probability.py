@@ -8,7 +8,7 @@ from repro.experiments.fig9_multihop import SPEC_FIG9GH, probability_variants
 def test_fig9g_forwarding_probability_download_time(benchmark, bench_config, report):
     spec = SPEC_FIG9GH.with_variants(probability_variants((None, 0.2, 0.4)))
     result = run_sweep(benchmark, spec, bench_config, axes={"wifi_range": (60.0,)})
-    report(result, benchmark)
+    report(result)
 
     assert result.points
     labels = {point.label for point in result.points}

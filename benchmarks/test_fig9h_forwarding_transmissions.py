@@ -8,7 +8,7 @@ from repro.experiments.fig9_multihop import SPEC_FIG9GH, probability_variants
 def test_fig9h_forwarding_probability_transmissions(benchmark, bench_config, report):
     spec = SPEC_FIG9GH.with_variants(probability_variants((None, 0.2, 0.6)))
     result = run_sweep(benchmark, spec, bench_config, axes={"wifi_range": (60.0,)})
-    report(result, benchmark)
+    report(result)
 
     assert result.points
     # Paper claim (Fig. 9h): forwarding more Interests increases the overhead.

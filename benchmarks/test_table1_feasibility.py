@@ -10,7 +10,7 @@ def test_table1_feasibility_study(benchmark, report):
         trials=1, max_duration=400.0, base_seed=7
     )
     result = run_sweep(benchmark, "table1", config)
-    report(result, benchmark)
+    report(result)
 
     rows = {point.parameters["scenario"]: point for point in result.points}
     assert set(rows) == {1, 2, 3}

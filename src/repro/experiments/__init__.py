@@ -26,16 +26,14 @@ Table I         real-world feasibility scenarios               ``table1``  ``tab
 Aliases resolve too (``fig9g``/``fig9h`` → ``fig9gh``, ``fig10a``/``fig10b``
 → ``fig10``, ``tablei`` → ``table1``).  Beyond the paper, ``urban``
 (``repro.experiments.urban``) sweeps obstacle density on the Manhattan
-``urban_grid`` topology under unit-disk vs obstacle propagation, and
-``scaling`` (``repro.experiments.scaling``) measures simulator events/sec
-against node count — the performance counterpart to the paper-figure
-specs.  ``churn`` and ``flashcrowd``
-(``repro.experiments.churn``) exercise population dynamics — sustained
-Poisson churn with graceful/abrupt departures, and burst arrivals into an
-initially empty swarm (see :mod:`repro.churn`) — and ``faults`` and
-``partition`` (``repro.experiments.faults``) exercise network faults —
-link flapping and mid-run partitions with invariant monitoring and
-recovery metrics (see :mod:`repro.faults`).
+``urban_grid`` topology under unit-disk vs obstacle propagation.
+``churn`` and ``flashcrowd`` (``repro.experiments.churn``) exercise
+population dynamics — sustained Poisson churn with graceful/abrupt
+departures, and burst arrivals into an initially empty swarm (see
+:mod:`repro.churn`) — and ``faults`` and ``partition``
+(``repro.experiments.faults``) exercise network faults — link flapping and
+mid-run partitions with invariant monitoring and recovery metrics (see
+:mod:`repro.faults`).
 
 Results are first-class: :class:`ResultStore` persists runs under
 content-addressed keys with metadata headers (``store.py``),
@@ -75,7 +73,6 @@ from repro.experiments.spec import (
 from repro.experiments.sweep import SweepRequest, run_experiment, run_suite
 from repro.experiments.churn import SPEC_CHURN, SPEC_FLASHCROWD
 from repro.experiments.faults import SPEC_FAULTS, SPEC_PARTITION
-from repro.experiments.scaling import SPEC_SCALING
 from repro.experiments.table1_feasibility import SPEC_TABLE1, run_feasibility_scenario
 from repro.experiments.urban import SPEC_URBAN
 from repro.experiments.topology import (

@@ -13,7 +13,6 @@ Usage (also installed as the ``repro-experiments`` console script)::
     python -m repro.experiments export fig9a --format gnuplot --axis wifi_range
     python -m repro.experiments store list
     python -m repro.experiments store gc --keep 3
-    python -m repro.experiments perf-gate
     python -m repro.experiments run fig9a --preset tiny --dry-run
     python -m repro.experiments serve --store results-store --port 7341
     python -m repro.experiments worker --port 7341 --exit-when-idle
@@ -32,9 +31,6 @@ additionally saves every aggregate into a content-addressed
 (full ``SweepResult`` dumps and the row-based ``BENCH_*.json`` artifacts
 alike).  ``--profile`` collects per-trial performance counters (see
 :mod:`repro.profiling`) and prints the aggregated per-subsystem breakdown.
-``perf-gate`` re-runs the Fig. 9a benchmark workload and fails when the
-:func:`repro.experiments.report.throughput_verdict` against the committed
-``BENCH_*.json`` baseline regresses — the CI perf smoke job.
 
 ``serve``/``worker``/``submit``/``status``/``stop`` drive the distributed
 sweep cluster (:mod:`repro.cluster`): a coordinator serves the same task
@@ -62,27 +58,12 @@ from repro.experiments.spec import PlanError, available_experiments, get_experim
 from repro.experiments.store import ResultStore, StoredRun, content_key
 from repro.experiments.sweep import (
     SweepRequest,
-    run_experiment,
     run_suite,
     task_listing,
 )
 from repro.profiling import format_profile, merge_profiles
 
 DEFAULT_STORE = "results-store"
-
-_GATE_BASELINE_NAME = "BENCH_fig-9a-download-time-per-rpf-strategy.json"
-
-
-def _default_gate_baseline() -> pathlib.Path:
-    """Committed fig9a baseline: the repo checkout when running from src/,
-    else ./benchmark_results (installed console script run from a checkout)."""
-    in_repo = pathlib.Path(__file__).resolve().parents[3] / "benchmark_results" / _GATE_BASELINE_NAME
-    if in_repo.is_file():
-        return in_repo
-    return pathlib.Path("benchmark_results") / _GATE_BASELINE_NAME
-
-
-DEFAULT_GATE_BASELINE = _default_gate_baseline()
 
 
 def _parse_axis_value(token: str) -> object:
@@ -101,9 +82,12 @@ def _parse_axis_overrides(entries: Sequence[str]) -> Dict[str, tuple]:
     axes: Dict[str, tuple] = {}
     for entry in entries:
         if "=" not in entry:
-            raise SystemExit(f"--axis expects NAME=V1,V2,... (got {entry!r})")
+            raise PlanError(f"--axis expects NAME=V1,V2,... (got {entry!r})")
         name, _, values = entry.partition("=")
-        axes[name.strip()] = tuple(_parse_axis_value(value) for value in values.split(","))
+        name = name.strip()
+        if name in axes:
+            raise PlanError(f"--axis {name} given twice; list every value in one NAME=V1,V2,...")
+        axes[name] = tuple(_parse_axis_value(value) for value in values.split(","))
     return axes
 
 
@@ -112,7 +96,10 @@ def _resolve_names(names: Sequence[str]) -> List[str]:
         return available_experiments()
     resolved: List[str] = []
     for name in names:
-        spec = get_experiment(name)  # raises with the available list on typos
+        try:
+            spec = get_experiment(name)
+        except ValueError as exc:  # a typo: the message lists the available names
+            raise PlanError(str(exc)) from None
         if spec.name not in resolved:
             resolved.append(spec.name)
     return resolved
@@ -207,7 +194,7 @@ def _build_requests(
     unmatched = set(axes) - matched_axes
     if unmatched:
         known = sorted({axis.name for name in names for axis in get_experiment(name).axes})
-        raise SystemExit(
+        raise PlanError(
             f"--axis {'/'.join(sorted(unmatched))} matches no axis of the requested "
             f"experiment(s); available axes: {known}"
         )
@@ -295,55 +282,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             record = store.resolve(f"{name}@{content_key(result)}")
             tags = f" tags={','.join(record.tags)}" if record.tags else ""
             print(f"  {name}@{record.key}{tags}")
-    return 0
-
-
-def _cmd_perf_gate(args: argparse.Namespace) -> int:
-    """Run the Fig. 9a workload and compare events/sec against a BENCH baseline."""
-    baseline_path = pathlib.Path(args.baseline)
-    if not baseline_path.is_file():
-        raise SystemExit(f"perf-gate: baseline {baseline_path} not found")
-    baseline = json.loads(baseline_path.read_text(encoding="utf-8"))
-    baseline_rate = baseline.get("events_per_sec")
-    if not baseline_rate:
-        raise SystemExit(f"perf-gate: baseline {baseline_path} has no events_per_sec")
-
-    config = ExperimentConfig.small().with_overrides(trials=args.trials, max_duration=400.0)
-    # --axis generalizes the gate beyond fig9a (e.g. the scaling workload);
-    # without it the historical wifi_range default keeps old invocations
-    # (and the committed fig9a BENCH axes) working unchanged.
-    if args.axis:
-        axes = _parse_axis_overrides(args.axis)
-    else:
-        axes = {"wifi_range": tuple(float(v) for v in args.wifi_range.split(","))}
-    spec = get_experiment(args.experiment)
-    # Warm-up pass (imports, name/classification caches), then the timed run.
-    if args.warmup:
-        run_experiment(spec, config, axes=axes)
-    start = time.perf_counter()
-    result = run_experiment(spec, config, axes=axes)
-    wall = time.perf_counter() - start
-    events = sum(int(point.extras.get("events", 0)) for point in result.points)
-    rate = events / wall if wall > 0 else 0.0
-    # The gate is a direction-aware diff verdict: only a drop below
-    # min_ratio * baseline regresses (report.throughput_verdict).
-    verdict = report_mod.throughput_verdict(rate, baseline_rate, args.min_ratio)
-    print(
-        f"perf-gate: {args.experiment} events={events} wall={wall:.3f}s "
-        f"events/sec={rate:,.1f} baseline={baseline_rate:,.1f} "
-        f"ratio={rate / baseline_rate:.2f} (min {args.min_ratio:.2f}) "
-        f"verdict={verdict.verdict}"
-    )
-    if verdict.verdict == report_mod.REGRESSED:
-        print(
-            f"perf-gate: FAIL — throughput below {args.min_ratio:.0%} of the committed "
-            f"baseline ({rate:,.1f} < {args.min_ratio * baseline_rate:,.1f} events/sec). "
-            f"If this machine is genuinely slower, refresh "
-            f"benchmark_results/BENCH_*.json (see EXPERIMENTS.md, 'Profiling & "
-            f"performance')."
-        )
-        return 1
-    print("perf-gate: OK")
     return 0
 
 
@@ -825,28 +763,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="also delete tagged runs (default: tagged runs are kept)")
     store_gc.set_defaults(func=_cmd_store_gc)
 
-    gate_parser = sub.add_parser(
-        "perf-gate",
-        help="fail if fig9a events/sec regressed vs the committed BENCH baseline",
-    )
-    gate_parser.add_argument("--experiment", default="fig9a",
-                             help="experiment to time (default: fig9a)")
-    gate_parser.add_argument("--baseline", default=str(DEFAULT_GATE_BASELINE), metavar="JSON",
-                             help="BENCH_*.json baseline to compare against")
-    gate_parser.add_argument("--min-ratio", type=float, default=0.75,
-                             help="fail below this fraction of the baseline events/sec (default: 0.75)")
-    gate_parser.add_argument("--trials", type=int, default=1,
-                             help="trials per sweep point for the timed run (default: 1)")
-    gate_parser.add_argument("--wifi-range", default="40,80", metavar="V1,V2",
-                             help="wifi_range axis of the timed run (fig9a only; "
-                                  "default: 40,80 — the BENCH axes)")
-    gate_parser.add_argument("--axis", action="append", default=[], metavar="NAME=V1,V2",
-                             help="axis values of the timed run, e.g. --axis node_factor=4,8 "
-                                  "for the scaling workload (repeatable; replaces the "
-                                  "fig9a wifi_range default)")
-    gate_parser.add_argument("--no-warmup", dest="warmup", action="store_false",
-                             help="skip the untimed warm-up pass")
-    gate_parser.set_defaults(func=_cmd_perf_gate)
     return parser
 
 

@@ -24,7 +24,7 @@ Verbs compose left to right::
     rs.pivot("wifi_range")                   # {label: {40.0: value, ...}}
     rs.p90("transmissions")                  # reuses metrics.percentile
     rs.ratio_to(baseline, "download_time")   # e.g. "1.4x faster"
-    rs.trials().select("profile.events_per_sec_wall")
+    rs.trials().select("profile.engine.events_per_sec")
 
 Aggregate verbs reuse :func:`repro.experiments.metrics.percentile` and
 :func:`~repro.experiments.metrics.mean`, so a query reports exactly what
@@ -107,7 +107,7 @@ class Row:
 
         Resolution order: dataclass fields/properties, then ``extras`` (and
         ``profile`` for trial rows) by bare key, then recorded parameters.
-        Qualified names (``extras.events``, ``profile.sim.events``) address
+        Qualified names (``extras.events``, ``profile.engine.events``) address
         one map explicitly and win over any bare-name collision.
         """
         if metric == "label":

@@ -13,9 +13,7 @@ One module owns every human- and tool-facing view of a
 * :func:`diff` — field-by-field comparison of two runs with three-way
   verdicts (``identical`` / ``within_tolerance`` / ``regressed``), down to
   the per-trial level, usable against full ``SweepResult`` JSON or the
-  committed row-based ``BENCH_*.json`` artifacts;
-* :func:`throughput_verdict` — the direction-aware gate primitive the
-  ``perf-gate`` CLI subcommand is built on.
+  committed row-based ``BENCH_*.json`` artifacts.
 """
 
 from __future__ import annotations
@@ -404,31 +402,6 @@ def diff(
     rows_b = b_data.rows() if isinstance(b_data, SweepResult) else b_data
     _walk(report, "points", list(rows_a), list(rows_b), tolerance)
     return report
-
-
-# ================================================================ perf gate
-def throughput_verdict(
-    rate: float, baseline_rate: float, min_ratio: float = 0.75
-) -> FieldDiff:
-    """Direction-aware gate verdict for an events/sec measurement.
-
-    Unlike the symmetric :func:`classify`, only a *drop* below
-    ``min_ratio * baseline_rate`` regresses — running faster than the
-    baseline is always fine.  This is the primitive behind the ``perf-gate``
-    CLI subcommand (the CI perf smoke job).
-    """
-    if rate == baseline_rate:
-        verdict = IDENTICAL
-    elif rate >= min_ratio * baseline_rate:
-        verdict = WITHIN_TOLERANCE
-    else:
-        verdict = REGRESSED
-    delta = (
-        abs(rate - baseline_rate) / max(abs(rate), abs(baseline_rate))
-        if (rate or baseline_rate)
-        else 0.0
-    )
-    return FieldDiff("events_per_sec", rate, baseline_rate, verdict, delta)
 
 
 # ================================================================== loading

@@ -83,8 +83,6 @@ class ExperimentConfig:
     base_seed: int = 42
     percentile: float = 90.0
     workers: int = 1
-    neighbor_index: str = "grid"
-    delivery: str = "batched"
     # Collect a performance profile per trial (repro.profiling); the profile
     # rides along in RunResult.profile and the CLI's --profile output.  Off
     # by default: profiles hold wall-clock numbers, which are not
@@ -236,8 +234,6 @@ class ExperimentConfig:
         return ChannelConfig(
             wifi_range=self.wifi_range,
             loss_rate=self.loss_rate,
-            neighbor_index=self.neighbor_index,
-            delivery=self.delivery,
             propagation=self.propagation,
             propagation_params=dict(self.propagation_params),
         )

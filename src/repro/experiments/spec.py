@@ -33,7 +33,8 @@ ConfigTransform = Callable[[ExperimentConfig], ExperimentConfig]
 
 
 class PlanError(ValueError):
-    """A sweep point that cannot run, found while planning (nothing executed)."""
+    """A request that cannot be planned — an unknown experiment or axis name,
+    or a sweep point that cannot run — found before anything executed."""
 
 
 @dataclass(frozen=True)

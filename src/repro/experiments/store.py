@@ -226,7 +226,6 @@ class ResultStore:
             meta["registries"] = {
                 "topology": getattr(config, "topology", None),
                 "propagation": getattr(config, "propagation", None),
-                "neighbor_index": getattr(config, "neighbor_index", None),
                 "churn": getattr(config, "churn", "none"),
                 "faults": getattr(config, "faults", "none"),
             }

@@ -107,7 +107,8 @@ def collect_run_profile(sim, medium, wall_clock_s: float, churn=None, faults=Non
         rebuilds = getattr(index, "rebuilds", None)
         if rebuilds is not None:
             profile["spatial.snapshot_rebuilds"] = float(rebuilds)
-        # Neighbour-set reuse traffic (grid backends; brute remembers nothing).
+        # Neighbour-set reuse traffic (the grid's; the brute-force test oracle
+        # remembers nothing).
         reuse_hits = getattr(index, "reuse_hits", None)
         if reuse_hits is not None:
             profile["spatial.reuse_hits"] = float(reuse_hits)

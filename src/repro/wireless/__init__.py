@@ -30,7 +30,6 @@ from repro.wireless.propagation import (
 )
 from repro.wireless.radio import Radio
 from repro.wireless.spatial import (
-    BruteForceNeighborIndex,
     GridNeighborIndex,
     NeighborIndex,
     build_neighbor_index,
@@ -38,7 +37,6 @@ from repro.wireless.spatial import (
 from repro.wireless.stats import MediumStats, NodeRadioStats
 
 __all__ = [
-    "BruteForceNeighborIndex",
     "ChannelConfig",
     "Environment",
     "Frame",

@@ -6,9 +6,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-NEIGHBOR_INDEX_BACKENDS = ("grid", "brute")
-DELIVERY_MODES = ("batched", "per_receiver")
-
 
 @dataclass
 class ChannelConfig:
@@ -29,19 +26,10 @@ class ChannelConfig:
     per_frame_overhead_s:
         Fixed per-frame airtime overhead approximating the 802.11b PLCP
         preamble/header and MAC framing.
-    neighbor_index:
-        Neighbor-resolution backend: ``"grid"`` (bucketed spatial index, the
-        default) or ``"brute"`` (O(N) reference scan).  Both produce
-        identical results; ``"brute"`` exists for equivalence testing.
     index_cell_size:
-        Grid cell edge in metres (``None`` means use ``wifi_range``).
+        Grid cell edge in metres (``None`` means use :meth:`max_range`).
     index_rebuild_interval:
         Validity window of one grid snapshot in simulated seconds.
-    delivery:
-        Frame-delivery scheduling: ``"batched"`` (one completion event per
-        transmission, the default) or ``"per_receiver"`` (one event per
-        receiver, the seed behaviour).  Both produce identical results;
-        ``"per_receiver"`` exists for equivalence testing.
     propagation:
         Radio propagation backend (see :mod:`repro.wireless.propagation`):
         ``"unit_disk"`` (the seed physics, the default), ``"log_distance"``
@@ -66,10 +54,8 @@ class ChannelConfig:
     wifi_range: float = 60.0
     loss_rate: float = 0.10
     per_frame_overhead_s: float = 0.000192
-    neighbor_index: str = "grid"
     index_cell_size: Optional[float] = None
     index_rebuild_interval: float = 1.0
-    delivery: str = "batched"
     propagation: str = "unit_disk"
     propagation_params: Dict[str, object] = field(default_factory=dict)
     unicast_retry_limit: int = 3
@@ -101,18 +87,10 @@ class ChannelConfig:
             raise ValueError("loss_rate must be in [0, 1)")
         if self.per_frame_overhead_s < 0:
             raise ValueError("per_frame_overhead_s must be non-negative")
-        if self.neighbor_index not in NEIGHBOR_INDEX_BACKENDS:
-            raise ValueError(
-                f"neighbor_index must be one of {NEIGHBOR_INDEX_BACKENDS}, got {self.neighbor_index!r}"
-            )
         if self.index_cell_size is not None and self.index_cell_size <= 0:
             raise ValueError("index_cell_size must be positive")
         if self.index_rebuild_interval <= 0:
             raise ValueError("index_rebuild_interval must be positive")
-        if self.delivery not in DELIVERY_MODES:
-            raise ValueError(
-                f"delivery must be one of {DELIVERY_MODES}, got {self.delivery!r}"
-            )
         if not isinstance(self.unicast_retry_limit, int) or self.unicast_retry_limit < 0:
             raise ValueError("unicast_retry_limit must be a non-negative integer")
         if self.unicast_retry_backoff < 0:

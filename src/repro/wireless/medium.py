@@ -29,20 +29,17 @@ study depend on them:
   a bounded number of deferrals.  Hidden terminals still collide, as in real
   802.11 ad-hoc networks.
 
-Delivery scheduling has two modes (``ChannelConfig.delivery``):
-
-* ``"batched"`` (default) — one completion event per *transmission* walks
-  the receiver list at ``end_time``.  Collisions and half-duplex losses are
-  settled when the transmission begins (one record per reception, two
-  scalars per receiver), so corruption, CSMA busy-sensing, loss and ARQ
-  semantics — and event ordering — are identical to per-receiver
-  scheduling: the seed scheduler gave one transmission's reception events
-  consecutive sequence numbers, so they always fired back-to-back with
-  nothing interleaved, which is exactly what the batch loop reproduces.
-  ``Simulator.events_processed`` still advances by one per reception so
-  throughput accounting stays comparable across modes.
-* ``"per_receiver"`` — the seed behaviour (one event per receiver), kept as
-  the reference for the equivalence tests.
+Delivery is *batched*: one completion event per transmission walks the
+receiver list at ``end_time``.  Collisions and half-duplex losses are
+settled when the transmission begins (one record per reception, two scalars
+per receiver), so corruption, CSMA busy-sensing, loss and ARQ semantics —
+and event ordering — are identical to scheduling one event per receiver:
+such a scheduler gives one transmission's reception events consecutive
+sequence numbers, so they always fire back-to-back with nothing
+interleaved, which is exactly what the batch loop reproduces.
+``Simulator.events_processed`` still advances by one per reception.  The
+per-receiver schedule is the test suite's oracle: ``PerReceiverMedium`` in
+``tests/oracles.py`` overrides :meth:`WirelessMedium._schedule_delivery`.
 """
 
 from __future__ import annotations
@@ -135,7 +132,6 @@ class WirelessMedium:
         # detach drops exactly that node's entries instead of rebuilding the
         # whole retry dict.
         self._retry_index: Dict[str, Set[int]] = {}
-        self._batched = self.config.delivery == "batched"
         self._node_ids_cache: Optional[Tuple[str, ...]] = None
         # MAC timing/ARQ knobs (hoisted from module constants onto the
         # channel config; defaults are byte-identical to the constants).
@@ -358,15 +354,12 @@ class WirelessMedium:
                 batch.append(
                     (receiver_id, open_reception(receiver_id, frame, now, end_time, link_loss))
                 )
-        if not batch:
-            return
-        # The two modes share the reception records above and differ only in
-        # scheduling: one batch event, or the seed's one event per receiver.
-        if self._batched:
-            self.sim.schedule_call(airtime, self._complete_transmission, batch)
-        else:
-            for receiver_id, reception in batch:
-                self.sim.schedule_call(airtime, self._complete_reception, receiver_id, reception)
+        if batch:
+            self._schedule_delivery(airtime, batch)
+
+    def _schedule_delivery(self, airtime: float, batch: List[Tuple[str, _Reception]]) -> None:
+        """Schedule one transmission's receptions: a single completion event."""
+        self.sim.schedule_call(airtime, self._complete_transmission, batch)
 
     def _range_of(self, node_id: str) -> float:
         radio = self._radios[node_id]

@@ -15,8 +15,9 @@ selected by ``ChannelConfig.propagation``:
     scaled by a per-link log-normal shadowing factor.  Shadowing is
     *query-order independent*: each unordered node pair's factor is derived
     by hashing the pair against a salt drawn once from the named
-    ``wireless.shadowing`` RNG stream, so grid and brute spatial backends
-    (which evaluate different candidate sets) see identical links.
+    ``wireless.shadowing`` RNG stream, so the grid index and the test suite's
+    brute-force oracle (which evaluate different candidate sets) see
+    identical links.
 ``obstacle``
     Unit-disk reach filtered by ray–segment occlusion against an
     :class:`~repro.wireless.environment.Environment`: links whose

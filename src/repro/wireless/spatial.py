@@ -1,21 +1,18 @@
-"""Spatial neighbor indexes for the wireless medium.
+"""The spatial neighbor index of the wireless medium.
 
 Every frame a node transmits must be delivered to the radios within WiFi
 range at that moment, so neighbor resolution sits on the hottest path of the
-whole simulator.  Interchangeable backends answer the query "which attached
-radios are within ``radius`` metres of ``node_id`` at ``time``":
-
-* :class:`BruteForceNeighborIndex` — the reference implementation: an O(N)
-  scan over every attached radio, exactly what the medium did historically.
-  It remembers nothing between queries, which makes it the oracle.
-* :class:`GridNeighborIndex` — a uniform-grid bucket index.  Node positions
-  are snapshotted into square cells and the snapshot stays valid for a
-  window of simulated time; a query only inspects the cells a disk of radius
-  ``radius + speed_bound * drift`` can touch, then filters candidates with
-  exact positions.  Because nodes cannot outrun the mobility model's
-  :meth:`~repro.mobility.base.MobilityModel.speed_bound`, the cell scan can
-  never miss a true neighbor, so the backends return *identical* results
-  (the equivalence is asserted property-style in the test suite).
+whole simulator.  :class:`GridNeighborIndex` answers the query "which
+attached radios are within ``radius`` metres of ``node_id`` at ``time``"
+with a uniform-grid bucket index.  Node positions are snapshotted into
+square cells and the snapshot stays valid for a window of simulated time; a
+query only inspects the cells a disk of radius ``radius + speed_bound *
+drift`` can touch, then filters candidates with exact positions.  Because
+nodes cannot outrun the mobility model's
+:meth:`~repro.mobility.base.MobilityModel.speed_bound`, the cell scan can
+never miss a true neighbor: the grid returns exactly what an O(N) scan over
+every attached radio would (the test suite's brute-force oracle in
+``tests/oracles.py`` asserts this property-style).
 
 The grid additionally *reuses* answers.  Queries arrive at ever-new
 timestamps (one per transmission), so memoizing positions per timestamp
@@ -30,10 +27,9 @@ query by the same node, at the same radius and mobility version, inside
 ``[t0, horizon]`` returns the remembered set without touching the snapshot
 or the mobility model (``reuse_hits`` / ``reuse_misses`` count the traffic).
 
-All backends order their results by radio attach order so that reception
-events are scheduled in the same order — a requirement for run results to
-be bit-identical across backends — and none returns an object it keeps:
-callers own the list they get.
+Results are ordered by radio attach order so that reception events are
+scheduled in a deterministic order, and the index never returns an object
+it keeps: callers own the list they get.
 """
 
 from __future__ import annotations
@@ -89,26 +85,6 @@ class NeighborIndex:
         Excludes ``node_id`` itself; ordered by attach order.
         """
         raise NotImplementedError
-
-
-class BruteForceNeighborIndex(NeighborIndex):
-    """Reference backend: compare against every attached radio."""
-
-    def neighbors(self, node_id: str, radius: float, time: float) -> List[str]:
-        position = self.positions.position
-        origin = position(node_id, time)
-        origin_x, origin_y = origin.x, origin.y
-        radius_sq = radius * radius
-        nearby = []
-        for other_id in self._attach_order:
-            if other_id == node_id:
-                continue
-            other = position(other_id, time)
-            dx = other.x - origin_x
-            dy = other.y - origin_y
-            if dx * dx + dy * dy <= radius_sq:
-                nearby.append(other_id)
-        return nearby
 
 
 class GridNeighborIndex(NeighborIndex):
@@ -318,26 +294,21 @@ class GridNeighborIndex(NeighborIndex):
 
 def build_neighbor_index(
     config, mobility: MobilityModel, max_range: Optional[float] = None
-) -> NeighborIndex:
-    """Instantiate the backend selected by a :class:`ChannelConfig`.
+) -> GridNeighborIndex:
+    """The grid index for a :class:`ChannelConfig`.
 
     ``max_range`` is the true reach of the configured propagation model
     (``ChannelConfig.max_range()``); the default grid cell is sized from it
     rather than from ``wifi_range``, which under-sizes cells for models
     that reach beyond the nominal range (e.g. ``log_distance``).
     """
-    backend = getattr(config, "neighbor_index", "grid")
-    if backend == "brute":
-        return BruteForceNeighborIndex(mobility)
-    if backend == "grid":
-        cell_size = config.index_cell_size
-        if cell_size is None:
-            if max_range is None:
-                max_range = getattr(config, "max_range", lambda: config.wifi_range)()
-            cell_size = max_range
-        return GridNeighborIndex(
-            mobility,
-            cell_size=cell_size,
-            rebuild_interval=config.index_rebuild_interval,
-        )
-    raise ValueError(f"unknown neighbor index backend {backend!r}")
+    cell_size = config.index_cell_size
+    if cell_size is None:
+        if max_range is None:
+            max_range = getattr(config, "max_range", lambda: config.wifi_range)()
+        cell_size = max_range
+    return GridNeighborIndex(
+        mobility,
+        cell_size=cell_size,
+        rebuild_interval=config.index_rebuild_interval,
+    )

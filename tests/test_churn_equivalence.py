@@ -2,7 +2,7 @@
 
 Three families of invariants, now under a *changing* population:
 
-* spatial-backend equivalence — ``grid`` and ``brute`` neighbor indices
+* spatial-backend equivalence — the grid index and the brute-force oracle
   produce identical results under sustained churn, across propagation
   models;
 * execution-mode equivalence — serial==parallel sweeps stay byte-identical
@@ -22,6 +22,8 @@ from repro.experiments.runner import run_protocol_trial
 from repro.mobility import StaticPlacement
 from repro.simulation import Simulator
 from repro.wireless import ChannelConfig, Radio, WirelessMedium
+
+from oracles import MEDIUM, oracle
 
 CHURN_CONFIG = dict(
     churn="poisson",
@@ -45,9 +47,10 @@ def run_fingerprint(config, seed=42, protocol="dapes"):
 @pytest.mark.parametrize("propagation", ["unit_disk", "log_distance"])
 def test_neighbor_indices_identical_under_sustained_churn(propagation):
     base = ExperimentConfig.tiny().with_overrides(propagation=propagation, **CHURN_CONFIG)
-    reference = run_fingerprint(base.with_overrides(neighbor_index="grid"))
+    reference = run_fingerprint(base)
     assert reference["extras"]["churn.abrupt_kills"] > 0  # churn actually ran
-    candidate = run_fingerprint(base.with_overrides(neighbor_index="brute"))
+    with oracle(index="brute"):
+        candidate = run_fingerprint(base)
     assert candidate == reference, "brute diverged from grid under churn"
 
 
@@ -92,10 +95,8 @@ def test_churn_trials_parallel_matches_serial():
 def micro_world(delivery="batched", loss_rate=0.0, seed=3):
     sim = Simulator(seed=seed)
     positions = {"a": (0.0, 0.0), "b": (30.0, 0.0), "x": (15.0, 20.0)}
-    medium = WirelessMedium(
-        sim,
-        StaticPlacement(positions),
-        ChannelConfig(wifi_range=60.0, loss_rate=loss_rate, delivery=delivery),
+    medium = MEDIUM[delivery](
+        sim, StaticPlacement(positions), ChannelConfig(wifi_range=60.0, loss_rate=loss_rate)
     )
     radios = {node: Radio(sim, medium, node) for node in positions}
     return sim, medium, radios
@@ -190,11 +191,10 @@ def test_indices_agree_under_attach_detach_interleaving(case):
     worlds = {}
     for index_name in NEIGHBOR_INDICES:
         sim = Simulator(seed=9)
-        medium = WirelessMedium(
-            sim,
-            StaticPlacement(dict(positions)),
-            ChannelConfig(wifi_range=80.0, neighbor_index=index_name),
-        )
+        with oracle(index=index_name):
+            medium = WirelessMedium(
+                sim, StaticPlacement(dict(positions)), ChannelConfig(wifi_range=80.0)
+            )
         radios = {node: Radio(sim, medium, node) for node in nodes}
         worlds[index_name] = (sim, medium, radios)
 
@@ -241,9 +241,8 @@ def test_indices_agree_with_moving_nodes_under_churn(case):
         )
         for node in nodes:
             mobility.add_node(node)
-        medium = WirelessMedium(
-            sim, mobility, ChannelConfig(wifi_range=60.0, neighbor_index=index_name)
-        )
+        with oracle(index=index_name):
+            medium = WirelessMedium(sim, mobility, ChannelConfig(wifi_range=60.0))
         radios = {node: Radio(sim, medium, node) for node in nodes}
         worlds[index_name] = (sim, medium, radios)
 

@@ -1,8 +1,9 @@
 """Batched vs per-receiver frame delivery must be byte-identical.
 
 The wireless medium's batched delivery (one completion event per
-transmission) replaces the seed's per-receiver scheduling.  These tests pin
-the equivalence at every level: micro-worlds exercising each MAC mechanism,
+transmission) replaces the seed's per-receiver scheduling, which survives as
+the ``PerReceiverMedium`` oracle in ``oracles.py``.  These tests pin the
+equivalence at every level: micro-worlds exercising each MAC mechanism,
 whole registered experiments (DAPES and the IP baselines), and the
 serial-vs-parallel sweep path.
 """
@@ -15,15 +16,16 @@ from repro.experiments import ExperimentConfig
 from repro.experiments.sweep import run_experiment
 from repro.mobility import StaticPlacement
 from repro.simulation import Simulator
-from repro.wireless import ChannelConfig, Radio, WirelessMedium
+from repro.wireless import ChannelConfig, Radio
+
+from oracles import MEDIUM, oracle
 
 
 def build_world(positions, delivery, wifi_range=60.0, loss_rate=0.0, seed=1, ranges=None):
     sim = Simulator(seed=seed)
     mobility = StaticPlacement(positions)
-    medium = WirelessMedium(
-        sim, mobility,
-        ChannelConfig(wifi_range=wifi_range, loss_rate=loss_rate, delivery=delivery),
+    medium = MEDIUM[delivery](
+        sim, mobility, ChannelConfig(wifi_range=wifi_range, loss_rate=loss_rate)
     )
     radios = {
         node: Radio(sim, medium, node, wifi_range=(ranges or {}).get(node))
@@ -174,10 +176,11 @@ def test_stop_mid_batch_matches_per_receiver_and_resumes():
 
 
 # ------------------------------------------------------- experiment level
-def _spec_fingerprint(name, delivery, workers=None):
-    config = ExperimentConfig.tiny().with_overrides(max_duration=60.0, delivery=delivery)
+def _spec_fingerprint(name, delivery, workers=1):
+    config = ExperimentConfig.tiny().with_overrides(max_duration=60.0)
     axes = {"wifi_range": (60.0,)} if name == "fig9a" else None
-    return run_experiment(name, config, axes=axes, workers=workers).to_json()
+    with oracle(delivery=delivery):
+        return run_experiment(name, config, axes=axes, workers=workers).to_json()
 
 
 @pytest.mark.parametrize("name", ["fig9a", "fig10"])

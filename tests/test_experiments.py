@@ -47,8 +47,6 @@ def test_config_with_overrides_reaches_dapes_fields():
 SHARED_CHANNEL_FIELDS = {
     "wifi_range": 33.0,
     "loss_rate": 0.25,
-    "neighbor_index": "brute",
-    "delivery": "per_receiver",
     "propagation": "log_distance",
     "propagation_params": {"exponent": 3.5},
 }
@@ -231,6 +229,32 @@ def test_removed_compat_names_fail_loudly():
         run_protocol_trial("dapes", config, 1, dapes_config=DapesConfig())
     with pytest.raises(TypeError):
         get_builder("dapes").build(config, 1, dapes_config=DapesConfig())
+
+
+def test_removed_gate_and_oracle_names_fail_loudly(capsys):
+    """The throughput gate and the oracle selectors stay deleted: the oracles
+    live in tests/oracles.py and nothing in the production config selects them."""
+    import repro.experiments.__main__ as cli
+    from repro.experiments import report
+
+    for argv, message in (
+        (["perf-gate"], "invalid choice: 'perf-gate'"),
+        (["run", "scaling", "--preset", "tiny"], "unknown experiment 'scaling'"),
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+    assert not hasattr(report, "throughput_verdict")
+    assert not hasattr(cli, "DEFAULT_GATE_BASELINE")
+    with pytest.raises(TypeError):
+        ChannelConfig(delivery="per_receiver")
+    with pytest.raises(TypeError):
+        ExperimentConfig(neighbor_index="brute")
+    for key, value in (("neighbor_index", "grid"), ("delivery", "batched")):
+        data = dict(ExperimentConfig.tiny().as_dict(), **{key: value})
+        with pytest.raises(ValueError, match=rf"unknown ExperimentConfig field\(s\): {key}"):
+            ExperimentConfig.from_dict(data)
 
 
 def test_comparison_improvements_math():

@@ -2,7 +2,7 @@
 
 Four families of invariants, now under an *unreliable* network:
 
-* spatial-backend equivalence — ``grid`` and ``brute`` neighbor indices
+* spatial-backend equivalence — the grid index and the brute-force oracle
   produce identical results under sustained link flapping;
 * execution-mode equivalence — serial==parallel sweeps stay byte-identical
   while links drop, partitions split and heal, and nodes stall mid-transfer;
@@ -26,6 +26,8 @@ from repro.mobility import StaticPlacement
 from repro.simulation import Simulator
 from repro.wireless import ChannelConfig, Radio, WirelessMedium
 
+from oracles import oracle
+
 FAULT_CONFIG = dict(
     faults="link_flap",
     fault_mean_up=4.0,
@@ -37,8 +39,6 @@ FAULT_CONFIG = dict(
     max_duration=45.0,
 )
 
-NEIGHBOR_INDICES = ("grid", "brute")
-
 
 def run_fingerprint(config, seed=42, protocol="dapes"):
     result = run_protocol_trial(protocol, config, seed)
@@ -49,9 +49,10 @@ def run_fingerprint(config, seed=42, protocol="dapes"):
 @pytest.mark.parametrize("propagation", ["unit_disk", "log_distance"])
 def test_neighbor_indices_identical_under_link_flapping(propagation):
     base = ExperimentConfig.tiny().with_overrides(propagation=propagation, **FAULT_CONFIG)
-    reference = run_fingerprint(base.with_overrides(neighbor_index="grid"))
+    reference = run_fingerprint(base)
     assert reference["extras"]["faults.link_blocks"] > 0  # faults actually ran
-    candidate = run_fingerprint(base.with_overrides(neighbor_index="brute"))
+    with oracle(index="brute"):
+        candidate = run_fingerprint(base)
     assert candidate == reference, "brute diverged from grid under faults"
 
 

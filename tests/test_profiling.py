@@ -1,4 +1,4 @@
-"""Tests for the profiling subsystem, --profile wiring and the perf gate."""
+"""Tests for the profiling subsystem and the --profile wiring."""
 
 import json
 
@@ -9,6 +9,8 @@ from repro.experiments.__main__ import main as experiments_main
 from repro.experiments.metrics import RunResult
 from repro.experiments.runner import run_protocol_trial
 from repro.profiling import Profiler, format_profile, merge_profiles
+
+from oracles import oracle
 
 
 def test_profiler_counters_and_timers():
@@ -48,7 +50,8 @@ def test_run_profile_reports_neighbour_set_reuse_traffic():
     # was forced by a query that was not.
     assert hits > 0 and misses >= profile["spatial.snapshot_rebuilds"] > 0
     # The brute-force oracle remembers nothing and reports nothing.
-    brute = run_protocol_trial("bithoc", config.with_overrides(neighbor_index="brute"), seed=1)
+    with oracle(index="brute"):
+        brute = run_protocol_trial("bithoc", config, seed=1)
     assert "spatial.reuse_hits" not in brute.profile
     assert brute.profile["wireless.deliveries"] == profile["wireless.deliveries"]
 
@@ -85,34 +88,3 @@ def test_cli_run_with_profile_smoke(capsys):
     assert code == 0
     assert "profile:" in out and "[wireless]" in out
     assert "reuse_hits" in out and "reuse_misses" in out
-
-
-# ---------------------------------------------------------------- perf gate
-def _write_baseline(tmp_path, events_per_sec):
-    path = tmp_path / "BENCH_fake.json"
-    path.write_text(json.dumps({"events_per_sec": events_per_sec}), encoding="utf-8")
-    return path
-
-
-def gate_args(baseline, min_ratio):
-    return [
-        "perf-gate", "--baseline", str(baseline), "--min-ratio", str(min_ratio),
-        "--trials", "1", "--wifi-range", "80", "--no-warmup",
-    ]
-
-
-def test_perf_gate_passes_against_low_baseline(tmp_path, capsys):
-    baseline = _write_baseline(tmp_path, events_per_sec=1.0)
-    assert experiments_main(gate_args(baseline, 0.75)) == 0
-    assert "perf-gate: OK" in capsys.readouterr().out
-
-
-def test_perf_gate_fails_on_regression(tmp_path, capsys):
-    baseline = _write_baseline(tmp_path, events_per_sec=1e12)
-    assert experiments_main(gate_args(baseline, 0.75)) == 1
-    assert "FAIL" in capsys.readouterr().out
-
-
-def test_perf_gate_requires_baseline_file(tmp_path):
-    with pytest.raises(SystemExit):
-        experiments_main(gate_args(tmp_path / "missing.json", 0.75))

@@ -44,6 +44,8 @@ from repro.wireless.propagation import (
 )
 from repro.wireless.spatial import GridNeighborIndex, build_neighbor_index
 
+from oracles import oracle
+
 
 @register_propagation("unit_disk_exact")
 class ExactUnitDisk(UnitDiskPropagation):
@@ -119,21 +121,19 @@ def test_inconsistent_per_radio_range_override_raises_at_attach():
 
 
 # ======================================================= unit_disk fidelity
-def _micro_fingerprint(propagation, *, neighbor_index="grid", ranges=None, seed=5):
+def _micro_fingerprint(propagation, *, index="grid", ranges=None, seed=5):
     """A small mobile-free world driven to completion; every observable."""
     sim = Simulator(seed=seed)
     positions = {
         "a": (0.0, 0.0), "b": (40.0, 0.0), "c": (80.0, 0.0),
         "d": (40.0, 50.0), "e": (200.0, 200.0),
     }
-    medium = WirelessMedium(
-        sim,
-        StaticPlacement(positions),
-        ChannelConfig(
-            wifi_range=60.0, loss_rate=0.2,
-            neighbor_index=neighbor_index, propagation=propagation,
-        ),
-    )
+    with oracle(index=index):
+        medium = WirelessMedium(
+            sim,
+            StaticPlacement(positions),
+            ChannelConfig(wifi_range=60.0, loss_rate=0.2, propagation=propagation),
+        )
     radios = {
         node: Radio(sim, medium, node, wifi_range=(ranges or {}).get(node))
         for node in positions
@@ -184,19 +184,19 @@ def test_registered_specs_byte_identical_across_unit_disk_paths(name):
 @pytest.mark.parametrize("propagation", ["unit_disk", "unit_disk_exact", "log_distance", "obstacle"])
 def test_micro_world_identical_across_spatial_backends(propagation):
     ranges = {"a": 100.0, "b": 20.0, "d": 75.0}
-    assert _micro_fingerprint(propagation, neighbor_index="grid", ranges=ranges) == \
-        _micro_fingerprint(propagation, neighbor_index="brute", ranges=ranges)
+    assert _micro_fingerprint(propagation, index="grid", ranges=ranges) == \
+        _micro_fingerprint(propagation, index="brute", ranges=ranges)
 
 
 @pytest.mark.parametrize("propagation", ["unit_disk", "log_distance", "obstacle"])
 def test_urban_trial_identical_across_spatial_backends(propagation):
     results = {}
+    config = ExperimentConfig.tiny().with_overrides(
+        topology="urban_grid", max_duration=90.0, propagation=propagation,
+    )
     for backend in ("grid", "brute"):
-        config = ExperimentConfig.tiny().with_overrides(
-            topology="urban_grid", max_duration=90.0,
-            neighbor_index=backend, propagation=propagation,
-        )
-        results[backend] = run_protocol_trial("dapes", config, seed=11)
+        with oracle(index=backend):
+            results[backend] = run_protocol_trial("dapes", config, seed=11)
     assert results["grid"] == results["brute"]
     assert results["grid"].transmissions > 0
 

@@ -14,10 +14,9 @@ from repro.experiments.metrics import percentile
 from repro.ndn import Data, Interest, Name
 from repro.mobility import CompositeMobility, RandomWaypointMobility, StaticPlacement
 from repro.ndn.tlv import decode_data, decode_interest, encode_data, encode_interest
-from repro.wireless.spatial import (
-    BruteForceNeighborIndex,
-    GridNeighborIndex,
-)
+from repro.wireless.spatial import GridNeighborIndex
+
+from oracles import BruteForceNeighborIndex
 
 name_components = st.lists(
     st.text(alphabet=string.ascii_lowercase + string.digits + "-_.", min_size=1, max_size=12),

@@ -1,9 +1,10 @@
 """Equivalence tests for the spatial neighbor index.
 
 The grid index must return *exactly* the neighbor sets (and ordering) of the
-brute-force reference scan — first property-style over random placements,
-ranges and timestamps, then end-to-end: a fixed-seed trial must produce an
-identical :class:`RunResult` under both medium backends.
+brute-force reference scan (the oracle in ``oracles.py``) — first
+property-style over random placements, ranges and timestamps, then end to
+end: a fixed-seed trial must produce an identical :class:`RunResult` with
+either index behind the medium.
 """
 
 import math
@@ -23,11 +24,9 @@ from repro.mobility import (
 )
 from repro.simulation import Simulator
 from repro.wireless import ChannelConfig, Radio, WirelessMedium
-from repro.wireless.spatial import (
-    BruteForceNeighborIndex,
-    GridNeighborIndex,
-    build_neighbor_index,
-)
+from repro.wireless.spatial import GridNeighborIndex, build_neighbor_index
+
+from oracles import BruteForceNeighborIndex, oracle
 
 AREA = 200.0
 
@@ -408,20 +407,14 @@ def test_position_cache_returns_model_positions():
 
 def test_build_neighbor_index_respects_channel_config():
     mobility = StaticPlacement({"a": (0.0, 0.0)})
-    assert isinstance(
-        build_neighbor_index(ChannelConfig(neighbor_index="brute"), mobility),
-        BruteForceNeighborIndex,
-    )
     grid = build_neighbor_index(
-        ChannelConfig(neighbor_index="grid", index_cell_size=12.5), mobility
+        ChannelConfig(index_cell_size=12.5, index_rebuild_interval=2.0), mobility
     )
     assert isinstance(grid, GridNeighborIndex)
-    assert grid.cell_size == 12.5
+    assert (grid.cell_size, grid.rebuild_interval) == (12.5, 2.0)
     # Cell size defaults to the WiFi range.
     default = build_neighbor_index(ChannelConfig(wifi_range=42.0), mobility)
     assert default.cell_size == 42.0
-    with pytest.raises(ValueError):
-        ChannelConfig(neighbor_index="octree")
 
 
 def test_medium_neighbours_identical_across_backends_with_mobility():
@@ -434,9 +427,8 @@ def test_medium_neighbours_identical_across_backends_with_mobility():
         for index in range(12):
             walkers.add_node(f"n{index}")
             mobility.assign(f"n{index}", walkers)
-        medium = WirelessMedium(
-            sim, mobility, ChannelConfig(wifi_range=50.0, loss_rate=0.0, neighbor_index=backend)
-        )
+        with oracle(index=backend):
+            medium = WirelessMedium(sim, mobility, ChannelConfig(wifi_range=50.0, loss_rate=0.0))
         for index in range(12):
             Radio(sim, medium, f"n{index}")
         return {
@@ -452,7 +444,7 @@ def test_medium_neighbours_identical_across_backends_with_mobility():
 def test_fixed_seed_run_result_identical_under_both_backends(protocol):
     results = {}
     for backend in ("grid", "brute"):
-        config = ExperimentConfig.small().with_overrides(neighbor_index=backend)
-        results[backend] = run_protocol_trial(protocol, config, seed=42)
+        with oracle(index=backend):
+            results[backend] = run_protocol_trial(protocol, ExperimentConfig.small(), seed=42)
     assert results["grid"] == results["brute"]
     assert results["grid"].transmissions > 0

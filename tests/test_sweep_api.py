@@ -1,6 +1,7 @@
 """The declarative sweep API: spec registry, scheduler, persistence, CLI."""
 
 import json
+import re
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.experiments import (
     register_experiment,
     run_experiment,
 )
+from repro.experiments.spec import PlanError
 from repro.experiments.sweep import sweep_cache_key
 
 ALL_ARTEFACTS = {
@@ -166,8 +168,10 @@ def test_cli_list_prints_registry(capsys):
 def test_cli_axis_parsing():
     axes = cli._parse_axis_overrides(["wifi_range=40,80.5", "max_bitmaps=1,none"])
     assert axes == {"wifi_range": (40, 80.5), "max_bitmaps": (1, None)}
-    with pytest.raises(SystemExit):
+    with pytest.raises(PlanError, match="--axis expects NAME=V1,V2"):
         cli._parse_axis_overrides(["wifi_range"])
+    with pytest.raises(PlanError, match="--axis wifi_range given twice"):
+        cli._parse_axis_overrides(["wifi_range=40", "wifi_range=80"])
 
 
 def test_cli_run_persists_results(tmp_path, capsys):
@@ -185,9 +189,11 @@ def test_cli_run_persists_results(tmp_path, capsys):
     assert persisted == reference
 
 
-def test_cli_rejects_unknown_experiment():
-    with pytest.raises(ValueError, match="unknown experiment"):
+def test_cli_rejects_unknown_experiment(capsys):
+    with pytest.raises(SystemExit) as exit_info:
         cli.main(["run", "fig99", "--preset", "tiny"])
+    assert exit_info.value.code == 2
+    assert "unknown experiment 'fig99'; available: [" in capsys.readouterr().err
 
 
 def test_cli_rejects_the_removed_array_backend_flag(capsys):
@@ -198,14 +204,22 @@ def test_cli_rejects_the_removed_array_backend_flag(capsys):
 
 
 # ----------------------------------------------------- plan-time validation
+# name -> (experiment, flags, what the one error line says after "error: ")
 BAD_GRIDS = {
-    "bad_axis_value": ("fig9a", ["--trials", "1", "--axis", "wifi_range=80,-5"], "wifi_range must be positive"),
-    "nan_axis_value": ("fig9a", ["--trials", "1", "--axis", "wifi_range=nan"], "wifi_range must be finite"),
-    "text_axis_value": ("fig9a", ["--trials", "1", "--axis", "wifi_range=abc"], "wifi_range must be a number"),
+    "bad_axis_value": ("fig9a", ["--trials", "1", "--axis", "wifi_range=80,-5"], "fig9a point .*wifi_range must be positive"),
+    "nan_axis_value": ("fig9a", ["--trials", "1", "--axis", "wifi_range=nan"], "fig9a point .*wifi_range must be finite"),
+    "text_axis_value": ("fig9a", ["--trials", "1", "--axis", "wifi_range=abc"], "fig9a point .*wifi_range must be a number"),
     "text_scale_factor": (
-        "fig9e", ["--trials", "1", "--axis", "num_files_factor=abc"], "num_files_factor must be a number",
+        "fig9e", ["--trials", "1", "--axis", "num_files_factor=abc"], "fig9e point .*num_files_factor must be a number",
     ),
-    "zero_trials": ("fig9a", ["--trials", "0", "--axis", "wifi_range=80"], "trials must be at least 1"),
+    "zero_trials": ("fig9a", ["--trials", "0", "--axis", "wifi_range=80"], "fig9a point .*trials must be at least 1"),
+    # Naming errors: a typo in an experiment or axis name, or an axis given twice.
+    "unknown_experiment": ("fig9z", ["--trials", "1"], "unknown experiment 'fig9z'; available: "),
+    "axis_without_values": ("fig9a", ["--axis", "wifi_range"], "--axis expects NAME=V1,V2"),
+    "unknown_axis": ("fig9a", ["--axis", "nosuchaxis=1"], "--axis nosuchaxis matches no axis"),
+    "repeated_axis": (
+        "fig9a", ["--axis", "wifi_range=40", "--axis", "wifi_range=80"], "--axis wifi_range given twice",
+    ),
 }
 
 
@@ -218,8 +232,8 @@ def test_cli_refuses_an_invalid_grid_before_anything_runs(tmp_path, capsys, grid
         cli.main(["run", experiment, "--preset", "tiny", *flags, "--out", str(out_dir), *mode])
     assert exit_info.value.code == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith(f"repro-experiments: error: {experiment} point ")
-    assert reason in captured.err and captured.err.count("\n") == 1
+    assert re.match(f"repro-experiments: error: {reason}", captured.err)
+    assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
     assert "[   1/" not in captured.out and "task-0000" not in captured.out
     assert not out_dir.exists()
@@ -232,7 +246,7 @@ def test_cli_submit_refuses_an_invalid_grid_without_a_coordinator(capsys, grid):
         # Port 1 has no coordinator: reaching it would be a connection error.
         cli.main(["submit", experiment, "--preset", "tiny", *flags, "--port", "1"])
     assert exit_info.value.code == 2
-    assert reason in capsys.readouterr().err
+    assert re.match(f"repro-experiments: error: {reason}", capsys.readouterr().err)
 
 
 def test_plan_error_names_the_spec_the_point_and_the_reason():
@@ -296,6 +310,8 @@ def test_suite_with_duplicate_experiment_names_does_not_clobber_results(tmp_path
     assert len(aggregates) == 2  # one per request, keyed by plan hash
 
 
-def test_cli_rejects_unknown_axis_names():
-    with pytest.raises(SystemExit, match="matches no axis"):
+def test_cli_rejects_unknown_axis_names(capsys):
+    with pytest.raises(SystemExit) as exit_info:
         cli.main(["run", "fig9a", "--preset", "tiny", "--axis", "wifi_rage=40"])
+    assert exit_info.value.code == 2
+    assert "--axis wifi_rage matches no axis" in capsys.readouterr().err

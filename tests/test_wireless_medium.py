@@ -6,6 +6,8 @@ from repro.mobility import StaticPlacement
 from repro.simulation import Simulator
 from repro.wireless import ChannelConfig, Frame, Radio, WirelessMedium
 
+from oracles import MEDIUM
+
 
 def build_world(positions, wifi_range=60.0, loss_rate=0.0, seed=1):
     sim = Simulator(seed=seed)
@@ -51,7 +53,7 @@ def test_channel_config_rejects_non_numbers_by_name(name):
 def test_channel_config_rejects_the_removed_array_names():
     with pytest.raises(TypeError):
         ChannelConfig(array_backend="numpy")
-    with pytest.raises(ValueError, match="neighbor_index must be one of"):
+    with pytest.raises(TypeError):  # the index selector itself is gone
         ChannelConfig(neighbor_index="grid_array")
 
 
@@ -335,9 +337,9 @@ def timed_world(positions, delivery, ranges=None):
     sim = Simulator(seed=1)
     config = ChannelConfig(
         wifi_range=65.0, loss_rate=0.0, data_rate_bps=8_000_000.0,
-        per_frame_overhead_s=0.0, delivery=delivery,
+        per_frame_overhead_s=0.0,
     )
-    medium = WirelessMedium(sim, StaticPlacement(positions), config)
+    medium = MEDIUM[delivery](sim, StaticPlacement(positions), config)
     radios = {
         node: Radio(sim, medium, node, wifi_range=(ranges or {}).get(node)) for node in positions
     }
