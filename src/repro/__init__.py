@@ -12,7 +12,7 @@ provides:
 * ``repro.crypto`` — simulated signatures, digests, Merkle trees and trust
   anchors.
 * ``repro.ndn`` — an NDN forwarding stack (names, Interest/Data, CS, PIT,
-  FIB, forwarder).
+  forwarder, strategies).
 * ``repro.core`` — the DAPES protocol itself (namespace, metadata, bitmaps,
   discovery, RPF strategies, PEBA, multi-hop forwarding roles).
 * ``repro.ip`` / ``repro.manet`` / ``repro.baselines`` — the IP-based

@@ -146,8 +146,3 @@ class DapesConfig:
     def with_overrides(self, **overrides) -> "DapesConfig":
         """Return a copy of this config with ``overrides`` applied."""
         return replace(self, **overrides)
-
-    @classmethod
-    def paper_defaults(cls) -> "DapesConfig":
-        """The configuration used by the paper's simulation study."""
-        return cls()

@@ -16,6 +16,11 @@ multi-hop communication is enabled, additionally decides whether to
   pure-forwarder behaviour: forward with a configurable probability after a
   random wait, and suppress a name prefix for a while when a forwarded
   Interest failed to bring data back.
+
+The strategy extends the pure forwarders'
+:class:`~repro.ndn.strategy.ProbabilisticSuppressionStrategy`: the draw, the
+random wait and the suppression table are the base class's; this module adds
+the face roles, the application hooks and the knowledge rules.
 """
 
 from __future__ import annotations
@@ -26,14 +31,16 @@ from repro.core.knowledge import NeighborKnowledge
 from repro.core.namespace import DapesNamespace
 from repro.ndn.face import AppFace, BroadcastFace
 from repro.ndn.packet import Data, Interest
-from repro.ndn.strategy import ForwardingStrategy
+from repro.ndn.strategy import ProbabilisticSuppressionStrategy
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.peer import DapesPeer
 
 
-class DapesForwardingStrategy(ForwardingStrategy):
+class DapesForwardingStrategy(ProbabilisticSuppressionStrategy):
     """Forwarding strategy of a node running the DAPES application."""
+
+    RNG_STREAM = "strategy.dapes"
 
     def __init__(
         self,
@@ -41,30 +48,23 @@ class DapesForwardingStrategy(ForwardingStrategy):
         knowledge: Optional[NeighborKnowledge] = None,
         multi_hop: bool = True,
         forwarding_probability: float = 0.2,
-        min_wait: float = 0.005,
-        max_wait: float = 0.050,
         suppression_timeout: float = 10.0,
     ):
-        super().__init__()
+        super().__init__(
+            forward_probability=forwarding_probability,
+            suppression_timeout=suppression_timeout,
+            suppression_prefix_length=2,
+        )
         self.peer = peer
         self.knowledge = knowledge if knowledge is not None else NeighborKnowledge()
         self.multi_hop = multi_hop
-        self.forwarding_probability = forwarding_probability
-        self.min_wait = min_wait
-        self.max_wait = max_wait
-        self.suppression_timeout = suppression_timeout
-        self._suppressed_until: dict = {}
-        self._rng = None
         self.interests_rebroadcast = 0
-        self.interests_suppressed = 0
-        self.rebroadcasts_satisfied = 0
         self._face_roles_version = -1
         self._app_faces_cache: list[int] = []
         self._broadcast_faces_cache: list[int] = []
 
     def attach(self, forwarder) -> None:
         super().attach(forwarder)
-        self._rng = forwarder.sim.rng(f"strategy.dapes.{forwarder.node_id}")
         self._face_roles_version = -1
 
     # ------------------------------------------------------------ face roles
@@ -122,18 +122,12 @@ class DapesForwardingStrategy(ForwardingStrategy):
         face = self.forwarder.face(incoming_face_id)
         if self.peer is not None and isinstance(face, BroadcastFace):
             self.peer.observe_data(data)
-        self._suppressed_until.pop(self._suppression_key(data.name), None)
+        super().on_data_received(data, incoming_face_id)
 
     def on_interest_expired(self, entry) -> None:
-        if entry.forwarded:
-            key = self._suppression_key(entry.name)
-            self._suppressed_until[key] = self.forwarder.sim.now + self.suppression_timeout
+        super().on_interest_expired(entry)
         if self.peer is not None:
             self.peer.on_pit_expired(entry)
-
-    def should_cache_unsolicited(self, data: Data) -> bool:
-        # Overheard transmissions are cached so they can satisfy future requests.
-        return True
 
     # -------------------------------------------------------------- decisions
     def _rebroadcast_delay(self, interest: Interest) -> Optional[float]:
@@ -185,28 +179,3 @@ class DapesForwardingStrategy(ForwardingStrategy):
 
         # Discovery and anything else: purely probabilistic.
         return self._probabilistic_delay()
-
-    def _probabilistic_delay(self) -> Optional[float]:
-        if self._rng.random() < self.forwarding_probability:
-            return self._random_wait()
-        return None
-
-    def _random_wait(self) -> float:
-        return self._rng.uniform(self.min_wait, self.max_wait)
-
-    # ------------------------------------------------------------ suppression
-    def _suppression_key(self, name):
-        # The key only ever meets this private dict, so the raw component
-        # tuple works as well as a Name prefix (same hash/equality semantics)
-        # without allocating a Name per heard frame.
-        return name.components[:2]
-
-    def _is_suppressed(self, name) -> bool:
-        key = self._suppression_key(name)
-        until = self._suppressed_until.get(key)
-        if until is None:
-            return False
-        if until <= self.forwarder.sim.now:
-            del self._suppressed_until[key]
-            return False
-        return True

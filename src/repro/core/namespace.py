@@ -15,6 +15,7 @@ Protocol signalling uses the application namespace ``/dapes``:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -57,9 +58,6 @@ class DapesNamespace:
             raise ValueError("sequence must be non-negative")
         return Name(collection).append(file_name, str(sequence))
 
-    _parse_cache: dict = {}
-    _PARSE_CACHE_MISS = object()
-
     @staticmethod
     def parse_packet_name(name: NameLike) -> Optional[PacketName]:
         """Parse a packet name; returns ``None`` if ``name`` is not one.
@@ -70,30 +68,7 @@ class DapesNamespace:
         """
         if type(name) is not Name:
             name = Name(name)
-        cache = DapesNamespace._parse_cache
-        parsed = cache.get(name, DapesNamespace._PARSE_CACHE_MISS)
-        if parsed is not DapesNamespace._PARSE_CACHE_MISS:
-            return parsed
-        parsed = DapesNamespace._parse_packet_name_uncached(name)
-        if len(cache) < DapesNamespace._CLASSIFY_CACHE_LIMIT:
-            cache[name] = parsed
-        return parsed
-
-    @staticmethod
-    def _parse_packet_name_uncached(name: Name) -> Optional[PacketName]:
-        components = name.components
-        if len(components) != 3:
-            return None
-        collection, file_name, sequence = components
-        if file_name == METADATA_COMPONENT:
-            return None
-        try:
-            seq = int(sequence)
-        except ValueError:
-            return None
-        if seq < 0:
-            return None
-        return PacketName(collection=collection, file_name=file_name, sequence=seq)
+        return _parse_packet_name(name)
 
     # -------------------------------------------------------------- metadata
     @staticmethod
@@ -163,9 +138,6 @@ class DapesNamespace:
         return name[3]
 
     # ------------------------------------------------------- classification
-    _classify_cache: dict = {}
-    _CLASSIFY_CACHE_LIMIT = 65536
-
     @staticmethod
     def classify(name: NameLike) -> str:
         """Frame-kind label used by the overhead accounting.
@@ -175,29 +147,40 @@ class DapesNamespace:
         the bound keeps pathological workloads from growing the table
         without limit.
         """
-        cache = DapesNamespace._classify_cache
-        try:
-            kind = cache.get(name)
-        except TypeError:
-            kind = None  # unhashable NameLike (e.g. a component list)
-        if kind is not None:
-            return kind
-        name = Name(name)
-        components = name.components
-        # Same decision order as the is_*_name predicates, inlined: the
-        # prefixes are /dapes/discovery and /dapes/bitmap; metadata names
-        # are /<collection>/metadata-file/...
-        if len(components) >= 2 and components[0] == "dapes":
-            second = components[1]
-            if second == "discovery":
-                kind = "discovery"
-            elif second == "bitmap":
-                kind = "bitmap"
-        if kind is None:
-            if len(components) >= 3 and components[1] == METADATA_COMPONENT:
-                kind = "metadata"
-            else:
-                kind = "collection-data"
-        if len(cache) < DapesNamespace._CLASSIFY_CACHE_LIMIT:
-            cache[name] = kind
-        return kind
+        if type(name) is not Name:
+            name = Name(name)
+        return _classify(name)
+
+
+@functools.lru_cache(maxsize=65536)
+def _classify(name: Name) -> str:
+    components = name.components
+    # Same decision order as the is_*_name predicates, inlined: the prefixes
+    # are /dapes/discovery and /dapes/bitmap; metadata names are
+    # /<collection>/metadata-file/...
+    if len(components) >= 2 and components[0] == "dapes":
+        second = components[1]
+        if second == "discovery":
+            return "discovery"
+        if second == "bitmap":
+            return "bitmap"
+    if len(components) >= 3 and components[1] == METADATA_COMPONENT:
+        return "metadata"
+    return "collection-data"
+
+
+@functools.lru_cache(maxsize=65536)
+def _parse_packet_name(name: Name) -> Optional[PacketName]:
+    components = name.components
+    if len(components) != 3:
+        return None
+    collection, file_name, sequence = components
+    if file_name == METADATA_COMPONENT:
+        return None
+    try:
+        seq = int(sequence)
+    except ValueError:
+        return None
+    if seq < 0:
+        return None
+    return PacketName(collection=collection, file_name=file_name, sequence=seq)

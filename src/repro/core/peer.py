@@ -25,6 +25,7 @@ forwards for others through :class:`~repro.core.intermediate.DapesForwardingStra
 from __future__ import annotations
 
 import base64
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set
@@ -92,6 +93,11 @@ class CollectionSession:
     @property
     def is_complete(self) -> bool:
         return self.store is not None and self.store.is_complete()
+
+    @property
+    def downloading(self) -> bool:
+        """Joined, metadata in hand and still missing packets."""
+        return self.interested and self.metadata is not None and not self.is_complete
 
 
 class DapesPeer:
@@ -200,18 +206,6 @@ class DapesPeer:
         session.metadata_segments = self._build_metadata_segments(metadata)
         return metadata
 
-    def preload_collection(self, collection: FileCollection, metadata: CollectionMetadata) -> None:
-        """Load a full copy of a collection produced elsewhere (e.g. a seeded repository)."""
-        session = self._session(metadata.collection, create=True)
-        session.interested = True
-        session.metadata = metadata
-        session.metadata_name = metadata.name()
-        session.store = PacketStore(metadata)
-        session.store.mark_all_present(collection, self.key)
-        session.fetch = self._new_fetch_strategy()
-        session.completion_time = self.sim.now
-        session.metadata_segments = self._build_metadata_segments(metadata)
-
     def _build_metadata_segments(self, metadata: CollectionMetadata) -> Dict[int, Data]:
         encoded = metadata.encode()
         chunk_size = max(self.config.packet_size - 200, 256)
@@ -317,12 +311,7 @@ class DapesPeer:
             ]
             content = json.dumps({"peer": self.node_id, "collections": offers}).encode("utf-8")
             self._discovery_content_cache = (key, content)
-        data = Data(
-            name=interest.name,
-            content=content,
-            signature=sign(str(interest.name), content, self.key),
-            freshness_period=1.0,
-        )
+        data = self._signed_response(interest.name, content)
         self._schedule_response(data, self._rng.uniform(0.0, self.config.transmission_window))
 
     # ----------------------------------------------------------- app callbacks
@@ -397,6 +386,11 @@ class DapesPeer:
             self._process_packet(data, solicited=solicited)
 
     # ------------------------------------------------------------- responding
+    def _signed_response(self, name: Name, content: bytes) -> Data:
+        """A short-lived signed answer (discovery and bitmap responses)."""
+        signature = sign(str(name), content, self.key)
+        return Data(name=name, content=content, signature=signature, freshness_period=1.0)
+
     def _schedule_response(self, data: Data, delay: float) -> None:
         """Schedule transmission of a response, cancellable if overheard first."""
         def _send() -> None:
@@ -474,49 +468,14 @@ class DapesPeer:
         own_bitmap = session.store.bitmap
         priority = self.adverts.priority(collection, own_bitmap, self.sim.now)
         decision = self.peba.schedule(priority.useful_packets, priority.total_missing)
-        content = self._encode_bitmap_payload(collection, own_bitmap)
-        data = Data(
-            name=interest.name,
-            content=content,
-            signature=sign(str(interest.name), content, self.key),
-            freshness_period=1.0,
-        )
+        data = self._signed_response(interest.name, self._encode_bitmap_payload(collection, own_bitmap))
         self.load.bitmaps_sent += 1
         self.adverts.observe_transmitted_bitmap(collection, own_bitmap, self.sim.now)
         self._schedule_response(data, decision.delay)
 
     # ----------------------------------------------------- discovery handling
-    # Discovery payloads are heard (and re-parsed) by every node in range;
-    # the parse is memoized as an immutable summary so peers share no state.
-    _discovery_parse_cache: Dict[bytes, Optional[tuple]] = {}
-
-    @staticmethod
-    def _parse_discovery_payload(content: bytes) -> Optional[tuple]:
-        cache = DapesPeer._discovery_parse_cache
-        summary = cache.get(content, False)
-        if summary is not False:
-            return summary
-        try:
-            payload = json.loads(content.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            payload = None
-        if not isinstance(payload, dict) or not payload.get("peer"):
-            summary = None
-        else:
-            summary = (
-                payload["peer"],
-                tuple(
-                    (entry.get("id"), entry.get("metadata"))
-                    for entry in payload.get("collections", [])
-                    if isinstance(entry, dict)
-                ),
-            )
-        if len(cache) < DapesPeer._BITMAP_DECODE_CACHE_LIMIT:
-            cache[content] = summary
-        return summary
-
     def _process_discovery_data(self, data: Data) -> None:
-        summary = self._parse_discovery_payload(data.content)
+        summary = _parse_discovery_payload(data.content)
         if summary is None:
             return
         peer_id, collections = summary
@@ -608,29 +567,13 @@ class DapesPeer:
             }
         ).encode("utf-8")
 
-    # One bitmap payload is decoded by every node that hears the frame, so
-    # the decode is memoized process-wide; each caller gets its own Bitmap
-    # copy (cheap bytearray clone) so no state is shared between peers.
-    _bitmap_decode_cache: Dict[bytes, Optional[tuple]] = {}
-    _BITMAP_DECODE_CACHE_LIMIT = 8192
-
     def _decode_bitmap_payload(self, payload) -> Optional[tuple[str, str, Bitmap]]:
         if not isinstance(payload, (bytes, bytearray)):
             return None
-        payload = bytes(payload)
-        cache = DapesPeer._bitmap_decode_cache
-        decoded = cache.get(payload, False)
-        if decoded is False:
-            try:
-                parsed = json.loads(payload.decode("utf-8"))
-                bitmap = Bitmap.from_bytes(int(parsed["size"]), bytes.fromhex(parsed["bitmap"]))
-                decoded = (parsed["peer"], parsed["collection"], bitmap)
-            except (ValueError, KeyError, TypeError):
-                decoded = None
-            if len(cache) < DapesPeer._BITMAP_DECODE_CACHE_LIMIT:
-                cache[payload] = decoded
+        decoded = _decode_bitmap(bytes(payload))
         if decoded is None:
             return None
+        # Each caller gets its own copy: the memoized Bitmap is shared.
         peer_id, collection, bitmap = decoded
         return peer_id, collection, bitmap.copy()
 
@@ -852,16 +795,10 @@ class DapesPeer:
         active neighbours — deterministically, in sorted order, so fault
         runs stay byte-identical across backends.
         """
-        self.neighbors.pop(peer_id, None)
-        self.knowledge.forget_neighbor(peer_id)
+        self._forget_neighbor(peer_id)
         candidates = sorted(peer for peer in self._active_neighbors() if peer != peer_id)
         for session in self.sessions.values():
-            if session.fetch is not None:
-                session.fetch.forget_peer(peer_id)
-            session.bitmaps_requested.discard(peer_id)
-            if peer_id in session.pending_bitmap_targets:
-                session.pending_bitmap_targets.remove(peer_id)
-            if session.interested and not session.is_complete and session.metadata is not None:
+            if session.downloading:
                 for candidate in candidates:
                     self._maybe_request_bitmap(session, candidate)
                 self._fill_pipeline(session)
@@ -878,7 +815,7 @@ class DapesPeer:
             return
         self._send_discovery()
         for session in self.sessions.values():
-            if session.interested and session.metadata is not None and not session.is_complete:
+            if session.downloading:
                 self._fill_pipeline(session)
 
     # ------------------------------------------------------------- neighbours
@@ -892,7 +829,7 @@ class DapesPeer:
             # A fresh encounter: try to exchange advertisements for every
             # collection we are actively downloading.
             for session in self.sessions.values():
-                if session.interested and session.metadata is not None and not session.is_complete:
+                if session.downloading:
                     self._maybe_request_bitmap(session, peer_id)
 
     def _active_neighbors(self) -> List[str]:
@@ -906,20 +843,24 @@ class DapesPeer:
         cutoff = self.sim.now - self.config.neighbor_timeout
         return any(heard >= cutoff for heard in self.neighbors.values())
 
+    def _forget_neighbor(self, peer_id: str) -> None:
+        """Drop every trace of a neighbour that departed or went dark."""
+        self.neighbors.pop(peer_id, None)
+        self.knowledge.forget_neighbor(peer_id)
+        for session in self.sessions.values():
+            if session.fetch is not None:
+                session.fetch.forget_peer(peer_id)
+            session.bitmaps_requested.discard(peer_id)
+            if peer_id in session.pending_bitmap_targets:
+                session.pending_bitmap_targets.remove(peer_id)
+
     def _housekeeping(self) -> None:
         self.load.activation()
         now = self.sim.now
         cutoff = now - self.config.neighbor_timeout
         departed = [peer for peer, heard in self.neighbors.items() if heard < cutoff]
         for peer in departed:
-            del self.neighbors[peer]
-            self.knowledge.forget_neighbor(peer)
-            for session in self.sessions.values():
-                if session.fetch is not None:
-                    session.fetch.forget_peer(peer)
-                session.bitmaps_requested.discard(peer)
-                if peer in session.pending_bitmap_targets:
-                    session.pending_bitmap_targets.remove(peer)
+            self._forget_neighbor(peer)
         if departed and not self.neighbors:
             # Encounter over: per-encounter state expires (Section IV-E/IV-F).
             self.adverts.reset()
@@ -933,7 +874,7 @@ class DapesPeer:
         self.load.record_state_size(self.state_size_bytes)
         # Keep the pipelines moving even if an event was missed.
         for session in self.sessions.values():
-            if session.interested and not session.is_complete and session.metadata is not None:
+            if session.downloading:
                 self._fill_pipeline(session)
             elif session.interested and session.metadata is None and session.metadata_name is not None:
                 if self._has_active_neighbors() and not session.distrusted:
@@ -975,3 +916,33 @@ class DapesPeer:
             if session.fetch is not None and hasattr(session.fetch, "state_size_bytes"):
                 total += session.fetch.state_size_bytes
         return total
+
+
+# Discovery and bitmap payloads are heard (and re-parsed) by every node in
+# range, so both parses are memoized process-wide as immutable summaries.
+@functools.lru_cache(maxsize=8192)
+def _parse_discovery_payload(content: bytes) -> Optional[tuple]:
+    try:
+        payload = json.loads(content.decode("utf-8"))
+    except (ValueError, UnicodeDecodeError):
+        return None
+    if not isinstance(payload, dict) or not payload.get("peer"):
+        return None
+    return (
+        payload["peer"],
+        tuple(
+            (entry.get("id"), entry.get("metadata"))
+            for entry in payload.get("collections", [])
+            if isinstance(entry, dict)
+        ),
+    )
+
+
+@functools.lru_cache(maxsize=8192)
+def _decode_bitmap(payload: bytes) -> Optional[tuple[str, str, Bitmap]]:
+    try:
+        parsed = json.loads(payload.decode("utf-8"))
+        bitmap = Bitmap.from_bytes(int(parsed["size"]), bytes.fromhex(parsed["bitmap"]))
+        return parsed["peer"], parsed["collection"], bitmap
+    except (ValueError, KeyError, TypeError):
+        return None

@@ -267,9 +267,3 @@ def available_experiments() -> List[str]:
     """Registered experiment names, in registration order."""
     _ensure_builtin_experiments()
     return list(_EXPERIMENTS)
-
-
-def experiment_aliases() -> Dict[str, str]:
-    """Alias → canonical-name mapping for every registered experiment."""
-    _ensure_builtin_experiments()
-    return dict(_ALIASES)

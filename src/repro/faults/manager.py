@@ -93,11 +93,6 @@ class FaultManager:
             self._plan = self.model.plan(self.node_ids, self.horizon, stream)
         return self._plan
 
-    @property
-    def any_active(self) -> bool:
-        """Whether any fault episode is currently in effect."""
-        return self._active > 0
-
     def node_stalled(self, node_id: str) -> bool:
         """Whether ``node_id`` is currently stalled."""
         return node_id in self._stall_depth

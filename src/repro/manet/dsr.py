@@ -256,10 +256,6 @@ class DsrRouting(RoutingProtocol):
 
     # -------------------------------------------------------------- accounting
     @property
-    def cache_size(self) -> int:
-        return len(self._cache)
-
-    @property
     def state_size_bytes(self) -> int:
         total = 64
         for entry in self._cache.values():

@@ -1,10 +1,10 @@
 """A Named Data Networking (NDN) forwarding stack.
 
 This package reimplements, in Python, the NDN abstractions DAPES runs on:
-hierarchical names, Interest/Data packets with per-packet signatures, a TLV
-wire encoding, and an NFD-style forwarder with a Content Store (CS), Pending
-Interest Table (PIT), Forwarding Information Base (FIB) and pluggable
-forwarding strategies (Figure 1 of the paper).
+hierarchical names, Interest/Data packets with per-packet signatures, and an
+NFD-style forwarder with a Content Store (CS), Pending Interest Table (PIT)
+and pluggable forwarding strategies (Figure 1 of the paper).  Packets travel
+as objects; their wire sizes are modelled, not encoded.
 
 The forwarder is transport-agnostic: faces connect it either to a local
 application (:class:`~repro.ndn.face.AppFace`) or to the shared wireless
@@ -13,13 +13,11 @@ broadcast medium (:class:`~repro.ndn.face.BroadcastFace`).
 
 from repro.ndn.content_store import ContentStore
 from repro.ndn.face import AppFace, BroadcastFace, Face
-from repro.ndn.fib import Fib
 from repro.ndn.forwarder import Forwarder, ForwarderConfig
 from repro.ndn.name import Name
 from repro.ndn.packet import Data, Interest
 from repro.ndn.pit import Pit, PitEntry
 from repro.ndn.strategy import (
-    BestRouteStrategy,
     ForwardingStrategy,
     MulticastStrategy,
     ProbabilisticSuppressionStrategy,
@@ -27,12 +25,10 @@ from repro.ndn.strategy import (
 
 __all__ = [
     "AppFace",
-    "BestRouteStrategy",
     "BroadcastFace",
     "ContentStore",
     "Data",
     "Face",
-    "Fib",
     "Forwarder",
     "ForwarderConfig",
     "ForwardingStrategy",

@@ -12,8 +12,6 @@ from typing import Dict, List, Optional
 
 from repro.ndn.content_store import ContentStore
 from repro.ndn.face import AppFace, Face
-from repro.ndn.fib import Fib
-from repro.ndn.name import NameLike
 from repro.ndn.packet import Data, Interest
 from repro.ndn.pit import Pit, PitEntry
 from repro.ndn.strategy import ForwardingStrategy, MulticastStrategy
@@ -60,7 +58,6 @@ class Forwarder:
         self.config = config if config is not None else ForwarderConfig()
         self.cs = ContentStore(capacity=self.config.cs_capacity)
         self.pit = Pit()
-        self.fib = Fib()
         self.stats = ForwarderStats()
         self._faces: Dict[int, Face] = {}
         self._next_face_id = 1
@@ -89,17 +86,10 @@ class Forwarder:
     def faces(self) -> List[Face]:
         return list(self._faces.values())
 
-    def app_faces(self) -> List[AppFace]:
-        return [face for face in self._faces.values() if isinstance(face, AppFace)]
-
     def set_strategy(self, strategy: ForwardingStrategy) -> None:
         """Install a forwarding strategy (replaces the previous one)."""
         self.strategy = strategy
         strategy.attach(self)
-
-    def register_prefix(self, prefix: NameLike, face: Face, cost: int = 0) -> None:
-        """Register a FIB route for ``prefix`` towards ``face``."""
-        self.fib.insert(prefix, face.face_id, cost)
 
     # ------------------------------------------------------ interest pipeline
     def process_interest(self, interest: Interest, incoming_face: Face) -> None:
@@ -202,5 +192,5 @@ class Forwarder:
     # ------------------------------------------------------------- accounting
     @property
     def state_size_bytes(self) -> int:
-        """Approximate bytes of forwarder state (CS + PIT + FIB), for Table I."""
-        return self.cs.size_bytes + self.pit.size_bytes + self.fib.size_bytes
+        """Approximate bytes of forwarder state (CS + PIT), for Table I."""
+        return self.cs.size_bytes + self.pit.size_bytes

@@ -77,7 +77,7 @@ class Name:
         return iter(self._components)
 
     def __str__(self) -> str:
-        # Rendered lazily: most Names live and die inside PIT/CS/FIB lookups
+        # Rendered lazily: most Names live and die inside PIT/CS lookups
         # without ever being printed, and the join is measurable at the
         # hot-path construction rates (every prefix()/append() allocates).
         value = self._str
@@ -90,7 +90,7 @@ class Name:
         return f"Name({str(self)!r})"
 
     def __hash__(self) -> int:
-        # Names are hashed on every PIT/CS/FIB lookup; cache (immutable class).
+        # Names are hashed on every PIT/CS lookup; cache (immutable class).
         value = self._hash
         if value is None:
             value = self._hash = hash(self._components)

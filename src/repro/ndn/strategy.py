@@ -10,8 +10,9 @@ strategies directly:
   :class:`ProbabilisticSuppressionStrategy` — they re-broadcast a fraction of
   received Interests after a random wait, serve overheard Data from their CS,
   and suppress names that recently failed to bring Data back;
-* *DAPES intermediate nodes* use a knowledge-driven strategy defined in
-  :mod:`repro.core.intermediate` on top of the hooks declared here.
+* nodes running DAPES use :class:`~repro.core.intermediate.DapesForwardingStrategy`,
+  which extends :class:`ProbabilisticSuppressionStrategy` with knowledge
+  rules and falls back to its draw and suppression for unknown names.
 """
 
 from __future__ import annotations
@@ -60,9 +61,8 @@ class ForwardingStrategy:
 class MulticastStrategy(ForwardingStrategy):
     """Forward every accepted Interest to every other face.
 
-    This is the strategy used by DAPES peers and repositories: Interests from
-    the application go on the air, Interests from the air reach the
-    application (which answers from its local collection state).
+    The forwarder's default strategy: Interests from an application go out
+    every other face, Interests from the air reach the application.
     """
 
     def decide_interest_forwarding(self, interest, incoming_face_id, entry, is_new):
@@ -73,19 +73,6 @@ class MulticastStrategy(ForwardingStrategy):
             for face_id in self.forwarder.face_ids()
             if face_id != incoming_face_id
         ]
-
-
-class BestRouteStrategy(ForwardingStrategy):
-    """Forward along the lowest-cost FIB next hop (infrastructure topologies)."""
-
-    def decide_interest_forwarding(self, interest, incoming_face_id, entry, is_new):
-        if not is_new and entry.forwarded:
-            return []
-        next_hops = self.forwarder.fib.longest_prefix_match(interest.name)
-        for hop in next_hops:
-            if hop.face_id != incoming_face_id:
-                return [(hop.face_id, 0.0)]
-        return []
 
 
 class ProbabilisticSuppressionStrategy(ForwardingStrategy):
@@ -102,6 +89,9 @@ class ProbabilisticSuppressionStrategy(ForwardingStrategy):
       under a suppressed prefix clears the suppression (the Data evidently is
       reachable again).
     """
+
+    # Name of the per-node random stream (``<RNG_STREAM>.<node id>``).
+    RNG_STREAM = "strategy.pure"
 
     def __init__(
         self,
@@ -121,26 +111,26 @@ class ProbabilisticSuppressionStrategy(ForwardingStrategy):
         self.max_wait = max_wait
         self.suppression_timeout = suppression_timeout
         self.suppression_prefix_length = suppression_prefix_length
-        self._suppressed_until: dict[Name, float] = {}
+        # Keyed by the leading name components (see _suppression_key): the
+        # raw tuple serves as well as a Name prefix without allocating one
+        # per heard frame.
+        self._suppressed_until: dict[tuple, float] = {}
         self.interests_suppressed = 0
         self.interests_forwarded = 0
         self._rng = None
 
     def attach(self, forwarder) -> None:
         super().attach(forwarder)
-        self._rng = forwarder.sim.rng(f"strategy.pure.{forwarder.node_id}")
+        self._rng = forwarder.sim.rng(f"{self.RNG_STREAM}.{forwarder.node_id}")
 
     # ------------------------------------------------------------------ hooks
     def decide_interest_forwarding(self, interest, incoming_face_id, entry, is_new):
         if not is_new and entry.forwarded:
             return []
-        if self._is_suppressed(interest.name):
+        delay = None if self._is_suppressed(interest.name) else self._probabilistic_delay()
+        if delay is None:
             self.interests_suppressed += 1
             return []
-        if self._rng.random() >= self.forward_probability:
-            self.interests_suppressed += 1
-            return []
-        delay = self._rng.uniform(self.min_wait, self.max_wait)
         # A pure forwarder typically has a single (broadcast) face: the
         # re-broadcast goes back out the face the Interest arrived on.
         decision = [(face_id, delay) for face_id in self.forwarder.face_ids()]
@@ -160,8 +150,17 @@ class ProbabilisticSuppressionStrategy(ForwardingStrategy):
         return True
 
     # --------------------------------------------------------------- internal
-    def _suppression_key(self, name: Name) -> Name:
-        return name.prefix(min(self.suppression_prefix_length, len(name)))
+    def _probabilistic_delay(self) -> Optional[float]:
+        """A random wait with probability ``forward_probability``, else ``None``."""
+        if self._rng.random() < self.forward_probability:
+            return self._random_wait()
+        return None
+
+    def _random_wait(self) -> float:
+        return self._rng.uniform(self.min_wait, self.max_wait)
+
+    def _suppression_key(self, name: Name) -> tuple:
+        return name.components[:self.suppression_prefix_length]
 
     def _is_suppressed(self, name: Name) -> bool:
         key = self._suppression_key(name)
@@ -177,4 +176,4 @@ class ProbabilisticSuppressionStrategy(ForwardingStrategy):
     def suppressed_prefixes(self) -> list[Name]:
         """Currently suppressed prefixes (for tests and diagnostics)."""
         now = self.forwarder.sim.now if self.forwarder else 0.0
-        return [name for name, until in self._suppressed_until.items() if until > now]
+        return [Name(key) for key, until in self._suppressed_until.items() if until > now]

@@ -196,12 +196,6 @@ def _non_negative(value) -> Optional[str]:
     return None
 
 
-def _loss_probability(value) -> Optional[str]:
-    if not isinstance(value, (int, float)) or not 0.0 <= value < 1.0:
-        return "must be a probability in [0, 1)"
-    return None
-
-
 def _cutoff(value) -> Optional[str]:
     if not isinstance(value, (int, float)) or not value >= 1.0:
         return "must be >= 1 (a factor over the nominal range)"

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.intermediate import DapesForwardingStrategy
 from repro.ndn import (
     AppFace,
     BroadcastFace,
@@ -133,23 +134,6 @@ def test_pit_entry_expires_and_notifies_strategy(sim):
     assert forwarder.stats.pit_expirations == 1
 
 
-def test_register_prefix_and_best_route(sim):
-    from repro.ndn import BestRouteStrategy
-
-    forwarder = Forwarder(sim, "n", strategy=BestRouteStrategy())
-    consumer = forwarder.add_face(AppFace())
-    producer_near = forwarder.add_face(AppFace())
-    producer_far = forwarder.add_face(AppFace())
-    forwarder.register_prefix("/videos", producer_near, cost=1)
-    forwarder.register_prefix("/videos", producer_far, cost=5)
-    sent = {"near": 0, "far": 0}
-    producer_near.on_interest = lambda interest: sent.__setitem__("near", sent["near"] + 1)
-    producer_far.on_interest = lambda interest: sent.__setitem__("far", sent["far"] + 1)
-    consumer.express_interest(Interest(name=Name("/videos/cats")))
-    sim.run(until=1.0)
-    assert sent == {"near": 1, "far": 0}
-
-
 def test_state_size_accounts_for_tables(sim):
     forwarder = Forwarder(sim, "n")
     face = forwarder.add_face(AppFace())
@@ -193,36 +177,59 @@ def test_probabilistic_strategy_always_forwards_with_probability_one(lossless_wo
     assert len(heard) == 1
 
 
-def test_suppression_after_unanswered_interest(lossless_world):
+def _relay(lossless_world, kind):
+    """Node "a" with a wireless and an application face, forwarding with
+    probability 1: a pure forwarder, or a DAPES node without knowledge (which
+    falls back to the pure forwarder's draw and suppression)."""
     sim, mobility, medium = lossless_world
-    radio = Radio(sim, medium, "a")
-    strategy = ProbabilisticSuppressionStrategy(forward_probability=1.0, suppression_timeout=100.0)
+    if kind == "pure":
+        strategy = ProbabilisticSuppressionStrategy(forward_probability=1.0, suppression_timeout=100.0)
+    else:
+        strategy = DapesForwardingStrategy(forwarding_probability=1.0, suppression_timeout=100.0)
     forwarder = Forwarder(sim, "a", strategy=strategy)
-    wifi = forwarder.add_face(BroadcastFace(radio))
-    app = forwarder.add_face(AppFace())
+    wifi = forwarder.add_face(BroadcastFace(Radio(sim, medium, "a")))
+    forwarder.add_face(AppFace())  # a second face so the Interest actually gets forwarded
+    return sim, medium, strategy, wifi
+
+
+def _check_suppression_after_unanswered_interest(lossless_world, kind):
+    sim, medium, strategy, wifi = _relay(lossless_world, kind)
     wifi.receive_interest(Interest(name=Name("/coll/file/0"), lifetime=0.5))
     sim.run(until=2.0)
     assert strategy.suppressed_prefixes  # the forwarded Interest brought nothing back
-    # A later Interest under the suppressed prefix is not forwarded.
-    before = forwarder.stats.interests_forwarded
+    # A later Interest under the suppressed prefix is not re-broadcast.
+    on_air = medium.stats.frames_transmitted
+    suppressed = strategy.interests_suppressed
     wifi.receive_interest(Interest(name=Name("/coll/file/1"), lifetime=0.5))
     sim.run(until=3.0)
-    assert forwarder.stats.interests_forwarded == before
+    assert medium.stats.frames_transmitted == on_air
+    assert strategy.interests_suppressed == suppressed + 1
 
 
-def test_suppression_cleared_by_data(lossless_world):
-    sim, mobility, medium = lossless_world
-    radio = Radio(sim, medium, "a")
-    strategy = ProbabilisticSuppressionStrategy(forward_probability=1.0, suppression_timeout=100.0)
-    forwarder = Forwarder(sim, "a", strategy=strategy)
-    wifi = forwarder.add_face(BroadcastFace(radio))
-    forwarder.add_face(AppFace())  # a second face so the Interest actually gets forwarded
+def _check_suppression_cleared_by_data(lossless_world, kind):
+    sim, medium, strategy, wifi = _relay(lossless_world, kind)
     wifi.receive_interest(Interest(name=Name("/coll/file/0"), lifetime=0.5))
     sim.run(until=2.0)
     assert strategy.suppressed_prefixes
     wifi.receive_data(Data(name=Name("/coll/file/0"), content=b"late"))
     sim.run(until=2.5)
     assert not strategy.suppressed_prefixes
+
+
+def test_suppression_after_unanswered_interest(lossless_world):
+    _check_suppression_after_unanswered_interest(lossless_world, "pure")
+
+
+def test_suppression_cleared_by_data(lossless_world):
+    _check_suppression_cleared_by_data(lossless_world, "pure")
+
+
+def test_dapes_suppression_after_unanswered_interest(lossless_world):
+    _check_suppression_after_unanswered_interest(lossless_world, "dapes")
+
+
+def test_dapes_suppression_cleared_by_data(lossless_world):
+    _check_suppression_cleared_by_data(lossless_world, "dapes")
 
 
 def test_pure_forwarder_caches_overheard_data(lossless_world):

@@ -1,20 +1,9 @@
-"""Unit tests for Interest/Data packets and the TLV wire encoding."""
+"""Unit tests for Interest/Data packets and their modelled wire sizes."""
 
 import pytest
 
 from repro.crypto import KeyPair, sign
 from repro.ndn import Data, Interest, Name
-from repro.ndn.tlv import (
-    TlvError,
-    decode_data,
-    decode_interest,
-    decode_name,
-    decode_tlv,
-    encode_data,
-    encode_interest,
-    encode_name,
-    encode_tlv,
-)
 
 
 # -------------------------------------------------------------------- packets
@@ -78,67 +67,3 @@ def test_data_wire_size_includes_signature():
     unsigned = Data(name=Name("/a/0"), content=b"payload")
     signed = Data(name=Name("/a/0"), content=b"payload", signature=sign("/a/0", b"payload", key))
     assert signed.wire_size > unsigned.wire_size
-
-
-# ------------------------------------------------------------------------ TLV
-def test_tlv_roundtrip_small_and_large_values():
-    for size in (0, 10, 300, 70_000):
-        encoded = encode_tlv(0x42, b"x" * size)
-        type_number, value, offset = decode_tlv(encoded)
-        assert type_number == 0x42
-        assert value == b"x" * size
-        assert offset == len(encoded)
-
-
-def test_tlv_decode_truncated_buffer_raises():
-    encoded = encode_tlv(0x42, b"hello")
-    with pytest.raises(TlvError):
-        decode_tlv(encoded[:-2])
-
-
-def test_name_encoding_roundtrip():
-    name = Name("/damaged-bridge-1533783192/bridge-picture/42")
-    _, value, _ = decode_tlv(encode_name(name))
-    assert decode_name(value) == name
-
-
-def test_interest_encoding_roundtrip():
-    interest = Interest(
-        name=Name("/dapes/bitmap/peer-1/coll/7"),
-        lifetime=1.5,
-        hop_limit=7,
-        can_be_prefix=True,
-        application_parameters=b"\x01\x02\x03",
-        application_parameters_size=3,
-    )
-    decoded = decode_interest(encode_interest(interest))
-    assert decoded.name == interest.name
-    assert decoded.nonce == interest.nonce
-    assert decoded.lifetime == pytest.approx(interest.lifetime)
-    assert decoded.hop_limit == interest.hop_limit
-    assert decoded.can_be_prefix
-    assert decoded.application_parameters == b"\x01\x02\x03"
-
-
-def test_data_encoding_roundtrip_with_signature():
-    key = KeyPair.generate("/producer", seed=b"p")
-    data = Data(
-        name=Name("/coll/file/0"),
-        content=b"some-content",
-        signature=sign("/coll/file/0", b"some-content", key),
-        freshness_period=10.0,
-    )
-    decoded = decode_data(encode_data(data))
-    assert decoded.name == data.name
-    assert decoded.content == data.content
-    assert decoded.freshness_period == pytest.approx(10.0)
-    assert decoded.signature == data.signature
-
-
-def test_decoding_wrong_outer_type_raises():
-    interest = Interest(name=Name("/a"))
-    with pytest.raises(TlvError):
-        decode_data(encode_interest(interest))
-    data = Data(name=Name("/a"), content=b"")
-    with pytest.raises(TlvError):
-        decode_interest(encode_data(data))

@@ -1,8 +1,8 @@
-"""Unit tests for the Content Store, PIT and FIB."""
+"""Unit tests for the Content Store and PIT."""
 
 import pytest
 
-from repro.ndn import ContentStore, Data, Fib, Interest, Name, Pit
+from repro.ndn import ContentStore, Data, Interest, Name, Pit
 
 
 # --------------------------------------------------------------- content store
@@ -127,46 +127,3 @@ def test_pit_size_bytes_positive():
     pit = Pit()
     pit.insert(Interest(name=Name("/a/b/c")), 1, now=0.0)
     assert pit.size_bytes > 0
-
-
-# ------------------------------------------------------------------------- fib
-def test_fib_longest_prefix_match_prefers_longer_prefix():
-    fib = Fib()
-    fib.insert("/a", face_id=1)
-    fib.insert("/a/b", face_id=2)
-    hops = fib.longest_prefix_match("/a/b/c")
-    assert [hop.face_id for hop in hops] == [2]
-
-
-def test_fib_no_match_returns_empty():
-    fib = Fib()
-    fib.insert("/a", face_id=1)
-    assert fib.longest_prefix_match("/other") == []
-
-
-def test_fib_multiple_next_hops_sorted_by_cost():
-    fib = Fib()
-    fib.insert("/a", face_id=1, cost=10)
-    fib.insert("/a", face_id=2, cost=1)
-    hops = fib.longest_prefix_match("/a/x")
-    assert [hop.face_id for hop in hops] == [2, 1]
-
-
-def test_fib_insert_same_face_updates_cost():
-    fib = Fib()
-    fib.insert("/a", face_id=1, cost=10)
-    fib.insert("/a", face_id=1, cost=1)
-    hops = fib.longest_prefix_match("/a")
-    assert len(hops) == 1
-    assert hops[0].cost == 1
-
-
-def test_fib_remove_prefix_and_single_hop():
-    fib = Fib()
-    fib.insert("/a", face_id=1)
-    fib.insert("/a", face_id=2)
-    fib.remove("/a", face_id=1)
-    assert [hop.face_id for hop in fib.longest_prefix_match("/a")] == [2]
-    fib.remove("/a")
-    assert fib.longest_prefix_match("/a") == []
-    assert len(fib) == 0

@@ -9,11 +9,10 @@ from hypothesis import given, settings, strategies as st
 from repro.core import Bitmap, DapesNamespace
 from repro.core.metadata import build_metadata
 from repro.core.peba import PebaScheduler, peba_average_delay
-from repro.crypto import KeyPair, MerkleTree, sign, verify
+from repro.crypto import MerkleTree
 from repro.experiments.metrics import percentile
-from repro.ndn import Data, Interest, Name
+from repro.ndn import Name
 from repro.mobility import CompositeMobility, RandomWaypointMobility, StaticPlacement
-from repro.ndn.tlv import decode_data, decode_interest, encode_data, encode_interest
 from repro.wireless.spatial import GridNeighborIndex
 
 from oracles import BruteForceNeighborIndex
@@ -47,36 +46,6 @@ def test_name_prefix_of_itself_and_parent(components):
     name = Name(components)
     for length in range(len(name) + 1):
         assert name.prefix(length).is_prefix_of(name)
-
-
-# ------------------------------------------------------------------------- TLV
-@given(name_components, st.integers(min_value=1, max_value=255), st.booleans(),
-       st.binary(max_size=64))
-def test_interest_tlv_roundtrip(components, hop_limit, can_be_prefix, params)\
-        :
-    interest = Interest(
-        name=Name(components),
-        hop_limit=hop_limit,
-        can_be_prefix=can_be_prefix,
-        application_parameters=params if params else None,
-        application_parameters_size=len(params),
-    )
-    decoded = decode_interest(encode_interest(interest))
-    assert decoded.name == interest.name
-    assert decoded.nonce == interest.nonce
-    assert decoded.hop_limit == hop_limit
-    assert decoded.can_be_prefix == can_be_prefix
-
-
-@given(name_components, st.binary(max_size=256))
-def test_data_tlv_roundtrip(components, content):
-    key = KeyPair.generate("/p", seed=b"prop")
-    name = Name(components)
-    data = Data(name=name, content=content, signature=sign(str(name), content, key))
-    decoded = decode_data(encode_data(data))
-    assert decoded.name == name
-    assert decoded.content == content
-    assert verify(str(name), content, decoded.signature)
 
 
 # --------------------------------------------------------------------- bitmaps

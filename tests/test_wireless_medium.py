@@ -466,3 +466,57 @@ def test_detached_receiver_drops_the_frame_in_flight(delivery):
     sim.run()
     assert heard == []
     assert medium.stats.deliveries == 0 and medium.stats.collisions == 0
+
+
+@DELIVERY_MODES
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_mutually_audible_same_instant_responders_never_collide(delivery, k):
+    # q's Interest [0, 1] reaches k responders 20 m around it (all within
+    # 40 m of each other) at 1 ms, and each answers at that instant.  The
+    # first to run starts at once; every other one already hears it and
+    # defers.  Each later start is sensed by those still waiting, so the
+    # j-th frame leaves k - j deferrers behind: k(k-1)/2 deferrals, and the
+    # answers reach q back to back, each an IFS plus < 1 ms backoff after
+    # the previous one ends.  With no carrier-sense delay, nothing collides.
+    responders = [f"r{i}" for i in range(k)]
+    offsets = [(20, 0), (0, 20), (-20, 0), (0, -20), (14, 14)]
+    positions = {"q": (0, 0), **dict(zip(responders, offsets))}
+    sim, medium, radios = timed_world(positions, delivery)
+    answers = []
+    record_arrivals(sim, radios["q"], answers)
+    for node in responders:
+        radio = radios[node]
+        radio.on_receive = lambda frame, radio=radio: (
+            frame.payload == "interest" and radio.broadcast("answer", 1000, "test")
+        )
+    radios["q"].broadcast("interest", 1000, kind="test")
+    sim.run()
+    assert medium.stats.collisions == 0
+    assert sorted(sender for sender, _ in answers) == responders
+    assert answers[0][1] == 2 * MS
+    ifs = medium.config.inter_frame_space
+    for (_, before), (_, after) in zip(answers, answers[1:]):
+        assert MS + ifs <= after - before <= MS + ifs + 0.001
+    assert medium.csma_deferrals == k * (k - 1) // 2
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP 2(d)")
+@DELIVERY_MODES
+def test_frame_arriving_in_the_csma_gap_is_received(delivery):
+    # b hears a's frame [0, 1] and, handed a frame at 0.5 ms, defers until
+    # at least 1 ms + IFS.  c, hidden from a, starts [1 + IFS/2, 2 + IFS/2]:
+    # it reaches b inside that IFS + backoff gap, where b is only listening
+    # (at its restart b senses c's frame and defers again).  Today the
+    # deferral has already raised b's busy-until, so c's frame is counted
+    # as lost to half-duplex.
+    positions = {"a": (-50, 0), "b": (0, 0), "c": (50, 0)}
+    sim, medium, radios = timed_world(positions, delivery)
+    heard = []
+    record_arrivals(sim, radios["b"], heard)
+    ifs = medium.config.inter_frame_space
+    radios["a"].broadcast("a1", 1000, kind="test")
+    sim.schedule(0.5 * MS, radios["b"].broadcast, "b1", 1000, "test")
+    sim.schedule(MS + ifs / 2, radios["c"].broadcast, "c1", 1000, "test")
+    sim.run()
+    assert heard == [("a", MS), ("c", pytest.approx(2 * MS + ifs / 2))]
+    assert radios["b"].stats.frames_collided == 0
