@@ -1,12 +1,11 @@
 """Guarded NumPy access.
 
 One call in the simulator builds a NumPy array:
-:meth:`~repro.mobility.base.MobilityModel.positions_array`, the vectorized
-whole-population position query (bit-identical per node to the scalar
-``position_xy``, which is its test oracle).  No trial calls it — the grid
-index and the medium's link evaluation are scalar, see CHANGES.md PR 24 for
-the measurements that retired their array twins — so a run never needs
-NumPy; the benchmark's probe pass and direct callers do.
+:meth:`~repro.mobility.base.MobilityModel.positions_array`, which converts
+the scalar ``positions_at`` answer into an ``(N, 2)`` array.  No trial calls
+it — mobility, the grid index and the medium's link evaluation each have one
+scalar path (CHANGES.md says why their array twins were deleted) — so a run
+never needs NumPy; the benchmark's probe pass and direct callers do.
 
 This module is the single place that imports NumPy, and it does so *on the
 first* :func:`numpy_or_none` *call*, not when :mod:`repro` is imported:

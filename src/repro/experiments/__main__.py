@@ -150,8 +150,8 @@ def _config_from_args(args: argparse.Namespace) -> tuple:
         overrides["faults"] = args.faults
     if args.invariants:
         overrides["invariants"] = True
-    if getattr(args, "workers", None) is not None:
-        overrides["workers"] = args.workers
+    # --workers goes to run_suite only: it is how a grid runs, not what it
+    # computes, so it must not change the task-cache key or config hash.
     if args.profile:
         overrides["profile"] = True
     config = ExperimentConfig.preset(args.preset).with_overrides(**overrides)

@@ -10,7 +10,7 @@ All models expose a single query: the node position at an arbitrary simulated
 time.  Models are deterministic for a given random stream.
 """
 
-from repro.mobility.base import MobilityModel, Position, PositionCache
+from repro.mobility.base import MobilityModel, Position
 from repro.mobility.composite import CompositeMobility
 from repro.mobility.random_direction import RandomDirectionMobility
 from repro.mobility.random_waypoint import RandomWaypointMobility
@@ -22,7 +22,6 @@ __all__ = [
     "CompositeMobility",
     "MobilityModel",
     "Position",
-    "PositionCache",
     "RandomDirectionMobility",
     "RandomWaypointMobility",
     "ScriptedMobility",

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from repro.arrays import numpy_or_none
 
@@ -68,14 +68,12 @@ class MobilityModel(ABC):
         return [position_xy(node_id, time) for node_id in node_ids]
 
     def positions_array(self, node_ids: Sequence[str], time: float):
-        """Batched :meth:`position_xy` as an ``(N, 2)`` float64 NumPy array.
+        """:meth:`positions_at` as an ``(N, 2)`` float64 NumPy array.
 
-        Row ``i`` is the position of ``node_ids[i]`` at ``time``, bit-identical
-        to :meth:`position_xy`, the scalar per-node query that is its oracle.
-        Models with leg caches override this with a fused vectorized
-        evaluation over all nodes; the default materialises
-        :meth:`positions_at`.  No trial calls it (the benchmark's probe pass
-        does); requires NumPy (:func:`repro.arrays.numpy_available`).
+        Row ``i`` is the position of ``node_ids[i]`` at ``time``, the floats
+        :meth:`position_xy` returns.  No model overrides it and no trial
+        calls it (the benchmark's probe pass does); requires NumPy
+        (:func:`repro.arrays.numpy_available`).
         """
         np = numpy_or_none()
         if np is None:
@@ -105,101 +103,13 @@ class MobilityModel(ABC):
         """Monotonic counter bumped whenever placements mutate.
 
         Teleporting a node (``StaticPlacement.place`` mid-run) or registering
-        a new one sidesteps the ``speed_bound`` drift guarantee, so position
-        caches and grid snapshots treat any version change as a full
-        invalidation.  Lazy trajectory extension is *not* a mutation — it is
-        deterministic and query-order independent.
+        a new one sidesteps the ``speed_bound`` drift guarantee, so grid
+        snapshots and remembered neighbour sets treat any version change as
+        a full invalidation.  Lazy trajectory extension is *not* a mutation
+        — it is deterministic and query-order independent.
         """
         return 0
 
     def distance(self, node_a: str, node_b: str, time: float) -> float:
         """Distance in metres between two nodes at ``time``."""
         return self.position(node_a, time).distance_to(self.position(node_b, time))
-
-
-class LegArrayCache:
-    """Per-node leg parameters packed into one ``(N, K)`` float64 array.
-
-    The vectorized ``positions_array`` implementations share one shape of
-    work: keep a row of piecewise-linear leg parameters per node, aligned to
-    the caller's node-order tuple; on each query refresh only the rows whose
-    validity window no longer covers the queried time (via the model's
-    scalar leg lookup, which also feeds its per-node Python leg cache), then
-    evaluate all rows in fused array expressions.  Legs change rarely
-    relative to queries, so the per-query cost is a vectorized window check
-    plus O(stale) scalar refreshes.
-
-    ``K`` is model-specific; columns 0 and ``valid_to_column`` bound the
-    validity window (``row[0] <= time <= row[valid_to_column]``).  A new
-    node-order tuple or a mobility-version change invalidates every row.
-    """
-
-    __slots__ = ("columns", "valid_to_column", "_order", "_version", "_rows")
-
-    def __init__(self, columns: int, valid_to_column: int = 1):
-        self.columns = columns
-        self.valid_to_column = valid_to_column
-        self._order: Tuple[str, ...] = ()
-        self._version: Optional[int] = None
-        self._rows = None
-
-    def rows_for(self, np, node_ids: Sequence[str], version: int, time: float, refresh):
-        """The parameter array for ``node_ids``, every row covering ``time``.
-
-        ``refresh(node_id)`` must return the row (an iterable of ``columns``
-        floats) whose validity window contains ``time``.
-        """
-        order = tuple(node_ids)
-        rows = self._rows
-        if rows is None or order != self._order or version != self._version:
-            rows = np.empty((len(order), self.columns), dtype=np.float64)
-            stale = range(len(order))
-            self._order = order
-            self._version = version
-            self._rows = rows
-        else:
-            valid = (rows[:, 0] <= time) & (time <= rows[:, self.valid_to_column])
-            stale = np.flatnonzero(~valid)
-        for index in stale:
-            rows[index] = refresh(order[index])
-        return rows
-
-
-class PositionCache:
-    """Per-timestamp memoization wrapper around a mobility model.
-
-    The wireless medium evaluates many positions at the *same* timestamp (the
-    sender plus every candidate receiver of a transmission, repeated for
-    back-to-back frames).  Trajectory evaluation involves segment lookups and
-    trigonometry, so caching the most recent timestamp's answers removes the
-    bulk of that cost.  Only one timestamp is retained: simulation time moves
-    forward, so older entries would never be hit again.
-    """
-
-    __slots__ = ("model", "_time", "_version", "_positions")
-
-    def __init__(self, model: MobilityModel):
-        self.model = model
-        self._time = None
-        self._version = model.mobility_version()
-        self._positions: dict = {}
-
-    def position(self, node_id: str, time: float) -> Position:
-        version = self.model.mobility_version()
-        if time != self._time or version != self._version:
-            self._time = time
-            self._version = version
-            self._positions = {}
-            position = None
-        else:
-            position = self._positions.get(node_id)
-        if position is None:
-            position = self.model.position(node_id, time)
-            self._positions[node_id] = position
-        return position
-
-    def speed_bound(self) -> float:
-        return self.model.speed_bound()
-
-    def mobility_version(self) -> int:
-        return self.model.mobility_version()

@@ -7,9 +7,8 @@ registered with.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.arrays import numpy_or_none
 from repro.mobility.base import MobilityModel, Position
 
 
@@ -20,15 +19,10 @@ class CompositeMobility(MobilityModel):
         self._owners: Dict[str, MobilityModel] = {}
         self._models: Dict[int, MobilityModel] = {}
         # Flat list of child models: mobility_version() is polled on every
-        # cached position lookup, so the aggregation below must stay a plain
-        # loop over a list (no dict-view or generator machinery).
+        # neighbour query, so the aggregation below must stay a plain loop
+        # over a list (no dict-view or generator machinery).
         self._model_list: List[MobilityModel] = []
         self._version = 0
-        # Owner grouping for positions_array, keyed by (node-order tuple,
-        # assignment version): [(model, sub_order, row_indices), ...].  The
-        # sub-order tuples stay identical across queries for a stable caller
-        # order, so each child's own array cache keeps hitting.
-        self._group_cache: Optional[tuple] = None
 
     def assign(self, node_id: str, model: MobilityModel) -> None:
         """Declare that ``node_id``'s positions come from ``model``."""
@@ -51,40 +45,6 @@ class CompositeMobility(MobilityModel):
         except KeyError:
             raise KeyError(f"node {node_id!r} is not assigned to any mobility model") from None
         return model.position_xy(node_id, time)
-
-    def positions_at(self, node_ids, time: float) -> List[Tuple[float, float]]:
-        position_xy = self.position_xy  # owner dispatch + descriptive KeyError
-        return [position_xy(node_id, time) for node_id in node_ids]
-
-    def positions_array(self, node_ids, time: float):
-        np = numpy_or_none()
-        if np is None:
-            return super().positions_array(node_ids, time)
-        order = tuple(node_ids)
-        cached = self._group_cache
-        if cached is None or cached[0] != order or cached[1] != self._version:
-            by_model: Dict[int, Tuple[MobilityModel, List[str], List[int]]] = {}
-            for index, node_id in enumerate(order):
-                try:
-                    model = self._owners[node_id]
-                except KeyError:
-                    raise KeyError(
-                        f"node {node_id!r} is not assigned to any mobility model"
-                    ) from None
-                entry = by_model.get(id(model))
-                if entry is None:
-                    entry = by_model[id(model)] = (model, [], [])
-                entry[1].append(node_id)
-                entry[2].append(index)
-            groups = [
-                (model, tuple(sub_ids), np.asarray(indices, dtype=np.intp))
-                for model, sub_ids, indices in by_model.values()
-            ]
-            cached = self._group_cache = (order, self._version, groups)
-        out = np.empty((len(order), 2), dtype=np.float64)
-        for model, sub_ids, indices in cached[2]:
-            out[indices] = model.positions_array(sub_ids, time)
-        return out
 
     def speed_bound(self) -> float:
         return max(

@@ -19,8 +19,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.arrays import numpy_or_none
-from repro.mobility.base import LegArrayCache, MobilityModel, Position
+from repro.mobility.base import MobilityModel, Position
 
 
 @dataclass(frozen=True)
@@ -90,9 +89,6 @@ class RandomDirectionMobility(MobilityModel):
         # epoch) evaluate the cached leg directly instead of re-deriving it
         # from the segment list.
         self._current: Dict[str, _Segment] = {}
-        # Vectorized view of the same legs, one (t0, t1, x0, y0, vx, vy)
-        # row per node, for positions_array.
-        self._leg_rows = LegArrayCache(6)
 
     # ----------------------------------------------------------------- setup
     def add_node(self, node_id: str, initial_position: Position | Tuple[float, float] | None = None) -> None:
@@ -143,42 +139,6 @@ class RandomDirectionMobility(MobilityModel):
         start = segment.start
         velocity = segment.velocity
         return (start.x + velocity[0] * elapsed, start.y + velocity[1] * elapsed)
-
-    def current_leg(self, node_id: str, time: float) -> Tuple[float, float, float, float, float, float]:
-        """The piecewise-linear leg covering ``time``: ``(t0, t1, x0, y0, vx, vy)``.
-
-        ``position(node_id, t)`` for ``t0 <= t <= t1`` is exactly
-        ``(x0 + vx * (t - t0), y0 + vy * (t - t0))``.
-        """
-        segment = self._current.get(node_id)
-        if segment is None or not (segment.start_time <= time <= segment.end_time):
-            segment = self._locate_segment(node_id, time)
-        if segment is None:
-            initial = self._initial[node_id]
-            return (time, time, initial.x, initial.y, 0.0, 0.0)
-        return (
-            segment.start_time,
-            segment.end_time,
-            segment.start.x,
-            segment.start.y,
-            segment.velocity[0],
-            segment.velocity[1],
-        )
-
-    def positions_array(self, node_ids, time: float):
-        np = numpy_or_none()
-        if np is None:
-            return super().positions_array(node_ids, time)
-        rows = self._leg_rows.rows_for(
-            np, node_ids, self._version, time,
-            lambda node_id: self.current_leg(node_id, time),
-        )
-        # Same arithmetic as position_xy, fused over every node:
-        # elapsed = min(max(time, t0), t1) - t0;  p = origin + velocity*elapsed.
-        # minimum/maximum/sub/mul/add are IEEE-exact elementwise, so each row
-        # is bit-identical to the scalar query.
-        elapsed = np.minimum(np.maximum(time, rows[:, 0]), rows[:, 1]) - rows[:, 0]
-        return rows[:, 2:4] + rows[:, 4:6] * elapsed[:, None]
 
     def _locate_segment(self, node_id: str, time: float) -> "_Segment | None":
         """Find (and cache) the segment covering ``time``, extending lazily."""

@@ -11,8 +11,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.arrays import numpy_or_none
-from repro.mobility.base import LegArrayCache, MobilityModel, Position
+from repro.mobility.base import MobilityModel, Position
 
 
 @dataclass(frozen=True)
@@ -67,10 +66,6 @@ class RandomWaypointMobility(MobilityModel):
         # its pause window): the common query pattern revisits one leg many
         # times, so this skips the extend/reverse-scan on the hot path.
         self._current: Dict[str, _Leg] = {}
-        # Vectorized view of the same legs for positions_array, one row of
-        # (t0, t1, pause_until, sx, sy, ex, ey) per node; a row stays valid
-        # through its pause window (column 2).
-        self._leg_rows = LegArrayCache(7, valid_to_column=2)
 
     def add_node(self, node_id: str, initial_position: Position | Tuple[float, float] | None = None) -> None:
         """Register a mobile node, optionally at a fixed initial position."""
@@ -119,71 +114,6 @@ class RandomWaypointMobility(MobilityModel):
             start.x + (end.x - start.x) * fraction,
             start.y + (end.y - start.y) * fraction,
         )
-
-    def current_leg(self, node_id: str, time: float) -> Tuple[float, float, float, float, float, float]:
-        """The travel leg covering ``time``: ``(t0, t1, x0, y0, vx, vy)``.
-
-        During the pause window (``t >= t1`` up to the next leg) the node
-        sits at the leg's endpoint; callers clamp ``t`` to ``t1``.
-        """
-        leg = self._current.get(node_id)
-        if leg is None or not (leg.start_time <= time <= leg.pause_until):
-            leg = self._locate_leg(node_id, time)
-        if leg is None:
-            initial = self._initial[node_id]
-            return (time, time, initial.x, initial.y, 0.0, 0.0)
-        travel = leg.end_time - leg.start_time
-        if travel <= 0.0:
-            return (leg.start_time, leg.end_time, leg.end.x, leg.end.y, 0.0, 0.0)
-        return (
-            leg.start_time,
-            leg.end_time,
-            leg.start.x,
-            leg.start.y,
-            (leg.end.x - leg.start.x) / travel,
-            (leg.end.y - leg.start.y) / travel,
-        )
-
-    def positions_array(self, node_ids, time: float):
-        np = numpy_or_none()
-        if np is None:
-            return super().positions_array(node_ids, time)
-        rows = self._leg_rows.rows_for(
-            np, node_ids, self._version, time, self._leg_row_at(time)
-        )
-        t0, t1 = rows[:, 0], rows[:, 1]
-        start, end = rows[:, 3:5], rows[:, 5:7]
-        # Same branch structure as position_xy, as masks: paused/degenerate
-        # legs sit at the endpoint, travelling legs interpolate by the exact
-        # scalar fraction formula (clamped with minimum/maximum, not clip,
-        # to mirror min(max(...)) bit-for-bit).
-        at_end = (time >= t1) | (t1 == t0)
-        span = np.where(at_end, 1.0, t1 - t0)  # dummy denominator where at_end
-        fraction = np.minimum(np.maximum((time - t0) / span, 0.0), 1.0)
-        moving = start + (end - start) * fraction[:, None]
-        return np.where(at_end[:, None], end, moving)
-
-    def _leg_row_at(self, time: float):
-        """Refresh callback for the leg-row cache at one timestamp."""
-
-        def refresh(node_id: str):
-            leg = self._current.get(node_id)
-            if leg is None or not (leg.start_time <= time <= leg.pause_until):
-                leg = self._locate_leg(node_id, time)
-            if leg is None:
-                initial = self._initial[node_id]
-                return (time, time, time, initial.x, initial.y, initial.x, initial.y)
-            return (
-                leg.start_time,
-                leg.end_time,
-                leg.pause_until,
-                leg.start.x,
-                leg.start.y,
-                leg.end.x,
-                leg.end.y,
-            )
-
-        return refresh
 
     def _locate_leg(self, node_id: str, time: float) -> "_Leg | None":
         """Find (and cache) the leg covering ``time``, extending lazily."""

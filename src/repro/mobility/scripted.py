@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.arrays import numpy_or_none
-from repro.mobility.base import LegArrayCache, MobilityModel, Position
+from repro.mobility.base import MobilityModel, Position
 
 
 @dataclass(frozen=True)
@@ -42,24 +41,22 @@ class ScriptedMobility(MobilityModel):
     after the last it sits at the last waypoint's position.  Between
     waypoints the position is linearly interpolated.
 
-    Every query path — :meth:`position`, :meth:`position_xy` and
-    :meth:`positions_array` — evaluates the same *leg*: a tuple ``(valid_from,
-    valid_to, t0, span, x0, y0, dx, dy)`` with ``position = (x0, y0) +
-    (dx, dy) * ((time - t0) / span)`` for ``valid_from <= time <= valid_to``.
-    :meth:`_find_leg` is the only place that resolves a timestamp to a leg
-    (one ``bisect`` over the node's waypoints), and each node's most
-    recent leg is kept, so a query costs O(1) while time stays within a leg
-    and O(log waypoints) when it leaves it — in either direction.
+    :meth:`position` and :meth:`position_xy` evaluate the same *leg*: a
+    tuple ``(valid_from, valid_to, t0, span, x0, y0, dx, dy)`` with
+    ``position = (x0, y0) + (dx, dy) * ((time - t0) / span)`` for
+    ``valid_from <= time <= valid_to``.  :meth:`_find_leg` is the only place
+    that resolves a timestamp to a leg (one ``bisect`` over the node's
+    waypoints), and each node's most recent leg is kept, so a query costs
+    O(1) while time stays within a leg and O(log waypoints) when it leaves
+    it — in either direction.
     """
 
     def __init__(self):
         self._waypoints: Dict[str, List[Waypoint]] = {}
         # Each node's most recently resolved leg.
-        self._current_leg: Dict[str, Tuple[float, ...]] = {}
+        self._current: Dict[str, Tuple[float, ...]] = {}
         self._version = 0
         self._speed_bound: Optional[float] = None
-        # The same leg tuples, one row per node, for positions_array.
-        self._leg_rows = LegArrayCache(8)
 
     def add_node(self, node_id: str, waypoints: Iterable[Waypoint | Tuple[float, float, float]]) -> None:
         """Register a node with its waypoint trace (must be non-empty)."""
@@ -72,7 +69,7 @@ class ScriptedMobility(MobilityModel):
             raise ValueError(f"node {node_id!r} needs at least one waypoint")
         parsed.sort(key=lambda w: w.time)
         self._waypoints[node_id] = parsed
-        self._current_leg.pop(node_id, None)
+        self._current.pop(node_id, None)
         self._speed_bound = None
         self._version += 1
 
@@ -88,7 +85,7 @@ class ScriptedMobility(MobilityModel):
         return Position(*self.position_xy(node_id, time))
 
     def position_xy(self, node_id: str, time: float) -> Tuple[float, float]:
-        leg = self._current_leg.get(node_id)
+        leg = self._current.get(node_id)
         if leg is None or not leg[0] <= time <= leg[1]:
             leg = self._find_leg(node_id, time)
         fraction = (time - leg[2]) / leg[3]
@@ -96,16 +93,6 @@ class ScriptedMobility(MobilityModel):
 
     def mobility_version(self) -> int:
         return self._version
-
-    def positions_array(self, node_ids, time: float):
-        np = numpy_or_none()
-        if np is None:
-            return super().positions_array(node_ids, time)
-        rows = self._leg_rows.rows_for(
-            np, node_ids, self._version, time, lambda node_id: self._find_leg(node_id, time)
-        )
-        fraction = (time - rows[:, 2]) / rows[:, 3]
-        return rows[:, 4:6] + rows[:, 6:8] * fraction[:, None]
 
     def _find_leg(self, node_id: str, time: float) -> Tuple[float, ...]:
         """Resolve (and remember) the leg of ``node_id`` that covers ``time``.
@@ -117,8 +104,9 @@ class ScriptedMobility(MobilityModel):
         because ``t_{i-1} < time`` its span is never zero: waypoints sharing
         a timestamp are a jump taken just after that instant.  The windows
         are closed intervals (``math.nextafter`` turns the open ends into
-        closed ones) so that one ``valid_from <= time <= valid_to`` test
-        serves the scalar cache and the array rows alike.
+        closed ones) so that the one ``valid_from <= time <= valid_to`` test
+        in :meth:`position_xy` decides whether the remembered leg still
+        applies.
         """
         try:
             waypoints = self._waypoints[node_id]
@@ -153,7 +141,7 @@ class ScriptedMobility(MobilityModel):
                 later.x - earlier.x,
                 later.y - earlier.y,
             )
-        self._current_leg[node_id] = leg
+        self._current[node_id] = leg
         return leg
 
     def speed_bound(self) -> float:

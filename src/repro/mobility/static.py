@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Tuple
 
-from repro.arrays import numpy_or_none
 from repro.mobility.base import MobilityModel, Position
 
 
@@ -20,10 +19,6 @@ class StaticPlacement(MobilityModel):
     def __init__(self, positions: Mapping[str, Tuple[float, float]] | None = None):
         self._positions: Dict[str, Position] = {}
         self._version = 0
-        # (node-order tuple, version, read-only (N, 2) array): positions are
-        # time-invariant, so one materialisation serves every query until a
-        # teleport or a different node order arrives.
-        self._array_cache: Optional[tuple] = None
         if positions:
             for node_id, (x, y) in positions.items():
                 self._positions[node_id] = Position(x, y)
@@ -32,7 +27,8 @@ class StaticPlacement(MobilityModel):
         """Place (or move) a node at a fixed position.
 
         Moving a node mid-run is a teleport: the version bump below tells
-        position caches and grid snapshots to discard everything they knew.
+        grid snapshots and remembered neighbour sets to discard everything
+        they knew.
         """
         self._positions[node_id] = Position(x, y)
         self._version += 1
@@ -50,27 +46,6 @@ class StaticPlacement(MobilityModel):
             return self._positions[node_id]
         except KeyError:
             raise KeyError(f"node {node_id!r} has no static position") from None
-
-    def position_xy(self, node_id: str, time: float) -> Tuple[float, float]:
-        position = self.position(node_id, time)
-        return (position.x, position.y)
-
-    def positions_array(self, node_ids, time: float):
-        np = numpy_or_none()
-        if np is None:
-            return super().positions_array(node_ids, time)
-        order = tuple(node_ids)
-        cached = self._array_cache
-        if cached is not None and cached[0] == order and cached[1] == self._version:
-            return cached[2]
-        rows = np.empty((len(order), 2), dtype=np.float64)
-        for index, node_id in enumerate(order):
-            position = self.position(node_id, time)
-            rows[index, 0] = position.x
-            rows[index, 1] = position.y
-        rows.setflags(write=False)  # shared across queries — callers must copy to mutate
-        self._array_cache = (order, self._version, rows)
-        return rows
 
     def speed_bound(self) -> float:
         return 0.0

@@ -119,9 +119,6 @@ class StreetGridMobility(MobilityModel):
     def position_xy(self, node_id: str, time: float) -> Tuple[float, float]:
         return self._scripted.position_xy(node_id, time)
 
-    def positions_array(self, node_ids, time: float):
-        return self._scripted.positions_array(node_ids, time)
-
     def mobility_version(self) -> int:
         return self._scripted.mobility_version()
 

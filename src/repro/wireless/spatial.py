@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Tuple
 
-from repro.mobility.base import MobilityModel, PositionCache
+from repro.mobility.base import MobilityModel
 
 #: Default validity window (simulated seconds) of one grid snapshot.
 DEFAULT_REBUILD_INTERVAL = 1.0
@@ -56,7 +56,7 @@ class NeighborIndex:
     """Base class: tracks attached node ids and answers range queries."""
 
     def __init__(self, mobility: MobilityModel):
-        self.positions = PositionCache(mobility)
+        self.mobility = mobility
         self._attach_order: Dict[str, int] = {}
         self._next_sequence = 0
         self._node_ids_cache: Optional[Tuple[str, ...]] = None
@@ -264,8 +264,8 @@ class GridNeighborIndex(NeighborIndex):
         self._snapshot_time = time
         # The bound can only change when membership changes, which already
         # invalidates the snapshot — sampling it here keeps queries O(cells).
-        self._snapshot_speed = self.positions.speed_bound()
-        self._snapshot_version = self.positions.mobility_version()
+        self._snapshot_speed = self.mobility.speed_bound()
+        self._snapshot_version = self._mobility_version()
         self.rebuilds += 1
         return 0.0
 

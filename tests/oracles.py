@@ -32,7 +32,7 @@ class BruteForceNeighborIndex(NeighborIndex):
     """Reference backend: compare against every attached radio."""
 
     def neighbors(self, node_id: str, radius: float, time: float) -> List[str]:
-        position = self.positions.position
+        position = self.mobility.position
         origin = position(node_id, time)
         origin_x, origin_y = origin.x, origin.y
         radius_sq = radius * radius

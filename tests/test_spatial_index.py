@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 from repro.experiments import ExperimentConfig, run_protocol_trial
 from repro.mobility import (
     CompositeMobility,
-    PositionCache,
     RandomDirectionMobility,
     RandomWaypointMobility,
     ScriptedMobility,
@@ -394,15 +393,6 @@ def test_neighbor_lists_belong_to_the_caller():
     radios["a"].broadcast("hello", 100, kind="test")
     sim.run()
     assert heard == ["b", "c"]
-
-
-def test_position_cache_returns_model_positions():
-    placement = StaticPlacement({"a": (1.0, 2.0)})
-    cache = PositionCache(placement)
-    first = cache.position("a", 3.0)
-    assert (first.x, first.y) == (1.0, 2.0)
-    assert cache.position("a", 3.0) is first
-    assert cache.speed_bound() == 0.0
 
 
 def test_build_neighbor_index_respects_channel_config():

@@ -189,6 +189,22 @@ def test_cli_run_persists_results(tmp_path, capsys):
     assert persisted == reference
 
 
+def test_cli_pool_and_serial_runs_share_one_task_cache(tmp_path, capsys):
+    store = tmp_path / "store"
+    command = [
+        "run", "fig9a", "--preset", "tiny", "--trials", "1",
+        "--axis", "wifi_range=80", "--store", str(store), "--quiet",
+    ]
+    assert cli.main(command + ["--workers", "2"]) == 0
+    assert cli.main(command) == 0
+    assert len(list((store / "tasks").iterdir())) == 1
+    capsys.readouterr()
+    assert cli.main(command + ["--dry-run"]) == 0
+    listing = [line for line in capsys.readouterr().out.splitlines() if line.startswith("fig9a-")]
+    assert len(listing) == 4
+    assert all(line.endswith("[cached]") for line in listing)
+
+
 def test_cli_rejects_unknown_experiment(capsys):
     with pytest.raises(SystemExit) as exit_info:
         cli.main(["run", "fig99", "--preset", "tiny"])
