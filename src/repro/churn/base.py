@@ -16,9 +16,11 @@ Three departure semantics exist (:class:`ChurnEvent` actions):
   transfer — the fault-injection path that exercises ARQ pruning, PIT
   expiry and the liveness guards on fire-and-forget events.
 
-Models register under short names via :func:`register_churn`, mirroring the
-topology/protocol/propagation registries; ``ExperimentConfig.churn`` selects
-one by name and ``ExperimentConfig.churn_params`` parameterizes it.  The
+Models register under short names via :func:`register_churn`, the
+``CHURN`` :class:`~repro.registry.Registry`, and declare their parameters in
+``PARAMS`` (:class:`~repro.registry.Parameterised`, the contract shared with
+propagation and fault models).  ``ExperimentConfig.churn`` selects one by
+name and ``ExperimentConfig.churn_params`` parameterizes it.  The
 ``none`` model is special-cased by the scenario builders: no manager, no
 events, no RNG stream creation — byte-identical to a build without the
 churn subsystem.
@@ -27,7 +29,9 @@ churn subsystem.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Type
+from typing import Callable, Optional, Sequence, Tuple
+
+from repro.registry import Parameterised, Registry
 
 #: ChurnEvent actions.
 ARRIVE = "arrive"
@@ -71,40 +75,16 @@ class ChurnPlan:
         return not self.initially_offline and not self.events
 
 
-class ChurnModel:
+class ChurnModel(Parameterised):
     """Base class: a deterministic population-dynamics model.
 
-    Subclasses read their parameters from ``params`` in ``__init__`` and
-    implement :meth:`plan`.  ``validate_params`` rejects unknown keys and
-    inconsistent values at configuration time, before any simulator exists —
-    the same contract the propagation registry follows.
+    Subclasses declare their parameters in :attr:`PARAMS` (see
+    :class:`~repro.registry.Parameterised`: each becomes an attribute, and
+    unknown keys or inconsistent values raise at configuration time, before
+    any simulator exists) and implement :meth:`plan`.
     """
 
-    name: str = ""
-
-    #: Parameter name -> validator returning an error string or None.
-    PARAMS: Mapping[str, Callable[[object], Optional[str]]] = {}
-
-    def __init__(self, params: Optional[Mapping[str, object]] = None):
-        self.params: Dict[str, object] = dict(params or {})
-        self.validate_params(self.params)
-
-    @classmethod
-    def validate_params(cls, params: Mapping[str, object]) -> None:
-        """Raise ``ValueError`` on unknown parameters or inconsistent values."""
-        for key, value in params.items():
-            validator = cls.PARAMS.get(key)
-            if validator is None:
-                raise ValueError(
-                    f"churn model {cls.name!r} has no parameter {key!r}; "
-                    f"available: {sorted(cls.PARAMS)}"
-                )
-            error = validator(value)
-            if error:
-                raise ValueError(f"churn parameter {key!r} {error} (got {value!r})")
-
-    def param(self, key: str, default):
-        return self.params.get(key, default)
+    kind = "churn"
 
     # ----------------------------------------------------------------- planning
     def plan(self, node_ids: Sequence[str], horizon: float, stream: StreamFn) -> ChurnPlan:
@@ -118,24 +98,6 @@ class ChurnModel:
 
 
 # ---------------------------------------------------------- shared validators
-def positive_number(value) -> Optional[str]:
-    if not isinstance(value, (int, float)) or not value > 0:
-        return "must be a positive number"
-    return None
-
-
-def non_negative_number(value) -> Optional[str]:
-    if not isinstance(value, (int, float)) or not value >= 0:
-        return "must be a non-negative number"
-    return None
-
-
-def probability(value) -> Optional[str]:
-    if not isinstance(value, (int, float)) or not 0.0 <= value <= 1.0:
-        return "must be a probability in [0, 1]"
-    return None
-
-
 def positive_int(value) -> Optional[str]:
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         return "must be a positive integer"
@@ -143,45 +105,12 @@ def positive_int(value) -> Optional[str]:
 
 
 # ================================================================== registry
-_CHURN: Dict[str, Type[ChurnModel]] = {}
-
-
-def register_churn(name: str):
-    """Class decorator: make a :class:`ChurnModel` available under ``name``."""
-
-    def decorator(cls: Type[ChurnModel]) -> Type[ChurnModel]:
-        if name in _CHURN:
-            raise ValueError(f"churn model {name!r} is already registered")
-        cls.name = name
-        _CHURN[name] = cls
-        return cls
-
-    return decorator
-
-
-def available_churn_models() -> List[str]:
-    """Names of all registered churn models."""
-    return sorted(_CHURN)
-
-
-def churn_model_class(name: str) -> Type[ChurnModel]:
-    """Resolve a registered churn model class by name."""
-    try:
-        return _CHURN[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown churn model {name!r}; available: {available_churn_models()}"
-        ) from None
-
-
-def validate_churn(name: str, params: Mapping[str, object]) -> None:
-    """Raise ``ValueError`` on an unknown model or inconsistent parameters."""
-    churn_model_class(name).validate_params(params)
-
-
-def build_churn_model(name: str, params: Optional[Mapping[str, object]] = None) -> ChurnModel:
-    """Instantiate the churn model registered under ``name``."""
-    return churn_model_class(name)(params)
+CHURN = Registry("churn model")
+register_churn = CHURN.register
+available_churn_models = CHURN.names
+churn_model_class = CHURN.get
+validate_churn = CHURN.validate
+build_churn_model = CHURN.build
 
 
 @register_churn("none")

@@ -22,12 +22,10 @@ from repro.churn.base import (
     ChurnModel,
     ChurnPlan,
     StreamFn,
-    non_negative_number,
     positive_int,
-    positive_number,
-    probability,
     register_churn,
 )
+from repro.registry import non_negative_number, positive_number, probability
 
 
 @register_churn("flashcrowd")
@@ -35,21 +33,22 @@ class FlashCrowd(ChurnModel):
     """Everyone offline at t=0; arrivals in deterministic jittered bursts."""
 
     PARAMS = {
-        "first_burst": non_negative_number,
-        "bursts": positive_int,
-        "spacing": positive_number,
-        "jitter": non_negative_number,
-        "mean_session": positive_number,
-        "abrupt_fraction": probability,
+        "first_burst": (20.0, non_negative_number),
+        "bursts": (3, positive_int),
+        "spacing": (60.0, positive_number),
+        "jitter": (5.0, non_negative_number),
+        # None: arrived nodes stay for the rest of the run.
+        "mean_session": (None, positive_number),
+        "abrupt_fraction": (0.3, probability),
     }
 
     def plan(self, node_ids: Sequence[str], horizon: float, stream: StreamFn) -> ChurnPlan:
-        first_burst = float(self.param("first_burst", 20.0))
-        bursts = int(self.param("bursts", 3))
-        spacing = float(self.param("spacing", 60.0))
-        jitter = float(self.param("jitter", 5.0))
-        mean_session = self.param("mean_session", None)
-        abrupt = float(self.param("abrupt_fraction", 0.3))
+        first_burst = float(self.first_burst)
+        bursts = int(self.bursts)
+        spacing = float(self.spacing)
+        jitter = float(self.jitter)
+        mean_session = self.mean_session
+        abrupt = float(self.abrupt_fraction)
 
         events: List[ChurnEvent] = []
         for position, node_id in enumerate(node_ids):

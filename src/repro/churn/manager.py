@@ -26,16 +26,17 @@ out of the event stream, preserving byte-identity with pre-churn runs.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+import math
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.churn.base import (
     ARRIVE,
     DEPART,
     KILL,
     ChurnEvent,
+    ChurnModel,
     ChurnPlan,
     build_churn_model,
-    validate_churn,
 )
 
 ONLINE = "online"
@@ -225,31 +226,42 @@ def churnable_node_ids(names: Dict[str, List[str]]) -> List[str]:
     return [node_id for node_id in ordered if node_id not in protected]
 
 
+def configured_churn(config) -> Optional[Tuple[ChurnModel, float]]:
+    """``(model, drain_delay)`` for ``config.churn``, or ``None`` for ``none``.
+
+    ``drain_delay`` is a manager knob, not a model parameter, and is popped
+    from ``config.churn_params`` before model construction.  Spec planning
+    calls this too, so an unknown model or a bad parameter fails before any
+    task runs, by the same check the build applies.
+    """
+    if config.churn == "none":
+        return None
+    params = dict(config.churn_params)
+    drain_delay = params.pop("drain_delay", DEFAULT_DRAIN_DELAY)
+    if not isinstance(drain_delay, (int, float)) or not 0 <= drain_delay < math.inf:
+        raise ValueError(
+            f"churn parameter 'drain_delay' must be a finite non-negative number "
+            f"(got {drain_delay!r})"
+        )
+    return build_churn_model(config.churn, params), float(drain_delay)
+
+
 def build_churn_manager(config, sim, medium, names: Dict[str, List[str]]):
     """Build the lifecycle manager for ``config``, or ``None`` for zero churn.
 
     The ``none`` model short-circuits here — no manager object, no RNG
     streams, no scheduled events — so a zero-churn run stays byte-identical
-    to one built before the churn subsystem existed.  ``drain_delay`` is a
-    manager knob, not a model parameter, and is popped from
-    ``config.churn_params`` before model construction.
+    to one built before the churn subsystem existed.
     """
-    name = getattr(config, "churn", "none")
-    if name == "none":
+    configured = configured_churn(config)
+    if configured is None:
         return None
-    params = dict(getattr(config, "churn_params", None) or {})
-    drain_delay = params.pop("drain_delay", DEFAULT_DRAIN_DELAY)
-    if not isinstance(drain_delay, (int, float)) or drain_delay < 0:
-        raise ValueError(
-            f"churn parameter 'drain_delay' must be a non-negative number (got {drain_delay!r})"
-        )
-    validate_churn(name, params)
-    model = build_churn_model(name, params)
+    model, drain_delay = configured
     return ChurnManager(
         sim,
         medium,
         model,
         churnable_node_ids(names),
         horizon=config.max_duration,
-        drain_delay=float(drain_delay),
+        drain_delay=drain_delay,
     )

@@ -31,10 +31,9 @@ from repro.churn.base import (
     ChurnModel,
     ChurnPlan,
     StreamFn,
-    positive_number,
-    probability,
     register_churn,
 )
+from repro.registry import positive_number, probability
 
 SESSION_DISTRIBUTIONS = ("exponential", "lognormal", "pareto")
 
@@ -56,22 +55,23 @@ class PoissonChurn(ChurnModel):
     """Alternating online/offline renewal churn per node."""
 
     PARAMS = {
-        "mean_session": positive_number,
-        "mean_offline": positive_number,
-        "session_distribution": _distribution,
-        "abrupt_fraction": probability,
-        "lognormal_sigma": positive_number,
-        "pareto_alpha": _alpha,
+        "mean_session": (120.0, positive_number),
+        "mean_offline": (60.0, positive_number),
+        "session_distribution": ("exponential", _distribution),
+        "abrupt_fraction": (0.3, probability),
+        "lognormal_sigma": (1.0, positive_number),
+        "pareto_alpha": (2.5, _alpha),
     }
 
     def plan(self, node_ids: Sequence[str], horizon: float, stream: StreamFn) -> ChurnPlan:
-        mean_session = float(self.param("mean_session", 120.0))
-        mean_offline = float(self.param("mean_offline", 60.0))
-        distribution = self.param("session_distribution", "exponential")
-        abrupt = float(self.param("abrupt_fraction", 0.3))
-        sigma = float(self.param("lognormal_sigma", 1.0))
-        alpha = float(self.param("pareto_alpha", 2.5))
-        draw_session = self._session_sampler(distribution, mean_session, sigma, alpha)
+        mean_offline = float(self.mean_offline)
+        abrupt = float(self.abrupt_fraction)
+        draw_session = self._session_sampler(
+            self.session_distribution,
+            float(self.mean_session),
+            float(self.lognormal_sigma),
+            float(self.pareto_alpha),
+        )
 
         events: List[ChurnEvent] = []
         for node_id in node_ids:

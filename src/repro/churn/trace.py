@@ -59,14 +59,14 @@ class TraceChurn(ChurnModel):
     """Replay an explicit, pre-scripted churn schedule."""
 
     PARAMS = {
-        "events": _event_list,
-        "initially_offline": _node_list,
+        "events": ((), _event_list),
+        "initially_offline": ((), _node_list),
     }
 
     def plan(self, node_ids: Sequence[str], horizon: float, stream: StreamFn) -> ChurnPlan:
         known = set(node_ids)
         offline = []
-        for node_id in self.param("initially_offline", ()):
+        for node_id in self.initially_offline:
             if node_id not in known:
                 raise ValueError(
                     f"trace churn: initially_offline names unknown node {node_id!r}; "
@@ -74,7 +74,7 @@ class TraceChurn(ChurnModel):
                 )
             offline.append(node_id)
         events: List[ChurnEvent] = []
-        for time, node_id, action in self.param("events", ()):
+        for time, node_id, action in self.events:
             if node_id not in known:
                 raise ValueError(
                     f"trace churn: event [{time}, {node_id!r}, {action!r}] names an "

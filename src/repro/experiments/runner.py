@@ -40,11 +40,9 @@ def run_protocol_trial(
     scenario.watch_completion(_on_complete)
     # The invariant monitor is pure observation (no RNG draws, no scheduled
     # events), so installing it never changes what the simulation computes.
-    monitor = build_invariant_monitor(
-        config, sim, scenario.medium, faults=getattr(scenario, "faults", None)
-    )
+    monitor = build_invariant_monitor(config, sim, scenario.medium, faults=scenario.faults)
     scenario.start()
-    profiling = bool(getattr(config, "profile", False))
+    profiling = config.profile
     start_clock = time.perf_counter() if profiling else 0.0
     sim.run(until=config.max_duration)
     wall_clock_s = time.perf_counter() - start_clock if profiling else 0.0
@@ -60,7 +58,7 @@ def run_protocol_trial(
 
     stats = scenario.medium.stats
     churn = scenario.churn
-    faults = getattr(scenario, "faults", None)
+    faults = scenario.faults
     profile = (
         collect_run_profile(sim, scenario.medium, wall_clock_s, churn=churn, faults=faults)
         if profiling

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Callable, Dict, List, Optional, Type
+from typing import Callable, Dict, List, Optional
 
 from repro.crypto.keys import KeyPair
 from repro.crypto.trust import TrustAnchorStore
@@ -44,6 +44,7 @@ from repro.core import (
 from repro.churn import build_churn_manager
 from repro.faults import build_fault_manager
 from repro.experiments.topology import get_topology
+from repro.registry import Registry
 
 PRODUCER_IDENTITY = "/residents/producer"
 COLLECTION_LABEL = "damaged-bridge"
@@ -369,35 +370,11 @@ class IpScenario(Scenario):
 
 
 # ================================================================ builders
-_BUILDERS: Dict[str, Type["ScenarioBuilder"]] = {}
-
-
-def register_protocol(name: str):
-    """Class decorator: make a :class:`ScenarioBuilder` available under ``name``."""
-
-    def decorator(cls: Type["ScenarioBuilder"]) -> Type["ScenarioBuilder"]:
-        if name in _BUILDERS:
-            raise ValueError(f"protocol {name!r} is already registered")
-        _BUILDERS[name] = cls
-        return cls
-
-    return decorator
-
-
-def get_builder(protocol: str) -> "ScenarioBuilder":
-    """Instantiate the scenario builder registered for ``protocol``."""
-    try:
-        cls = _BUILDERS[protocol]
-    except KeyError:
-        raise ValueError(
-            f"unknown protocol {protocol!r}; available: {sorted(_BUILDERS)}"
-        ) from None
-    return cls(protocol)
-
-
-def available_protocols() -> List[str]:
-    """Names of all registered protocols."""
-    return sorted(_BUILDERS)
+PROTOCOLS = Registry("protocol")
+register_protocol = PROTOCOLS.register
+#: ``get_builder(protocol)`` instantiates the builder registered for ``protocol``.
+get_builder = lambda protocol: PROTOCOLS.get(protocol)(protocol)
+available_protocols = PROTOCOLS.names
 
 
 class ScenarioBuilder(ABC):

@@ -22,8 +22,11 @@ from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.churn.manager import configured_churn
 from repro.experiments.metrics import RunResult, SweepPoint
-from repro.experiments.scenario import ExperimentConfig
+from repro.experiments.scenario import PROTOCOLS, ExperimentConfig
+from repro.experiments.topology import TOPOLOGIES
+from repro.faults.manager import configured_faults
 
 # Hook signatures (kept as plain callables so specs stay picklable-free:
 # workers re-resolve hooks from the registry by spec name).
@@ -166,8 +169,9 @@ class ExperimentSpec:
 
         Every point is validated here — the one place ``run``, ``--dry-run``,
         ``task_listing`` and the coordinator's ``submit`` all pass — so a bad
-        axis value or ``trials < 1`` raises :class:`PlanError` before any
-        task runs or is leased to a worker.
+        axis value, ``trials < 1``, an unknown protocol, topology,
+        propagation, churn or fault model, or a bad model parameter raises
+        :class:`PlanError` before any task runs or is leased to a worker.
         """
         from repro.experiments.runner import trial_seeds
 
@@ -199,6 +203,10 @@ class ExperimentSpec:
                     if point_config.trials < 1:
                         raise ValueError("trials must be at least 1")
                     point_config.channel()
+                    PROTOCOLS.get(variant.protocol)
+                    TOPOLOGIES.get(point_config.topology)
+                    configured_churn(point_config)
+                    configured_faults(point_config)
                 except ValueError as exc:
                     where = ", ".join(f"{key}={value}" for key, value in parameters.items())
                     raise PlanError(

@@ -224,10 +224,10 @@ class ResultStore:
         if config is not None:
             meta["config_hash"] = config_hash(config)
             meta["registries"] = {
-                "topology": getattr(config, "topology", None),
-                "propagation": getattr(config, "propagation", None),
-                "churn": getattr(config, "churn", "none"),
-                "faults": getattr(config, "faults", "none"),
+                "topology": config.topology,
+                "propagation": config.propagation,
+                "churn": config.churn,
+                "faults": config.faults,
             }
         if extra:
             meta.update(extra)

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import hashlib
 from abc import ABC, abstractmethod
-from typing import Dict, List, Optional, Tuple, Type
+from typing import Dict, List, Optional, Tuple
 
 from repro.mobility import (
     CompositeMobility,
@@ -54,39 +54,15 @@ from repro.mobility import (
     StaticPlacement,
     StreetGridMobility,
 )
+from repro.registry import Registry
 from repro.simulation import Simulator
 from repro.wireless.environment import Environment, Obstacle
 
-_TOPOLOGIES: Dict[str, Type["Topology"]] = {}
-
-
-def register_topology(name: str):
-    """Class decorator: make a :class:`Topology` available under ``name``."""
-
-    def decorator(cls: Type["Topology"]) -> Type["Topology"]:
-        if name in _TOPOLOGIES:
-            raise ValueError(f"topology {name!r} is already registered")
-        cls.name = name
-        _TOPOLOGIES[name] = cls
-        return cls
-
-    return decorator
-
-
-def get_topology(name: str) -> "Topology":
-    """Instantiate the topology registered under ``name``."""
-    try:
-        cls = _TOPOLOGIES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown topology {name!r}; available: {sorted(_TOPOLOGIES)}"
-        ) from None
-    return cls()
-
-
-def available_topologies() -> List[str]:
-    """Names of all registered topologies."""
-    return sorted(_TOPOLOGIES)
+TOPOLOGIES = Registry("topology")
+register_topology = TOPOLOGIES.register
+#: ``get_topology(name)`` instantiates the topology registered under ``name``.
+get_topology = lambda name: TOPOLOGIES.get(name)()
+available_topologies = TOPOLOGIES.names
 
 
 class Topology(ABC):
@@ -288,7 +264,7 @@ class UrbanGridTopology(Topology):
         return mobility
 
     def build_environment(self, config) -> Optional[Environment]:
-        density = getattr(config, "obstacle_density", 1.0)
+        density = config.obstacle_density
         if density <= 0.0:
             return Environment()
         lines, street_width = self.geometry(config)

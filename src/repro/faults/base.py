@@ -24,9 +24,11 @@ A plan is a set of :class:`FaultEpisode` intervals, each of one kind:
 * ``degrade``   — a global extra loss probability (``severity``) applies to
   every delivery during the interval: time-varying channel quality.
 
-Models register under short names via :func:`register_fault`, mirroring the
-topology/protocol/propagation/churn registries; ``ExperimentConfig.faults``
-selects one by name and ``ExperimentConfig.fault_params`` parameterizes it.
+Models register under short names via :func:`register_fault`, the
+``FAULTS`` :class:`~repro.registry.Registry`, and declare their parameters in
+``PARAMS`` (:class:`~repro.registry.Parameterised`, the contract shared with
+propagation and churn models).  ``ExperimentConfig.faults`` selects one by
+name and ``ExperimentConfig.fault_params`` parameterizes it.
 The ``none`` model is special-cased by the scenario builders: no manager,
 no episodes, no RNG stream creation — byte-identical to a build without the
 fault subsystem.
@@ -35,7 +37,9 @@ fault subsystem.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Type
+from typing import Callable, Optional, Sequence, Tuple
+
+from repro.registry import Parameterised, Registry
 
 #: FaultEpisode kinds.
 LINK = "link"
@@ -113,40 +117,16 @@ class FaultPlan:
         return not self.episodes
 
 
-class FaultModel:
+class FaultModel(Parameterised):
     """Base class: a deterministic network-degradation model.
 
-    Subclasses read their parameters from ``params`` in ``__init__`` and
-    implement :meth:`plan`.  ``validate_params`` rejects unknown keys and
-    inconsistent values at configuration time, before any simulator exists —
-    the same contract the churn and propagation registries follow.
+    Subclasses declare their parameters in :attr:`PARAMS` (see
+    :class:`~repro.registry.Parameterised`: each becomes an attribute, and
+    unknown keys or inconsistent values raise at configuration time, before
+    any simulator exists) and implement :meth:`plan`.
     """
 
-    name: str = ""
-
-    #: Parameter name -> validator returning an error string or None.
-    PARAMS: Mapping[str, Callable[[object], Optional[str]]] = {}
-
-    def __init__(self, params: Optional[Mapping[str, object]] = None):
-        self.params: Dict[str, object] = dict(params or {})
-        self.validate_params(self.params)
-
-    @classmethod
-    def validate_params(cls, params: Mapping[str, object]) -> None:
-        """Raise ``ValueError`` on unknown parameters or inconsistent values."""
-        for key, value in params.items():
-            validator = cls.PARAMS.get(key)
-            if validator is None:
-                raise ValueError(
-                    f"fault model {cls.name!r} has no parameter {key!r}; "
-                    f"available: {sorted(cls.PARAMS)}"
-                )
-            error = validator(value)
-            if error:
-                raise ValueError(f"fault parameter {key!r} {error} (got {value!r})")
-
-    def param(self, key: str, default):
-        return self.params.get(key, default)
+    kind = "fault"
 
     # ----------------------------------------------------------------- planning
     def plan(self, node_ids: Sequence[str], horizon: float, stream: StreamFn) -> FaultPlan:
@@ -160,24 +140,6 @@ class FaultModel:
 
 
 # ---------------------------------------------------------- shared validators
-def positive_number(value) -> Optional[str]:
-    if not isinstance(value, (int, float)) or not value > 0:
-        return "must be a positive number"
-    return None
-
-
-def non_negative_number(value) -> Optional[str]:
-    if not isinstance(value, (int, float)) or not value >= 0:
-        return "must be a non-negative number"
-    return None
-
-
-def probability(value) -> Optional[str]:
-    if not isinstance(value, (int, float)) or not 0.0 <= value <= 1.0:
-        return "must be a probability in [0, 1]"
-    return None
-
-
 def severity_value(value) -> Optional[str]:
     if not isinstance(value, (int, float)) or not 0.0 < value <= 1.0:
         return "must be a severity in (0, 1]"
@@ -190,45 +152,12 @@ def pair_key(a: str, b: str) -> Tuple[str, str]:
 
 
 # ================================================================== registry
-_FAULTS: Dict[str, Type[FaultModel]] = {}
-
-
-def register_fault(name: str):
-    """Class decorator: make a :class:`FaultModel` available under ``name``."""
-
-    def decorator(cls: Type[FaultModel]) -> Type[FaultModel]:
-        if name in _FAULTS:
-            raise ValueError(f"fault model {name!r} is already registered")
-        cls.name = name
-        _FAULTS[name] = cls
-        return cls
-
-    return decorator
-
-
-def available_fault_models() -> List[str]:
-    """Names of all registered fault models."""
-    return sorted(_FAULTS)
-
-
-def fault_model_class(name: str) -> Type[FaultModel]:
-    """Resolve a registered fault model class by name."""
-    try:
-        return _FAULTS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown fault model {name!r}; available: {available_fault_models()}"
-        ) from None
-
-
-def validate_faults(name: str, params: Mapping[str, object]) -> None:
-    """Raise ``ValueError`` on an unknown model or inconsistent parameters."""
-    fault_model_class(name).validate_params(params)
-
-
-def build_fault_model(name: str, params: Optional[Mapping[str, object]] = None) -> FaultModel:
-    """Instantiate the fault model registered under ``name``."""
-    return fault_model_class(name)(params)
+FAULTS = Registry("fault model")
+register_fault = FAULTS.register
+available_fault_models = FAULTS.names
+fault_model_class = FAULTS.get
+validate_faults = FAULTS.validate
+build_fault_model = FAULTS.build
 
 
 @register_fault("none")

@@ -22,11 +22,10 @@ from repro.faults.base import (
     FaultModel,
     FaultPlan,
     StreamFn,
-    non_negative_number,
-    positive_number,
     register_fault,
     severity_value,
 )
+from repro.registry import non_negative_number, positive_number
 
 
 def _duty(value):
@@ -40,17 +39,17 @@ class Degrade(FaultModel):
     """A periodic square wave of extra channel loss."""
 
     PARAMS = {
-        "period": positive_number,
-        "duty": _duty,
-        "severity": severity_value,
-        "offset": non_negative_number,
+        "period": (20.0, positive_number),
+        "duty": (0.25, _duty),
+        "severity": (0.5, severity_value),
+        "offset": (0.0, non_negative_number),
     }
 
     def plan(self, node_ids: Sequence[str], horizon: float, stream: StreamFn) -> FaultPlan:
-        period = float(self.param("period", 20.0))
-        duty = float(self.param("duty", 0.25))
-        severity = float(self.param("severity", 0.5))
-        offset = float(self.param("offset", 0.0))
+        period = float(self.period)
+        duty = float(self.duty)
+        severity = float(self.severity)
+        offset = float(self.offset)
 
         episodes: List[FaultEpisode] = []
         start = offset + period * (1.0 - duty)

@@ -131,7 +131,7 @@ class InvariantMonitor:
 
 def build_invariant_monitor(config, sim, medium, faults=None) -> Optional[InvariantMonitor]:
     """An installed monitor when ``config.invariants`` is set, else ``None``."""
-    if not bool(getattr(config, "invariants", False)):
+    if not config.invariants:
         return None
     monitor = InvariantMonitor(sim, medium, faults=faults)
     monitor.install()

@@ -25,11 +25,10 @@ from repro.faults.base import (
     FaultPlan,
     StreamFn,
     pair_key,
-    positive_number,
-    probability,
     register_fault,
     severity_value,
 )
+from repro.registry import positive_number, probability
 
 
 @register_fault("link_flap")
@@ -37,17 +36,17 @@ class LinkFlap(FaultModel):
     """Alternating up/down renewal episodes per node pair."""
 
     PARAMS = {
-        "mean_up": positive_number,
-        "mean_down": positive_number,
-        "pair_fraction": probability,
-        "severity": severity_value,
+        "mean_up": (20.0, positive_number),
+        "mean_down": (5.0, positive_number),
+        "pair_fraction": (0.3, probability),
+        "severity": (1.0, severity_value),
     }
 
     def plan(self, node_ids: Sequence[str], horizon: float, stream: StreamFn) -> FaultPlan:
-        mean_up = float(self.param("mean_up", 20.0))
-        mean_down = float(self.param("mean_down", 5.0))
-        pair_fraction = float(self.param("pair_fraction", 0.3))
-        severity = float(self.param("severity", 1.0))
+        mean_up = float(self.mean_up)
+        mean_down = float(self.mean_down)
+        pair_fraction = float(self.pair_fraction)
+        severity = float(self.severity)
 
         episodes: List[FaultEpisode] = []
         ordered = sorted(node_ids)

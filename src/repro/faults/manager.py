@@ -39,10 +39,10 @@ from repro.faults.base import (
     SPATIAL,
     STALL,
     FaultEpisode,
+    FaultModel,
     FaultPlan,
     build_fault_model,
     pair_key,
-    validate_faults,
 )
 
 
@@ -342,6 +342,17 @@ def fault_node_ids(names: Dict[str, List[str]]) -> List[str]:
     )
 
 
+def configured_faults(config) -> Optional[FaultModel]:
+    """The fault model ``config.faults`` selects, or ``None`` for ``none``.
+
+    Spec planning calls this too, so an unknown model or a bad parameter
+    fails before any task runs, by the same check the build applies.
+    """
+    if config.faults == "none":
+        return None
+    return build_fault_model(config.faults, config.fault_params)
+
+
 def build_fault_manager(config, sim, medium, names: Dict[str, List[str]]):
     """Build the fault manager for ``config``, or ``None`` for zero faults.
 
@@ -349,10 +360,7 @@ def build_fault_manager(config, sim, medium, names: Dict[str, List[str]]):
     streams, no scheduled events — so a zero-fault run stays byte-identical
     to one built before the fault subsystem existed.
     """
-    name = getattr(config, "faults", "none")
-    if name == "none":
+    model = configured_faults(config)
+    if model is None:
         return None
-    params = dict(getattr(config, "fault_params", None) or {})
-    validate_faults(name, params)
-    model = build_fault_model(name, params)
     return FaultManager(sim, medium, model, fault_node_ids(names), horizon=config.max_duration)

@@ -31,10 +31,9 @@ from repro.faults.base import (
     FaultModel,
     FaultPlan,
     StreamFn,
-    non_negative_number,
-    positive_number,
     register_fault,
 )
+from repro.registry import non_negative_number, positive_number
 
 
 def _fraction(value):
@@ -54,21 +53,20 @@ class Partition(FaultModel):
     """A membership or spatial split at ``at``, healed ``duration`` later."""
 
     PARAMS = {
-        "at": non_negative_number,
-        "duration": positive_number,
-        "mode": _mode,
-        "fraction": _fraction,
-        "repeat_every": positive_number,
+        "at": (60.0, non_negative_number),
+        "duration": (30.0, positive_number),
+        "mode": ("membership", _mode),
+        "fraction": (0.5, _fraction),
+        # None: the split happens once.
+        "repeat_every": (None, positive_number),
     }
 
     def plan(self, node_ids: Sequence[str], horizon: float, stream: StreamFn) -> FaultPlan:
-        at = float(self.param("at", 60.0))
-        duration = float(self.param("duration", 30.0))
-        mode = self.param("mode", "membership")
-        fraction = float(self.param("fraction", 0.5))
-        repeat_every = self.param("repeat_every", None)
+        duration = float(self.duration)
+        fraction = float(self.fraction)
+        repeat_every = self.repeat_every
 
-        if mode == SPATIAL:
+        if self.mode == SPATIAL:
             # The manager resolves membership from positions at begin time.
             subject = (SPATIAL, fraction)
         else:
@@ -78,7 +76,7 @@ class Partition(FaultModel):
             subject = tuple(sorted(rng.sample(ordered, size)))
 
         episodes: List[FaultEpisode] = []
-        start = at
+        start = float(self.at)
         while start < horizon:
             episodes.append(
                 FaultEpisode(

@@ -24,10 +24,9 @@ from repro.faults.base import (
     FaultModel,
     FaultPlan,
     StreamFn,
-    positive_number,
-    probability,
     register_fault,
 )
+from repro.registry import positive_number, probability
 
 
 @register_fault("stall")
@@ -35,15 +34,15 @@ class Stall(FaultModel):
     """Alternating active/stalled renewal episodes per node."""
 
     PARAMS = {
-        "mean_active": positive_number,
-        "mean_stalled": positive_number,
-        "node_fraction": probability,
+        "mean_active": (30.0, positive_number),
+        "mean_stalled": (5.0, positive_number),
+        "node_fraction": (0.2, probability),
     }
 
     def plan(self, node_ids: Sequence[str], horizon: float, stream: StreamFn) -> FaultPlan:
-        mean_active = float(self.param("mean_active", 30.0))
-        mean_stalled = float(self.param("mean_stalled", 5.0))
-        node_fraction = float(self.param("node_fraction", 0.2))
+        mean_active = float(self.mean_active)
+        mean_stalled = float(self.mean_stalled)
+        node_fraction = float(self.node_fraction)
 
         episodes: List[FaultEpisode] = []
         for node_id in sorted(node_ids):

@@ -2,8 +2,12 @@
 
 Historically the medium hard-coded one physics: a unit disk of radius
 ``ChannelConfig.wifi_range`` with a uniform Bernoulli loss on top.  This
-module turns that into a registry of :class:`PropagationModel` backends
-selected by ``ChannelConfig.propagation``:
+module turns that into the ``PROPAGATION``
+:class:`~repro.registry.Registry` of :class:`PropagationModel` backends,
+selected by ``ChannelConfig.propagation`` and parameterised by
+``ChannelConfig.propagation_params`` (checked against each model's
+``PARAMS`` by :class:`~repro.registry.Parameterised` when the config is
+built):
 
 ``unit_disk`` (default)
     The seed semantics, byte-identical: every node within the sender's
@@ -44,48 +48,18 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from typing import Dict, List, Mapping, Optional, Tuple, Type
+from typing import Dict, Mapping, Optional, Tuple
 
+from repro.registry import Parameterised, Registry, non_negative_number, positive_number
 from repro.wireless.environment import Environment
 
-_PROPAGATION: Dict[str, Type["PropagationModel"]] = {}
-
-
-def register_propagation(name: str):
-    """Class decorator: make a :class:`PropagationModel` available under ``name``."""
-
-    def decorator(cls: Type["PropagationModel"]) -> Type["PropagationModel"]:
-        if name in _PROPAGATION:
-            raise ValueError(f"propagation model {name!r} is already registered")
-        cls.name = name
-        _PROPAGATION[name] = cls
-        return cls
-
-    return decorator
-
-
-def available_propagation_models() -> List[str]:
-    """Names of all registered propagation models."""
-    return sorted(_PROPAGATION)
-
-
-def propagation_class(name: str) -> Type["PropagationModel"]:
-    """Resolve a registered propagation model class by name."""
-    try:
-        return _PROPAGATION[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown propagation model {name!r}; available: {available_propagation_models()}"
-        ) from None
-
-
-def validate_propagation(name: str, params: Mapping[str, object]) -> None:
-    """Raise ``ValueError`` on an unknown model or inconsistent parameters.
-
-    Called by ``ChannelConfig.__post_init__`` so misconfigurations fail at
-    config construction, long before a medium exists.
-    """
-    propagation_class(name).validate_params(params)
+PROPAGATION = Registry("propagation model")
+register_propagation = PROPAGATION.register
+available_propagation_models = PROPAGATION.names
+propagation_class = PROPAGATION.get
+#: Called by ``ChannelConfig.__post_init__`` so misconfigurations fail at
+#: config construction, long before a medium exists.
+validate_propagation = PROPAGATION.validate
 
 
 def propagation_max_range(name: str, params: Mapping[str, object], nominal_range: float) -> float:
@@ -95,8 +69,7 @@ def propagation_max_range(name: str, params: Mapping[str, object], nominal_range
     sizing follows the *true* reach of the configured physics rather than
     assuming ``wifi_range`` is it.
     """
-    cls = propagation_class(name)
-    return cls(params).max_range(nominal_range)
+    return PROPAGATION.build(name, params).max_range(nominal_range)
 
 
 def build_propagation(
@@ -106,51 +79,29 @@ def build_propagation(
     mobility=None,
 ) -> "PropagationModel":
     """Instantiate and bind the backend selected by a ``ChannelConfig``."""
-    cls = propagation_class(getattr(config, "propagation", "unit_disk"))
-    model = cls(getattr(config, "propagation_params", None) or {})
+    model = PROPAGATION.build(config.propagation, config.propagation_params)
     model.bind(sim=sim, environment=environment, mobility=mobility)
     return model
 
 
-class PropagationModel:
+class PropagationModel(Parameterised):
     """Per-link radio physics: reachability and extra loss probability.
 
     Subclasses declare their accepted parameters in :attr:`PARAMS`
-    (name → ``(default, validator)``); unknown or invalid parameters raise
-    at config validation time.
+    (name → ``(default, validator)``, see :class:`~repro.registry.Parameterised`);
+    unknown or invalid parameters raise at config validation time.
     """
 
-    name: str = ""
-    #: name -> (default value, validator returning an error string or None)
-    PARAMS: Dict[str, Tuple[object, object]] = {}
+    kind = "propagation"
     #: Trivial models deliver to every index candidate with no extra loss,
     #: letting the medium bypass per-link evaluation (the seed hot path).
     trivial = False
 
     def __init__(self, params: Optional[Mapping[str, object]] = None):
-        params = dict(params or {})
-        self.validate_params(params)
-        for key, (default, _validator) in self.PARAMS.items():
-            setattr(self, key, params.get(key, default))
+        super().__init__(params)
         self.sim = None
         self.environment: Optional[Environment] = None
         self.mobility = None
-
-    @classmethod
-    def validate_params(cls, params: Mapping[str, object]) -> None:
-        """Raise ``ValueError`` on unknown keys or out-of-range values."""
-        unknown = set(params) - set(cls.PARAMS)
-        if unknown:
-            accepted = sorted(cls.PARAMS) or ["(none)"]
-            raise ValueError(
-                f"propagation model {cls.name!r} does not accept parameter(s) "
-                f"{sorted(unknown)}; accepted: {accepted}"
-            )
-        for key, value in params.items():
-            _default, validator = cls.PARAMS[key]
-            error = validator(value) if validator is not None else None
-            if error:
-                raise ValueError(f"propagation parameter {key!r}: {error} (got {value!r})")
 
     def bind(self, sim=None, environment: Optional[Environment] = None, mobility=None) -> None:
         """Attach the simulation context (RNG streams, environment, mobility)."""
@@ -182,18 +133,6 @@ class PropagationModel:
         query-order independence are part of the contract).
         """
         raise NotImplementedError
-
-
-def _positive(value) -> Optional[str]:
-    if not isinstance(value, (int, float)) or not value > 0:
-        return "must be a positive number"
-    return None
-
-
-def _non_negative(value) -> Optional[str]:
-    if not isinstance(value, (int, float)) or value < 0:
-        return "must be a non-negative number"
-    return None
 
 
 def _cutoff(value) -> Optional[str]:
@@ -230,8 +169,8 @@ class LogDistancePropagation(PropagationModel):
     """
 
     PARAMS = {
-        "exponent": (3.0, _positive),
-        "sigma": (0.2, _non_negative),
+        "exponent": (3.0, positive_number),
+        "sigma": (0.2, non_negative_number),
         "cutoff": (1.25, _cutoff),
     }
 

@@ -229,6 +229,23 @@ BAD_GRIDS = {
         "fig9e", ["--trials", "1", "--axis", "num_files_factor=abc"], "fig9e point .*num_files_factor must be a number",
     ),
     "zero_trials": ("fig9a", ["--trials", "0", "--axis", "wifi_range=80"], "fig9a point .*trials must be at least 1"),
+    # Registry selections: an unknown plug-in name or a model parameter out of range.
+    "unknown_topology": (
+        "fig9a", ["--trials", "1", "--axis", "wifi_range=80", "--topology", "nosuch"],
+        "fig9a point .*unknown topology 'nosuch'; available: ",
+    ),
+    "unknown_churn": (
+        "fig9a", ["--trials", "1", "--axis", "wifi_range=80", "--churn", "nosuch"],
+        "fig9a point .*unknown churn model 'nosuch'; available: ",
+    ),
+    "unknown_faults": (
+        "fig9a", ["--trials", "1", "--axis", "wifi_range=80", "--faults", "nosuch"],
+        "fig9a point .*unknown fault model 'nosuch'; available: ",
+    ),
+    "bad_churn_param": (
+        "churn", ["--trials", "1", "--axis", "mean_session=-5"],
+        "churn point .*churn parameter 'mean_session' must be a positive number",
+    ),
     # Naming errors: a typo in an experiment or axis name, or an axis given twice.
     "unknown_experiment": ("fig9z", ["--trials", "1"], "unknown experiment 'fig9z'; available: "),
     "axis_without_values": ("fig9a", ["--axis", "wifi_range"], "--axis expects NAME=V1,V2"),
