@@ -128,7 +128,7 @@ class ChurnManager:
             "churn.arrivals": self.arrivals,
             "churn.departures": self.departures,
             "churn.abrupt_kills": self.abrupt_kills,
-            "churn.orphaned_sends": getattr(self.medium, "orphaned_sends", 0),
+            "churn.orphaned_sends": self.medium.orphaned_sends,
         }
 
     # -------------------------------------------------------------- activation

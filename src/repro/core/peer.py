@@ -913,7 +913,7 @@ class DapesPeer:
         for session in self.sessions.values():
             if session.store is not None:
                 total += session.store.state_size_bytes
-            if session.fetch is not None and hasattr(session.fetch, "state_size_bytes"):
+            if session.fetch is not None:
                 total += session.fetch.state_size_bytes
         return total
 

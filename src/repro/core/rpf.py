@@ -53,6 +53,11 @@ class FetchStrategy(ABC):
     def known_bitmaps(self) -> List[Bitmap]:
         """The bitmaps currently contributing to rarity estimation."""
 
+    @property
+    def state_size_bytes(self) -> int:
+        """Memory held across encounters (Table I proxy); none by default."""
+        return 0
+
     def select(self, own: Bitmap, count: int, exclude: Iterable[int] = ()) -> List[int]:
         """Pick up to ``count`` missing packet indices to request next.
 

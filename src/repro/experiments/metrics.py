@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.profiling import combine_counter
+
 
 def json_safe(value: object) -> object:
     """Map non-finite floats (NaN, ±Inf) to ``None`` — strict-JSON safe.
@@ -330,33 +332,14 @@ def aggregate_trials(
     total_events = sum(result.events for result in results)
     if total_events:
         extras["events"] = float(total_events)
-    # Churn counters sum across trials; only present when churn was active,
-    # so zero-churn aggregates stay byte-identical to pre-churn output.
-    churn_keys = sorted(
-        {key for result in results for key in result.extras if key.startswith("churn.")}
-    )
-    for key in churn_keys:
-        extras[key] = float(sum(result.extras.get(key, 0.0) for result in results))
-    # Fault and recovery counters, same discipline: absent for zero-fault
-    # runs.  Counts sum across trials; rate/latency keys aggregate by their
-    # suffix — ``_mean`` and goodput average over the trials reporting them,
-    # ``_max`` takes the worst trial.
-    fault_keys = sorted(
-        {
-            key
-            for result in results
-            for key in result.extras
-            if key.startswith("faults.") or key.startswith("recovery.")
-        }
-    )
-    for key in fault_keys:
+    # Churn, fault and recovery counters (present only when the subsystem
+    # was active, so zero-churn, zero-fault aggregates stay byte-identical)
+    # combine by the rule merged profiles use too.
+    prefixes = ("churn.", "faults.", "recovery.")
+    managed = {key for result in results for key in result.extras if key.startswith(prefixes)}
+    for key in sorted(managed):
         values = [result.extras[key] for result in results if key in result.extras]
-        if key.endswith("_max"):
-            extras[key] = float(max(values))
-        elif key.endswith("_mean") or key == "recovery.goodput_under_fault":
-            extras[key] = float(sum(values) / len(values))
-        else:
-            extras[key] = float(sum(values))
+        extras[key] = combine_counter(key, values)
     return SweepPoint(
         label=label,
         parameters=dict(parameters),

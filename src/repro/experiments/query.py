@@ -24,7 +24,7 @@ Verbs compose left to right::
     rs.pivot("wifi_range")                   # {label: {40.0: value, ...}}
     rs.p90("transmissions")                  # reuses metrics.percentile
     rs.ratio_to(baseline, "download_time")   # e.g. "1.4x faster"
-    rs.trials().select("profile.engine.events_per_sec")
+    rs.trials().select("profile.wall_clock_s")
 
 Aggregate verbs reuse :func:`repro.experiments.metrics.percentile` and
 :func:`~repro.experiments.metrics.mean`, so a query reports exactly what

@@ -56,11 +56,15 @@ def run_protocol_trial(
         else:
             download_times[node_id] = elapsed
 
+    if monitor is not None:
+        violations = monitor.finalize(scenario)
+        if violations:
+            raise InvariantViolationError(violations)
     stats = scenario.medium.stats
     churn = scenario.churn
     faults = scenario.faults
     profile = (
-        collect_run_profile(sim, scenario.medium, wall_clock_s, churn=churn, faults=faults)
+        collect_run_profile(wall_clock_s, sim, scenario.medium, churn, faults, monitor)
         if profiling
         else {}
     )
@@ -69,10 +73,6 @@ def run_protocol_trial(
     extras = churn.metrics() if churn is not None else {}
     if faults is not None:
         extras.update(faults.metrics())
-    if monitor is not None:
-        violations = monitor.finalize(scenario)
-        if violations:
-            raise InvariantViolationError(violations)
     return RunResult(
         protocol=protocol,
         seed=seed,

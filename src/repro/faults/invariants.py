@@ -22,7 +22,7 @@ Violations collect as human-readable strings; the trial runner raises
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 
 class InvariantViolationError(RuntimeError):
@@ -55,7 +55,7 @@ class InvariantMonitor:
 
     def _on_deliver(self, receiver_id: str, frame) -> None:
         self.deliveries_checked += 1
-        if receiver_id not in getattr(self.medium, "_radios", {}):
+        if receiver_id not in self.medium.node_ids:
             self.violations.append(
                 f"safety: delivery to detached node {receiver_id!r} "
                 f"at t={self.sim.now:.6f}"
@@ -66,6 +66,14 @@ class InvariantMonitor:
                 f"safety: delivery to stalled node {receiver_id!r} "
                 f"at t={self.sim.now:.6f}"
             )
+
+    def metrics(self) -> Dict[str, float]:
+        """How much the monitor checked, for a run profile."""
+        return {
+            "invariants.deliveries_checked": float(self.deliveries_checked),
+            "invariants.pits_checked": float(self.pits_checked),
+            "invariants.downloads_checked": float(self.downloads_checked),
+        }
 
     # --------------------------------------------------------------- finalize
     def finalize(self, scenario) -> List[str]:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.arrays import numpy_or_none
 
@@ -109,6 +109,10 @@ class MobilityModel(ABC):
         — it is deterministic and query-order independent.
         """
         return 0
+
+    def metrics(self) -> Dict[str, float]:
+        """Mobility counters for a run profile: trajectory legs generated."""
+        return {"mobility.legs_generated": 0.0}
 
     def distance(self, node_a: str, node_b: str, time: float) -> float:
         """Distance in metres between two nodes at ``time``."""

@@ -57,6 +57,10 @@ class CompositeMobility(MobilityModel):
             version += model.mobility_version()
         return version
 
+    def metrics(self) -> Dict[str, float]:
+        legs = sum(model.metrics()["mobility.legs_generated"] for model in self._model_list)
+        return {"mobility.legs_generated": float(legs)}
+
     @property
     def node_ids(self) -> list[str]:
         return list(self._owners)

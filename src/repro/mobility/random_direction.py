@@ -159,6 +159,9 @@ class RandomDirectionMobility(MobilityModel):
     def mobility_version(self) -> int:
         return self._version
 
+    def metrics(self) -> Dict[str, float]:
+        return {"mobility.legs_generated": float(sum(map(len, self._segments.values())))}
+
     # -------------------------------------------------------------- internal
     def _extend_until(self, node_id: str, time: float) -> None:
         segments = self._segments[node_id]

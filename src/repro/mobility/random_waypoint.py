@@ -132,6 +132,9 @@ class RandomWaypointMobility(MobilityModel):
     def mobility_version(self) -> int:
         return self._version
 
+    def metrics(self) -> Dict[str, float]:
+        return {"mobility.legs_generated": float(sum(map(len, self._legs.values())))}
+
     def _extend_until(self, node_id: str, time: float) -> None:
         legs = self._legs[node_id]
         while not legs or legs[-1].pause_until < time:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.simulation.random_streams import RandomStreams
 
@@ -242,6 +242,13 @@ class Simulator:
         is O(1) rather than a sweep of the whole queue.
         """
         return self._active_events
+
+    def metrics(self) -> Dict[str, float]:
+        """Engine counters for a run profile."""
+        return {
+            "engine.events": float(self.events_processed),
+            "engine.pending_at_end": float(self._active_events),
+        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Simulator t={self._now:.3f} pending={self.pending_events} processed={self.events_processed}>"

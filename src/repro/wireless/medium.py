@@ -143,12 +143,31 @@ class WirelessMedium:
         # monitor's delivery hook is equally optional and pure observation.
         self._faults = None
         self._delivery_monitor = None
-        # Profiling counters (sampled by repro.profiling; cheap increments).
+        # Counters for metrics(); the churn manager reports orphaned_sends.
         self.csma_deferrals = 0
         self.arq_retries = 0
         self.completed_transmissions = 0
         self.link_evaluations = 0
         self.orphaned_sends = 0
+
+    def metrics(self) -> Dict[str, float]:
+        """Medium counters, then its index's, propagation's and mobility's."""
+        stats = self.stats
+        metrics = {
+            "wireless.frames_transmitted": float(stats.frames_transmitted),
+            "wireless.bytes_transmitted": float(stats.bytes_transmitted),
+            "wireless.deliveries": float(stats.deliveries),
+            "wireless.collisions": float(stats.collisions),
+            "wireless.losses": float(stats.losses),
+            "wireless.csma_deferrals": float(self.csma_deferrals),
+            "wireless.arq_retries": float(self.arq_retries),
+            "wireless.completed_transmissions": float(self.completed_transmissions),
+            "wireless.link_evaluations": float(self.link_evaluations),
+        }
+        metrics.update(self.propagation.metrics())
+        metrics.update(self._index.metrics())
+        metrics.update(self.mobility.metrics())
+        return metrics
 
     # ---------------------------------------------------------------- faults
     def set_fault_manager(self, faults) -> None:

@@ -134,6 +134,10 @@ class PropagationModel(Parameterised):
         """
         raise NotImplementedError
 
+    def metrics(self) -> Dict[str, float]:
+        """Model counters for a run profile (open-field models keep none)."""
+        return {}
+
 
 def _cutoff(value) -> Optional[str]:
     if not isinstance(value, (int, float)) or not value >= 1.0:
@@ -247,8 +251,11 @@ class ObstaclePropagation(PropagationModel):
     def __init__(self, params: Optional[Mapping[str, object]] = None):
         super().__init__(params)
         self._occludes = None
-        #: Ray tests run (sampled by repro.profiling).
+        #: Ray tests run (reported by metrics()).
         self.occlusion_checks = 0
+
+    def metrics(self) -> Dict[str, float]:
+        return {"propagation.occlusion_checks": float(self.occlusion_checks)}
 
     def bind(self, sim=None, environment=None, mobility=None) -> None:
         super().bind(sim=sim, environment=environment, mobility=mobility)

@@ -86,6 +86,10 @@ class NeighborIndex:
         """
         raise NotImplementedError
 
+    def metrics(self) -> Dict[str, float]:
+        """Index counters for a run profile (a plain scan keeps none)."""
+        return {}
+
 
 class GridNeighborIndex(NeighborIndex):
     """Uniform-grid bucket index with a drift-bounded snapshot.
@@ -143,6 +147,13 @@ class GridNeighborIndex(NeighborIndex):
         super().detach(node_id)
         self._snapshot_time = None
         self._remembered.clear()
+
+    def metrics(self) -> Dict[str, float]:
+        return {
+            "spatial.snapshot_rebuilds": float(self.rebuilds),
+            "spatial.reuse_hits": float(self.reuse_hits),
+            "spatial.reuse_misses": float(self.reuse_misses),
+        }
 
     # --------------------------------------------------------------- queries
     def neighbors(self, node_id: str, radius: float, time: float) -> List[str]:
@@ -304,9 +315,7 @@ def build_neighbor_index(
     """
     cell_size = config.index_cell_size
     if cell_size is None:
-        if max_range is None:
-            max_range = getattr(config, "max_range", lambda: config.wifi_range)()
-        cell_size = max_range
+        cell_size = config.max_range() if max_range is None else max_range
     return GridNeighborIndex(
         mobility,
         cell_size=cell_size,

@@ -438,16 +438,19 @@ def test_aggregate_sums_churn_extras_across_trials():
 
 def test_profile_gains_churn_counters_only_with_manager():
     sim, medium, radios = micro_world(["a", "b"])
-    baseline = collect_run_profile(sim, medium, 0.0)
-    assert not any(key.startswith("churn.") for key in baseline)
-    assert "wireless.orphaned_sends" not in baseline
+    baseline = collect_run_profile(0.0, sim, medium)
+    assert not any(key.startswith("churn.") or "orphaned" in key for key in baseline)
     manager = manager_with_trace(sim, medium, radios, [[1.0, "a", KILL]])
     manager.register("a", radios["a"])
     manager.activate()
     sim.run(until=2.0)
-    profile = collect_run_profile(sim, medium, 0.0, churn=manager)
+    profile = collect_run_profile(0.0, sim, medium, manager)
     assert profile["churn.abrupt_kills"] == 1.0
-    assert "wireless.orphaned_sends" in profile
+    # One key set: the profile's churn block is the manager's metrics(),
+    # orphaned sends included, and no other layer repeats a churn counter.
+    churn = {key: value for key, value in profile.items() if key.startswith("churn.")}
+    assert churn == manager.metrics()
+    assert not any("orphaned" in key for key in profile.keys() - churn.keys())
 
 
 def test_store_meta_records_churn_registry(tmp_path):
