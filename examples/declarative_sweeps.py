@@ -11,8 +11,8 @@ This example shows the three layers of the sweep API:
    (quadrant / clusters / corridor) at two WiFi ranges.
 3. **Suite scheduling + persistence** — ``run_suite`` flattens several
    experiments into one task grid over a single process pool, and with
-   ``out_dir`` set every finished task is persisted so an interrupted run
-   resumes where it stopped.
+   ``store`` set every finished task is persisted so an interrupted run
+   resumes where it stopped (and every aggregate is saved in the store).
 
 Run it with::
 
@@ -26,6 +26,7 @@ from repro.experiments import (
     Axis,
     ExperimentConfig,
     ExperimentSpec,
+    ResultStore,
     SweepRequest,
     Variant,
     available_experiments,
@@ -59,8 +60,8 @@ TOPOLOGY_SWEEP = register_experiment(
 def main() -> None:
     print("registered experiments:", ", ".join(available_experiments()))
 
-    config = ExperimentConfig.tiny().with_overrides(trials=2, workers=4)
-    out_dir = Path(tempfile.mkdtemp(prefix="sweeps-"))
+    config = ExperimentConfig.tiny().with_overrides(trials=2)
+    store = ResultStore(Path(tempfile.mkdtemp(prefix="sweeps-")))
 
     # One task grid: the custom topology sweep plus the paper's Fig. 10
     # comparison, fanned out together over a single persistent pool.
@@ -70,17 +71,17 @@ def main() -> None:
             spec=get_experiment("fig10"), config=config, axes={"wifi_range": (80.0,)}
         ),
     ]
-    topology_result, comparison_result = run_suite(requests, out_dir=out_dir)
+    topology_result, comparison_result = run_suite(requests, workers=4, store=store)
 
     print()
     print(to_text(topology_result))
     print()
     print(to_text(comparison_result))
 
-    cached = len(list(out_dir.glob("*/task-*.json")))
-    print(f"\n{cached} per-task results persisted under {out_dir}")
+    cached = len(list(store.root.glob("tasks/*/task-*.json")))
+    print(f"\n{cached} per-task results persisted under {store.root}")
     print("re-running the same suite now costs nothing:")
-    run_suite(requests, out_dir=out_dir)  # every task resumes from cache
+    run_suite(requests, workers=4, store=store)  # every task resumes from cache
     print("done (all tasks came from the cache)")
 
 

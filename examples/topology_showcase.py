@@ -6,7 +6,7 @@ The scenario layer separates *where nodes are* (the topology registry:
 disaster zones, ``corridor`` a sparse relay chain) from *what runs on them*
 (the protocol registry: ``dapes``, ``bithoc``, ``ekta``).  This example
 sweeps one protocol across all topologies — the same pattern works for any
-protocol/topology pair, and `ExperimentConfig(workers=N)` fans repeated
+protocol/topology pair, and ``run_trials(..., workers=N)`` fans repeated
 trials out over N processes.
 
 Run it with::
@@ -27,11 +27,7 @@ def main() -> None:
     print(f"registered topologies: {', '.join(available_topologies())}")
     print()
 
-    config = ExperimentConfig.tiny().with_overrides(
-        trials=2,
-        max_duration=180.0,
-        workers=2,  # trials run on a process pool; results match workers=1 exactly
-    )
+    config = ExperimentConfig.tiny().with_overrides(trials=2, max_duration=180.0)
 
     print(f"{'topology':>10} | {'download time':>13} | {'transmissions':>13} | {'completion':>10}")
     print("-" * 58)
@@ -41,6 +37,7 @@ def main() -> None:
             config.with_overrides(topology=topology),
             label=f"DAPES/{topology}",
             parameters={"topology": topology},
+            workers=2,  # trials run on a process pool; results match workers=1 exactly
         )
         print(
             f"{topology:>10} | {point.download_time:>12.1f}s | {point.transmissions:>13.0f} "

@@ -3,10 +3,10 @@
 This package turns the in-process sweep scheduler
 (:mod:`repro.experiments.sweep`) into a small distributed system without
 changing what gets computed: a :class:`Coordinator` flattens submissions
-through the scheduler's own planner and serves the task grid over
-newline-delimited JSON on TCP; :class:`ClusterWorker` loops claim leases
-and execute each task through the scheduler's own trial path; results are
-keyed by the same content-hash task ids the on-disk
+into the scheduler's own :class:`~repro.experiments.sweep.SweepGrid` and
+serves its tasks over newline-delimited JSON on TCP; :class:`ClusterWorker`
+loops claim leases and run each task parsed back from its wire form; results
+are keyed by the same content-hash task keys the on-disk
 :class:`~repro.experiments.store.TaskCache` uses.  Serial, process-pool and
 cluster runs of the same grid therefore produce byte-identical aggregates
 — and can resume each other from a shared result store.
@@ -26,7 +26,7 @@ from repro.cluster.errors import (
     ProtocolError,
     SubmissionFailed,
 )
-from repro.cluster.leases import ClusterTask, Lease, LeaseRecord, LeaseTable, task_id
+from repro.cluster.leases import ClusterTask, Lease, LeaseRecord, LeaseTable
 from repro.cluster.protocol import (
     DEFAULT_HOST,
     DEFAULT_PORT,
@@ -54,5 +54,4 @@ __all__ = [
     "build_submission_payload",
     "default_worker_id",
     "render_status",
-    "task_id",
 ]

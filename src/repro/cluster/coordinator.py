@@ -5,9 +5,11 @@ A :class:`Coordinator` owns the full distributed-sweep control plane:
 * **Submission intake** — a ``submit`` message carries one or more
   ``{experiment, config, axes}`` requests (JSON-native: the config crosses
   the wire as :meth:`ExperimentConfig.as_dict` output).  The coordinator
-  flattens them through the *same* planner the in-process scheduler uses
-  (:func:`repro.experiments.sweep._prepare`), so the task grid — and every
-  content-hash key — is identical to what ``run_suite`` would execute.
+  flattens them into the *same* :class:`~repro.experiments.sweep.SweepGrid`
+  the in-process scheduler runs, so the task grid — and every content-hash
+  key — is identical to what ``run_suite`` would execute.  A submission is
+  accepted whole or refused whole: one key already in flight, or repeated
+  within it, leaves the lease table untouched.
 * **Resume** — tasks already satisfied by the shared
   :class:`~repro.experiments.store.TaskCache` are folded in immediately;
   a cluster run can resume a serial run, a pool run, or a previous cluster
@@ -19,10 +21,10 @@ A :class:`Coordinator` owns the full distributed-sweep control plane:
   attempt-exhausted tasks poison their submission loudly.
 * **Merge** — accepted results are written through the TaskCache
   (atomically — concurrent writers cannot tear JSON) and, when a
-  submission's grid completes, aggregated in plan order by the *same*
-  aggregation path as ``run_suite`` and saved to the :class:`ResultStore`
-  with cluster provenance (worker ids, attempts, lease history) in the run
-  metadata.  Aggregates are therefore byte-identical to serial and pool
+  submission's grid completes, aggregated in plan order and saved to the
+  :class:`ResultStore` by the grid's own
+  :meth:`~repro.experiments.sweep.SweepGrid.save`, with cluster provenance
+  (worker ids, attempts, lease history) in the run metadata.  Aggregates are therefore byte-identical to serial and pool
   runs by construction.
 * **Status** — a ``status`` message returns one JSON snapshot (or a stream
   of them with ``watch``): per-task progress counts, per-submission
@@ -44,7 +46,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from repro.cluster import leases as leases_mod
 from repro.cluster.errors import ProtocolError
 from repro.cluster.leases import DONE, FAILED, LEASED, PENDING, ClusterTask, LeaseTable
 from repro.cluster.protocol import (
@@ -53,12 +54,11 @@ from repro.cluster.protocol import (
     decode_message,
     encode_message,
 )
-from repro.experiments import sweep as sweep_mod
 from repro.experiments.metrics import RunResult
 from repro.experiments.scenario import ExperimentConfig
 from repro.experiments.spec import get_experiment
 from repro.experiments.store import ResultStore
-from repro.experiments.sweep import SweepRequest
+from repro.experiments.sweep import SweepGrid, SweepRequest
 
 __all__ = ["Coordinator", "build_submission_payload"]
 
@@ -90,24 +90,31 @@ def build_submission_payload(
 
 
 class _Submission:
-    """One accepted submit: its prepared plans, live counters and outcome."""
+    """One accepted submit: its task grid, live counters and outcome."""
 
-    def __init__(self, sid: str, prepared, tag: Optional[str], started: float):
+    def __init__(
+        self,
+        sid: str,
+        grid: SweepGrid,
+        leased: List[ClusterTask],
+        tag: Optional[str],
+        started: float,
+    ):
         self.id = sid
-        self.prepared = prepared  # List[sweep._PreparedRequest]
+        self.grid = grid
         self.tag = tag
         self.started = started
         self.finished: Optional[float] = None
         self.state = "running"  # running | done | failed
-        self.task_keys: List[str] = []
-        self.resumed = 0
+        self.task_keys = [task.key for task in leased]
+        self.resumed = len(grid.tasks) - len(leased)
         self.events = 0
         self.errors: List[str] = []
         self.stored: List[Dict[str, object]] = []
 
     @property
     def experiments(self) -> List[str]:
-        return [item.spec.name for item in self.prepared]
+        return [request.spec.name for request in self.grid.requests]
 
 
 class _WorkerInfo:
@@ -260,57 +267,13 @@ class Coordinator:
         resume = bool(payload.get("resume", True))
         tag = payload.get("tag") or None
 
-        prepared = sweep_mod._prepare(requests, None, self.store)
+        grid = SweepGrid(requests, self.store)
+        pending = grid.resume() if resume else grid.tasks
         with self._lock:
             sid = f"s{len(self._submissions) + 1}"
-            submission = _Submission(sid, prepared, tag, self.clock())
-            new_tasks: List[ClusterTask] = []
-            for index, item in enumerate(prepared):
-                for plan in item.plans:
-                    for trial, seed in enumerate(plan.seeds):
-                        cached = (
-                            item.cache.load(plan.index, trial, seed) if resume else None
-                        )
-                        if cached is not None:
-                            item.results[(plan.index, trial)] = cached
-                            submission.resumed += 1
-                            continue
-                        key = leases_mod.task_id(
-                            item.spec.name, item.cache_key, plan.index, trial
-                        )
-                        if self.table.get(key) is not None:
-                            raise ValueError(
-                                f"task {key} is already in flight from an earlier "
-                                f"submission; wait for it to finish (its result will "
-                                f"resume this grid from the shared store)"
-                            )
-                        new_tasks.append(
-                            ClusterTask(
-                                key=key,
-                                submission=sid,
-                                request=index,
-                                experiment=item.spec.name,
-                                point=plan.index,
-                                trial=trial,
-                                seed=seed,
-                                payload={
-                                    "key": key,
-                                    "submission": sid,
-                                    "experiment": item.spec.name,
-                                    "plan_key": item.cache_key,
-                                    "point": plan.index,
-                                    "trial": trial,
-                                    "label": plan.label,
-                                    "protocol": plan.protocol,
-                                    "seed": seed,
-                                    "parameters": dict(plan.parameters),
-                                    "config": plan.config.as_dict(),
-                                },
-                            )
-                        )
-            for task in new_tasks:
-                self.table.add(task)
-                submission.task_keys.append(task.key)
+            new_tasks = [ClusterTask(submission=sid, work=task) for task in pending]
+            self.table.add(*new_tasks)
+            submission = _Submission(sid, grid, new_tasks, tag, self.clock())
             self._submissions[sid] = submission
             self._log(
                 f"submission {sid}: {', '.join(submission.experiments)} — "
@@ -371,7 +334,7 @@ class Coordinator:
             active = bool(claim_info["pending"] or claim_info["leased"])
             reply = {"ok": True, "task": None, "active": active, **claim_info}
             return reply
-        payload = dict(task.payload)
+        payload = task.work.to_wire()
         payload["lease"] = claim_info["lease"]
         payload["attempt"] = claim_info["attempt"]
         if task.attempts > 1:
@@ -395,10 +358,10 @@ class Coordinator:
         task = self.table.get(key)
         if task is None:
             return {"ok": False, "error": f"unknown task {key!r}"}
-        if message.get("seed") != task.seed:
+        if message.get("seed") != task.work.seed:
             return {
                 "ok": False,
-                "error": f"seed mismatch for {key}: expected {task.seed}, "
+                "error": f"seed mismatch for {key}: expected {task.work.seed}, "
                          f"got {message.get('seed')!r}",
             }
         try:
@@ -414,10 +377,7 @@ class Coordinator:
             if accepted:
                 info.done += 1
                 submission = self._submissions[task.submission]
-                item = submission.prepared[task.request]
-                item.results[(task.point, task.trial)] = result
-                if item.cache is not None:
-                    item.cache.store(task.experiment, task.point, task.trial, task.seed, result)
+                submission.grid.finish(task.work, result)
                 submission.events += result.events
             self._check_all_done()
         return {"ok": True, "accepted": accepted}
@@ -567,15 +527,11 @@ class Coordinator:
             )
             self._done.notify_all()
             return
-        for index, item in enumerate(submission.prepared):
-            sweep = sweep_mod._aggregate(item)
-            record = self.store.save(
-                sweep,
-                spec=item.spec,
-                config=item.base,
-                tags=(submission.tag,) if submission.tag else (),
-                extra={"cluster": self._provenance(submission, index)},
-            )
+        saved = submission.grid.save(
+            tag=submission.tag,
+            extra=lambda index: {"cluster": self._provenance(submission, index)},
+        )
+        for _, record in saved:
             submission.stored.append(
                 {"spec": record.spec, "key": record.key, "tags": record.tags}
             )
@@ -592,7 +548,7 @@ class Coordinator:
             task
             for key in submission.task_keys
             for task in (self.table.get(key),)
-            if task is not None and task.request == index
+            if task is not None and task.work.request == index
         ]
         workers = sorted(
             {

@@ -1,14 +1,15 @@
 """Lease bookkeeping: the coordinator's at-least-once dispatch state machine.
 
-Every schedulable unit is one :class:`ClusterTask` — one ``(point, trial)``
-cell of a flattened sweep grid, keyed by the same content-hash task id the
-scheduler's :class:`~repro.experiments.store.TaskCache` uses on disk
-(``<spec>-<plan_key>/task-PPPP-TTT``).  Because that key is a pure function
-of the plan content, re-executing a task is always safe: whichever worker
-uploads first wins and every later upload of the same key is a no-op.  That
-idempotence is what lets the :class:`LeaseTable` re-dispatch aggressively
-over unreliable connections (the classic at-least-once regime) without ever
-corrupting an aggregate.
+Every schedulable unit is one :class:`ClusterTask` — one
+:class:`~repro.experiments.sweep.SweepTask` of a submission's grid, keyed by
+its content-hash task key, the name of its
+:class:`~repro.experiments.store.TaskCache` file on disk
+(:meth:`~repro.experiments.store.TaskCache.key`).  Because that key is a
+pure function of the plan content, re-executing a task is always safe:
+whichever worker uploads first wins and every later upload of the same key
+is a no-op.  That idempotence is what lets the :class:`LeaseTable`
+re-dispatch aggressively over unreliable connections (the classic
+at-least-once regime) without ever corrupting an aggregate.
 
 State machine per task::
 
@@ -42,6 +43,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.experiments.sweep import SweepTask
+
 __all__ = [
     "DONE",
     "FAILED",
@@ -51,24 +54,12 @@ __all__ = [
     "Lease",
     "LeaseRecord",
     "LeaseTable",
-    "task_id",
 ]
 
 PENDING = "pending"
 LEASED = "leased"
 DONE = "done"
 FAILED = "failed"
-
-
-def task_id(experiment: str, plan_key: str, point: int, trial: int) -> str:
-    """The content-hash task key shared with :class:`TaskCache` on disk.
-
-    ``<experiment>-<plan_key>`` is the cache directory (plan_key is the
-    content hash of the flattened plan) and ``task-PPPP-TTT`` is the cache
-    file stem — so a cluster task id names exactly the file a pool or
-    serial run would write for the same work.
-    """
-    return f"{experiment}-{plan_key}/task-{point:04d}-{trial:03d}"
 
 
 @dataclass
@@ -95,22 +86,20 @@ class LeaseRecord:
 
 @dataclass
 class ClusterTask:
-    """One ``(point, trial)`` unit of a submission's flattened grid."""
+    """One grid task of one submission, with its lease state."""
 
-    key: str
     submission: str
-    request: int
-    experiment: str
-    point: int
-    trial: int
-    seed: int
-    payload: Dict[str, object]
+    work: SweepTask
     state: str = PENDING
     attempts: int = 0
     not_before: float = 0.0
     error: Optional[str] = None
     lease: Optional[Lease] = None
     history: List[LeaseRecord] = field(default_factory=list)
+
+    @property
+    def key(self) -> str:
+        return self.work.key
 
 
 class LeaseTable:
@@ -160,12 +149,23 @@ class LeaseTable:
         self.redundant_results = 0
 
     # ---------------------------------------------------------------- intake
-    def add(self, task: ClusterTask) -> None:
+    def add(self, *tasks: ClusterTask) -> None:
+        """Add every task or none: one known or repeated key refuses them all."""
         with self._lock:
-            if task.key in self._tasks:
-                raise ValueError(f"duplicate task key {task.key!r}")
-            self._tasks[task.key] = task
-            self._order.append(task.key)
+            seen = set()
+            for task in tasks:
+                if task.key in self._tasks:
+                    raise ValueError(
+                        f"task {task.key} is already in flight from an earlier "
+                        f"submission; wait for it to finish (its result will resume "
+                        f"this grid from the shared store)"
+                    )
+                if task.key in seen:
+                    raise ValueError(f"duplicate task key {task.key!r} within one submission")
+                seen.add(task.key)
+            for task in tasks:
+                self._tasks[task.key] = task
+                self._order.append(task.key)
 
     def get(self, key: str) -> Optional[ClusterTask]:
         with self._lock:

@@ -1,11 +1,11 @@
 """The cluster worker: claim leases, execute trials, upload results.
 
 A :class:`ClusterWorker` is a thin loop around the *existing* trial
-execution path: every claimed task is rebuilt into the scheduler's own
-:class:`~repro.experiments.sweep.SweepTask` (config via
+execution path: every claimed task is parsed back into the scheduler's own
+:class:`~repro.experiments.sweep.SweepTask` by
+:meth:`~repro.experiments.sweep.SweepTask.from_wire` (config via
 ``ExperimentConfig.from_dict``, spec and trial hook resolved by registry
-name — nothing is pickled over the wire) and executed through
-:func:`repro.experiments.sweep._execute_task`.  A cluster worker therefore
+name — nothing is pickled over the wire) and run.  A cluster worker therefore
 computes bit-for-bit the same ``RunResult`` a serial or pool run would for
 the same content-hash task key, which is what makes the coordinator's
 first-completed-wins merging safe.
@@ -33,9 +33,6 @@ from typing import Callable, Dict, Optional
 
 from repro.cluster.errors import ClusterError, CoordinatorUnavailable
 from repro.cluster.protocol import DEFAULT_HOST, DEFAULT_PORT, ClusterClient
-from repro.experiments import sweep as sweep_mod
-from repro.experiments.scenario import ExperimentConfig
-from repro.experiments.spec import get_experiment
 from repro.experiments.sweep import SweepTask
 
 __all__ = ["ClusterWorker", "default_worker_id"]
@@ -138,7 +135,7 @@ class ClusterWorker:
         )
         beater.start()
         try:
-            result = self._run_trial(payload)
+            result = SweepTask.from_wire(payload).run()
         except Exception as exc:
             beat_stop.set()
             beater.join(timeout=self.heartbeat_interval * 2)
@@ -170,23 +167,6 @@ class ClusterWorker:
         self.executed += 1
         verb = "uploaded" if reply.get("accepted") else "uploaded (redundant)"
         self._log(f"worker {self.id}: task {key} {verb}")
-
-    def _run_trial(self, payload: Dict[str, object]):
-        """Rebuild the scheduler's SweepTask from the wire payload and run it."""
-        spec = get_experiment(str(payload["experiment"]))
-        config = ExperimentConfig.from_dict(dict(payload["config"]))
-        task = SweepTask(
-            experiment=spec.name,
-            request=0,
-            point=int(payload["point"]),
-            trial=int(payload["trial"]),
-            protocol=str(payload["protocol"]),
-            config=config,
-            seed=int(payload["seed"]),
-            parameters=tuple(dict(payload["parameters"]).items()),
-            trial_fn=spec.trial_fn,
-        )
-        return sweep_mod._execute_task(task)
 
     def _heartbeat_loop(self, lease: str, stop: threading.Event) -> None:
         while not stop.wait(timeout=self.heartbeat_interval):

@@ -4,7 +4,7 @@ Usage (also installed as the ``repro-experiments`` console script)::
 
     python -m repro.experiments list
     python -m repro.experiments run fig9a --preset tiny --workers 2
-    python -m repro.experiments run all --preset small --workers 8 --out sweeps
+    python -m repro.experiments run all --preset small --workers 8 --store sweeps
     python -m repro.experiments run fig10 --axis wifi_range=40,80 --trials 2
     python -m repro.experiments run fig9a --store results-store --tag nightly
     python -m repro.experiments report fig9a --store results-store
@@ -21,11 +21,11 @@ Usage (also installed as the ``repro-experiments`` console script)::
     python -m repro.experiments stop --port 7341
 
 ``run`` flattens every requested experiment into one task grid executed
-over a single persistent process pool; with ``--out`` or ``--store`` each
-finished task is persisted (content-hash keyed), so an interrupted sweep
-resumes from the completed tasks on the next invocation.  ``--store``
-additionally saves every aggregate into a content-addressed
-:class:`~repro.experiments.store.ResultStore` (optionally ``--tag``-ged).
+over a single persistent process pool; with ``--store`` each finished task
+is persisted (content-hash keyed), so an interrupted sweep resumes from the
+completed tasks on the next invocation, and every aggregate is saved into a
+content-addressed :class:`~repro.experiments.store.ResultStore`
+(optionally ``--tag``-ged).
 ``report``/``diff``/``export`` consume stored runs by reference (``fig9a``,
 ``fig9a@latest``, ``fig9a@<tag>``, ``fig9a@<key>``) or persisted JSON files
 (full ``SweepResult`` dumps and the row-based ``BENCH_*.json`` artifacts
@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import pathlib
 import sys
 import time
@@ -56,11 +57,7 @@ from repro.experiments.query import ResultSet
 from repro.experiments.scenario import ExperimentConfig
 from repro.experiments.spec import PlanError, available_experiments, get_experiment
 from repro.experiments.store import ResultStore, StoredRun, content_key
-from repro.experiments.sweep import (
-    SweepRequest,
-    run_suite,
-    task_listing,
-)
+from repro.experiments.sweep import SweepGrid, SweepRequest, run_suite, task_listing
 from repro.profiling import format_profile, merge_profiles
 
 DEFAULT_STORE = "results-store"
@@ -89,6 +86,24 @@ def _parse_axis_overrides(entries: Sequence[str]) -> Dict[str, tuple]:
             raise PlanError(f"--axis {name} given twice; list every value in one NAME=V1,V2,...")
         axes[name] = tuple(_parse_axis_value(value) for value in values.split(","))
     return axes
+
+
+def _bounded(kind: type, low: float, *, inclusive: bool = True):
+    """An argparse ``type``: a finite ``kind`` number >= ``low`` (> unless ``inclusive``)."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise argparse.ArgumentTypeError(f"expected {noun}, got {text!r}") from None
+        if not math.isfinite(value) or value < low or (value == low and not inclusive):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>=' if inclusive else '>'} {low:g}, got {text}"
+            )
+        return value
+
+    return parse
 
 
 def _resolve_names(names: Sequence[str]) -> List[str]:
@@ -150,8 +165,6 @@ def _config_from_args(args: argparse.Namespace) -> tuple:
         overrides["faults"] = args.faults
     if args.invariants:
         overrides["invariants"] = True
-    # --workers goes to run_suite only: it is how a grid runs, not what it
-    # computes, so it must not change the task-cache key or config hash.
     if args.profile:
         overrides["profile"] = True
     config = ExperimentConfig.preset(args.preset).with_overrides(**overrides)
@@ -238,8 +251,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     print(
         f"running {len(requests)} experiment(s), {total} tasks, "
-        f"preset={args.preset}, workers={args.workers or config.workers}"
-        + (f", out={args.out}" if args.out else "")
+        f"preset={args.preset}, workers={args.workers}"
         + (f", store={args.store}" if args.store else "")
     )
 
@@ -251,7 +263,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     results = run_suite(
         requests,
         workers=args.workers,
-        out_dir=args.out,
         store=args.store,
         tag=args.tag,
         resume=not args.no_resume,
@@ -270,8 +281,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             if profiles:
                 print()
                 print(format_profile(merge_profiles(profiles), title=f"profile: {result.name}"))
-    if args.out:
-        print(f"\nresults persisted under {args.out}/ (one <experiment>.json per sweep)")
     if args.store:
         store = ResultStore(args.store)
         print(f"\nstored under {args.store}/ (content-addressed; see 'store list'):")
@@ -487,9 +496,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     requests = _build_requests(names, config, axes, overrides)
     if args.dry_run:
         return _print_task_listing(requests, None, resume=not args.no_resume)
-    # Refuse a bad grid here rather than after a round trip to the coordinator.
-    for request in requests:
-        request.spec.plan(request.config, request.axes)
+    SweepGrid(requests)  # refuse a bad grid here, not after a round trip
     payload = build_submission_payload(
         names,
         config,
@@ -572,6 +579,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="List and run the paper's experiments (declarative sweep registry).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Out-of-range numbers are refused at parse time: exit 2, one error line.
+    seconds = _bounded(float, 0, inclusive=False)
+    count = _bounded(int, 1)
 
     list_parser = sub.add_parser("list", help="list registered experiments")
     list_parser.add_argument(
@@ -623,10 +633,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_parser = sub.add_parser("run", help="run one or more experiments (or 'all')")
     add_config_flags(run_parser)
-    run_parser.add_argument("--workers", type=int, default=None,
-                            help="process-pool size for the whole task grid (default: preset)")
-    run_parser.add_argument("--out", default=None, metavar="DIR",
-                            help="persist per-task results + aggregated JSON under DIR (enables resume)")
+    run_parser.add_argument("--workers", type=count, default=1,
+                            help="process-pool size for the whole task grid (default: 1)")
     run_parser.add_argument("--store", default=None, metavar="DIR",
                             help="save aggregates into a content-addressed ResultStore under DIR "
                                  "(enables resume; see 'report'/'diff'/'export'/'store')")
@@ -639,12 +647,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_cluster_flags(serve_parser)
     serve_parser.add_argument("--store", default=DEFAULT_STORE, metavar="DIR",
                               help=f"shared ResultStore root (default: {DEFAULT_STORE})")
-    serve_parser.add_argument("--lease-ttl", type=float, default=15.0,
+    serve_parser.add_argument("--lease-ttl", type=seconds, default=15.0,
                               help="seconds without a heartbeat before a lease expires "
                                    "and its task re-dispatches (default: 15)")
-    serve_parser.add_argument("--heartbeat-interval", type=float, default=3.0,
+    serve_parser.add_argument("--heartbeat-interval", type=seconds, default=3.0,
                               help="heartbeat cadence advertised to workers (default: 3)")
-    serve_parser.add_argument("--max-attempts", type=int, default=5,
+    serve_parser.add_argument("--max-attempts", type=count, default=5,
                               help="attempts before a task is poisoned and its "
                                    "submission fails (default: 5)")
     serve_parser.add_argument("--profile", action="store_true",
@@ -659,12 +667,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_cluster_flags(worker_parser)
     worker_parser.add_argument("--id", default=None,
                                help="worker id (default: <hostname>-<pid>)")
-    worker_parser.add_argument("--poll-interval", type=float, default=0.5,
+    worker_parser.add_argument("--poll-interval", type=seconds, default=0.5,
                                help="idle poll cadence in seconds (default: 0.5)")
     worker_parser.add_argument("--exit-when-idle", action="store_true",
                                help="exit once the coordinator has no live work "
                                     "(CI smoke runs)")
-    worker_parser.add_argument("--max-tasks", type=int, default=None,
+    worker_parser.add_argument("--max-tasks", type=count, default=None,
                                help="exit after executing this many tasks")
     worker_parser.add_argument("--quiet", action="store_true",
                                help="suppress per-task log lines")
@@ -683,7 +691,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_cluster_flags(status_parser)
     status_parser.add_argument("--watch", action="store_true",
                                help="stream snapshots until all work settles")
-    status_parser.add_argument("--interval", type=float, default=2.0,
+    status_parser.add_argument("--interval", type=seconds, default=2.0,
                                help="snapshot cadence with --watch (default: 2)")
     status_parser.add_argument("--json", action="store_true",
                                help="print raw JSON snapshots instead of the table")
@@ -756,7 +764,7 @@ def build_parser() -> argparse.ArgumentParser:
     store_gc = store_sub.add_parser("gc", help="delete old untagged runs")
     store_gc.add_argument("--store", default=DEFAULT_STORE, metavar="DIR",
                           help=f"ResultStore root (default: {DEFAULT_STORE})")
-    store_gc.add_argument("--keep", type=int, default=3,
+    store_gc.add_argument("--keep", type=_bounded(int, 0), default=3,
                           help="runs to keep per spec (default: 3)")
     store_gc.add_argument("--spec", default=None, help="only this experiment")
     store_gc.add_argument("--prune-tagged", action="store_true",

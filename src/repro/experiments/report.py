@@ -408,9 +408,9 @@ def diff(
 def load_result(path: Union[str, pathlib.Path]) -> DiffSide:
     """Parse a persisted result file for :func:`diff` / reporting.
 
-    Understands full ``SweepResult`` JSON (CLI ``--out`` / store payloads,
-    which wrap the sweep under a ``sweep`` key) and the row-based
-    ``BENCH_*.json`` artifacts.
+    Understands full ``SweepResult`` JSON (``SweepResult.to_json()`` dumps
+    and store run files, which wrap the sweep under a ``sweep`` key) and
+    the row-based ``BENCH_*.json`` artifacts.
     """
     payload = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
     if isinstance(payload, Mapping) and "sweep" in payload:

@@ -102,13 +102,13 @@ def run_trials(
     config: ExperimentConfig,
     label: str,
     parameters: Optional[Dict[str, object]] = None,
-    workers: Optional[int] = None,
+    workers: int = 1,
 ) -> SweepPoint:
     """Run ``config.trials`` trials and aggregate them into one sweep point.
 
-    ``workers`` (default :attr:`ExperimentConfig.workers`) above one runs the
-    trials on the sweep scheduler's process pool; the point, its
-    ``trial_results`` included, is identical whichever mode produced it.
+    ``workers`` above one runs the trials on the sweep scheduler's process
+    pool; the point, its ``trial_results`` included, is identical whichever
+    mode produced it.
     """
     # Braces are doubled so the label is used verbatim, not as a template.
     variant = Variant(

@@ -83,7 +83,6 @@ class ExperimentConfig:
     trials: int = 10
     base_seed: int = 42
     percentile: float = 90.0
-    workers: int = 1
     # Collect a performance profile per trial (repro.profiling); the profile
     # rides along in RunResult.profile and the CLI's --profile output.  Off
     # by default: profiles hold wall-clock numbers, which are not

@@ -9,9 +9,9 @@ A :class:`ResultStore` is rooted at a directory and owns two areas:
   topology/propagation/protocol registry entries used, trial count, schema
   version, ISO timestamp and free-form tags.  Saving an identical result
   twice is idempotent (tags merge; the original timestamp wins).
-* ``tasks/<spec>-<plan_key>/task-*.json`` — the sweep scheduler's per-task
-  resume cache (:class:`TaskCache`), byte-compatible with the historical
-  ``--out`` layout so existing caches keep resuming.
+* ``tasks/<task key>.json`` — the sweep grid's per-task resume cache
+  (:class:`TaskCache`), one file per finished ``(point, trial)`` cell,
+  named by the cell's content-hash task key (see :meth:`TaskCache.key`).
 
 Runs resolve by reference: a bare spec name (latest run), ``spec@tag``,
 ``spec@latest``, ``spec@<key>`` or a bare content key.  ``gc`` keeps the
@@ -112,23 +112,37 @@ class StoredRun:
 
 # ================================================================ task cache
 class TaskCache:
-    """Per-task resume cache, byte-compatible with the historical layout.
+    """Per-task resume cache of one flattened plan (``<spec>-<plan_key>``).
 
-    One ``task-PPPP-TTT.json`` per finished ``(point, trial)`` task, written
-    atomically (tmp + rename) with strict JSON.  Both the ``--out``
-    directory and :meth:`ResultStore.task_cache` are thin clients of this
-    class.
+    One JSON file per finished ``(point, trial)`` task, written atomically
+    (tmp + rename) with strict JSON.
     """
 
     def __init__(self, directory: Union[str, Path]):
         self.directory = Path(directory)
 
+    @classmethod
+    def of_plan(
+        cls, spec_name: str, plan_key: str, tasks_dir: Union[str, Path] = ""
+    ) -> "TaskCache":
+        """The cache of one flattened plan: ``<tasks_dir>/<spec>-<plan_key>``."""
+        return cls(Path(tasks_dir) / f"{spec_name}-{plan_key}")
+
     def ensure(self) -> "TaskCache":
         self.directory.mkdir(parents=True, exist_ok=True)
         return self
 
+    def key(self, point: int, trial: int) -> str:
+        """The cell's task key, ``<spec>-<plan_key>/task-PPPP-TTT``.
+
+        The one task id every path uses: ``run --dry-run`` lists it, the
+        cluster leases by it, and it is this cache's file for the cell,
+        relative to a store's ``tasks/`` and without ``.json``.
+        """
+        return f"{self.directory.name}/task-{point:04d}-{trial:03d}"
+
     def path(self, point: int, trial: int) -> Path:
-        return self.directory / f"task-{point:04d}-{trial:03d}.json"
+        return self.directory.parent / f"{self.key(point, trial)}.json"
 
     def load(self, point: int, trial: int, seed: int) -> Optional[RunResult]:
         path = self.path(point, trial)
@@ -171,7 +185,7 @@ class ResultStore:
 
     def task_cache(self, spec_name: str, plan_key: str) -> TaskCache:
         """The scheduler's resume cache for one flattened plan."""
-        return TaskCache(self.root / "tasks" / f"{spec_name}-{plan_key}").ensure()
+        return TaskCache.of_plan(spec_name, plan_key, self.root / "tasks").ensure()
 
     # ------------------------------------------------------------------ save
     def save(

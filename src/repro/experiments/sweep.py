@@ -1,27 +1,28 @@
-"""Whole-grid sweep scheduler: one process pool for an entire experiment suite.
+"""Whole-grid sweep scheduler: one task grid for an entire experiment suite.
 
-This module flattens an :class:`ExperimentSpec` — or a whole suite of
-specs — into one list of ``(point, trial)`` tasks executed over a *single
-persistent* ``ProcessPoolExecutor``, the only process pool in the package
-(:func:`repro.experiments.runner.run_trials` runs here as a one-point spec):
+A :class:`SweepGrid` flattens an :class:`ExperimentSpec` — or a whole
+suite of specs — into one list of ``(point, trial)`` :class:`SweepTask`\\ s
+and is the one plan → tasks → finish → save path every executor shares:
+:func:`run_suite` runs the grid serially or over a *single persistent*
+``ProcessPoolExecutor`` (the only process pool in the package;
+:func:`repro.experiments.runner.run_trials` runs here as a one-point spec),
+:func:`task_listing` prints it (``run --dry-run``), and the cluster
+coordinator leases its tasks to remote workers in their JSON wire form.
 
 * **Deterministic seeds** — every task's seed is derived from its point
   config exactly as in the serial path (``base_seed + trial * 1009``).
-* **Order-independent aggregation** — results are keyed by
-  ``(experiment, point, trial)`` and aggregated in plan order, so serial
-  and parallel sweeps produce byte-identical :class:`SweepResult`s.
-* **Persistence & resume** — with ``out_dir`` set, every finished task is
-  written to ``<out_dir>/<experiment>-<key>/task-P-T.json`` where ``key``
-  is a content hash of the flattened plan (configs, seeds, labels).  A
-  killed sweep re-run with the same plan resumes from the completed tasks;
-  any config/axis change produces a different key and a cold start.  The
-  aggregated :class:`SweepResult` lands at ``<out_dir>/<experiment>.json``.
-* **Result store** — with ``store`` set (a :class:`ResultStore` or a root
-  directory), the per-task cache lives inside the store and every
-  aggregated :class:`SweepResult` is saved under a content-addressed key
-  with a metadata header (spec, config hash, registries, tags); see
-  :mod:`repro.experiments.store`.  Both persistence paths are thin clients
-  of the same :class:`~repro.experiments.store.TaskCache`.
+* **Order-independent aggregation** — results are keyed by task key and
+  aggregated in plan order, so serial, pool and cluster sweeps produce
+  byte-identical :class:`SweepResult`\\ s.
+* **Persistence & resume** — with ``store`` set (a :class:`ResultStore` or
+  a root directory), every finished task is written to the store's
+  :class:`~repro.experiments.store.TaskCache` under its task key, which
+  contains a content hash of the flattened plan (configs, seeds, labels).
+  A killed sweep re-run with the same plan resumes from the completed
+  tasks; any config/axis change produces a different key and a cold start.
+  Every aggregated :class:`SweepResult` is saved under a content-addressed
+  key with a metadata header (spec, config hash, registries, tags); see
+  :mod:`repro.experiments.store`.
 """
 
 from __future__ import annotations
@@ -30,14 +31,14 @@ import hashlib
 import json
 import pickle
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.experiments.metrics import RunResult, SweepResult, aggregate_trials
 from repro.experiments.scenario import ExperimentConfig
 from repro.experiments.spec import ExperimentSpec, PointPlan, TrialFn, get_experiment
-from repro.experiments.store import ResultStore, TaskCache
+from repro.experiments.store import ResultStore, StoredRun, TaskCache
 
 ProgressFn = Callable[[str, int, int], None]
 
@@ -55,41 +56,73 @@ class SweepRequest:
 class SweepTask:
     """One schedulable unit: one trial of one sweep point of one experiment.
 
+    ``key`` is the task's content-hash key (:meth:`TaskCache.key`).
     ``trial_fn`` travels with the task (module-level hooks pickle by
     reference, so pool workers resolve them by importing their module —
     correct under both the fork and spawn start methods); ``None`` means
-    the default :func:`run_protocol_trial` path.
+    the default :func:`run_protocol_trial` path.  Across the cluster wire
+    the hook is re-resolved from the registry by experiment name.
     """
 
+    key: str
     experiment: str
     request: int
     point: int
     trial: int
+    label: str
     protocol: str
     config: ExperimentConfig
     seed: int
     parameters: Tuple[Tuple[str, object], ...]
     trial_fn: Optional[TrialFn] = None
 
+    def run(self) -> RunResult:
+        if self.trial_fn is not None:
+            return self.trial_fn(self.protocol, self.config, self.seed, dict(self.parameters))
+        from repro.experiments.runner import run_protocol_trial
 
-def _default_trial(
-    protocol: str,
-    config: ExperimentConfig,
-    seed: int,
-    parameters: Dict[str, object],
-) -> RunResult:
-    from repro.experiments.runner import run_protocol_trial
+        parameters = dict(self.parameters)
+        return run_protocol_trial(self.protocol, self.config, self.seed, parameters=parameters)
 
-    return run_protocol_trial(protocol, config, seed, parameters=parameters)
+    def to_wire(self) -> Dict[str, object]:
+        """The JSON-native form a cluster worker receives."""
+        return {
+            "key": self.key,
+            "experiment": self.experiment,
+            "request": self.request,
+            "point": self.point,
+            "trial": self.trial,
+            "label": self.label,
+            "protocol": self.protocol,
+            "config": self.config.as_dict(),
+            "seed": self.seed,
+            "parameters": dict(self.parameters),
+        }
+
+    @classmethod
+    def from_wire(cls, payload: Mapping[str, object]) -> "SweepTask":
+        """Parse :meth:`to_wire` output back (the spec resolves by registry name)."""
+        spec = get_experiment(str(payload["experiment"]))
+        return cls(
+            key=str(payload["key"]),
+            experiment=spec.name,
+            request=int(payload["request"]),
+            point=int(payload["point"]),
+            trial=int(payload["trial"]),
+            label=str(payload["label"]),
+            protocol=str(payload["protocol"]),
+            config=ExperimentConfig.from_dict(dict(payload["config"])),
+            seed=int(payload["seed"]),
+            parameters=tuple(dict(payload["parameters"]).items()),
+            trial_fn=spec.trial_fn,
+        )
 
 
 def _execute_task(task: SweepTask) -> RunResult:
     """Module-level worker entry point (picklable for the process pool)."""
-    trial_fn = task.trial_fn or _default_trial
-    return trial_fn(task.protocol, task.config, task.seed, dict(task.parameters))
+    return task.run()
 
 
-# ============================================================== persistence
 def sweep_cache_key(spec: ExperimentSpec, plans: Sequence[PointPlan]) -> str:
     """Content hash of a flattened plan: same plan ⇒ same key ⇒ resumable."""
     manifest = {
@@ -110,7 +143,6 @@ def sweep_cache_key(spec: ExperimentSpec, plans: Sequence[PointPlan]) -> str:
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
-# ================================================================ scheduler
 def _picklable(trial_fn: TrialFn) -> bool:
     try:
         return pickle.loads(pickle.dumps(trial_fn)) is trial_fn
@@ -118,74 +150,119 @@ def _picklable(trial_fn: TrialFn) -> bool:
         return False
 
 
-@dataclass
-class _PreparedRequest:
-    spec: ExperimentSpec
-    plans: List[PointPlan]
-    base: ExperimentConfig
-    cache: Optional[TaskCache] = None
-    cache_key: Optional[str] = None
-    pool_safe: bool = True
-    results: Dict[Tuple[int, int], RunResult] = field(default_factory=dict)
+# ===================================================================== grid
+class SweepGrid:
+    """The flattened task grid of a suite of requests.
 
+    Construction plans every request before touching disk (an invalid point
+    anywhere in the suite leaves nothing behind) and builds each
+    :class:`SweepTask` once, in plan order.  :meth:`resume` satisfies tasks
+    from the store's task cache, :meth:`finish` records a result (and
+    caches it), and :meth:`save` aggregates and stores every request.
+    """
 
-def _prepare(
-    requests: Sequence[SweepRequest],
-    out_dir: Optional[Union[str, Path]],
-    store: Optional[ResultStore],
-) -> List[_PreparedRequest]:
-    # Plan every request before the first cache directory is created, so an
-    # invalid point anywhere in the suite leaves nothing behind.
-    planned = [request.spec.plan(request.config, request.axes) for request in requests]
-    prepared: List[_PreparedRequest] = []
-    for request, plans in zip(requests, planned):
-        spec = request.spec
-        cache: Optional[TaskCache] = None
-        cache_key: Optional[str] = None
-        if out_dir is not None or store is not None:
-            cache_key = sweep_cache_key(spec, plans)
-            # The store's task area and the historical --out layout are both
-            # thin clients of the same TaskCache (identical file format).
-            if store is not None:
-                cache = store.task_cache(spec.name, cache_key)
-            else:
-                cache = TaskCache(Path(out_dir) / f"{spec.name}-{cache_key}").ensure()
-        # A task's trial hook must survive a pickle round-trip to run in a
-        # pool worker; hooks that don't (lambdas, closures, REPL-defined
-        # functions) fall back to in-process serial execution.
-        pool_safe = spec.trial_fn is None or _picklable(spec.trial_fn)
-        prepared.append(
-            _PreparedRequest(
-                spec=spec,
-                plans=plans,
-                base=spec.base_config(request.config),
-                cache=cache,
-                cache_key=cache_key,
-                pool_safe=pool_safe,
+    def __init__(
+        self,
+        requests: Sequence[SweepRequest],
+        store: Optional[Union[ResultStore, str, Path]] = None,
+    ):
+        if store is not None and not isinstance(store, ResultStore):
+            store = ResultStore(store)
+        self.store = store
+        self.requests = list(requests)
+        self.plans = [request.spec.plan(request.config, request.axes) for request in self.requests]
+        self.caches: List[TaskCache] = []
+        self.tasks: List[SweepTask] = []
+        self.results: Dict[str, RunResult] = {}
+        for index, (request, plans) in enumerate(zip(self.requests, self.plans)):
+            spec = request.spec
+            plan_key = sweep_cache_key(spec, plans)
+            cache = (
+                store.task_cache(spec.name, plan_key)
+                if store is not None
+                else TaskCache.of_plan(spec.name, plan_key)  # names keys; never touched
             )
-        )
-    return prepared
-
-
-def _flatten_tasks(prepared: Sequence[_PreparedRequest]) -> List[SweepTask]:
-    tasks: List[SweepTask] = []
-    for index, item in enumerate(prepared):
-        for plan in item.plans:
-            for trial, seed in enumerate(plan.seeds):
-                tasks.append(
-                    SweepTask(
-                        experiment=item.spec.name,
-                        request=index,
-                        point=plan.index,
-                        trial=trial,
-                        protocol=plan.protocol,
-                        config=plan.config,
-                        seed=seed,
-                        parameters=tuple(plan.parameters.items()),
-                        trial_fn=item.spec.trial_fn if item.pool_safe else None,
+            self.caches.append(cache)
+            for plan in plans:
+                for trial, seed in enumerate(plan.seeds):
+                    self.tasks.append(
+                        SweepTask(
+                            key=cache.key(plan.index, trial),
+                            experiment=spec.name,
+                            request=index,
+                            point=plan.index,
+                            trial=trial,
+                            label=plan.label,
+                            protocol=plan.protocol,
+                            config=plan.config,
+                            seed=seed,
+                            parameters=tuple(plan.parameters.items()),
+                            trial_fn=spec.trial_fn,
+                        )
                     )
+        # A trial hook must survive a pickle round-trip to run in a pool
+        # worker; hooks that don't (lambdas, closures, REPL-defined
+        # functions) run in-process.
+        self.pool_safe = [
+            request.spec.trial_fn is None or _picklable(request.spec.trial_fn)
+            for request in self.requests
+        ]
+
+    def cached(self, task: SweepTask) -> Optional[RunResult]:
+        """The store's cached result for ``task``, if any."""
+        if self.store is None:
+            return None
+        return self.caches[task.request].load(task.point, task.trial, task.seed)
+
+    def resume(self) -> List[SweepTask]:
+        """Fold in every cached result; return the tasks still to run."""
+        pending: List[SweepTask] = []
+        for task in self.tasks:
+            cached = self.cached(task)
+            if cached is None:
+                pending.append(task)
+            else:
+                self.results[task.key] = cached
+        return pending
+
+    def finish(self, task: SweepTask, result: RunResult) -> None:
+        """Record one finished task (and persist it with a store)."""
+        self.results[task.key] = result
+        if self.store is not None:
+            self.caches[task.request].store(task.experiment, task.point, task.trial, task.seed, result)
+
+    def save(
+        self,
+        tag: Optional[str] = None,
+        extra: Optional[Callable[[int], Dict[str, object]]] = None,
+    ) -> List[Tuple[SweepResult, Optional[StoredRun]]]:
+        """Aggregate each request in plan order; with a store, save each.
+
+        ``extra(index)`` adds metadata to request ``index``'s stored run.
+        """
+        saved: List[Tuple[SweepResult, Optional[StoredRun]]] = []
+        for index, (request, plans) in enumerate(zip(self.requests, self.plans)):
+            spec, cache = request.spec, self.caches[index]
+            sweep = SweepResult(name=spec.title, description=spec.description)
+            aggregate_fn = spec.aggregate_fn or aggregate_trials
+            for plan in plans:
+                trial_results = [
+                    self.results[cache.key(plan.index, trial)] for trial in range(len(plan.seeds))
+                ]
+                point = aggregate_fn(plan.label, plan.parameters, trial_results, plan.config.percentile)
+                point.trial_results = list(trial_results)
+                sweep.add_point(point)
+            record = None
+            if self.store is not None:
+                record = self.store.save(
+                    sweep,
+                    spec=spec,
+                    config=spec.base_config(request.config),
+                    tags=(tag,) if tag else (),
+                    extra=extra(index) if extra is not None else None,
                 )
-    return tasks
+            saved.append((sweep, record))
+        return saved
 
 
 def task_listing(
@@ -202,51 +279,27 @@ def task_listing(
     cluster task id).  With ``store`` set and ``resume`` on, rows already
     satisfied by the store's task cache are flagged ``cached``.
     """
-    if store is not None and not isinstance(store, ResultStore):
-        store = ResultStore(store)
-    prepared = _prepare(requests, None, store)
-    rows: List[Dict[str, object]] = []
-    for item in prepared:
-        plan_key = item.cache_key or sweep_cache_key(item.spec, item.plans)
-        for plan in item.plans:
-            for trial, seed in enumerate(plan.seeds):
-                cached = (
-                    resume
-                    and item.cache is not None
-                    and item.cache.load(plan.index, trial, seed) is not None
-                )
-                rows.append(
-                    {
-                        "experiment": item.spec.name,
-                        "point": plan.index,
-                        "label": plan.label,
-                        "protocol": plan.protocol,
-                        "parameters": dict(plan.parameters),
-                        "trial": trial,
-                        "seed": seed,
-                        "task": f"{item.spec.name}-{plan_key}/task-{plan.index:04d}-{trial:03d}",
-                        "cached": cached,
-                    }
-                )
-    return rows
-
-
-def _aggregate(item: _PreparedRequest) -> SweepResult:
-    sweep = SweepResult(name=item.spec.title, description=item.spec.description)
-    aggregate_fn = item.spec.aggregate_fn or aggregate_trials
-    for plan in item.plans:
-        trial_results = [item.results[(plan.index, trial)] for trial in range(len(plan.seeds))]
-        point = aggregate_fn(plan.label, plan.parameters, trial_results, plan.config.percentile)
-        point.trial_results = list(trial_results)
-        sweep.add_point(point)
-    return sweep
+    grid = SweepGrid(requests, store)
+    return [
+        {
+            "experiment": task.experiment,
+            "point": task.point,
+            "label": task.label,
+            "protocol": task.protocol,
+            "parameters": dict(task.parameters),
+            "trial": task.trial,
+            "seed": task.seed,
+            "task": task.key,
+            "cached": resume and grid.cached(task) is not None,
+        }
+        for task in grid.tasks
+    ]
 
 
 def run_suite(
     requests: Sequence[SweepRequest],
     *,
-    workers: Optional[int] = None,
-    out_dir: Optional[Union[str, Path]] = None,
+    workers: int = 1,
     store: Optional[Union[ResultStore, str, Path]] = None,
     tag: Optional[str] = None,
     resume: bool = True,
@@ -259,42 +312,22 @@ def run_suite(
     With ``store`` set, the per-task cache lives in the store and every
     aggregate is saved under its content key (optionally tagged).
     """
-    if store is not None and not isinstance(store, ResultStore):
-        store = ResultStore(store)
-    prepared = _prepare(requests, out_dir, store)
-    tasks = _flatten_tasks(prepared)
-    total = len(tasks)
-
-    # Resume: satisfy tasks from the per-task cache before scheduling.
-    pending: List[SweepTask] = []
-    for task in tasks:
-        item = prepared[task.request]
-        cached = None
-        if resume and item.cache is not None:
-            cached = item.cache.load(task.point, task.trial, task.seed)
-        if cached is not None:
-            item.results[(task.point, task.trial)] = cached
-        else:
-            pending.append(task)
+    grid = SweepGrid(requests, store)
+    total = len(grid.tasks)
+    pending = grid.resume() if resume else list(grid.tasks)
     done = total - len(pending)
     if progress is not None and done:
         progress("resumed from cache", done, total)
 
-    if workers is None:
-        workers = max((task.config.workers for task in tasks), default=1)
-
     def _finish(task: SweepTask, result: RunResult) -> None:
         nonlocal done
-        item = prepared[task.request]
-        item.results[(task.point, task.trial)] = result
-        if item.cache is not None:
-            item.cache.store(task.experiment, task.point, task.trial, task.seed, result)
+        grid.finish(task, result)
         done += 1
         if progress is not None:
             progress(f"{task.experiment}[{task.point}] trial {task.trial}", done, total)
 
-    parallelizable = [t for t in pending if prepared[t.request].pool_safe]
-    serial_only = [t for t in pending if not prepared[t.request].pool_safe]
+    parallelizable = [t for t in pending if grid.pool_safe[t.request]]
+    serial_only = [t for t in pending if not grid.pool_safe[t.request]]
     if serial_only:
         # Say *why* these tasks bypass the pool: an unpicklable hook looks
         # exactly like workers=1 from the outside, and the two have very
@@ -326,10 +359,7 @@ def run_suite(
                     _finish(futures[future], future.result())
             parallelizable = []
         except (OSError, BrokenProcessPool) as exc:
-            remaining = [
-                t for t in parallelizable
-                if (t.point, t.trial) not in prepared[t.request].results
-            ]
+            remaining = [t for t in parallelizable if t.key not in grid.results]
             warnings.warn(
                 f"process pool unavailable ({exc!r}); "
                 f"falling back to serial execution of {len(remaining)} remaining tasks",
@@ -338,40 +368,9 @@ def run_suite(
             )
             parallelizable = remaining
     for task in parallelizable + serial_only:
-        item = prepared[task.request]
-        if item.pool_safe:
-            _finish(task, _execute_task(task))
-        else:
-            # Unpicklable hooks never reach a worker; run them in-process.
-            trial_fn = item.spec.trial_fn or _default_trial
-            _finish(task, trial_fn(task.protocol, task.config, task.seed, dict(task.parameters)))
-
-    results: List[SweepResult] = []
-    name_counts: Dict[str, int] = {}
-    for item in prepared:
-        name_counts[item.spec.name] = name_counts.get(item.spec.name, 0) + 1
-    for item in prepared:
-        sweep = _aggregate(item)
-        if out_dir is not None:
-            # Several requests for the same experiment (e.g. two configs of
-            # fig9a) would clobber one <name>.json; disambiguate by plan key.
-            stem = item.spec.name
-            if name_counts[stem] > 1:
-                stem = f"{stem}-{item.cache_key}"
-            path = Path(out_dir) / f"{stem}.json"
-            # With store set, the task cache lives in the store, so nothing
-            # has created out_dir yet.
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(sweep.to_json() + "\n", encoding="utf-8")
-        if store is not None:
-            store.save(
-                sweep,
-                spec=item.spec,
-                config=item.base,
-                tags=(tag,) if tag else (),
-            )
-        results.append(sweep)
-    return results
+        # Unpicklable hooks never reach a worker; they run here in-process.
+        _finish(task, _execute_task(task))
+    return [sweep for sweep, _ in grid.save(tag=tag)]
 
 
 def run_experiment(
@@ -379,8 +378,7 @@ def run_experiment(
     config: Optional[ExperimentConfig] = None,
     *,
     axes: Optional[Mapping[str, Sequence[object]]] = None,
-    workers: Optional[int] = None,
-    out_dir: Optional[Union[str, Path]] = None,
+    workers: int = 1,
     store: Optional[Union[ResultStore, str, Path]] = None,
     tag: Optional[str] = None,
     resume: bool = True,
@@ -397,7 +395,6 @@ def run_experiment(
     [result] = run_suite(
         [SweepRequest(spec=spec, config=config, axes=axes)],
         workers=workers,
-        out_dir=out_dir,
         store=store,
         tag=tag,
         resume=resume,

@@ -26,7 +26,6 @@ from repro.cluster import (
     LeaseTable,
     build_submission_payload,
     render_status,
-    task_id,
 )
 from repro.cluster.errors import ProtocolError
 from repro.cluster.protocol import decode_message, encode_message
@@ -34,7 +33,7 @@ import repro.experiments.__main__ as cli
 from repro.experiments.scenario import ExperimentConfig
 from repro.experiments.spec import get_experiment
 from repro.experiments.store import ResultStore, TaskCache, _atomic_write_text
-from repro.experiments.sweep import SweepRequest, run_suite, task_listing
+from repro.experiments.sweep import SweepRequest, SweepTask, run_suite, task_listing
 
 
 # ---------------------------------------------------------------- fixtures
@@ -51,13 +50,12 @@ class FakeClock:
         self.now += dt
 
 
-def _task(key: str = "t1", **kwargs) -> ClusterTask:
-    defaults = dict(
-        key=key, submission="s1", request=0, experiment="fig9a",
-        point=0, trial=0, seed=42, payload={"key": key},
+def _task(key: str = "t1") -> ClusterTask:
+    work = SweepTask(
+        key=key, experiment="fig9a", request=0, point=0, trial=0, label="DAPES",
+        protocol="dapes", config=ExperimentConfig.tiny(), seed=42, parameters=(),
     )
-    defaults.update(kwargs)
-    return ClusterTask(**defaults)
+    return ClusterTask(submission="s1", work=work)
 
 
 def _tiny_request() -> SweepRequest:
@@ -91,8 +89,10 @@ def _run_workers(coordinator, count=2, **kwargs):
 
 
 # ------------------------------------------------------------- lease table
-def test_task_id_matches_task_cache_layout():
-    assert task_id("fig9a", "abc123", 2, 7) == "fig9a-abc123/task-0002-007"
+def test_task_id_matches_task_cache_layout(tmp_path):
+    cache = ResultStore(tmp_path).task_cache("fig9a", "abc123")
+    assert cache.key(2, 7) == "fig9a-abc123/task-0002-007"
+    assert cache.path(2, 7) == tmp_path / "tasks" / "fig9a-abc123" / "task-0002-007.json"
 
 
 def test_claim_grants_in_order_and_counts():
@@ -488,6 +488,65 @@ def test_duplicate_in_flight_submission_is_rejected(tmp_path):
     assert reply["ok"] is False and "already in flight" in reply["error"]
 
 
+def test_refused_submission_leaves_the_lease_table_unchanged(tmp_path):
+    """Regression: a payload repeating its own grid used to be refused only
+    after half of it was leasable, leaving orphans no submission owned."""
+    coordinator = Coordinator(store=ResultStore(tmp_path), port=0)
+    payload = _tiny_payload()
+    payload["requests"] = payload["requests"] * 2
+    reply = coordinator.handle({"op": "submit", **payload})
+    assert reply["ok"] is False and "duplicate task key" in reply["error"]
+    assert coordinator.table.tasks() == []
+    assert coordinator.handle({"op": "claim", "worker": "w1"})["task"] is None
+    assert coordinator.status()["tasks"]["pending"] == 0
+    # An in-flight collision is refused whole too, and the first grid runs on.
+    assert coordinator.handle({"op": "submit", **_tiny_payload()})["tasks"] == 4
+    reply = coordinator.handle({"op": "submit", **payload})
+    assert reply["ok"] is False and "already in flight" in reply["error"]
+    assert len(coordinator.table.tasks()) == 4
+    assert [s["id"] for s in coordinator.status()["submissions"]] == ["s1"]
+
+
+def test_one_source_of_task_keys(tmp_path):
+    """Listing, coordinator leases and a serial run's cache files share keys."""
+    config = ExperimentConfig.tiny().with_overrides(trials=1, max_duration=180.0)
+    axes = {"fig9a": {"wifi_range": [40.0]}, "fig9b": {"wifi_range": [40.0]}}
+    requests = [
+        SweepRequest(spec=get_experiment(name), config=config, axes=axes[name])
+        for name in ("fig9a", "fig9b")
+    ]
+    rows = task_listing(requests)
+    listed = {row["task"] for row in rows}
+    assert len(listed) == len(rows) > 4  # both specs, no key shared
+
+    coordinator = Coordinator(store=ResultStore(tmp_path / "cluster"), port=0)
+    coordinator.handle(
+        {"op": "submit", **build_submission_payload(["fig9a", "fig9b"], config, axes)}
+    )
+    wire = []
+    while True:
+        task = coordinator.handle({"op": "claim", "worker": "w1"})["task"]
+        if task is None:
+            break
+        wire.append(task)
+    assert {task["key"] for task in wire} == listed
+
+    run_suite(requests, store=tmp_path / "serial")
+    tasks_dir = tmp_path / "serial" / "tasks"
+    written = {
+        path.relative_to(tasks_dir).with_suffix("").as_posix()
+        for path in tasks_dir.glob("*/*.json")
+    }
+    assert written == listed
+
+    # The wire form parses back to the task the grid built, field for field.
+    grid_tasks = {task.key: task for task in coordinator.table.tasks()}
+    for payload in wire:
+        original = grid_tasks[payload["key"]].work
+        assert SweepTask.from_wire(payload) == original
+        assert SweepTask.from_wire(json.loads(json.dumps(payload))) == original
+
+
 @pytest.mark.parametrize(
     "trials, axes, reason",
     [
@@ -513,6 +572,13 @@ def test_submit_from_a_client_with_extra_config_fields_names_them(tmp_path):
     reply = coordinator.handle({"op": "submit", **payload})
     assert reply["ok"] is False
     assert "unknown ExperimentConfig field(s): shard_workers, shards" in reply["error"]
+    # The pool size is not part of a config: a client that still sends it is refused.
+    payload = _tiny_payload()
+    payload["requests"][0]["config"]["workers"] = 2
+    reply = coordinator.handle({"op": "submit", **payload})
+    assert reply["ok"] is False
+    assert "unknown ExperimentConfig field(s): workers" in reply["error"]
+    assert not coordinator.table.tasks()
 
 
 def test_worker_reported_failure_poisons_submission(tmp_path):

@@ -230,6 +230,20 @@ def test_removed_compat_names_fail_loudly():
     with pytest.raises(TypeError):
         get_builder("dapes").build(config, 1, dapes_config=DapesConfig())
 
+    # One persistence layout and one pool-size knob: the store and workers=.
+    import repro.experiments.__main__ as cli
+    import repro.experiments.sweep as sweep_module
+
+    for name in ("_prepare", "_flatten_tasks", "_aggregate", "_PreparedRequest"):
+        assert not hasattr(sweep_module, name), name
+    with pytest.raises(TypeError):
+        sweep_module.run_experiment("fig9a", config, out_dir="unused")
+    with pytest.raises(TypeError):
+        ExperimentConfig(workers=2)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["run", "fig9a", "--preset", "tiny", "--out", "unused"])
+    assert exit_info.value.code == 2
+
 
 def test_removed_gate_and_oracle_names_fail_loudly(capsys):
     """The throughput gate and the oracle selectors stay deleted: the oracles

@@ -167,7 +167,7 @@ def test_generic_path_matches_trivial_fast_path_with_range_overrides():
     )
 
 
-def _spec_fingerprint(name, propagation, workers=None):
+def _spec_fingerprint(name, propagation, workers=1):
     config = ExperimentConfig.tiny().with_overrides(
         max_duration=60.0, propagation=propagation
     )

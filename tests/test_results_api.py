@@ -144,19 +144,6 @@ def test_store_gc_keeps_newest_and_tagged(tmp_path):
     assert len(store.list(spec="synthetic")) == 1
 
 
-def test_run_experiment_with_store_and_out_dir_together(tmp_path):
-    """--out and --store compose: flat JSON dump plus content-addressed run."""
-    config = ExperimentConfig.tiny().with_overrides(max_duration=180.0)
-    out_dir = tmp_path / "out"
-    result = run_experiment(
-        "fig9a", config, axes={"wifi_range": (80.0,)}, workers=1,
-        out_dir=out_dir, store=tmp_path / "store",
-    )
-    dumped = SweepResult.from_json((out_dir / "fig9a.json").read_text(encoding="utf-8"))
-    assert dumped == result
-    assert ResultStore(tmp_path / "store").load("fig9a") == result
-
-
 def test_run_experiment_with_store_resumes_from_task_cache(tmp_path, monkeypatch):
     config = ExperimentConfig.tiny().with_overrides(trials=2, max_duration=180.0)
     axes = {"wifi_range": (80.0,)}

@@ -19,14 +19,6 @@ def test_parallel_run_trials_matches_serial_aggregate():
     assert serial == parallel
 
 
-def test_workers_config_field_drives_parallelism():
-    config = ExperimentConfig.tiny().with_overrides(trials=2, max_duration=180.0, workers=2)
-    assert config.workers == 2
-    point = run_trials("dapes", config, "DAPES")
-    reference = run_trials("dapes", config.with_overrides(workers=1), "DAPES")
-    assert point == reference
-
-
 def test_registered_protocols_include_all_paper_protocols():
     assert set(available_protocols()) >= {"dapes", "bithoc", "ekta"}
 

@@ -10,6 +10,7 @@ from repro.experiments import (
     Axis,
     ExperimentConfig,
     ExperimentSpec,
+    ResultStore,
     RunResult,
     SweepResult,
     Variant,
@@ -133,10 +134,10 @@ def test_cache_key_is_content_addressed():
 def test_interrupted_sweep_resumes_from_persisted_tasks(tmp_path, monkeypatch):
     config = ExperimentConfig.tiny().with_overrides(trials=2, max_duration=180.0)
     axes = {"wifi_range": (80.0,)}
-    first = run_experiment("fig9a", config, axes=axes, workers=1, out_dir=tmp_path)
-    task_files = list(tmp_path.glob("fig9a-*/task-*.json"))
+    first = run_experiment("fig9a", config, axes=axes, workers=1, store=tmp_path)
+    task_files = list(tmp_path.glob("tasks/fig9a-*/task-*.json"))
     assert len(task_files) == 4 * 2
-    assert (tmp_path / "fig9a.json").is_file()
+    assert ResultStore(tmp_path).load("fig9a") == first
 
     # Drop one completed task (simulating a kill mid-sweep), then forbid all
     # but exactly one re-execution: resume must only run the missing task.
@@ -152,7 +153,7 @@ def test_interrupted_sweep_resumes_from_persisted_tasks(tmp_path, monkeypatch):
         return real_execute(task)
 
     monkeypatch.setattr(sweep_module, "_execute_task", limited_execute)
-    resumed = run_experiment("fig9a", config, axes=axes, workers=1, out_dir=tmp_path)
+    resumed = run_experiment("fig9a", config, axes=axes, workers=1, store=tmp_path)
     assert resumed == first
     assert budget[0] == 0
 
@@ -177,12 +178,12 @@ def test_cli_axis_parsing():
 def test_cli_run_persists_results(tmp_path, capsys):
     code = cli.main([
         "run", "fig9a", "--preset", "tiny", "--workers", "1",
-        "--axis", "wifi_range=80", "--out", str(tmp_path), "--quiet",
+        "--axis", "wifi_range=80", "--store", str(tmp_path), "--quiet",
     ])
     assert code == 0
     output = capsys.readouterr().out
     assert "Fig. 9a" in output
-    persisted = SweepResult.from_json((tmp_path / "fig9a.json").read_text(encoding="utf-8"))
+    persisted = ResultStore(tmp_path).load("fig9a")
     reference = run_experiment(
         "fig9a", ExperimentConfig.tiny(), axes={"wifi_range": (80,)}, workers=1
     )
@@ -260,16 +261,16 @@ BAD_GRIDS = {
 @pytest.mark.parametrize("grid", sorted(BAD_GRIDS))
 def test_cli_refuses_an_invalid_grid_before_anything_runs(tmp_path, capsys, grid, mode):
     experiment, flags, reason = BAD_GRIDS[grid]
-    out_dir = tmp_path / "out"
+    store = tmp_path / "store"
     with pytest.raises(SystemExit) as exit_info:
-        cli.main(["run", experiment, "--preset", "tiny", *flags, "--out", str(out_dir), *mode])
+        cli.main(["run", experiment, "--preset", "tiny", *flags, "--store", str(store), *mode])
     assert exit_info.value.code == 2
     captured = capsys.readouterr()
     assert re.match(f"repro-experiments: error: {reason}", captured.err)
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
     assert "[   1/" not in captured.out and "task-0000" not in captured.out
-    assert not out_dir.exists()
+    assert not store.exists()
 
 
 @pytest.mark.parametrize("grid", sorted(BAD_GRIDS))
@@ -280,6 +281,36 @@ def test_cli_submit_refuses_an_invalid_grid_without_a_coordinator(capsys, grid):
         cli.main(["submit", experiment, "--preset", "tiny", *flags, "--port", "1"])
     assert exit_info.value.code == 2
     assert re.match(f"repro-experiments: error: {reason}", capsys.readouterr().err)
+
+
+# name -> (command line, what the one error line says after "error: ")
+BAD_NUMBERS = {
+    "zero_workers": (["run", "fig9a", "--workers", "0"], "argument --workers: must be >= 1, got 0"),
+    "negative_workers": (["run", "fig9a", "--workers", "-2"], "argument --workers: must be >= 1, got -2"),
+    "zero_lease_ttl": (["serve", "--lease-ttl", "0"], "argument --lease-ttl: must be > 0, got 0"),
+    "nan_heartbeat_interval": (
+        ["serve", "--heartbeat-interval", "nan"], "argument --heartbeat-interval: must be > 0, got nan",
+    ),
+    "zero_max_attempts": (["serve", "--max-attempts", "0"], "argument --max-attempts: must be >= 1, got 0"),
+    "zero_poll_interval": (["worker", "--poll-interval", "0"], "argument --poll-interval: must be > 0, got 0"),
+    "fractional_max_tasks": (
+        ["worker", "--max-tasks", "1.5"], "argument --max-tasks: expected an integer, got '1.5'",
+    ),
+    "negative_interval": (["status", "--interval", "-1"], "argument --interval: must be > 0, got -1"),
+    "negative_keep": (["store", "gc", "--keep", "-1"], "argument --keep: must be >= 0, got -1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_NUMBERS))
+def test_cli_refuses_an_out_of_range_number_at_parse_time(capsys, case):
+    argv, reason = BAD_NUMBERS[case]
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    [line] = [line for line in err.splitlines() if "error:" in line]
+    assert line.endswith(f"error: {reason}")
+    assert "Traceback" not in err
 
 
 def test_plan_error_names_the_spec_the_point_and_the_reason():
@@ -297,8 +328,8 @@ def test_suite_with_one_invalid_request_leaves_no_cache_directory(tmp_path):
     good = SweepRequest(spec=spec, config=ExperimentConfig.tiny(), axes={"wifi_range": (80.0,)})
     bad = SweepRequest(spec=spec, config=ExperimentConfig.tiny(), axes={"wifi_range": (-5.0,)})
     with pytest.raises(ValueError, match="wifi_range must be positive"):
-        run_suite([good, bad], workers=1, out_dir=tmp_path / "out")
-    assert not (tmp_path / "out").exists()
+        run_suite([good, bad], workers=1, store=tmp_path / "store")
+    assert not (tmp_path / "store").exists()
 
 
 # ------------------------------------------------------------ review fixes
@@ -337,10 +368,10 @@ def test_suite_with_duplicate_experiment_names_does_not_clobber_results(tmp_path
             SweepRequest(spec=spec, config=small_ish, axes=axes),
         ],
         workers=1,
-        out_dir=tmp_path,
+        store=tmp_path,
     )
-    aggregates = sorted(path.name for path in tmp_path.glob("fig9a-*.json"))
-    assert len(aggregates) == 2  # one per request, keyed by plan hash
+    assert len(ResultStore(tmp_path).list(spec="fig9a")) == 2  # one run per request
+    assert len(list(tmp_path.glob("tasks/fig9a-*"))) == 2  # one task cache per plan
 
 
 def test_cli_rejects_unknown_axis_names(capsys):
