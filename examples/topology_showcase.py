@@ -29,8 +29,8 @@ def main() -> None:
 
     config = ExperimentConfig.tiny().with_overrides(trials=2, max_duration=180.0)
 
-    print(f"{'topology':>10} | {'download time':>13} | {'transmissions':>13} | {'completion':>10}")
-    print("-" * 58)
+    print(f"{'topology':>15} | {'download time':>13} | {'transmissions':>13} | {'completion':>10}")
+    print("-" * 63)
     for topology in available_topologies():
         point = run_trials(
             "dapes",
@@ -40,7 +40,7 @@ def main() -> None:
             workers=2,  # trials run on a process pool; results match workers=1 exactly
         )
         print(
-            f"{topology:>10} | {point.download_time:>12.1f}s | {point.transmissions:>13.0f} "
+            f"{topology:>15} | {point.download_time:>12.1f}s | {point.transmissions:>13.0f} "
             f"| {point.completion_ratio:>9.0%}"
         )
 

@@ -4,11 +4,11 @@ A :class:`ClusterWorker` is a thin loop around the *existing* trial
 execution path: every claimed task is parsed back into the scheduler's own
 :class:`~repro.experiments.sweep.SweepTask` by
 :meth:`~repro.experiments.sweep.SweepTask.from_wire` (config via
-``ExperimentConfig.from_dict``, spec and trial hook resolved by registry
-name — nothing is pickled over the wire) and run.  A cluster worker therefore
-computes bit-for-bit the same ``RunResult`` a serial or pool run would for
-the same content-hash task key, which is what makes the coordinator's
-first-completed-wins merging safe.
+``ExperimentConfig.from_dict``; the task names its protocol, seed and
+parameters, so nothing is pickled over the wire) and run.  A cluster
+worker therefore computes bit-for-bit the same ``RunResult`` a serial or
+pool run would for the same content-hash task key, which is what makes the
+coordinator's first-completed-wins merging safe.
 
 While a task executes, a daemon thread heartbeats the lease at the
 coordinator's advertised interval; if the coordinator reports the lease

@@ -24,7 +24,10 @@ Table I         real-world feasibility scenarios               ``table1``  ``tab
 ==============  =============================================  ==========  ======================
 
 Aliases resolve too (``fig9g``/``fig9h`` → ``fig9gh``, ``fig10a``/``fig10b``
-→ ``fig10``, ``tablei`` → ``table1``).  Beyond the paper, ``urban``
+→ ``fig10``, ``tablei`` → ``table1``).  Every trial of every experiment is
+one ``run_protocol_trial`` on a scenario from ``get_builder(protocol)`` —
+Table I's Fig. 8 scenarios included, as the scripted ``fig8_carrier``,
+``fig8_repository`` and ``fig8_moving`` topologies.  Beyond the paper, ``urban``
 (``repro.experiments.urban``) sweeps obstacle density on the Manhattan
 ``urban_grid`` topology under unit-disk vs obstacle propagation.
 ``churn`` and ``flashcrowd`` (``repro.experiments.churn``) exercise
@@ -73,7 +76,7 @@ from repro.experiments.spec import (
 from repro.experiments.sweep import SweepRequest, run_experiment, run_suite
 from repro.experiments.churn import SPEC_CHURN, SPEC_FLASHCROWD
 from repro.experiments.faults import SPEC_FAULTS, SPEC_PARTITION
-from repro.experiments.table1_feasibility import SPEC_TABLE1, run_feasibility_scenario
+from repro.experiments.table1_feasibility import SPEC_TABLE1
 from repro.experiments.urban import SPEC_URBAN
 from repro.experiments.topology import (
     Topology,
@@ -112,7 +115,6 @@ __all__ = [
     "register_protocol",
     "register_topology",
     "run_experiment",
-    "run_feasibility_scenario",
     "run_protocol_trial",
     "run_suite",
     "run_trials",

@@ -191,19 +191,15 @@ def _build_requests(
                 axes={key: values for key, values in axes.items() if key in spec_axes} or None,
             )
         )
-    shadowed = sorted({
-        key
-        for name in names
-        for variant in get_experiment(name).variants
-        for key in variant.overrides
-        if key in overrides
-    })
-    if shadowed:
-        print(
-            f"note: variant overrides pin {', '.join(shadowed)} for the requested "
-            f"experiment(s); the corresponding command-line value(s) only apply to "
-            f"variants that do not set them"
-        )
+    for request in requests:
+        spec = request.spec
+        pinned = set(spec.overrides).union(*(variant.overrides for variant in spec.variants))
+        shadowed = sorted(pinned & set(overrides))
+        if shadowed:
+            print(
+                f"note: {spec.name} pins {', '.join(shadowed)} in its spec or variant "
+                f"overrides; the command-line value(s) only apply where it does not set them"
+            )
     unmatched = set(axes) - matched_axes
     if unmatched:
         known = sorted({axis.name for name in names for axis in get_experiment(name).axes})

@@ -3,8 +3,9 @@
 An :class:`ExperimentSpec` describes one paper artefact (or a family of
 them) as data: the sweep :class:`Axis` list, the labelled
 :class:`Variant` list, the protocol each variant runs, base config
-overrides, and optional hooks for experiments that need a bespoke trial
-runner (Table I's scripted scenarios).  The sweep scheduler in
+overrides, and an optional aggregation hook (Table I derives its columns
+from the generic trial result).  Every trial of every spec runs through
+``run_protocol_trial``.  The sweep scheduler in
 :mod:`repro.experiments.sweep` flattens a spec — or a whole suite of
 specs — into one ``(point, variant, trial)`` task grid executed over a
 single persistent process pool.
@@ -28,11 +29,9 @@ from repro.experiments.scenario import PROTOCOLS, ExperimentConfig
 from repro.experiments.topology import TOPOLOGIES
 from repro.faults.manager import configured_faults
 
-# Hook signatures (kept as plain callables so specs stay picklable-free:
-# workers re-resolve hooks from the registry by spec name).
-TrialFn = Callable[[str, ExperimentConfig, int, Dict[str, object]], RunResult]
+# The aggregation hook's signature: it runs where the grid is saved, so it
+# never crosses a process boundary.
 AggregateFn = Callable[[str, Dict[str, object], Sequence[RunResult], float], SweepPoint]
-ConfigTransform = Callable[[ExperimentConfig], ExperimentConfig]
 
 
 class PlanError(ValueError):
@@ -106,12 +105,11 @@ class PointPlan:
 class ExperimentSpec:
     """A declarative description of one paper experiment.
 
-    The default execution path runs ``run_protocol_trial(variant.protocol,
-    config, seed)`` for every ``(point, trial)`` task and aggregates with
-    :func:`repro.experiments.metrics.aggregate_trials`; ``trial_fn`` /
-    ``aggregate_fn`` override that for experiments with bespoke
-    measurement loops (Table I).  ``config_transform`` normalises the base
-    config before planning (e.g. Table I pins the real-world WiFi range).
+    Every ``(point, trial)`` task runs ``run_protocol_trial(variant.protocol,
+    config, seed)``; the trials of a point aggregate with
+    :func:`repro.experiments.metrics.aggregate_trials` unless
+    ``aggregate_fn`` derives other columns (Table I).  ``overrides`` pin
+    config fields for every point (e.g. Table I's real-world WiFi range).
     """
 
     name: str
@@ -122,16 +120,12 @@ class ExperimentSpec:
     variants: Tuple[Variant, ...] = (Variant(label="default"),)
     overrides: Mapping[str, object] = field(default_factory=dict)
     aliases: Tuple[str, ...] = ()
-    trial_fn: Optional[TrialFn] = None
     aggregate_fn: Optional[AggregateFn] = None
-    config_transform: Optional[ConfigTransform] = None
 
     # ------------------------------------------------------------- planning
     def base_config(self, config: Optional[ExperimentConfig] = None) -> ExperimentConfig:
-        """The effective base config: preset default + transform + spec overrides."""
+        """The effective base config: preset default + spec overrides."""
         base = config if config is not None else ExperimentConfig.small()
-        if self.config_transform is not None:
-            base = self.config_transform(base)
         if self.overrides:
             base = base.with_overrides(**self.overrides)
         return base

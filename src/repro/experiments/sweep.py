@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import pickle
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,7 +36,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 
 from repro.experiments.metrics import RunResult, SweepResult, aggregate_trials
 from repro.experiments.scenario import ExperimentConfig
-from repro.experiments.spec import ExperimentSpec, PointPlan, TrialFn, get_experiment
+from repro.experiments.spec import ExperimentSpec, PointPlan, get_experiment
 from repro.experiments.store import ResultStore, StoredRun, TaskCache
 
 ProgressFn = Callable[[str, int, int], None]
@@ -56,12 +55,11 @@ class SweepRequest:
 class SweepTask:
     """One schedulable unit: one trial of one sweep point of one experiment.
 
-    ``key`` is the task's content-hash key (:meth:`TaskCache.key`).
-    ``trial_fn`` travels with the task (module-level hooks pickle by
-    reference, so pool workers resolve them by importing their module —
-    correct under both the fork and spawn start methods); ``None`` means
-    the default :func:`run_protocol_trial` path.  Across the cluster wire
-    the hook is re-resolved from the registry by experiment name.
+    ``key`` is the task's content-hash key (:meth:`TaskCache.key`).  A
+    task is self-describing: :meth:`run` is ``run_protocol_trial(protocol,
+    config, seed)`` wherever it executes — in process, in a pool worker or,
+    after a :meth:`to_wire` / :meth:`from_wire` round-trip, on a cluster
+    worker.
     """
 
     key: str
@@ -74,11 +72,8 @@ class SweepTask:
     config: ExperimentConfig
     seed: int
     parameters: Tuple[Tuple[str, object], ...]
-    trial_fn: Optional[TrialFn] = None
 
     def run(self) -> RunResult:
-        if self.trial_fn is not None:
-            return self.trial_fn(self.protocol, self.config, self.seed, dict(self.parameters))
         from repro.experiments.runner import run_protocol_trial
 
         parameters = dict(self.parameters)
@@ -101,11 +96,10 @@ class SweepTask:
 
     @classmethod
     def from_wire(cls, payload: Mapping[str, object]) -> "SweepTask":
-        """Parse :meth:`to_wire` output back (the spec resolves by registry name)."""
-        spec = get_experiment(str(payload["experiment"]))
+        """Parse :meth:`to_wire` output back."""
         return cls(
             key=str(payload["key"]),
-            experiment=spec.name,
+            experiment=str(payload["experiment"]),
             request=int(payload["request"]),
             point=int(payload["point"]),
             trial=int(payload["trial"]),
@@ -114,7 +108,6 @@ class SweepTask:
             config=ExperimentConfig.from_dict(dict(payload["config"])),
             seed=int(payload["seed"]),
             parameters=tuple(dict(payload["parameters"]).items()),
-            trial_fn=spec.trial_fn,
         )
 
 
@@ -141,13 +134,6 @@ def sweep_cache_key(spec: ExperimentSpec, plans: Sequence[PointPlan]) -> str:
     }
     payload = json.dumps(manifest, sort_keys=True, default=str).encode("utf-8")
     return hashlib.sha256(payload).hexdigest()[:16]
-
-
-def _picklable(trial_fn: TrialFn) -> bool:
-    try:
-        return pickle.loads(pickle.dumps(trial_fn)) is trial_fn
-    except Exception:
-        return False
 
 
 # ===================================================================== grid
@@ -197,16 +183,8 @@ class SweepGrid:
                             config=plan.config,
                             seed=seed,
                             parameters=tuple(plan.parameters.items()),
-                            trial_fn=spec.trial_fn,
                         )
                     )
-        # A trial hook must survive a pickle round-trip to run in a pool
-        # worker; hooks that don't (lambdas, closures, REPL-defined
-        # functions) run in-process.
-        self.pool_safe = [
-            request.spec.trial_fn is None or _picklable(request.spec.trial_fn)
-            for request in self.requests
-        ]
 
     def cached(self, task: SweepTask) -> Optional[RunResult]:
         """The store's cached result for ``task``, if any."""
@@ -326,49 +304,27 @@ def run_suite(
         if progress is not None:
             progress(f"{task.experiment}[{task.point}] trial {task.trial}", done, total)
 
-    parallelizable = [t for t in pending if grid.pool_safe[t.request]]
-    serial_only = [t for t in pending if not grid.pool_safe[t.request]]
-    if serial_only:
-        # Say *why* these tasks bypass the pool: an unpicklable hook looks
-        # exactly like workers=1 from the outside, and the two have very
-        # different fixes (move the hook to module level vs raise workers).
-        names = ", ".join(sorted({t.experiment for t in serial_only}))
-        if workers > 1:
-            reason = (
-                "their trial hooks failed the pickle round-trip "
-                "(lambdas/closures cannot reach pool workers; "
-                "define the hook at module level to parallelize)"
-            )
-        else:
-            reason = "workers=1 disables the process pool"
-        warnings.warn(
-            f"{len(serial_only)} task(s) from {names} will run serially: {reason}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    if workers > 1 and len(parallelizable) > 1:
+    if workers > 1 and len(pending) > 1:
         # Imported where the pool is created: a serial sweep, a cluster
         # worker and the read-only CLI subcommands never load multiprocessing.
         from concurrent.futures import ProcessPoolExecutor, as_completed
         from concurrent.futures.process import BrokenProcessPool
 
         try:
-            with ProcessPoolExecutor(max_workers=min(workers, len(parallelizable))) as pool:
-                futures = {pool.submit(_execute_task, task): task for task in parallelizable}
+            with ProcessPoolExecutor(max_workers=min(workers, len(pending))) as pool:
+                futures = {pool.submit(_execute_task, task): task for task in pending}
                 for future in as_completed(futures):
                     _finish(futures[future], future.result())
-            parallelizable = []
+            pending = []
         except (OSError, BrokenProcessPool) as exc:
-            remaining = [t for t in parallelizable if t.key not in grid.results]
+            pending = [t for t in pending if t.key not in grid.results]
             warnings.warn(
                 f"process pool unavailable ({exc!r}); "
-                f"falling back to serial execution of {len(remaining)} remaining tasks",
+                f"falling back to serial execution of {len(pending)} remaining tasks",
                 RuntimeWarning,
                 stacklevel=2,
             )
-            parallelizable = remaining
-    for task in parallelizable + serial_only:
-        # Unpicklable hooks never reach a worker; they run here in-process.
+    for task in pending:
         _finish(task, _execute_task(task))
     return [sweep for sweep, _ in grid.save(tag=tag)]
 

@@ -5,7 +5,7 @@ protocol builders in :mod:`repro.experiments.scenario` decide *what runs on
 them*.  Keeping the two orthogonal means every protocol can be exercised on
 every topology, and new workloads only need to register a topology here.
 
-Three topologies ship with the harness:
+These topologies ship with the harness:
 
 ``quadrant``
     The paper's Fig. 7 setup: stationary repositories at the four quadrant
@@ -30,6 +30,11 @@ Three topologies ship with the harness:
     geometry — pair it with ``propagation="obstacle"`` to make the
     buildings opaque to radio.  ``ExperimentConfig.obstacle_density``
     controls the fraction of blocks actually built.
+``fig8_carrier``, ``fig8_repository``, ``fig8_moving``
+    The three real-world scenarios of the paper's Fig. 8 (Table I): a fixed
+    cast of named nodes walking timed waypoint traces
+    (:class:`ScriptedTopology`); the config's node counts, area and speeds
+    do not apply.
 
 A topology decides both *where the nodes are* (``build_mobility``) and what
 the physical world looks like (``build_environment``, optional — the open
@@ -51,6 +56,7 @@ from repro.mobility import (
     CompositeMobility,
     MobilityModel,
     RandomDirectionMobility,
+    ScriptedMobility,
     StaticPlacement,
     StreetGridMobility,
 )
@@ -282,3 +288,117 @@ class UrbanGridTopology(Topology):
                 )
             )
         return Environment(obstacles=obstacles)
+
+
+# ============================================================ Fig. 8 scripts
+Trace = Tuple[Tuple[float, float, float], ...]
+
+
+class ScriptedTopology(Topology):
+    """A fixed cast of named nodes walking timed ``(time, x, y)`` traces.
+
+    ``TRACES`` holds every node's waypoints (a single waypoint is a node
+    that never moves).  ``PRODUCER`` publishes the collection: it is
+    ``downloaders[0]``, the other traced nodes download after it, and the
+    nodes named in ``STATIONARY`` download as stationary peers.  Nothing
+    else runs, so the config's node counts, area and speeds do not apply.
+    """
+
+    PRODUCER: str = ""
+    STATIONARY: Tuple[str, ...] = ()
+    TRACES: Dict[str, Trace] = {}
+
+    def node_names(self, config) -> Dict[str, List[str]]:
+        others = [
+            node_id for node_id in self.TRACES
+            if node_id != self.PRODUCER and node_id not in self.STATIONARY
+        ]
+        return {
+            "stationary": list(self.STATIONARY),
+            "downloaders": [self.PRODUCER] + others,
+            "pure": [],
+            "intermediate": [],
+        }
+
+    def build_mobility(self, config, sim, names):
+        mobility = ScriptedMobility()
+        for node_id, waypoints in self.TRACES.items():
+            mobility.add_node(node_id, waypoints)
+        return mobility
+
+
+@register_topology("fig8_carrier")
+class CarrierTopology(ScriptedTopology):
+    """Fig. 8a: D carries the collection from A's segment to B's and C's."""
+
+    PRODUCER = "A"
+    TRACES = {
+        "A": ((0.0, 0.0, 0.0),),
+        "B": ((0.0, 150.0, 0.0),),
+        "C": ((0.0, 150.0, 150.0),),
+        "D": (
+            (0.0, 15.0, 0.0),       # next to A, fetching the collection
+            (60.0, 15.0, 0.0),
+            (100.0, 140.0, 0.0),    # walk to B's segment
+            (160.0, 140.0, 0.0),
+            (200.0, 140.0, 140.0),  # walk to C's segment
+            (400.0, 140.0, 140.0),
+        ),
+    }
+
+
+@register_topology("fig8_repository")
+class RepositoryTopology(ScriptedTopology):
+    """Fig. 8b: the repo downloads from C; A and B download from the repo."""
+
+    PRODUCER = "C"
+    STATIONARY = ("repo",)
+    TRACES = {
+        "repo": ((0.0, 75.0, 75.0),),
+        "C": (
+            (0.0, 80.0, 75.0),      # producer next to the repo
+            (80.0, 80.0, 75.0),
+            (120.0, 150.0, 150.0),  # then walks away
+            (400.0, 150.0, 150.0),
+        ),
+        "A": (
+            (0.0, 0.0, 0.0),
+            (60.0, 0.0, 0.0),
+            (110.0, 70.0, 75.0),    # arrives at the repo
+            (400.0, 70.0, 75.0),
+        ),
+        "B": (
+            (0.0, 0.0, 150.0),
+            (60.0, 0.0, 150.0),
+            (115.0, 75.0, 80.0),    # arrives at the repo at about the same time
+            (400.0, 75.0, 80.0),
+        ),
+    }
+
+
+def _gather(x: float, y: float) -> Trace:
+    """Fig. 8c's corner-to-centre walk: isolated, gathered, dispersed, gathered."""
+    centre = (75.0, 75.0)
+    return (
+        (0.0, x, y),            # start isolated in a corner
+        (20.0, x, y),
+        (50.0, *centre),        # first gathering: everyone in range
+        (90.0, *centre),
+        (120.0, x, y),          # disperse again
+        (150.0, x, y),
+        (180.0, *centre),       # second gathering
+        (400.0, *centre),
+    )
+
+
+@register_topology("fig8_moving")
+class MovingTopology(ScriptedTopology):
+    """Fig. 8c: four peers move, sometimes disconnected, sometimes all in range."""
+
+    PRODUCER = "A"
+    TRACES = {
+        "A": _gather(0.0, 0.0),
+        "B": _gather(150.0, 0.0),
+        "C": _gather(150.0, 150.0),
+        "D": _gather(0.0, 150.0),
+    }

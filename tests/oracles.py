@@ -22,7 +22,6 @@ from typing import List
 from unittest import mock
 
 import repro.experiments.scenario as scenario_module
-import repro.experiments.table1_feasibility as table1_module
 import repro.wireless.medium as medium_module
 from repro.wireless import WirelessMedium
 from repro.wireless.spatial import NeighborIndex
@@ -66,8 +65,8 @@ def oracle(index: str = "grid", delivery: str = "batched"):
 
     ``index="brute"`` makes every :class:`WirelessMedium` built in the block
     resolve neighbours with :class:`BruteForceNeighborIndex`;
-    ``delivery="per_receiver"`` makes the scenario builders and Table I
-    build a :class:`PerReceiverMedium`.  The defaults select production
+    ``delivery="per_receiver"`` makes the scenario builders (every
+    experiment's, Table I's included) build a :class:`PerReceiverMedium`.  The defaults select production
     code and patch nothing.  Only this process sees the swap, so run specs
     with ``workers=1``; a block that selected an oracle but built no medium
     with it fails, so a run that bypassed the swap cannot pass silently.
@@ -88,8 +87,7 @@ def oracle(index: str = "grid", delivery: str = "batched"):
     if index == "brute":
         patches.append(mock.patch.object(medium_module, "build_neighbor_index", brute_index))
     if delivery == "per_receiver":
-        for module in (scenario_module, table1_module):
-            patches.append(mock.patch.object(module, "WirelessMedium", per_receiver_medium))
+        patches.append(mock.patch.object(scenario_module, "WirelessMedium", per_receiver_medium))
     for patch in patches:
         patch.start()
     try:

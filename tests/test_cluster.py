@@ -273,33 +273,6 @@ def test_concurrent_task_cache_writers_never_tear_json(tmp_path):
     assert list(tmp_path.glob("*.tmp")) == []
 
 
-# ------------------------------------------------------ fallback warnings
-def _unpicklable_spec():
-    from repro.experiments.metrics import RunResult
-    from repro.experiments.spec import ExperimentSpec, Variant
-
-    def fake_trial(protocol, config, seed, parameters):  # closure: unpicklable
-        return RunResult(protocol=protocol, seed=seed, parameters=dict(parameters),
-                         download_times={"a": 1.0}, duration=1.0)
-
-    return ExperimentSpec(
-        name="_cluster_unpicklable", title="t", description="",
-        variants=(Variant(label="only"),), trial_fn=fake_trial,
-    )
-
-
-def test_serial_fallback_warning_names_pickle_failure_with_pool():
-    config = ExperimentConfig.tiny().with_overrides(trials=2)
-    with pytest.warns(RuntimeWarning, match="pickle round-trip"):
-        run_suite([SweepRequest(spec=_unpicklable_spec(), config=config)], workers=4)
-
-
-def test_serial_fallback_warning_names_workers_1_without_pool():
-    config = ExperimentConfig.tiny().with_overrides(trials=2)
-    with pytest.warns(RuntimeWarning, match="workers=1 disables"):
-        run_suite([SweepRequest(spec=_unpicklable_spec(), config=config)], workers=1)
-
-
 # ----------------------------------------------------------------- dry run
 def test_task_listing_matches_scheduler_grid(tmp_path):
     request = _tiny_request()

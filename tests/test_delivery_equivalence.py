@@ -183,7 +183,7 @@ def _spec_fingerprint(name, delivery, workers=1):
         return run_experiment(name, config, axes=axes, workers=workers).to_json()
 
 
-@pytest.mark.parametrize("name", ["fig9a", "fig10"])
+@pytest.mark.parametrize("name", ["fig9a", "fig10", "table1"])
 def test_registered_specs_byte_identical_across_delivery_modes(name):
     assert _spec_fingerprint(name, "batched") == _spec_fingerprint(name, "per_receiver")
 

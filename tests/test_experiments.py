@@ -12,7 +12,7 @@ from repro.experiments import (
     get_builder,
     improvements,
     percentile,
-    run_feasibility_scenario,
+    run_experiment,
     to_text,
 )
 from repro.experiments.fig9_bitmaps import _budget_label
@@ -20,6 +20,8 @@ from repro.experiments.fig9_multihop import _probability_label
 from repro.experiments.metrics import SweepPoint, SweepResult, aggregate_trials
 from repro.experiments.runner import run_protocol_trial, run_trials
 from repro.experiments.scenario import build_collection
+from repro.experiments.topology import get_topology
+from repro.simulation import Simulator
 from repro.wireless import ChannelConfig
 
 
@@ -244,6 +246,27 @@ def test_removed_compat_names_fail_loudly():
         cli.main(["run", "fig9a", "--preset", "tiny", "--out", "unused"])
     assert exit_info.value.code == 2
 
+    # One trial path: Table I runs on the DAPES builder.  The field lists
+    # are exact, so neither a spec nor a task can carry a trial runner or a
+    # config transform of its own, and no runner exists beside these four.
+    import repro.experiments as experiments
+    import repro.experiments.table1_feasibility as table1
+    from repro.experiments import ExperimentSpec
+    from repro.experiments.sweep import SweepTask
+
+    assert [field.name for field in fields(ExperimentSpec)] == [
+        "name", "title", "description", "artefacts", "axes", "variants",
+        "overrides", "aliases", "aggregate_fn",
+    ]
+    assert [field.name for field in fields(SweepTask)] == [
+        "key", "experiment", "request", "point", "trial", "label", "protocol",
+        "config", "seed", "parameters",
+    ]
+    runners = {name for name in dir(experiments) if name.startswith("run_")}
+    assert runners == {"run_experiment", "run_protocol_trial", "run_suite", "run_trials"}
+    assert not [name for name in dir(table1) if name.startswith("run_")]
+    assert "pickle" not in vars(sweep_module)
+
 
 def test_removed_gate_and_oracle_names_fail_loudly(capsys):
     """The throughput gate and the oracle selectors stay deleted: the oracles
@@ -280,20 +303,50 @@ def test_comparison_improvements_math():
 
 
 # ------------------------------------------------------------------ Table I
-def test_feasibility_scenario_validation():
-    with pytest.raises(ValueError):
-        run_feasibility_scenario(ExperimentConfig.tiny(), 4)
+@pytest.mark.parametrize("name", ["fig8_carrier", "fig8_repository", "fig8_moving"])
+def test_fig8_topologies_script_every_node_and_complete(name):
+    config = ExperimentConfig.tiny().with_overrides(topology=name)
+    topology = get_topology(name)
+    names = topology.node_names(config)
+    mobility = topology.build_mobility(config, Simulator(seed=1), names)
+    named = [node_id for role in names.values() for node_id in role]
+    assert sorted(named) == sorted(mobility.node_ids)  # every named node has a trajectory
+    assert names["downloaders"][0] == topology.PRODUCER
+
+    scenario = get_builder("dapes").build(config, seed=1)
+    assert scenario.producer_id == topology.PRODUCER
+    result = run_protocol_trial("dapes", config, seed=1)
+    assert result.incomplete_nodes == []
+    assert sorted(result.download_times) == sorted(scenario.downloader_ids)
+    assert result.transmissions > 0
 
 
-def test_feasibility_single_scenario_runs():
-    config = ExperimentConfig.tiny().with_overrides(max_duration=300.0)
-    outcome = run_feasibility_scenario(config, 2)
-    assert outcome.scenario == 2
-    assert outcome.transmissions > 0
-    assert outcome.download_time > 0
-    assert outcome.memory_overhead_mb > 0
-    row = outcome.as_row()
-    assert set(row) >= {"download_time_s", "transmissions", "memory_overhead_mb", "context_switches"}
+def test_table1_honours_the_trial_knobs():
+    """Table I runs the generic trial: faults, invariants and profiles reach it."""
+    config = ExperimentConfig.tiny().with_overrides(faults="link_flap", invariants=True, profile=True)
+    result = run_experiment("table1", config, workers=2)
+    trials = [trial for point in result.points for trial in point.trial_results]
+    assert len(trials) == 3
+    for trial in trials:
+        assert any(key.startswith("faults.") for key in trial.extras)
+        assert trial.profile
+    for point in result.points:
+        assert point.completion_ratio == 1.0
+        assert {"memory_overhead_mb", "context_switches", "system_calls", "page_faults"} <= set(point.extras)
+        assert any(key.startswith("faults.") for key in point.extras)
+
+
+@pytest.mark.parametrize(
+    "argv, pinned",
+    [(["urban", "--topology", "quadrant"], "topology"), (["table1", "--trials", "3"], "trials")],
+)
+def test_cli_notes_spec_overrides_that_pin_a_flag(capsys, argv, pinned):
+    import repro.experiments.__main__ as cli
+
+    assert cli.main(["run", *argv, "--preset", "tiny", "--dry-run"]) == 0
+    notes = [line for line in capsys.readouterr().out.splitlines() if line.startswith("note:")]
+    assert len(notes) == 1
+    assert f"{argv[0]} pins" in notes[0] and pinned in notes[0]
 
 
 # ----------------------------------------------------- metrics edge cases

@@ -13,7 +13,6 @@ from repro.experiments import (
     ResultStore,
     RunResult,
     SweepResult,
-    Variant,
     available_experiments,
     get_experiment,
     register_experiment,
@@ -333,28 +332,6 @@ def test_suite_with_one_invalid_request_leaves_no_cache_directory(tmp_path):
 
 
 # ------------------------------------------------------------ review fixes
-def test_adhoc_spec_with_custom_trial_fn_runs_in_process():
-    """Unregistered specs with bespoke trial hooks must use them, not the default."""
-    from repro.experiments.metrics import RunResult
-
-    calls = []
-
-    def fake_trial(protocol, config, seed, parameters):
-        calls.append((protocol, seed))
-        return RunResult(protocol=protocol, seed=seed, parameters=dict(parameters),
-                         download_times={"a": 1.0}, duration=1.0)
-
-    spec = ExperimentSpec(
-        name="_adhoc_custom_trial", title="ad-hoc", description="",
-        variants=(Variant(label="only"),), trial_fn=fake_trial,
-    )
-    config = ExperimentConfig.tiny().with_overrides(trials=2)
-    result = run_experiment(spec, config, workers=4)  # forced serial: not pool-safe
-    assert len(calls) == 2
-    assert result.points[0].trials == 2
-    assert result.points[0].download_time == 1.0
-
-
 def test_suite_with_duplicate_experiment_names_does_not_clobber_results(tmp_path):
     from repro.experiments import SweepRequest, run_suite
 
