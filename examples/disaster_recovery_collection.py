@@ -14,7 +14,7 @@ Run it with::
 """
 
 from repro.crypto import KeyPair, TrustAnchorStore
-from repro.core import CollectionBuilder, DapesConfig, build_dapes_peer, build_repository
+from repro.core import CollectionBuilder, DapesConfig, build_dapes_peer
 from repro.mobility import CompositeMobility, RandomDirectionMobility, StaticPlacement
 from repro.simulation import Simulator
 from repro.wireless import ChannelConfig, WirelessMedium
@@ -51,7 +51,11 @@ def main() -> None:
         nodes[node_id] = build_dapes_peer(sim, medium, node_id, config=config, trust=trust, key=key)
     for node_id in RELAYS:
         nodes[node_id] = build_dapes_peer(sim, medium, node_id, config=config, trust=trust)
-    nodes["rest-area-repo"] = build_repository(sim, medium, "rest-area-repo", config=config, trust=trust)
+    # The repository downloads every collection it discovers.
+    nodes["rest-area-repo"] = build_dapes_peer(
+        sim, medium, "rest-area-repo", config=config.with_overrides(interested_in_all=True),
+        trust=trust, cs_capacity=16384,
+    )
 
     collection = (
         CollectionBuilder("damaged-bridge", 1533783192, packet_size=1024, producer="/rural/resident-A")

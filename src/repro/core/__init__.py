@@ -21,7 +21,6 @@ multi-hop communication design of Section V:
 * :mod:`repro.core.intermediate` — forwarding/suppression strategy for
   intermediate nodes that run DAPES (Section V-B).
 * :mod:`repro.core.pure_forwarder` — NDN-only pure forwarders (Section V-A).
-* :mod:`repro.core.repository` — stationary data repositories.
 * :mod:`repro.core.node` — convenience factories wiring a full node (radio,
   forwarder, faces, application) together.
 """
@@ -32,11 +31,10 @@ from repro.core.config import DapesConfig
 from repro.core.knowledge import NeighborKnowledge
 from repro.core.metadata import CollectionMetadata, FileMetadata, MetadataFormat
 from repro.core.namespace import DapesNamespace
-from repro.core.node import DapesNode, build_dapes_peer, build_pure_forwarder, build_repository
+from repro.core.node import DapesNode, build_dapes_peer, build_pure_forwarder
 from repro.core.peba import PebaScheduler, peba_average_delay
 from repro.core.peer import DapesPeer
 from repro.core.pure_forwarder import PureForwarderNode
-from repro.core.repository import RepositoryPeer
 from repro.core.rpf import EncounterBasedRpf, FetchStrategy, LocalNeighborhoodRpf, make_fetch_strategy
 
 __all__ = [
@@ -58,10 +56,8 @@ __all__ = [
     "PacketStore",
     "PebaScheduler",
     "PureForwarderNode",
-    "RepositoryPeer",
     "build_dapes_peer",
     "build_pure_forwarder",
-    "build_repository",
     "make_fetch_strategy",
     "peba_average_delay",
 ]

@@ -22,7 +22,6 @@ from repro.core.intermediate import DapesForwardingStrategy
 from repro.core.namespace import DapesNamespace
 from repro.core.peer import DapesPeer
 from repro.core.pure_forwarder import PureForwarderNode
-from repro.core.repository import RepositoryPeer
 
 
 @dataclass
@@ -65,9 +64,13 @@ def build_dapes_peer(
     key: Optional[KeyPair] = None,
     wifi_range: Optional[float] = None,
     cs_capacity: int = 4096,
-    peer_class: type = DapesPeer,
 ) -> DapesNode:
-    """Assemble a DAPES peer node (downloader, producer or intermediate)."""
+    """Assemble a DAPES peer node (downloader, producer or intermediate).
+
+    A stationary repository is a peer with ``interested_in_all=True`` in its
+    config (it downloads every collection it discovers), usually with a
+    larger ``cs_capacity``.
+    """
     config = config if config is not None else DapesConfig()
     radio = Radio(sim, medium, node_id, wifi_range=wifi_range)
     forwarder = Forwarder(sim, node_id, config=ForwarderConfig(cs_capacity=cs_capacity))
@@ -80,7 +83,7 @@ def build_dapes_peer(
             name=f"wifi:{node_id}",
         )
     )
-    peer = peer_class(
+    peer = DapesPeer(
         sim=sim,
         node_id=node_id,
         forwarder=forwarder,
@@ -104,30 +107,6 @@ def build_dapes_peer(
         broadcast_face=broadcast_face,
         strategy=strategy,
         peer=peer,
-    )
-
-
-def build_repository(
-    sim: Simulator,
-    medium: WirelessMedium,
-    node_id: str,
-    config: Optional[DapesConfig] = None,
-    trust: Optional[TrustAnchorStore] = None,
-    key: Optional[KeyPair] = None,
-    wifi_range: Optional[float] = None,
-    cs_capacity: int = 16384,
-) -> DapesNode:
-    """Assemble a stationary repository node."""
-    return build_dapes_peer(
-        sim,
-        medium,
-        node_id,
-        config=config,
-        trust=trust,
-        key=key,
-        wifi_range=wifi_range,
-        cs_capacity=cs_capacity,
-        peer_class=RepositoryPeer,
     )
 
 

@@ -23,6 +23,7 @@ topology catalogue and the parallel trial runner.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, Dict, List, Optional
@@ -229,6 +230,40 @@ class ExperimentConfig:
     def total_packets(self) -> int:
         per_file = max(1, -(-self.file_size // self.packet_size))
         return per_file * self.num_files
+
+    def validate(self) -> None:
+        """Raise ``ValueError`` for a number no trial can be built with.
+
+        :meth:`~repro.experiments.spec.ExperimentSpec.plan` calls this for
+        every point, next to :meth:`channel` (whose ``ChannelConfig`` checks
+        the radio fields), so a bad value is refused before any task runs.
+        """
+        # As in ChannelConfig: non-numbers and non-finite numbers by name
+        # first (NaN compares false against every bound below).
+        for name in (
+            "area_size", "stationary_nodes", "mobile_downloaders", "pure_forwarders",
+            "intermediate_nodes", "min_speed", "max_speed", "obstacle_density", "num_files",
+            "file_size", "packet_size", "max_duration", "percentile",
+        ):
+            value = getattr(self, name)
+            try:
+                finite = math.isfinite(value)
+            except TypeError:
+                raise ValueError(f"{name} must be a number, got {value!r}") from None
+            if not finite:
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        if self.area_size <= 0:
+            raise ValueError("area_size must be positive")
+        if not 0 < self.min_speed <= self.max_speed:
+            raise ValueError("speeds must satisfy 0 < min_speed <= max_speed")
+        if self.max_duration <= 0:
+            raise ValueError("max_duration must be positive")
+        for name in ("mobile_downloaders", "num_files", "file_size", "packet_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        for name in ("stationary_nodes", "pure_forwarders", "intermediate_nodes"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
 
     def channel(self) -> ChannelConfig:
         return ChannelConfig(

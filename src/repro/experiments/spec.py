@@ -163,7 +163,8 @@ class ExperimentSpec:
 
         Every point is validated here — the one place ``run``, ``--dry-run``,
         ``task_listing`` and the coordinator's ``submit`` all pass — so a bad
-        axis value, ``trials < 1``, an unknown protocol, topology,
+        axis value, ``trials < 1``, a config number no trial can be built
+        with (:meth:`ExperimentConfig.validate`), an unknown protocol, topology,
         propagation, churn or fault model, or a bad model parameter raises
         :class:`PlanError` before any task runs or is leased to a worker.
         """
@@ -196,6 +197,7 @@ class ExperimentSpec:
                 try:
                     if point_config.trials < 1:
                         raise ValueError("trials must be at least 1")
+                    point_config.validate()
                     point_config.channel()
                     PROTOCOLS.get(variant.protocol)
                     TOPOLOGIES.get(point_config.topology)

@@ -25,7 +25,7 @@ These topologies ship with the harness:
 ``urban_grid``
     A Manhattan city: square blocks (buildings) separated by streets.
     Repositories sit at intersections, mobile nodes random-walk the street
-    graph (:class:`~repro.mobility.street.StreetGridMobility`), and
+    graph (:func:`~repro.mobility.street.street_walk` traces), and
     :meth:`Topology.build_environment` emits the buildings as obstacle
     geometry — pair it with ``propagation="obstacle"`` to make the
     buildings opaque to radio.  ``ExperimentConfig.obstacle_density``
@@ -58,7 +58,7 @@ from repro.mobility import (
     RandomDirectionMobility,
     ScriptedMobility,
     StaticPlacement,
-    StreetGridMobility,
+    street_walk,
 )
 from repro.registry import Registry
 from repro.simulation import Simulator
@@ -256,16 +256,14 @@ class UrbanGridTopology(Topology):
             x, y = intersections[(index * stride) % len(intersections)]
             static.place(node_id, x, y)
             mobility.assign(node_id, static)
-        walkers = StreetGridMobility(
-            xs=lines,
-            ys=lines,
-            min_speed=config.min_speed,
-            max_speed=config.max_speed,
-            rng=sim.rng("mobility.street"),
-            duration=config.max_duration + self.TRACE_MARGIN,
-        )
+        walkers = ScriptedMobility()
+        rng = sim.rng("mobility.street")
+        duration = config.max_duration + self.TRACE_MARGIN
         for node_id in self.mobile_ids(names):
-            walkers.add_node(node_id)
+            walkers.add_node(
+                node_id,
+                street_walk(lines, lines, config.min_speed, config.max_speed, rng, duration),
+            )
             mobility.assign(node_id, walkers)
         return mobility
 

@@ -1,4 +1,9 @@
-"""Base abstractions shared by all mobility models."""
+"""Base abstractions shared by all mobility models.
+
+A model implements one query, :meth:`MobilityModel.position_xy`; the
+:class:`Position` form, the batched ``positions_at`` and the NumPy
+``positions_array`` are base-class wrappers around it.
+"""
 
 from __future__ import annotations
 
@@ -39,24 +44,19 @@ class MobilityModel(ABC):
     """
 
     @abstractmethod
-    def position(self, node_id: str, time: float) -> Position:
-        """Return the position of ``node_id`` at simulated time ``time``."""
-
     def position_xy(self, node_id: str, time: float) -> Tuple[float, float]:
-        """Raw ``(x, y)`` of ``node_id`` at ``time`` — no :class:`Position`.
+        """Raw ``(x, y)`` of ``node_id`` at simulated time ``time``.
 
-        Hot-path variant of :meth:`position`: spatial snapshots only need
-        the coordinate pair, and leg-cached models can produce it without
-        allocating a :class:`Position` per query.  Must return bit-identical
-        floats to :meth:`position`.
-
+        The one query every model implements: spatial snapshots only need
+        the coordinate pair, so no :class:`Position` is allocated per query.
         Called once per link of every transmission, so a model is expected
         to answer in O(1) amortised time — independent of how long the
-        node's trajectory is — typically by keeping the node's current leg
-        (every built-in model does); this default is only a fallback.
+        node's trajectory is — typically by keeping the node's current leg.
         """
-        p = self.position(node_id, time)
-        return (p.x, p.y)
+
+    def position(self, node_id: str, time: float) -> Position:
+        """:meth:`position_xy` as a :class:`Position` (same floats)."""
+        return Position(*self.position_xy(node_id, time))
 
     def positions_at(self, node_ids: Iterable[str], time: float) -> List[Tuple[float, float]]:
         """Batched :meth:`position_xy` for many nodes at one timestamp.
@@ -113,7 +113,3 @@ class MobilityModel(ABC):
     def metrics(self) -> Dict[str, float]:
         """Mobility counters for a run profile: trajectory legs generated."""
         return {"mobility.legs_generated": 0.0}
-
-    def distance(self, node_a: str, node_b: str, time: float) -> float:
-        """Distance in metres between two nodes at ``time``."""
-        return self.position(node_a, time).distance_to(self.position(node_b, time))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.mobility.base import MobilityModel, Position
+from repro.mobility.base import MobilityModel
 
 
 class CompositeMobility(MobilityModel):
@@ -31,13 +31,6 @@ class CompositeMobility(MobilityModel):
             self._models[id(model)] = model
             self._model_list.append(model)
         self._version += 1
-
-    def position(self, node_id: str, time: float) -> Position:
-        try:
-            model = self._owners[node_id]
-        except KeyError:
-            raise KeyError(f"node {node_id!r} is not assigned to any mobility model") from None
-        return model.position(node_id, time)
 
     def position_xy(self, node_id: str, time: float) -> Tuple[float, float]:
         try:

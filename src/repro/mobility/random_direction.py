@@ -118,15 +118,6 @@ class RandomDirectionMobility(MobilityModel):
         return list(self._initial)
 
     # -------------------------------------------------------------- querying
-    def position(self, node_id: str, time: float) -> Position:
-        segment = self._current.get(node_id)
-        if segment is not None and segment.start_time <= time <= segment.end_time:
-            return segment.position_at(time)
-        segment = self._locate_segment(node_id, time)
-        if segment is None:
-            return self._initial[node_id]
-        return segment.position_at(time)
-
     def position_xy(self, node_id: str, time: float) -> Tuple[float, float]:
         segment = self._current.get(node_id)
         if segment is None or not (segment.start_time <= time <= segment.end_time):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.mobility.base import MobilityModel, Position
+from repro.mobility.base import MobilityModel
 
 
 @dataclass(frozen=True)
@@ -25,10 +25,6 @@ class Waypoint:
     time: float
     x: float
     y: float
-
-    @property
-    def position(self) -> Position:
-        return Position(self.x, self.y)
 
 
 _waypoint_time = attrgetter("time")
@@ -41,7 +37,7 @@ class ScriptedMobility(MobilityModel):
     after the last it sits at the last waypoint's position.  Between
     waypoints the position is linearly interpolated.
 
-    :meth:`position` and :meth:`position_xy` evaluate the same *leg*: a
+    :meth:`position_xy` evaluates the node's current *leg*: a
     tuple ``(valid_from, valid_to, t0, span, x0, y0, dx, dy)`` with
     ``position = (x0, y0) + (dx, dy) * ((time - t0) / span)`` for
     ``valid_from <= time <= valid_to``.  :meth:`_find_leg` is the only place
@@ -80,9 +76,6 @@ class ScriptedMobility(MobilityModel):
     @property
     def node_ids(self) -> list[str]:
         return list(self._waypoints)
-
-    def position(self, node_id: str, time: float) -> Position:
-        return Position(*self.position_xy(node_id, time))
 
     def position_xy(self, node_id: str, time: float) -> Tuple[float, float]:
         leg = self._current.get(node_id)

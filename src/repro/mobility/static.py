@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Mapping, Tuple
 
-from repro.mobility.base import MobilityModel, Position
+from repro.mobility.base import MobilityModel
 
 
 class StaticPlacement(MobilityModel):
@@ -17,11 +17,11 @@ class StaticPlacement(MobilityModel):
     """
 
     def __init__(self, positions: Mapping[str, Tuple[float, float]] | None = None):
-        self._positions: Dict[str, Position] = {}
+        self._positions: Dict[str, Tuple[float, float]] = {}
         self._version = 0
         if positions:
             for node_id, (x, y) in positions.items():
-                self._positions[node_id] = Position(x, y)
+                self._positions[node_id] = (x, y)
 
     def place(self, node_id: str, x: float, y: float) -> None:
         """Place (or move) a node at a fixed position.
@@ -30,18 +30,10 @@ class StaticPlacement(MobilityModel):
         grid snapshots and remembered neighbour sets to discard everything
         they knew.
         """
-        self._positions[node_id] = Position(x, y)
+        self._positions[node_id] = (x, y)
         self._version += 1
 
-    def place_grid(self, node_ids: Iterable[str], width: float, height: float, spacing: float) -> None:
-        """Place nodes on a regular grid covering ``width`` x ``height`` metres."""
-        node_ids = list(node_ids)
-        columns = max(int(width // spacing), 1)
-        for index, node_id in enumerate(node_ids):
-            row, col = divmod(index, columns)
-            self.place(node_id, min(col * spacing, width), min(row * spacing, height))
-
-    def position(self, node_id: str, time: float) -> Position:
+    def position_xy(self, node_id: str, time: float) -> Tuple[float, float]:
         try:
             return self._positions[node_id]
         except KeyError:

@@ -551,6 +551,13 @@ def test_submit_from_a_client_with_extra_config_fields_names_them(tmp_path):
     reply = coordinator.handle({"op": "submit", **payload})
     assert reply["ok"] is False
     assert "unknown ExperimentConfig field(s): workers" in reply["error"]
+    # A known field with a value no trial can run with is refused at submit,
+    # not retried in every task until it is poisoned.
+    payload = _tiny_payload()
+    payload["requests"][0]["config"]["min_speed"] = 0
+    reply = coordinator.handle({"op": "submit", **payload})
+    assert reply["ok"] is False
+    assert "0 < min_speed <= max_speed" in reply["error"]
     assert not coordinator.table.tasks()
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import CollectionBuilder, DapesConfig, DapesNamespace, build_dapes_peer, build_repository
+from repro.core import CollectionBuilder, DapesConfig, DapesNamespace, build_dapes_peer
 from repro.crypto import KeyPair, TrustAnchorStore
 from repro.mobility import ScriptedMobility, StaticPlacement
 from repro.ndn import Interest
@@ -189,14 +189,22 @@ def test_repository_downloads_everything_it_discovers():
     trust = TrustAnchorStore()
     trust.add_anchor_key(key)
     producer = build_dapes_peer(sim, medium, "producer", config=DapesConfig(), trust=trust, key=key)
-    repo = build_repository(sim, medium, "repo", trust=trust)
+    repo = build_dapes_peer(
+        sim, medium, "repo", config=DapesConfig().with_overrides(interested_in_all=True),
+        trust=trust, cs_capacity=16384,
+    )
     metadata = producer.peer.publish_collection(build_collection())
     producer.start()
     repo.start()
     sim.run(until=90.0)
     # The repository was never told to join, it discovered the collection.
     assert repo.peer.progress(metadata.collection) == 1.0
-    assert repo.peer.collections_served == 1
+    collections_served = sum(
+        1
+        for session in repo.peer.sessions.values()
+        if session.store is not None and session.store.bitmap.count() > 0
+    )
+    assert collections_served == 1
 
 
 def test_carrier_delivers_collection_across_partitions():

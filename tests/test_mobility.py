@@ -6,17 +6,26 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.mobility
 from repro.arrays import numpy_available
 from repro.mobility import (
     CompositeMobility,
     Position,
     RandomDirectionMobility,
-    RandomWaypointMobility,
     ScriptedMobility,
     StaticPlacement,
-    StreetGridMobility,
     Waypoint,
+    street_walk,
 )
+
+
+def test_every_model_implements_only_position_xy():
+    assert set(repro.mobility.__all__) == {
+        "CompositeMobility", "MobilityModel", "Position", "RandomDirectionMobility",
+        "ScriptedMobility", "StaticPlacement", "Waypoint", "street_walk",
+    }
+    for model in (CompositeMobility, RandomDirectionMobility, ScriptedMobility, StaticPlacement):
+        assert "position_xy" in vars(model) and "position" not in vars(model), model
 
 
 def test_position_distance():
@@ -32,13 +41,6 @@ def test_static_placement_returns_fixed_positions():
 def test_static_placement_unknown_node_raises():
     with pytest.raises(KeyError):
         StaticPlacement().position("ghost", 0.0)
-
-
-def test_static_placement_grid():
-    model = StaticPlacement()
-    model.place_grid(["a", "b", "c", "d"], width=100, height=100, spacing=50)
-    positions = {model.position(n, 0.0) for n in "abcd"}
-    assert len(positions) == 4
 
 
 def test_random_direction_stays_inside_area():
@@ -100,26 +102,6 @@ def test_random_direction_invalid_speed_rejected():
         RandomDirectionMobility(min_speed=5.0, max_speed=2.0)
 
 
-def test_random_waypoint_stays_inside_area():
-    model = RandomWaypointMobility(width=80, height=60, rng=random.Random(6))
-    model.add_node("n")
-    for time in range(0, 400, 5):
-        position = model.position("n", float(time))
-        assert 0.0 <= position.x <= 80.0
-        assert 0.0 <= position.y <= 60.0
-
-
-def test_random_waypoint_pause_time_keeps_node_still():
-    model = RandomWaypointMobility(width=100, height=100, min_speed=5.0, max_speed=5.0,
-                                   pause_time=10.0, rng=random.Random(7))
-    model.add_node("n", initial_position=(0.0, 0.0))
-    # Find the end of the first leg by sampling densely.
-    legs = model._legs  # internal but deterministic
-    model.position("n", 200.0)
-    first = legs["n"][0]
-    during_pause = model.position("n", first.end_time + 1.0)
-    assert during_pause == first.end
-
 def test_scripted_mobility_interpolates_linearly():
     model = ScriptedMobility()
     model.add_node("n", [Waypoint(0.0, 0.0, 0.0), Waypoint(10.0, 100.0, 0.0)])
@@ -177,7 +159,8 @@ def speed_bound_by_walk(traces):
         for earlier, later in zip(waypoints, waypoints[1:]):
             span = later.time - earlier.time
             if span > 0:
-                fastest = max(fastest, earlier.position.distance_to(later.position) / span)
+                distance = Position(earlier.x, earlier.y).distance_to(Position(later.x, later.y))
+                fastest = max(fastest, distance / span)
     return fastest
 
 
@@ -250,16 +233,15 @@ def test_scripted_speed_bound_tracks_every_registration(first, second, replaceme
 
 
 def test_speed_bound_through_street_grid_and_composite():
-    street = StreetGridMobility(
-        xs=(0.0, 50.0, 100.0), ys=(0.0, 50.0, 100.0),
-        min_speed=1.0, max_speed=4.0, rng=random.Random(9), duration=120.0,
-    )
+    lines = (0.0, 50.0, 100.0)
+    rng = random.Random(9)
+    street = ScriptedMobility()
     composite = CompositeMobility()
     composite.assign("repo", StaticPlacement({"repo": (0.0, 0.0)}))
     for index in range(5):
-        street.add_node(f"w{index}")
+        street.add_node(f"w{index}", street_walk(lines, lines, 1.0, 4.0, rng, 120.0))
         composite.assign(f"w{index}", street)
-        expected = speed_bound_by_walk(street._scripted._waypoints.values())
+        expected = speed_bound_by_walk(street._waypoints.values())
         assert 0.0 < expected <= 4.0
         assert street.speed_bound() == composite.speed_bound() == expected
 
@@ -276,7 +258,3 @@ def test_composite_mobility_dispatches_by_node():
     with pytest.raises(KeyError):
         composite.position("ghost", 0.0)
 
-
-def test_mobility_distance_helper():
-    model = StaticPlacement({"a": (0.0, 0.0), "b": (0.0, 7.0)})
-    assert model.distance("a", "b", 0.0) == pytest.approx(7.0)

@@ -1,10 +1,10 @@
 """Leg-cached mobility evaluation must be bit-identical to the reference path.
 
 ``position_xy`` / ``positions_at`` are the hot-path queries the spatial
-index uses; these tests pin them against ``position`` for arbitrary
-(including non-monotonic) query orders, and the rows of ``positions_array``
-(the NumPy form of ``positions_at`` that the benchmark's probes call)
-against ``position_xy``.
+index uses; these tests pin a model queried in arbitrary (including
+non-monotonic) order against a fresh twin queried through ``position``, and
+the rows of ``positions_array`` (the NumPy form of ``positions_at`` that the
+benchmark's probes call) against ``position_xy``.
 """
 
 import random
@@ -18,9 +18,9 @@ from repro.mobility import (
     CompositeMobility,
     Position,
     RandomDirectionMobility,
-    RandomWaypointMobility,
     ScriptedMobility,
     StaticPlacement,
+    street_walk,
 )
 
 requires_numpy = pytest.mark.skipif(
@@ -32,14 +32,16 @@ AREA = 200.0
 
 def build_models():
     direction = RandomDirectionMobility(rng=random.Random(3))
-    waypoint = RandomWaypointMobility(pause_time=1.5, rng=random.Random(4))
-    for model in (direction, waypoint):
-        for index in range(6):
-            model.add_node(f"n{index}")
-    return {"direction": direction, "waypoint": waypoint}
+    street = ScriptedMobility()
+    lines = (0.0, 100.0, 200.0, 300.0)
+    rng = random.Random(4)
+    for index in range(6):
+        direction.add_node(f"n{index}")
+        street.add_node(f"n{index}", street_walk(lines, lines, 2.0, 10.0, rng, 400.0))
+    return {"direction": direction, "street": street}
 
 
-@pytest.mark.parametrize("kind", ["direction", "waypoint"])
+@pytest.mark.parametrize("kind", ["direction", "street"])
 def test_position_xy_bit_identical_for_random_query_order(kind):
     model = build_models()[kind]
     reference = build_models()[kind]
@@ -52,7 +54,7 @@ def test_position_xy_bit_identical_for_random_query_order(kind):
         assert (x, y) == (expected.x, expected.y)  # bit-identical, not approx
 
 
-@pytest.mark.parametrize("kind", ["direction", "waypoint"])
+@pytest.mark.parametrize("kind", ["direction", "street"])
 def test_positions_at_matches_per_node_position(kind):
     model = build_models()[kind]
     reference = build_models()[kind]
@@ -123,15 +125,6 @@ def build_mixed_mobility(seed: int):
         node_id = f"d{index}"
         walkers.add_node(node_id)
         mobility.assign(node_id, walkers)
-        node_ids.append(node_id)
-    waypointers = RandomWaypointMobility(
-        width=AREA, height=AREA, min_speed=1.0, max_speed=9.0,
-        pause_time=2.0, rng=random.Random(seed + 2),
-    )
-    for index in range(4):
-        node_id = f"w{index}"
-        waypointers.add_node(node_id)
-        mobility.assign(node_id, waypointers)
         node_ids.append(node_id)
     scripted = ScriptedMobility()
     scripted.add_node("route", [(0.0, 10.0, 10.0), (8.0, 50.0, 20.0), (8.0, 60.0, 30.0), (20.0, 5.0, 5.0)])

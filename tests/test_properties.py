@@ -12,7 +12,7 @@ from repro.core.peba import PebaScheduler, peba_average_delay
 from repro.crypto import MerkleTree
 from repro.experiments.metrics import percentile
 from repro.ndn import Name
-from repro.mobility import CompositeMobility, RandomWaypointMobility, StaticPlacement
+from repro.mobility import CompositeMobility, RandomDirectionMobility, StaticPlacement
 from repro.wireless.spatial import GridNeighborIndex
 
 from oracles import BruteForceNeighborIndex
@@ -211,8 +211,8 @@ _history = st.lists(
 def test_grid_flavours_match_brute_force_through_any_history(seed, pinned, history):
     nodes = [f"n{i}" for i in range(8)]
     static = StaticPlacement(dict(zip(nodes[:4], pinned)))
-    walkers = RandomWaypointMobility(
-        width=_SIDE, height=_SIDE, min_speed=1.0, max_speed=15.0, pause_time=1.0,
+    walkers = RandomDirectionMobility(
+        width=_SIDE, height=_SIDE, min_speed=1.0, max_speed=15.0, epoch_duration=5.0,
         rng=random.Random(seed),
     )
     mobility = CompositeMobility()

@@ -17,9 +17,9 @@ from repro.experiments import ExperimentConfig, run_protocol_trial
 from repro.mobility import (
     CompositeMobility,
     RandomDirectionMobility,
-    RandomWaypointMobility,
     ScriptedMobility,
     StaticPlacement,
+    street_walk,
 )
 from repro.simulation import Simulator
 from repro.wireless import ChannelConfig, Radio, WirelessMedium
@@ -145,16 +145,6 @@ def _random_direction(seed, nodes):
     return model
 
 
-def _random_waypoint(seed, nodes):
-    model = RandomWaypointMobility(
-        width=AREA, height=AREA, min_speed=1.0, max_speed=12.0, pause_time=2.0,
-        rng=random.Random(seed),
-    )
-    for node_id in nodes:
-        model.add_node(node_id)
-    return model
-
-
 def _scripted(seed, nodes):
     rng = random.Random(seed)
     model = ScriptedMobility()
@@ -164,6 +154,15 @@ def _scripted(seed, nodes):
             trace.append((when, rng.uniform(0.0, AREA), rng.uniform(0.0, AREA)))
             when += rng.uniform(4.0, 15.0)
         model.add_node(node_id, trace)
+    return model
+
+
+def _street(seed, nodes):
+    rng = random.Random(seed)
+    lines = tuple(index * AREA / 4 for index in range(5))
+    model = ScriptedMobility()
+    for node_id in nodes:
+        model.add_node(node_id, street_walk(lines, lines, 1.0, 12.0, rng, 150.0))
     return model
 
 
@@ -189,9 +188,9 @@ def _composite(seed, nodes):
 
 WORLDS = {
     "random_direction": _random_direction,
-    "random_waypoint": _random_waypoint,
     "scripted": _scripted,
     "static": _static,
+    "street": _street,
     "composite": _composite,
 }
 

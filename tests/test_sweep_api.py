@@ -92,6 +92,32 @@ def test_unknown_axis_override_raises():
         get_experiment("fig9a").plan(axes={"bogus": (1,)})
 
 
+# Each of these used to plan fine and then raise (or run silently) inside
+# every task of the sweep.
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"min_speed": 0}, "0 < min_speed <= max_speed"),
+        ({"min_speed": -1}, "0 < min_speed <= max_speed"),
+        ({"min_speed": 12.0, "max_speed": 10.0}, "0 < min_speed <= max_speed"),
+        ({"max_speed": float("nan")}, "max_speed must be finite"),
+        ({"area_size": float("inf")}, "area_size must be finite"),
+        ({"area_size": -10}, "area_size must be positive"),
+        ({"max_duration": -5}, "max_duration must be positive"),
+        ({"num_files": 0}, "num_files must be at least 1"),
+        ({"file_size": 0}, "file_size must be at least 1"),
+        ({"packet_size": 0}, "packet_size must be at least 1"),
+        ({"mobile_downloaders": 0}, "mobile_downloaders must be at least 1"),
+        ({"pure_forwarders": -1}, "pure_forwarders must be non-negative"),
+        ({"max_duration": "600"}, "max_duration must be a number"),
+    ],
+)
+def test_plan_refuses_config_numbers_no_trial_can_run_with(overrides, message):
+    config = ExperimentConfig.tiny().with_overrides(**overrides)
+    with pytest.raises(PlanError, match=re.escape(message)):
+        get_experiment("fig9a").plan(config)
+
+
 def test_task_count_multiplies_points_by_trials():
     config = ExperimentConfig.tiny().with_overrides(trials=3)
     spec = get_experiment("fig9a")

@@ -1,5 +1,8 @@
 """Tests for the pluggable topology registry and the shipped layouts."""
 
+import math
+import random
+
 import pytest
 
 from repro.experiments import (
@@ -109,3 +112,51 @@ def test_scenario_uses_configured_topology():
     p = scenario.medium.mobility.position("repo-0", 0.0)
     assert 0 < p.x < length
     assert p.y == pytest.approx(config.area_size / 2)
+
+
+# ------------------------------------------------ mobility contract per world
+# The grid index reuses a neighbour set until a horizon derived from
+# speed_bound() and keyed by mobility_version(), and compares snapshots taken
+# in whatever order senders happen to ask; that is only sound if every world
+# a trial runs on keeps the MobilityModel contract, not just each model alone.
+def _world(name, seed=11):
+    config = ExperimentConfig.tiny().with_overrides(topology=name)
+    topology = get_topology(name)
+    names = topology.node_names(config)
+    mobility = topology.build_mobility(config, Simulator(seed=seed), names)
+    node_ids = [node_id for role in names.values() for node_id in role]
+    times = [index * 0.73 for index in range(int((config.max_duration + 90.0) / 0.73))]
+    return mobility, node_ids, times
+
+
+@pytest.mark.parametrize("name", available_topologies())
+def test_every_world_keeps_the_mobility_contract(name):
+    mobility, node_ids, times = _world(name)
+    version = mobility.mobility_version()
+    bound = mobility.speed_bound()
+    assert bound >= 0.0
+    answers = {}
+    for node_id in node_ids:
+        previous = None
+        for time in times:
+            x, y = answers[node_id, time] = mobility.position_xy(node_id, time)
+            if previous is not None:
+                # Observed drift never outruns the bound the grid index trusts.
+                limit = bound * (time - previous[0])
+                assert math.hypot(x - previous[1], y - previous[2]) <= limit * (1 + 1e-9) + 1e-9, (
+                    name, node_id, time,
+                )
+            previous = (time, x, y)
+    # Pure queries are not mutations.
+    assert mobility.mobility_version() == version
+    assert mobility.speed_bound() == bound
+
+    # A rebuilt world answers bit-identically in any query order.
+    rebuilt, _, _ = _world(name)
+    queries = list(answers)
+    random.Random(5).shuffle(queries)
+    for node_id, time in queries:
+        x, y = rebuilt.position_xy(node_id, time)
+        expected_x, expected_y = answers[node_id, time]
+        assert (x.hex(), y.hex()) == (expected_x.hex(), expected_y.hex()), (name, node_id, time)
+    assert rebuilt.mobility_version() == version

@@ -17,31 +17,32 @@ from repro.experiments import (
 )
 from repro.experiments.sweep import run_experiment
 from repro.experiments.topology import UrbanGridTopology
-from repro.mobility import StreetGridMobility
+from repro.mobility import ScriptedMobility, street_walk
 from repro.simulation import Simulator
 
 
 # ========================================================== street mobility
-def build_walkers(seed=7, duration=300.0):
-    lines = (0.0, 100.0, 200.0, 300.0)
-    return StreetGridMobility(
-        xs=lines, ys=lines, min_speed=2.0, max_speed=10.0,
-        rng=random.Random(seed), duration=duration,
-    )
+LINES = (0.0, 100.0, 200.0, 300.0)
+
+
+def build_walkers(nodes, seed=7, duration=300.0):
+    """A scripted model replaying one street walk per node, drawn in order."""
+    rng = random.Random(seed)
+    walkers = ScriptedMobility()
+    for node_id in nodes:
+        walkers.add_node(node_id, street_walk(LINES, LINES, 2.0, 10.0, rng, duration))
+    return walkers
 
 
 def test_street_walk_stays_on_the_street_graph():
-    walkers = build_walkers()
-    walkers.add_node("n0")
-    walkers.add_node("n1")
-    lines = set(walkers.xs)
+    walkers = build_walkers(("n0", "n1"))
     for node in ("n0", "n1"):
         for when in (0.0, 3.7, 42.0, 120.5, 299.0, 1000.0):
             p = walkers.position(node, when)
             # Walking an axis-aligned street keeps the other axis pinned to
             # a centreline.
-            on_street = any(abs(p.x - line) < 1e-9 for line in lines) or any(
-                abs(p.y - line) < 1e-9 for line in lines
+            on_street = any(abs(p.x - line) < 1e-9 for line in LINES) or any(
+                abs(p.y - line) < 1e-9 for line in LINES
             )
             assert on_street, f"{node} left the street graph at t={when}: {p}"
             assert -1e-9 <= p.x <= 300.0 + 1e-9
@@ -49,11 +50,8 @@ def test_street_walk_stays_on_the_street_graph():
 
 
 def test_street_walk_is_deterministic_and_query_order_independent():
-    first = build_walkers(seed=3)
-    second = build_walkers(seed=3)
-    for walkers in (first, second):
-        walkers.add_node("a")
-        walkers.add_node("b")
+    first = build_walkers(("a", "b"), seed=3)
+    second = build_walkers(("a", "b"), seed=3)
     times = (0.0, 5.0, 17.3, 80.0, 250.0)
     forward = [(n, t, first.position(n, t)) for n in ("a", "b") for t in times]
     backward = [
@@ -63,16 +61,17 @@ def test_street_walk_is_deterministic_and_query_order_independent():
     for n, t, p in forward:
         assert table[(n, t)] == p
     # A different stream draws a different walk.
-    other = build_walkers(seed=4)
-    other.add_node("a")
+    other = build_walkers(("a",), seed=4)
     assert any(
         other.position("a", t) != first.position("a", t) for t in times
     )
 
 
 def test_street_walk_covers_duration_and_bounds_speed():
-    walkers = build_walkers(duration=200.0)
-    walkers.add_node("a")
+    trace = street_walk(LINES, LINES, 2.0, 10.0, random.Random(7), 200.0)
+    assert trace[0].time == 0.0 and trace[-1].time >= 200.0
+    walkers = ScriptedMobility()
+    walkers.add_node("a", trace)
     bound = walkers.speed_bound()
     assert 0.0 < bound <= 10.0 + 1e-9
     # Past its trace the node rests at its final intersection.
@@ -82,11 +81,11 @@ def test_street_walk_covers_duration_and_bounds_speed():
 
 def test_street_grid_validation():
     with pytest.raises(ValueError, match="two streets"):
-        StreetGridMobility((0.0,), (0.0, 10.0), 1.0, 2.0, random.Random(1), 10.0)
+        street_walk((0.0,), (0.0, 10.0), 1.0, 2.0, random.Random(1), 10.0)
     with pytest.raises(ValueError, match="speed"):
-        StreetGridMobility((0.0, 10.0), (0.0, 10.0), 0.0, 2.0, random.Random(1), 10.0)
+        street_walk((0.0, 10.0), (0.0, 10.0), 0.0, 2.0, random.Random(1), 10.0)
     with pytest.raises(ValueError, match="duration"):
-        StreetGridMobility((0.0, 10.0), (0.0, 10.0), 1.0, 2.0, random.Random(1), 0.0)
+        street_walk((0.0, 10.0), (0.0, 10.0), 1.0, 2.0, random.Random(1), 0.0)
 
 
 # ======================================================= urban_grid topology
