@@ -9,8 +9,8 @@ This reproduction gives every swarm member knowledge of the other members'
 identifiers, so overlay routing to the root is a single overlay hop (carried,
 like every Ekta message, over a multi-hop DSR route).  Real Pastry needs
 O(log N) overlay hops; collapsing them *under-counts* Ekta's overhead, i.e.
-the simplification is conservative in favour of the baseline (documented in
-DESIGN.md).
+the simplification is conservative in favour of the baseline (see
+:meth:`DhtKeySpace.root_of`).
 """
 
 from __future__ import annotations

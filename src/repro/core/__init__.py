@@ -8,20 +8,22 @@ multi-hop communication design of Section V:
 * :mod:`repro.core.collection` — file collections, packetisation, signing
   and the per-peer packet store.
 * :mod:`repro.core.metadata` — the two metadata encodings (packet-digest and
-  Merkle-tree based, Section IV-C).
+  Merkle-tree based, Section IV-C) and the peer's ``SecureInit`` part.
 * :mod:`repro.core.bitmap` — compact data advertisements (Section IV-D).
-* :mod:`repro.core.rpf` — the Rarest-Piece-First variants (Section IV-E).
+* :mod:`repro.core.rpf` — the Rarest-Piece-First variants (Section IV-E) and
+  the peer's ``Fetching`` part.
 * :mod:`repro.core.advertisement` / :mod:`repro.core.peba` — advertisement
-  prioritization and the Priority-based Exponential Backoff Algorithm
-  (Section IV-F).
+  prioritization, the peer's ``Advertising`` part and the Priority-based
+  Exponential Backoff Algorithm (Section IV-F).
 * :mod:`repro.core.knowledge` — the short-lived knowledge peers build about
   data available around them (Section V).
-* :mod:`repro.core.peer` — the DAPES peer application (discovery, metadata
-  retrieval, bitmap exchange, data fetching).
+* :mod:`repro.core.peer` — the DAPES peer application: sessions, the public
+  API and one table routing each packet kind to its part, and the
+  ``Discovery`` part (Section IV-B).
 * :mod:`repro.core.intermediate` — forwarding/suppression strategy for
   intermediate nodes that run DAPES (Section V-B).
 * :mod:`repro.core.pure_forwarder` — NDN-only pure forwarders (Section V-A).
-* :mod:`repro.core.node` — convenience factories wiring a full node (radio,
+* :mod:`repro.core.node` — the factory wiring a full DAPES node (radio,
   forwarder, faces, application) together.
 """
 
@@ -31,7 +33,7 @@ from repro.core.config import DapesConfig
 from repro.core.knowledge import NeighborKnowledge
 from repro.core.metadata import CollectionMetadata, FileMetadata, MetadataFormat
 from repro.core.namespace import DapesNamespace
-from repro.core.node import DapesNode, build_dapes_peer, build_pure_forwarder
+from repro.core.node import DapesNode, build_dapes_peer
 from repro.core.peba import PebaScheduler, peba_average_delay
 from repro.core.peer import DapesPeer
 from repro.core.pure_forwarder import PureForwarderNode
@@ -57,7 +59,6 @@ __all__ = [
     "PebaScheduler",
     "PureForwarderNode",
     "build_dapes_peer",
-    "build_pure_forwarder",
     "make_fetch_strategy",
     "peba_average_delay",
 ]

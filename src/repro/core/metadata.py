@@ -15,19 +15,30 @@ Two formats are provided, mirroring Figure 4 of the paper:
   the packet count.  It usually fits in a single packet, but a packet can
   only be integrity-checked once all packets of its file (and hence the full
   tree) are available.
+
+:func:`metadata_segments` wraps the encoding into signed Data segments, and
+:class:`SecureInit` is the peer's part that fetches, authenticates and
+serves them.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto.digest import sha256_hex
+from repro.crypto.keys import KeyPair
 from repro.crypto.merkle import MerkleTree
+from repro.crypto.signing import sign
 from repro.ndn.name import Name
+from repro.ndn.packet import Data, Interest
 from repro.core.namespace import DapesNamespace
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.peer import CollectionSession, DapesPeer
 
 
 class MetadataFormat(str, Enum):
@@ -276,3 +287,112 @@ def build_metadata(
         producer=producer,
         packet_size=packet_size,
     )
+
+
+def metadata_segments(metadata: CollectionMetadata, packet_size: int, key: KeyPair) -> Dict[int, Data]:
+    """The signed Data segments that carry ``metadata``, by segment number.
+
+    Each segment's content is a JSON envelope ``{segment, total, chunk}``
+    holding one base64 chunk of :meth:`CollectionMetadata.encode`.
+    """
+    encoded = metadata.encode()
+    chunk_size = max(packet_size - 200, 256)
+    chunks = [encoded[i:i + chunk_size] for i in range(0, len(encoded), chunk_size)] or [b""]
+    segments: Dict[int, Data] = {}
+    for index, chunk in enumerate(chunks):
+        content = json.dumps(
+            {"segment": index, "total": len(chunks), "chunk": base64.b64encode(chunk).decode("ascii")}
+        ).encode("utf-8")
+        name = metadata.name(segment=index)
+        segments[index] = Data(name=name, content=content, signature=sign(str(name), content, key))
+    return segments
+
+
+class SecureInit:
+    """The peer's secure initialization (Section IV-C).
+
+    A downloader requests segment 0 of the metadata name discovery gave it,
+    then the first missing segment until it holds them all.  Every segment
+    is authenticated against the peer's trust anchors, and the decoded
+    metadata is adopted only if its producer is trusted.  A peer that holds
+    the metadata serves its segments.
+    """
+
+    def __init__(self, peer: "DapesPeer"):
+        self.peer, self.sim, self.config, self.load = peer, peer.sim, peer.config, peer.load
+        self.knowledge, self.sessions, self.node_id = peer.knowledge, peer.sessions, peer.node_id
+
+    # ----------------------------------------------------------------- events
+    def interest(self, interest: Interest) -> None:
+        """A metadata Interest: answer it with the segment it names."""
+        name = interest.name
+        session = self.sessions.get(DapesNamespace.metadata_collection(name))
+        if session is None or not session.metadata_segments:
+            return
+        segment = 0
+        if len(name) >= 4:
+            try:
+                segment = int(name[-1])
+            except ValueError:
+                segment = 0
+        data = session.metadata_segments.get(segment)
+        if data is not None and interest.matches(data):
+            # Serve only what satisfies the Interest (digest must agree).
+            self.peer.respond(data)
+
+    def overheard(self, interest: Interest) -> None:
+        """Overheard metadata Interests teach the peer nothing."""
+
+    def data(self, data: Data) -> None:
+        collection = DapesNamespace.metadata_collection(data.name)
+        session = self.sessions.get(collection)
+        if session is None or session.metadata is not None or session.distrusted:
+            return
+        peer = self.peer
+        if not (self.config.interested_in_all or collection in peer.join_targets or session.interested):
+            return
+        # Authenticate the segment against our local trust anchors.
+        if data.signature is None or not peer.trust.authenticate(str(data.name), data.content, data.signature):
+            session.distrusted = True
+            return
+        try:
+            envelope = json.loads(data.content.decode("utf-8"))
+            segment, total = int(envelope["segment"]), int(envelope["total"])
+            chunk = base64.b64decode(envelope["chunk"])
+        except (ValueError, KeyError, TypeError):
+            return
+        if session.metadata_name is None:
+            session.metadata_name = data.name.parent()
+        session.metadata_chunks[segment] = chunk
+        missing = [i for i in range(total) if i not in session.metadata_chunks]
+        if missing:
+            self.request(session, segment=missing[0])
+            return
+        try:
+            metadata = CollectionMetadata.decode(b"".join(session.metadata_chunks[i] for i in range(total)))
+        except (ValueError, KeyError):
+            return
+        if not peer.trust.is_trusted(metadata.producer):
+            session.distrusted = True
+            return
+        peer.adopt_metadata(session, metadata)
+        if session.start_time is None:
+            session.start_time = self.sim.now
+        # Begin advertisement exchange with every neighbour believed relevant.
+        for neighbor in self.knowledge.neighbors_with_collection(metadata.collection, self.sim.now):
+            if neighbor != self.node_id:
+                peer.advertising.maybe_request(session, neighbor)
+        peer.fetching.fill(session)
+
+    def expired(self, name: Name) -> None:
+        session = self.sessions.get(DapesNamespace.metadata_collection(name))
+        if session is not None and session.metadata is None and self.peer.discovery.any_active():
+            self.load.retransmissions += 1
+            self.request(session)
+
+    def request(self, session: "CollectionSession", segment: int = 0) -> None:
+        """Express an Interest for one segment of the session's metadata."""
+        if session.metadata is not None or session.metadata_name is None or session.distrusted:
+            return
+        name = session.metadata_name.append(str(segment))
+        self.peer.express(Interest(name=name, lifetime=self.config.interest_lifetime))

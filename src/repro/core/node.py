@@ -1,8 +1,9 @@
-"""Factories that wire a complete DAPES node together.
+"""The factory that wires a complete DAPES node together.
 
 A node consists of a radio attached to the shared wireless medium, an NDN
 forwarder with a broadcast face and an application face, a forwarding
-strategy, and (except for pure forwarders) a DAPES peer application.
+strategy and a DAPES peer application.  A pure forwarder has no application
+and is a :class:`~repro.core.pure_forwarder.PureForwarderNode`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from repro.core.config import DapesConfig
 from repro.core.intermediate import DapesForwardingStrategy
 from repro.core.namespace import DapesNamespace
 from repro.core.peer import DapesPeer
-from repro.core.pure_forwarder import PureForwarderNode
 
 
 @dataclass
@@ -31,8 +31,6 @@ class DapesNode:
     node_id: str
     radio: Radio
     forwarder: Forwarder
-    app_face: AppFace
-    broadcast_face: BroadcastFace
     strategy: DapesForwardingStrategy
     peer: DapesPeer
 
@@ -45,14 +43,6 @@ class DapesNode:
     def kill(self) -> None:
         """Abrupt departure (churn fault injection): nothing more is sent."""
         self.peer.kill()
-
-    @property
-    def load(self):
-        return self.peer.load
-
-    @property
-    def state_size_bytes(self) -> int:
-        return self.peer.state_size_bytes
 
 
 def build_dapes_peer(
@@ -75,7 +65,7 @@ def build_dapes_peer(
     radio = Radio(sim, medium, node_id, wifi_range=wifi_range)
     forwarder = Forwarder(sim, node_id, config=ForwarderConfig(cs_capacity=cs_capacity))
     app_face = forwarder.add_face(AppFace(name=f"app:{node_id}"))
-    broadcast_face = forwarder.add_face(
+    forwarder.add_face(
         BroadcastFace(
             radio,
             protocol="dapes",
@@ -103,25 +93,7 @@ def build_dapes_peer(
         node_id=node_id,
         radio=radio,
         forwarder=forwarder,
-        app_face=app_face,
-        broadcast_face=broadcast_face,
         strategy=strategy,
         peer=peer,
     )
 
-
-def build_pure_forwarder(
-    sim: Simulator,
-    medium: WirelessMedium,
-    node_id: str,
-    forward_probability: float = 0.2,
-    wifi_range: Optional[float] = None,
-) -> PureForwarderNode:
-    """Assemble a pure forwarder (NDN-only) node."""
-    return PureForwarderNode(
-        sim,
-        medium,
-        node_id,
-        forward_probability=forward_probability,
-        wifi_range=wifi_range,
-    )

@@ -15,7 +15,9 @@ Both support starting the download at a random packet instead of the first
 one, which increases the diversity of disseminated data (Fig. 9a).
 
 The component is deliberately generic: any object implementing
-:class:`FetchStrategy` can be plugged into a peer.
+:class:`FetchStrategy` can be plugged into a peer.  :class:`Fetching` is the
+peer's data part: the pipeline RPF feeds, its retransmission timers, the
+answers to packet Interests and completion.
 """
 
 from __future__ import annotations
@@ -23,9 +25,15 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
+from repro.ndn.name import Name
+from repro.ndn.packet import Data, Interest
 from repro.core.bitmap import Bitmap
+from repro.core.namespace import DapesNamespace
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.peer import CollectionSession, CompletionCallback, DapesPeer
 
 
 class FetchStrategy(ABC):
@@ -189,3 +197,159 @@ def make_fetch_strategy(
     if name == "encounter":
         return EncounterBasedRpf(history=history, random_start=random_start, rng=rng)
     raise ValueError(f"unknown RPF strategy {name!r} (expected 'local' or 'encounter')")
+
+
+class Fetching:
+    """The peer's data fetching (Section IV-E).
+
+    Up to ``pipeline_size`` data Interests, picked by the session's
+    :class:`FetchStrategy`, are outstanding per session.  Each goes out after
+    a random wait and is retried on an RTO with exponential backoff.  Every
+    packet heard, requested or not, is stored, and the last one completes
+    the session.
+    """
+
+    def __init__(self, peer: "DapesPeer"):
+        self.peer, self.sim, self.config, self.load = peer, peer.sim, peer.config, peer.load
+        self.rng, self.knowledge, self.sessions = peer.rng, peer.knowledge, peer.sessions
+        self.completion_callbacks: List["CompletionCallback"] = []
+
+    # ----------------------------------------------------------------- events
+    def interest(self, interest: Interest) -> None:
+        """A packet Interest: answer it if our store holds the packet."""
+        parsed = DapesNamespace.parse_packet_name(interest.name)
+        if parsed is None:
+            return
+        session = self.sessions.get(parsed.collection)
+        if session is None or session.store is None or session.metadata is None:
+            return
+        index = session.metadata.packet_index_of(interest.name)
+        if index is None or not session.store.has(index):
+            return
+        data = session.store.packet(index)
+        if data is not None:
+            self.peer.respond(data)
+
+    def overheard(self, interest: Interest) -> None:
+        parsed = DapesNamespace.parse_packet_name(interest.name)
+        if parsed is not None:
+            self.knowledge.observe_interest("(unknown)", parsed.collection, self.sim.now)
+
+    def data(self, data: Data) -> None:
+        parsed = DapesNamespace.parse_packet_name(data.name)
+        if parsed is None:
+            return
+        now = self.sim.now
+        self.knowledge.observe_data(parsed.collection, None, now)
+        session = self.sessions.get(parsed.collection)
+        if session is None or session.store is None or not session.interested:
+            return
+        index = session.metadata.packet_index_of(data.name) if session.metadata else None
+        if index is None:
+            return
+        was_requested = index in session.outstanding
+        already_had = session.store.has(index)
+        if not session.store.add_packet(data, now=now):
+            self.load.state_misses += 1
+            return
+        session.outstanding.pop(index, None)
+        if not already_had:
+            if was_requested:
+                self.load.packets_downloaded += 1
+            else:
+                self.load.packets_overheard += 1
+        self.knowledge.observe_data(parsed.collection, index, now)
+        if not session.is_complete or session.completion_time is not None:
+            self.fill(session)
+            return
+        session.completion_time = now
+        if session.store.completion_time is None:
+            session.store.completion_time = now
+        for callback in self.completion_callbacks:
+            callback(self.peer, session.collection_id, now)
+
+    def expired(self, name: Name) -> None:
+        # Retransmission is driven by the RTO (:meth:`_check`); PIT expiry
+        # only nudges the pipeline in case the RTO chain ended.
+        parsed = DapesNamespace.parse_packet_name(name)
+        session = self.sessions.get(parsed.collection) if parsed is not None else None
+        if session is not None and session.store is not None:
+            self.fill(session)
+
+    # --------------------------------------------------------------- pipeline
+    def _quota(self, session: "CollectionSession") -> int:
+        """How many bitmaps ``bitmap_exchange="before"`` waits for."""
+        known = self.knowledge.neighbors_with_collection(session.collection_id, self.sim.now)
+        available = max(len([peer for peer in known if peer != self.peer.node_id]), 1)
+        return available if self.config.max_bitmaps is None else min(self.config.max_bitmaps, available)
+
+    def fill(self, session: "CollectionSession") -> None:
+        """Top the session's pipeline up with the packets RPF picks next."""
+        if session.store is None or session.fetch is None or not session.interested:
+            return
+        if session.is_complete or not self.peer.discovery.any_active():
+            return
+        config = self.config
+        if config.bitmap_exchange == "before":
+            if session.bitmaps_received < self._quota(session) and session.bitmaps_requested:
+                # Still waiting for the advertisements we asked for.
+                return
+        while len(session.outstanding) < config.pipeline_size:
+            if (
+                config.bitmap_exchange == "interleaved"
+                and session.pending_bitmap_targets
+                and self.rng.random() < 0.5
+            ):
+                self.peer.advertising.request(session, session.pending_bitmap_targets.pop(0))
+                continue
+            picks = session.fetch.select(session.store.bitmap, 1, exclude=session.outstanding.keys())
+            if not picks:
+                break
+            self._request(session, picks[0])
+
+    def _request(self, session: "CollectionSession", index: int, retries: int = 0) -> None:
+        """Express a data Interest for packet ``index`` after a random wait."""
+        if session.store is None or session.metadata is None or session.store.has(index):
+            return
+        name = session.metadata.packet_name(index)
+        session.outstanding[index] = retries
+        delay = self.rng.uniform(0.0, self.config.transmission_window)
+
+        def _express() -> None:
+            if not self.peer.started:
+                # Liveness guard: the peer departed between scheduling and
+                # firing; a stopped peer must not express new Interests.
+                session.outstanding.pop(index, None)
+                return
+            if session.store is None or session.store.has(index):
+                session.outstanding.pop(index, None)
+                self.fill(session)
+                return
+            self.peer.express(Interest(name=name, lifetime=self.config.interest_lifetime))
+            # Application-level retransmission timer (RTT-style), much shorter
+            # than the Interest lifetime so a single lost frame does not stall
+            # the pipeline.
+            rto = self.config.data_retransmit_timeout * (2 ** min(retries, 4))
+            if self.config.retransmit_jitter:
+                # Jittered exponential backoff: desynchronize peers whose
+                # retransmission timers would otherwise collide under
+                # sustained loss.  Zero jitter draws nothing (byte-identity).
+                rto *= 1.0 + self.rng.uniform(0.0, self.config.retransmit_jitter)
+            self.sim.schedule_call(rto, self._check, session, index, retries)
+            self.load.timers_armed += 1
+
+        self.sim.schedule_call(delay, _express)
+        self.load.timers_armed += 1
+
+    def _check(self, session: "CollectionSession", index: int, retries: int) -> None:
+        """Retransmit an unanswered data Interest, or give up after the limit."""
+        if not self.peer.started or session.store is None or session.store.has(index):
+            return  # the peer departed, or the packet arrived
+        if session.outstanding.get(index) != retries:
+            return  # already resolved or superseded by a newer attempt
+        del session.outstanding[index]
+        if retries < self.config.retransmission_limit and self.peer.discovery.any_active():
+            self.load.retransmissions += 1
+            self._request(session, index, retries=retries + 1)
+        else:
+            self.fill(session)

@@ -3,8 +3,8 @@
 The paper's real-world feasibility study (Table I) reports, besides download
 time and transmissions, the *system load* of running DAPES: memory overhead,
 context switches, system calls and page faults.  A Python simulation cannot
-reproduce those OS-level numbers directly, so this module defines documented
-proxies (see DESIGN.md §6):
+reproduce those OS-level numbers directly, so this module defines proxies,
+one :class:`NodeLoadStats` property each:
 
 * memory overhead  → peak bytes of protocol state (packet stores, PIT, CS,
   knowledge store, RPF history, advertisement tracker);
@@ -16,7 +16,7 @@ proxies (see DESIGN.md §6):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 
@@ -35,11 +35,7 @@ class NodeLoadStats:
     packets_overheard: int = 0
     bitmaps_sent: int = 0
     bitmaps_received: int = 0
-    discovery_sent: int = 0
-    discovery_received: int = 0
-    metadata_fetched: int = 0
     retransmissions: int = 0
-    extra: Dict[str, int] = field(default_factory=dict)
 
     # ------------------------------------------------------------ recording
     def record_state_size(self, size_bytes: int) -> None:

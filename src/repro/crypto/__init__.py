@@ -7,7 +7,7 @@ is verified either via per-packet digests listed in the metadata or via a
 Merkle tree whose root hash is carried in the metadata.
 
 The paper uses real RSA signatures via ndn-cxx; this reproduction substitutes
-an HMAC-SHA256 based scheme (documented in DESIGN.md).  The substitution
+an HMAC-SHA256 based scheme (see :mod:`repro.crypto.signing`).  The substitution
 preserves the semantics the protocol needs — sign/verify, digests, Merkle
 proofs, trust decisions — without external dependencies.
 """

@@ -40,7 +40,6 @@ from repro.core import (
     FileCollection,
     PureForwarderNode,
     build_dapes_peer,
-    build_pure_forwarder,
 )
 from repro.churn import build_churn_manager
 from repro.faults import build_fault_manager
@@ -478,7 +477,7 @@ class DapesScenarioBuilder(ScenarioBuilder):
 
         # Pure forwarders: NDN only.
         for node_id in names["pure"]:
-            pure[node_id] = build_pure_forwarder(
+            pure[node_id] = PureForwarderNode(
                 sim, medium, node_id, forward_probability=dapes_config.forwarding_probability
             )
 

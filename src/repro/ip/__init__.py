@@ -16,7 +16,7 @@ wireless medium DAPES uses:
 Node identifiers double as addresses: the paper points out that IP address
 auto-configuration in off-the-grid settings is an unsolved problem in itself;
 granting the baselines free, collision-free addressing is a conservative
-simplification in their favour (documented in DESIGN.md).
+simplification in their favour, and this paragraph is where it is stated.
 """
 
 from repro.ip.netstack import IpNode

@@ -7,7 +7,7 @@ cache → forward to the faces the matching Interests arrived from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.ndn.content_store import ContentStore
@@ -40,7 +40,6 @@ class ForwarderStats:
     hop_limit_drops: int = 0
     unsolicited_data: int = 0
     pit_expirations: int = 0
-    extra: Dict[str, int] = field(default_factory=dict)
 
 
 class Forwarder:

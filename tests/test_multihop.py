@@ -5,8 +5,8 @@ import pytest
 from repro.core import (
     CollectionBuilder,
     DapesConfig,
+    PureForwarderNode,
     build_dapes_peer,
-    build_pure_forwarder,
 )
 from repro.crypto import KeyPair, TrustAnchorStore
 from repro.mobility import StaticPlacement
@@ -27,7 +27,7 @@ def build_chain(middle_role, forwarding_probability=0.6, loss_rate=0.0, seed=3, 
     producer = build_dapes_peer(sim, medium, "producer", config=config, trust=trust, key=key)
     downloader = build_dapes_peer(sim, medium, "downloader", config=config, trust=trust)
     if middle_role == "pure":
-        middle = build_pure_forwarder(sim, medium, "middle", forward_probability=forwarding_probability)
+        middle = PureForwarderNode(sim, medium, "middle", forward_probability=forwarding_probability)
     else:
         middle = build_dapes_peer(sim, medium, "middle", config=config, trust=trust)
 
