@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Dict, Optional, Tuple
 from repro.ndn.name import Name
 from repro.ndn.packet import Data, Interest
 from repro.core.bitmap import Bitmap
+from repro.core.config import INTEREST_LIFETIME, NEIGHBOR_TIMEOUT
 from repro.core.namespace import DapesNamespace
 from repro.core.peba import PebaScheduler
 
@@ -67,7 +68,7 @@ class AdvertisementPriority:
 class AdvertisementTracker:
     """Tracks transmitted bitmaps per collection during the current encounter."""
 
-    def __init__(self, encounter_timeout: float = 6.0):
+    def __init__(self, encounter_timeout: float = NEIGHBOR_TIMEOUT):
         self.encounter_timeout = encounter_timeout
         self._state: Dict[str, _EncounterAdvertisementState] = {}
 
@@ -148,17 +149,8 @@ class Advertising:
     def __init__(self, peer: "DapesPeer"):
         self.peer, self.sim, self.config, self.load = peer, peer.sim, peer.config, peer.load
         self.knowledge, self.sessions, self.node_id = peer.knowledge, peer.sessions, peer.node_id
-        config = self.config
-        self.tracker = AdvertisementTracker(encounter_timeout=config.neighbor_timeout)
-        self.peba = PebaScheduler(
-            transmission_window=config.transmission_window,
-            slot_duration=config.peba_slot_duration,
-            initial_slots=config.peba_initial_slots,
-            priority_groups=config.peba_priority_groups,
-            max_slots=config.peba_max_slots,
-            enabled=config.peba_enabled,
-            rng=peer.rng,
-        )
+        self.tracker = AdvertisementTracker()
+        self.peba = PebaScheduler(enabled=self.config.peba_enabled, rng=peer.rng)
         self.outstanding: Dict[Name, str] = {}  # bitmap Interest name -> target
 
     # ----------------------------------------------------------------- events
@@ -179,7 +171,7 @@ class Advertising:
             # concurrent one) was lost to a collision.  The window covers the
             # requester's Interest lifetime plus scheduling slack.
             last = session.last_bitmap_response.get(heard[0])
-            if last is not None and now - last < self.config.interest_lifetime * 1.5:
+            if last is not None and now - last < INTEREST_LIFETIME * 1.5:
                 self.peba.record_collision()
             session.last_bitmap_response[heard[0]] = now
         own = session.store.bitmap
@@ -268,7 +260,7 @@ class Advertising:
         self.tracker.observe_transmitted_bitmap(collection, own, self.sim.now)
         self.peer.express(Interest(
             name=name,
-            lifetime=self.config.interest_lifetime,
+            lifetime=INTEREST_LIFETIME,
             application_parameters=params,
             application_parameters_size=len(params),
         ))
@@ -276,7 +268,7 @@ class Advertising:
     def _fallback_from_dark_neighbor(self, peer_id: str) -> None:
         """Graceful degradation: a neighbour went dark mid-transfer.
 
-        Rather than waiting out ``neighbor_timeout`` on a peer that stopped
+        Rather than waiting out ``NEIGHBOR_TIMEOUT`` on a peer that stopped
         answering (stalled, partitioned away, or abruptly killed), forget it
         now and re-steer every incomplete session toward the remaining
         active neighbours — deterministically, in sorted order, so fault

@@ -4,33 +4,64 @@ Defaults match the paper's simulation setup (Section VI-B): 1 KB packets, a
 20 ms transmission window, local-neighborhood RPF, interleaved bitmap/data
 exchange, bitmaps fetched from every peer in range, PEBA enabled, and a 20 %
 forwarding probability for nodes with no knowledge about the requested data.
+
+:class:`DapesConfig` holds the choices an experiment varies.  The timers and
+limits no experiment varies are the module constants below; the packet size
+is the collection's own (``CollectionMetadata.packet_size``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
+
+#: Default transmission window in seconds: data Interests and
+#: non-prioritized transmissions pick a random delay inside it (paper: 20 ms).
+TRANSMISSION_WINDOW = 0.020
+#: Period of discovery Interests while peers have recently been encountered
+#: (adaptive discovery, Section IV-B).
+DISCOVERY_PERIOD_ACTIVE = 2.0
+#: Period of discovery Interests while the peer is isolated.
+DISCOVERY_PERIOD_IDLE = 8.0
+#: A neighbour heard within this many seconds counts as "recent" for the
+#: adaptive discovery period.
+DISCOVERY_RECENT_WINDOW = 10.0
+#: Duration of one PEBA transmission slot in seconds (Section IV-F).
+PEBA_SLOT_DURATION = 0.004
+#: Slots PEBA creates on the first collision of an encounter.
+PEBA_INITIAL_SLOTS = 2
+#: Priority groups the PEBA slot table is split into.
+PEBA_PRIORITY_GROUPS = 2
+#: Cap on the PEBA slot table, which doubles on every further collision.
+PEBA_MAX_SLOTS = 64
+#: NDN Interest lifetime in seconds.
+INTEREST_LIFETIME = 2.0
+#: Application-level retransmission timeout for data Interests: peers
+#: re-express an unanswered Interest after this long (with exponential
+#: backoff) instead of waiting for the full Interest lifetime, the way NDN
+#: consumer applications use RTT-based retransmission timers.
+DATA_RETRANSMIT_TIMEOUT = 0.25
+#: Maximum number of outstanding data Interests per session.
+PIPELINE_SIZE = 4
+#: How many times a data Interest is re-expressed while neighbours are still
+#: around.
+RETRANSMISSION_LIMIT = 8
+#: Number of encountered-peer bitmaps remembered by encounter-based RPF.
+ENCOUNTER_HISTORY = 20
+#: Seconds after which a silent neighbour is considered gone (encounter
+#: over, local-neighborhood RPF state expires).
+NEIGHBOR_TIMEOUT = 6.0
+#: Lifetime of entries in the intermediate-node knowledge store (Section
+#: V-B: "short-lived knowledge").
+KNOWLEDGE_TIMEOUT = 15.0
 
 
 @dataclass
 class DapesConfig:
-    """Tunable parameters of a DAPES peer.
+    """The DAPES choices an experiment varies.
 
     Attributes
     ----------
-    packet_size:
-        Size of each file-collection data packet in bytes (paper: 1 KB).
-    transmission_window:
-        Default transmission window in seconds; data Interests and
-        non-prioritized transmissions pick a random delay inside it
-        (paper: 20 ms).
-    discovery_period_active / discovery_period_idle:
-        Period of discovery Interests when peers have recently been
-        encountered / when the peer is isolated (adaptive discovery,
-        Section IV-B).
-    discovery_recent_window:
-        A neighbour heard within this many seconds counts as "recent" for
-        the adaptive discovery period.
     metadata_format:
         ``"digest"`` for the packet-digest-based format, ``"merkle"`` for
         the Merkle-tree-based format (Section IV-C).
@@ -50,10 +81,6 @@ class DapesConfig:
     peba_enabled:
         Use PEBA for bitmap transmission collision mitigation; when disabled
         peers use the purely linear prioritization (Section IV-F, Fig. 9b).
-    peba_slot_duration:
-        Duration of one PEBA transmission slot in seconds.
-    peba_initial_slots / peba_priority_groups / peba_max_slots:
-        Slot-table parameters of PEBA.
     multi_hop:
         Whether intermediate nodes may forward Interests over multiple hops
         at all (the "single-hop" curves of Figs. 9g/9h disable this).
@@ -61,26 +88,6 @@ class DapesConfig:
         Probability that a pure forwarder or an intermediate DAPES node with
         no knowledge about the requested data forwards a received Interest
         (paper default: 20 %).
-    interest_lifetime:
-        NDN Interest lifetime in seconds.
-    data_retransmit_timeout:
-        Application-level retransmission timeout for data Interests.  Peers
-        re-express an unanswered Interest after this long (with exponential
-        backoff) instead of waiting for the full Interest lifetime, the way
-        NDN consumer applications use RTT-based retransmission timers.
-    pipeline_size:
-        Maximum number of outstanding data Interests per peer.
-    retransmission_limit:
-        How many times a data Interest is re-expressed while neighbours are
-        still around.
-    encounter_history:
-        Number of encountered-peer bitmaps remembered by encounter-based RPF.
-    neighbor_timeout:
-        Seconds after which a silent neighbour is considered gone (encounter
-        over, local-neighborhood RPF state expires).
-    knowledge_timeout:
-        Lifetime of entries in the intermediate-node knowledge store
-        (Section V-B: "short-lived knowledge").
     interested_in_all:
         Download every collection discovered (used by repositories); when
         ``False`` the peer only downloads collections it was told to join.
@@ -97,37 +104,19 @@ class DapesConfig:
         the neighbour timeout.  Off by default (byte-identical when off).
     """
 
-    packet_size: int = 1024
-    transmission_window: float = 0.020
-    discovery_period_active: float = 2.0
-    discovery_period_idle: float = 8.0
-    discovery_recent_window: float = 10.0
     metadata_format: str = "merkle"
     rpf_strategy: str = "local"
     random_start: bool = True
     bitmap_exchange: str = "interleaved"
     max_bitmaps: Optional[int] = None
     peba_enabled: bool = True
-    peba_slot_duration: float = 0.004
-    peba_initial_slots: int = 2
-    peba_priority_groups: int = 2
-    peba_max_slots: int = 64
     multi_hop: bool = True
     forwarding_probability: float = 0.2
-    interest_lifetime: float = 2.0
-    data_retransmit_timeout: float = 0.25
-    pipeline_size: int = 4
-    retransmission_limit: int = 8
-    encounter_history: int = 20
-    neighbor_timeout: float = 6.0
-    knowledge_timeout: float = 15.0
     interested_in_all: bool = False
     retransmit_jitter: float = 0.0
     dark_neighbor_fallback: bool = False
 
     def __post_init__(self) -> None:
-        if self.packet_size <= 0:
-            raise ValueError("packet_size must be positive")
         if self.metadata_format not in ("digest", "merkle"):
             raise ValueError("metadata_format must be 'digest' or 'merkle'")
         if self.rpf_strategy not in ("local", "encounter"):
@@ -138,8 +127,6 @@ class DapesConfig:
             raise ValueError("forwarding_probability must be within [0, 1]")
         if self.max_bitmaps is not None and self.max_bitmaps < 1:
             raise ValueError("max_bitmaps must be None or >= 1")
-        if self.pipeline_size < 1:
-            raise ValueError("pipeline_size must be >= 1")
         if not 0.0 <= self.retransmit_jitter <= 1.0:
             raise ValueError("retransmit_jitter must be within [0, 1]")
 

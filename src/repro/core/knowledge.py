@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
 from repro.core.bitmap import Bitmap
+from repro.core.config import KNOWLEDGE_TIMEOUT
 
 
 @dataclass(slots=True)
@@ -36,7 +37,7 @@ class _NeighborRecord:
 class NeighborKnowledge:
     """Per-node store of overheard neighbour state."""
 
-    def __init__(self, timeout: float = 15.0):
+    def __init__(self, timeout: float = KNOWLEDGE_TIMEOUT):
         self.timeout = timeout
         # collection -> neighbour -> record (insertion-ordered both levels,
         # matching the historical flat-dict iteration order per collection).

@@ -35,6 +35,7 @@ from repro.crypto.merkle import MerkleTree
 from repro.crypto.signing import sign
 from repro.ndn.name import Name
 from repro.ndn.packet import Data, Interest
+from repro.core.config import INTEREST_LIFETIME
 from repro.core.namespace import DapesNamespace
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -289,14 +290,14 @@ def build_metadata(
     )
 
 
-def metadata_segments(metadata: CollectionMetadata, packet_size: int, key: KeyPair) -> Dict[int, Data]:
+def metadata_segments(metadata: CollectionMetadata, key: KeyPair) -> Dict[int, Data]:
     """The signed Data segments that carry ``metadata``, by segment number.
 
     Each segment's content is a JSON envelope ``{segment, total, chunk}``
     holding one base64 chunk of :meth:`CollectionMetadata.encode`.
     """
     encoded = metadata.encode()
-    chunk_size = max(packet_size - 200, 256)
+    chunk_size = max(metadata.packet_size - 200, 256)
     chunks = [encoded[i:i + chunk_size] for i in range(0, len(encoded), chunk_size)] or [b""]
     segments: Dict[int, Data] = {}
     for index, chunk in enumerate(chunks):
@@ -395,4 +396,4 @@ class SecureInit:
         if session.metadata is not None or session.metadata_name is None or session.distrusted:
             return
         name = session.metadata_name.append(str(segment))
-        self.peer.express(Interest(name=name, lifetime=self.config.interest_lifetime))
+        self.peer.express(Interest(name=name, lifetime=INTEREST_LIFETIME))

@@ -25,6 +25,14 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.core.config import (
+    PEBA_INITIAL_SLOTS,
+    PEBA_MAX_SLOTS,
+    PEBA_PRIORITY_GROUPS,
+    PEBA_SLOT_DURATION,
+    TRANSMISSION_WINDOW,
+)
+
 
 @dataclass
 class PebaDecision:
@@ -41,11 +49,11 @@ class PebaScheduler:
 
     def __init__(
         self,
-        transmission_window: float = 0.020,
-        slot_duration: float = 0.004,
-        initial_slots: int = 2,
-        priority_groups: int = 2,
-        max_slots: int = 64,
+        transmission_window: float = TRANSMISSION_WINDOW,
+        slot_duration: float = PEBA_SLOT_DURATION,
+        initial_slots: int = PEBA_INITIAL_SLOTS,
+        priority_groups: int = PEBA_PRIORITY_GROUPS,
+        max_slots: int = PEBA_MAX_SLOTS,
         enabled: bool = True,
         rng: Optional[random.Random] = None,
     ):

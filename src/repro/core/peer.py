@@ -46,7 +46,14 @@ from repro.ndn.packet import Data, Interest
 from repro.simulation import PeriodicTimer, Simulator
 from repro.core.advertisement import Advertising
 from repro.core.collection import FileCollection, PacketStore
-from repro.core.config import DapesConfig
+from repro.core.config import (
+    DISCOVERY_PERIOD_ACTIVE,
+    DISCOVERY_PERIOD_IDLE,
+    DISCOVERY_RECENT_WINDOW,
+    NEIGHBOR_TIMEOUT,
+    TRANSMISSION_WINDOW,
+    DapesConfig,
+)
 from repro.core.knowledge import NeighborKnowledge
 from repro.core.metadata import CollectionMetadata, SecureInit, metadata_segments
 from repro.core.namespace import DapesNamespace
@@ -110,7 +117,7 @@ class DapesPeer:
         self.key = key if key is not None else KeyPair.generate(node_id, seed=node_id.encode())
         self.trust = trust if trust is not None else TrustAnchorStore()
         self.load = NodeLoadStats()
-        self.knowledge = NeighborKnowledge(timeout=self.config.knowledge_timeout)
+        self.knowledge = NeighborKnowledge()
         self.rng = sim.rng(f"dapes.peer.{node_id}")
         self.sessions: Dict[str, CollectionSession] = {}
         self.join_targets: Set[str] = set()
@@ -182,10 +189,8 @@ class DapesPeer:
         config = self.config
         session.metadata = metadata
         session.store = PacketStore(metadata)
-        session.fetch = make_fetch_strategy(
-            config.rpf_strategy, random_start=config.random_start, history=config.encounter_history, rng=self.rng
-        )
-        session.metadata_segments = metadata_segments(metadata, config.packet_size, self.key)
+        session.fetch = make_fetch_strategy(config.rpf_strategy, random_start=config.random_start, rng=self.rng)
+        session.metadata_segments = metadata_segments(metadata, self.key)
 
     # ------------------------------------------------------------ downloaders
     def join(self, collection_id: str) -> None:
@@ -280,7 +285,7 @@ class DapesPeer:
         The default delay is a uniform draw from the transmission window.
         """
         if delay is None:
-            delay = self.rng.uniform(0.0, self.config.transmission_window)
+            delay = self.rng.uniform(0.0, TRANSMISSION_WINDOW)
 
         def _send() -> None:
             self._pending_responses.pop(data.name, None)
@@ -320,7 +325,7 @@ class DapesPeer:
         self.load.activation()
         now = self.sim.now
         neighbors = self.discovery.neighbors
-        cutoff = now - self.config.neighbor_timeout
+        cutoff = now - NEIGHBOR_TIMEOUT
         departed = [peer for peer, heard in neighbors.items() if heard < cutoff]
         for peer in departed:
             self.discovery.forget(peer)
@@ -417,8 +422,8 @@ class Discovery:
 
     # ------------------------------------------------------------- discovery
     def period(self) -> float:
-        recently = self.sim.now - self._last_heard <= self.config.discovery_recent_window
-        return self.config.discovery_period_active if recently else self.config.discovery_period_idle
+        recently = self.sim.now - self._last_heard <= DISCOVERY_RECENT_WINDOW
+        return DISCOVERY_PERIOD_ACTIVE if recently else DISCOVERY_PERIOD_IDLE
 
     def send(self) -> None:
         self.load.activation()
@@ -460,14 +465,14 @@ class Discovery:
                     self.peer.advertising.maybe_request(session, peer_id)
 
     def active(self) -> List[str]:
-        cutoff = self.sim.now - self.config.neighbor_timeout
+        cutoff = self.sim.now - NEIGHBOR_TIMEOUT
         return [peer for peer, heard in self.neighbors.items() if heard >= cutoff]
 
     def any_active(self) -> bool:
         """Truthiness-only variant of :meth:`active` (hot path)."""
-        if self.sim.now - self._last_heard <= self.config.neighbor_timeout:
+        if self.sim.now - self._last_heard <= NEIGHBOR_TIMEOUT:
             return True
-        cutoff = self.sim.now - self.config.neighbor_timeout
+        cutoff = self.sim.now - NEIGHBOR_TIMEOUT
         return any(heard >= cutoff for heard in self.neighbors.values())
 
     def forget(self, peer_id: str) -> None:

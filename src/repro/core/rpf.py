@@ -30,6 +30,14 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 from repro.ndn.name import Name
 from repro.ndn.packet import Data, Interest
 from repro.core.bitmap import Bitmap
+from repro.core.config import (
+    DATA_RETRANSMIT_TIMEOUT,
+    ENCOUNTER_HISTORY,
+    INTEREST_LIFETIME,
+    PIPELINE_SIZE,
+    RETRANSMISSION_LIMIT,
+    TRANSMISSION_WINDOW,
+)
 from repro.core.namespace import DapesNamespace
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -146,7 +154,7 @@ class EncounterBasedRpf(FetchStrategy):
 
     def __init__(
         self,
-        history: int = 20,
+        history: int = ENCOUNTER_HISTORY,
         random_start: bool = True,
         rng: Optional[random.Random] = None,
     ):
@@ -188,7 +196,7 @@ class EncounterBasedRpf(FetchStrategy):
 def make_fetch_strategy(
     name: str,
     random_start: bool = True,
-    history: int = 20,
+    history: int = ENCOUNTER_HISTORY,
     rng: Optional[random.Random] = None,
 ) -> FetchStrategy:
     """Factory used by :class:`~repro.core.config.DapesConfig.rpf_strategy`."""
@@ -202,7 +210,7 @@ def make_fetch_strategy(
 class Fetching:
     """The peer's data fetching (Section IV-E).
 
-    Up to ``pipeline_size`` data Interests, picked by the session's
+    Up to ``PIPELINE_SIZE`` data Interests, picked by the session's
     :class:`FetchStrategy`, are outstanding per session.  Each goes out after
     a random wait and is retried on an RTO with exponential backoff.  Every
     packet heard, requested or not, is stored, and the last one completes
@@ -294,7 +302,7 @@ class Fetching:
             if session.bitmaps_received < self._quota(session) and session.bitmaps_requested:
                 # Still waiting for the advertisements we asked for.
                 return
-        while len(session.outstanding) < config.pipeline_size:
+        while len(session.outstanding) < PIPELINE_SIZE:
             if (
                 config.bitmap_exchange == "interleaved"
                 and session.pending_bitmap_targets
@@ -313,7 +321,7 @@ class Fetching:
             return
         name = session.metadata.packet_name(index)
         session.outstanding[index] = retries
-        delay = self.rng.uniform(0.0, self.config.transmission_window)
+        delay = self.rng.uniform(0.0, TRANSMISSION_WINDOW)
 
         def _express() -> None:
             if not self.peer.started:
@@ -325,11 +333,11 @@ class Fetching:
                 session.outstanding.pop(index, None)
                 self.fill(session)
                 return
-            self.peer.express(Interest(name=name, lifetime=self.config.interest_lifetime))
+            self.peer.express(Interest(name=name, lifetime=INTEREST_LIFETIME))
             # Application-level retransmission timer (RTT-style), much shorter
             # than the Interest lifetime so a single lost frame does not stall
             # the pipeline.
-            rto = self.config.data_retransmit_timeout * (2 ** min(retries, 4))
+            rto = DATA_RETRANSMIT_TIMEOUT * (2 ** min(retries, 4))
             if self.config.retransmit_jitter:
                 # Jittered exponential backoff: desynchronize peers whose
                 # retransmission timers would otherwise collide under
@@ -348,7 +356,7 @@ class Fetching:
         if session.outstanding.get(index) != retries:
             return  # already resolved or superseded by a newer attempt
         del session.outstanding[index]
-        if retries < self.config.retransmission_limit and self.peer.discovery.any_active():
+        if retries < RETRANSMISSION_LIMIT and self.peer.discovery.any_active():
             self.load.retransmissions += 1
             self._request(session, index, retries=retries + 1)
         else:

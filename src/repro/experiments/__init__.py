@@ -35,7 +35,7 @@ population dynamics — sustained Poisson churn with graceful/abrupt
 departures, and burst arrivals into an initially empty swarm (see
 :mod:`repro.churn`) — and ``faults`` and ``partition``
 (``repro.experiments.faults``) exercise network faults — link flapping and
-mid-run partitions with invariant monitoring and recovery metrics (see
+mid-run partitions with recovery metrics (see
 :mod:`repro.faults`).
 
 Results are first-class: :class:`ResultStore` persists runs under

@@ -163,8 +163,6 @@ def _config_from_args(args: argparse.Namespace) -> tuple:
         overrides["churn"] = args.churn
     if args.faults is not None:
         overrides["faults"] = args.faults
-    if args.invariants:
-        overrides["invariants"] = True
     if args.profile:
         overrides["profile"] = True
     config = ExperimentConfig.preset(args.preset).with_overrides(**overrides)
@@ -604,9 +602,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="registered churn model (none, poisson, flashcrowd, trace)")
         target.add_argument("--faults", default=None,
                             help="registered fault model (none, link_flap, partition, stall, degrade)")
-        target.add_argument("--invariants", action="store_true",
-                            help="enable runtime safety/liveness invariant monitoring "
-                                 "(pure observation; a violation fails the trial)")
         target.add_argument("--tag", default=None,
                             help="tag saved runs, e.g. --tag nightly")
         target.add_argument("--no-resume", action="store_true",

@@ -1,9 +1,9 @@
 """Fault specs: protocol resilience under deterministic network faults.
 
 Not paper figures — the robustness artefacts the ROADMAP names as an open
-item.  Two specs, both with the invariant monitor enabled and the protocol
-hardening switched on (jittered retransmission backoff, dark-neighbour
-fallback):
+item.  Two specs, both with the protocol hardening switched on (jittered
+retransmission backoff, dark-neighbour fallback); like every trial, each
+ends with the invariant check of :mod:`repro.faults.invariants`:
 
 * ``faults`` — DAPES under sustained link flapping: pairwise links drop
   into loss episodes and recover, sweeping the mean outage length.  The
@@ -35,7 +35,6 @@ DEFAULT_PARTITION_DURATIONS = (15.0, 30.0, 60.0)
 
 #: The resilience-hardening switches both specs run with.
 HARDENING = {
-    "invariants": True,
     "dapes_retransmit_jitter": 0.3,
     "dapes_dark_neighbor_fallback": True,
 }
@@ -47,7 +46,7 @@ SPEC_FAULTS = register_experiment(
         description=(
             "DAPES under sustained link flapping: pairwise links alternate "
             "clean stretches and outage episodes; sweeps the mean outage "
-            "length with invariant monitoring and hardening enabled."
+            "length with hardening enabled."
         ),
         axes=(
             Axis(

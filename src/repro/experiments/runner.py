@@ -16,7 +16,7 @@ from repro.experiments.metrics import RunResult, SweepPoint
 from repro.experiments.scenario import ExperimentConfig, get_builder
 from repro.experiments.spec import ExperimentSpec, Variant
 from repro.experiments.sweep import run_experiment
-from repro.faults import InvariantViolationError, build_invariant_monitor
+from repro.faults import check_trial
 from repro.profiling import collect_run_profile
 
 
@@ -38,9 +38,6 @@ def run_protocol_trial(
             sim.stop()
 
     scenario.watch_completion(_on_complete)
-    # The invariant monitor is pure observation (no RNG draws, no scheduled
-    # events), so installing it never changes what the simulation computes.
-    monitor = build_invariant_monitor(config, sim, scenario.medium, faults=scenario.faults)
     scenario.start()
     profiling = config.profile
     start_clock = time.perf_counter() if profiling else 0.0
@@ -56,15 +53,12 @@ def run_protocol_trial(
         else:
             download_times[node_id] = elapsed
 
-    if monitor is not None:
-        violations = monitor.finalize(scenario)
-        if violations:
-            raise InvariantViolationError(violations)
+    check_trial(scenario)
     stats = scenario.medium.stats
     churn = scenario.churn
     faults = scenario.faults
     profile = (
-        collect_run_profile(wall_clock_s, sim, scenario.medium, churn, faults, monitor)
+        collect_run_profile(wall_clock_s, sim, scenario.medium, churn, faults)
         if profiling
         else {}
     )

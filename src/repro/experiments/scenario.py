@@ -1,11 +1,10 @@
 """Scenario builders: pluggable topology x protocol experiment assembly.
 
-Historically this module hard-coded the paper's Fig. 7 topology (a 300 m x
-300 m area with 4 stationary repositories and 40 mobile nodes) into one
-builder per protocol family.  It now separates the two axes:
+An experiment world is one choice on each of two axes:
 
 * **Topology** — where nodes sit and how they move — comes from the registry
-  in :mod:`repro.experiments.topology` (``quadrant`` reproduces Fig. 7;
+  in :mod:`repro.experiments.topology` (``quadrant`` reproduces Fig. 7, a
+  300 m x 300 m area with 4 stationary repositories and 40 mobile nodes;
   ``clusters`` and ``corridor`` open new workloads), selected by
   :attr:`ExperimentConfig.topology`.
 * **Protocol** — what runs on the nodes — comes from the
@@ -98,10 +97,6 @@ class ExperimentConfig:
     # without the fault subsystem (no manager, no RNG streams, no events).
     faults: str = "none"
     fault_params: Dict[str, object] = field(default_factory=dict)
-    # Runtime safety/liveness invariant monitoring (repro.faults.invariants).
-    # Pure observation — enabling it draws no randomness and schedules no
-    # events, so it never perturbs results; a violation raises at trial end.
-    invariants: bool = False
 
     # DAPES protocol configuration.
     dapes: DapesConfig = field(default_factory=DapesConfig)
@@ -206,9 +201,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ExperimentConfig":
-        """Rebuild a config from :meth:`as_dict` output."""
-        from repro.core import DapesConfig
-
+        """Rebuild a config from :meth:`as_dict` output; unknown keys are refused by name."""
         plain = dict(data)
         dapes = plain.pop("dapes", None)
         unknown = sorted(set(plain) - {f.name for f in fields(cls)})
@@ -216,6 +209,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown ExperimentConfig field(s): {', '.join(unknown)}")
         config = cls(**plain)
         if dapes is not None:
+            unknown = sorted(set(dapes) - {f.name for f in fields(DapesConfig)})
+            if unknown:
+                raise ValueError(f"unknown DapesConfig field(s): {', '.join(unknown)}")
             config = replace(config, dapes=DapesConfig(**dapes))
         return config
 

@@ -16,9 +16,9 @@ range ≈ 50 m) under three scenarios (Fig. 8):
 Each scenario is a scripted topology of :mod:`repro.experiments.topology`
 (``fig8_carrier``, ``fig8_repository``, ``fig8_moving``), and each Table I
 row is one DAPES trial on it, built and run like every other experiment's
-trial — so churn, faults, invariants, profiling and propagation apply to
-Table I too.  Every scenario runs at the trial seed (``base_seed``; the
-archived table uses 7).
+trial — so churn, faults, the invariant check, profiling and propagation
+apply to Table I too.  Every scenario runs at the trial seed
+(``base_seed``; the archived table uses 7).
 
 :func:`aggregate_feasibility` derives the table's columns from the trial
 result: the time until every downloader holds the collection, the number of

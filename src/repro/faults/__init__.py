@@ -2,9 +2,10 @@
 
 See :mod:`repro.faults.base` for the model contract and registry,
 :mod:`repro.faults.manager` for the lifecycle manager the scenario builders
-wire into ``world()``, and :mod:`repro.faults.invariants` for the runtime
-safety/liveness monitor.  Importing this package registers the built-in
-models: ``none``, ``link_flap``, ``partition``, ``stall``, ``degrade``.
+wire into ``world()``, and :mod:`repro.faults.invariants` for the
+end-of-trial invariant check every trial runs.  Importing this package
+registers the built-in models: ``none``, ``link_flap``, ``partition``,
+``stall``, ``degrade``.
 """
 
 from repro.faults.base import (
@@ -25,11 +26,7 @@ from repro.faults.base import (
     validate_faults,
 )
 from repro.faults.degrade import Degrade
-from repro.faults.invariants import (
-    InvariantMonitor,
-    InvariantViolationError,
-    build_invariant_monitor,
-)
+from repro.faults.invariants import InvariantViolationError, check_trial
 from repro.faults.link_flap import LinkFlap
 from repro.faults.manager import FaultManager, build_fault_manager, fault_node_ids
 from repro.faults.partition import Partition
@@ -47,7 +44,6 @@ __all__ = [
     "FaultManager",
     "FaultModel",
     "FaultPlan",
-    "InvariantMonitor",
     "InvariantViolationError",
     "LinkFlap",
     "Partition",
@@ -55,7 +51,7 @@ __all__ = [
     "available_fault_models",
     "build_fault_manager",
     "build_fault_model",
-    "build_invariant_monitor",
+    "check_trial",
     "fault_model_class",
     "fault_node_ids",
     "pair_key",

@@ -331,7 +331,7 @@ def fault_node_ids(names: Dict[str, List[str]]) -> List[str]:
     Unlike churn (which protects the producer — removing it would make
     downloads unsatisfiable rather than exercising dynamics), faults may
     hit anyone: partitioning the producer away from the swarm is exactly
-    the disaster scenario the paper targets, and the invariant monitor's
+    the disaster scenario the paper targets, and the end-of-trial check's
     starvation accounting covers runs where nothing can complete.
     """
     return (

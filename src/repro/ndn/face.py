@@ -25,10 +25,6 @@ class Face:
         self.face_id: int = -1
         self.forwarder = None
         self.name = name
-        self.interests_out = 0
-        self.data_out = 0
-        self.interests_in = 0
-        self.data_in = 0
 
     # ------------------------------------------------ forwarder -> face (out)
     def send_interest(self, interest: Interest) -> None:
@@ -40,12 +36,10 @@ class Face:
     # ------------------------------------------------ face -> forwarder (in)
     def receive_interest(self, interest: Interest) -> None:
         """Inject an Interest arriving on this face into the forwarder."""
-        self.interests_in += 1
         self.forwarder.process_interest(interest, self)
 
     def receive_data(self, data: Data) -> None:
         """Inject a Data packet arriving on this face into the forwarder."""
-        self.data_in += 1
         self.forwarder.process_data(data, self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -67,12 +61,10 @@ class AppFace(Face):
 
     # Outgoing direction: the forwarder hands packets to the application.
     def send_interest(self, interest: Interest) -> None:
-        self.interests_out += 1
         if self.on_interest is not None:
             self.on_interest(interest)
 
     def send_data(self, data: Data) -> None:
-        self.data_out += 1
         if self.on_data is not None:
             self.on_data(data)
 
@@ -114,7 +106,6 @@ class BroadcastFace(Face):
 
     # ------------------------------------------------ forwarder -> medium
     def send_interest(self, interest: Interest) -> None:
-        self.interests_out += 1
         kind = self.classify(interest) if self.classify else self.FRAME_KIND_INTEREST
         frame = Frame(
             sender=self.radio.node_id,
@@ -126,7 +117,6 @@ class BroadcastFace(Face):
         self.radio.send(frame)
 
     def send_data(self, data: Data) -> None:
-        self.data_out += 1
         kind = self.classify(data) if self.classify else self.FRAME_KIND_DATA
         frame = Frame(
             sender=self.radio.node_id,

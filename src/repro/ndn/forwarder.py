@@ -34,7 +34,6 @@ class ForwarderStats:
     interests_received: int = 0
     data_received: int = 0
     interests_forwarded: int = 0
-    data_forwarded: int = 0
     cs_hits_served: int = 0
     loops_dropped: int = 0
     hop_limit_drops: int = 0
@@ -182,7 +181,6 @@ class Forwarder:
         face = self._faces.get(face_id)
         if face is None:
             return
-        self.stats.data_forwarded += 1
         if self.config.forwarding_delay > 0:
             self.sim.schedule_call(self.config.forwarding_delay, face.send_data, data)
         else:

@@ -3,8 +3,7 @@
 Each layer that keeps counters reports them through ``metrics() ->
 Dict[str, float]`` under its own prefix (``engine.*``, ``wireless.*`` with
 the medium's ``spatial.*`` / ``propagation.*`` / ``mobility.*``, and
-``churn.*``, ``faults.*`` / ``recovery.*``, ``invariants.*`` when a run has
-them).  A profile is ``wall_clock_s`` merged with those dicts; trials that
+``churn.*`` and ``faults.*`` / ``recovery.*`` when a run has them).  A profile is ``wall_clock_s`` merged with those dicts; trials that
 set :attr:`ExperimentConfig.profile` carry one in :attr:`RunResult.profile`,
 outside result equality, since wall-clock time is not deterministic.
 """

@@ -38,10 +38,6 @@ class ChannelConfig:
     propagation_params:
         Model-specific parameters, validated against the selected backend's
         declared parameter set (unknown keys or out-of-range values raise).
-    unicast_retry_limit:
-        802.11-style link-layer ARQ retry ceiling for unicast frames (a
-        config field so fault specs can sweep it without perturbing every
-        other run).
     unicast_retry_backoff:
         Base ARQ retransmission backoff in seconds; the k-th retry waits
         ``k * unicast_retry_backoff`` plus a small random jitter.
@@ -58,7 +54,6 @@ class ChannelConfig:
     index_rebuild_interval: float = 1.0
     propagation: str = "unit_disk"
     propagation_params: Dict[str, object] = field(default_factory=dict)
-    unicast_retry_limit: int = 3
     unicast_retry_backoff: float = 0.002
     inter_frame_space: float = 0.00005
 
@@ -91,8 +86,6 @@ class ChannelConfig:
             raise ValueError("index_cell_size must be positive")
         if self.index_rebuild_interval <= 0:
             raise ValueError("index_rebuild_interval must be positive")
-        if not isinstance(self.unicast_retry_limit, int) or self.unicast_retry_limit < 0:
-            raise ValueError("unicast_retry_limit must be a non-negative integer")
         if self.unicast_retry_backoff < 0:
             raise ValueError("unicast_retry_backoff must be non-negative")
         if self.inter_frame_space < 0:

@@ -58,6 +58,8 @@ from repro.wireless.stats import MediumStats
 
 #: Give up sensing and transmit anyway after this many deferrals.
 MAX_CSMA_DEFERRALS = 16
+#: 802.11-style link-layer ARQ: retransmit a lost unicast frame this many times.
+UNICAST_RETRY_LIMIT = 3
 
 
 class _Reception:
@@ -133,16 +135,12 @@ class WirelessMedium:
         # whole retry dict.
         self._retry_index: Dict[str, Set[int]] = {}
         self._node_ids_cache: Optional[Tuple[str, ...]] = None
-        # MAC timing/ARQ knobs (hoisted from module constants onto the
-        # channel config; defaults are byte-identical to the constants).
+        # MAC timing knobs of the channel config.
         self._inter_frame_space = self.config.inter_frame_space
-        self._unicast_retry_limit = self.config.unicast_retry_limit
         self._unicast_retry_backoff = self.config.unicast_retry_backoff
         # Fault injection (repro.faults): None in a fault-free run, so the
-        # hot paths pay one attribute check and nothing else.  The invariant
-        # monitor's delivery hook is equally optional and pure observation.
+        # hot paths pay one attribute check and nothing else.
         self._faults = None
-        self._delivery_monitor = None
         # Counters for metrics(); the churn manager reports orphaned_sends.
         self.csma_deferrals = 0
         self.arq_retries = 0
@@ -173,10 +171,6 @@ class WirelessMedium:
     def set_fault_manager(self, faults) -> None:
         """Hook a :class:`repro.faults.manager.FaultManager` into the medium."""
         self._faults = faults
-
-    def set_delivery_monitor(self, monitor) -> None:
-        """Install a pure-observation callback fired before each delivery."""
-        self._delivery_monitor = monitor
 
     # ------------------------------------------------------------- topology
     def attach(self, radio: "Radio") -> None:
@@ -477,8 +471,6 @@ class WirelessMedium:
             self._drop_retry_state(reception.frame.frame_id)
         if faults is not None:
             faults.note_delivery(reception.frame.sender, receiver_id)
-        if self._delivery_monitor is not None:
-            self._delivery_monitor(receiver_id, reception.frame)
         radio.deliver(reception.frame)
 
     # ------------------------------------------------------------------- ARQ
@@ -507,7 +499,7 @@ class WirelessMedium:
             self._unicast_retries[frame.frame_id] = state
             self._retry_index.setdefault(frame.sender, set()).add(frame.frame_id)
             self._retry_index.setdefault(frame.destination, set()).add(frame.frame_id)
-        if state.retries >= self._unicast_retry_limit:
+        if state.retries >= UNICAST_RETRY_LIMIT:
             self._drop_retry_state(frame.frame_id)
             return
         retries = state.retries

@@ -45,7 +45,7 @@ class Radio:
             raise ValueError(
                 f"frame sender {frame.sender!r} does not match radio owner {self.node_id!r}"
             )
-        self.stats.record_send(frame.kind, frame.size_bytes)
+        self.stats.frames_sent += 1
         return self.medium.transmit(self.node_id, frame)
 
     def broadcast(self, payload, size_bytes: int, kind: str, protocol: str = "") -> float:

@@ -18,17 +18,10 @@ class NodeRadioStats:
     """Per-node radio counters."""
 
     frames_sent: int = 0
-    bytes_sent: int = 0
     frames_received: int = 0
     frames_overheard: int = 0
     frames_lost: int = 0
     frames_collided: int = 0
-    sent_by_kind: Dict[str, int] = field(default_factory=lambda: defaultdict(int))
-
-    def record_send(self, kind: str, size_bytes: int) -> None:
-        self.frames_sent += 1
-        self.bytes_sent += size_bytes
-        self.sent_by_kind[kind] += 1
 
 
 @dataclass

@@ -558,6 +558,12 @@ def test_submit_from_a_client_with_extra_config_fields_names_them(tmp_path):
     reply = coordinator.handle({"op": "submit", **payload})
     assert reply["ok"] is False
     assert "0 < min_speed <= max_speed" in reply["error"]
+    # A DAPES field that became a protocol constant is named, not ignored.
+    payload = _tiny_payload()
+    payload["requests"][0]["config"]["dapes"]["pipeline_size"] = 4
+    reply = coordinator.handle({"op": "submit", **payload})
+    assert reply["ok"] is False
+    assert "unknown DapesConfig field(s): pipeline_size" in reply["error"]
     assert not coordinator.table.tasks()
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from repro.core import CollectionBuilder, DapesConfig, DapesNamespace, build_dapes_peer, namespace
 from repro.core.advertisement import Advertising
+from repro.core.config import DISCOVERY_PERIOD_ACTIVE, DISCOVERY_PERIOD_IDLE
 from repro.core.rpf import Fetching
 from repro.crypto import KeyPair, TrustAnchorStore
 from repro.experiments import ExperimentConfig, get_builder
@@ -155,9 +156,9 @@ def test_completion_callback_fired_once():
 def test_discovery_period_adapts_to_neighbour_presence():
     sim, medium, producer, downloader, _ = build_pair()
     peer = downloader.peer
-    assert peer.discovery.period() == peer.config.discovery_period_idle
+    assert peer.discovery.period() == DISCOVERY_PERIOD_IDLE
     peer.discovery.touch("producer")
-    assert peer.discovery.period() == peer.config.discovery_period_active
+    assert peer.discovery.period() == DISCOVERY_PERIOD_ACTIVE
 
 
 def test_third_peer_benefits_from_overhearing():

@@ -79,6 +79,36 @@ def test_from_dict_names_unknown_keys():
     for removed in ({"shards": 4}, {"array_backend": "scalar"}):
         with pytest.raises(TypeError):  # a removed knob is an error, not a warning
             ExperimentConfig.tiny().with_overrides(**removed)
+    # The nested DAPES config is held to the same rule: every unknown key, sorted.
+    data = ExperimentConfig.tiny().as_dict()
+    data["dapes"].update(pipeline_size=4, interest_lifetime=2.0)
+    with pytest.raises(
+        ValueError, match=r"unknown DapesConfig field\(s\): interest_lifetime, pipeline_size"
+    ):
+        ExperimentConfig.from_dict(data)
+
+
+def test_config_field_sets_are_pinned():
+    """Each field below is set by some spec, test or example.  A timer or
+    limit that no experiment varies is a module constant instead
+    (``repro.core.config``, ``repro.wireless.medium``)."""
+    assert [f.name for f in fields(DapesConfig)] == [
+        "metadata_format", "rpf_strategy", "random_start", "bitmap_exchange", "max_bitmaps",
+        "peba_enabled", "multi_hop", "forwarding_probability", "interested_in_all",
+        "retransmit_jitter", "dark_neighbor_fallback",
+    ]
+    assert [f.name for f in fields(ChannelConfig)] == [
+        "data_rate_bps", "wifi_range", "loss_rate", "per_frame_overhead_s", "index_cell_size",
+        "index_rebuild_interval", "propagation", "propagation_params", "unicast_retry_backoff",
+        "inter_frame_space",
+    ]
+    assert [f.name for f in fields(ExperimentConfig)] == [
+        "area_size", "stationary_nodes", "mobile_downloaders", "pure_forwarders",
+        "intermediate_nodes", "min_speed", "max_speed", "wifi_range", "loss_rate", "topology",
+        "propagation", "propagation_params", "obstacle_density", "num_files", "file_size",
+        "packet_size", "max_duration", "trials", "base_seed", "percentile", "profile", "churn",
+        "churn_params", "faults", "fault_params", "dapes",
+    ]
 
 
 def test_dapes_config_validation():
@@ -323,7 +353,7 @@ def test_fig8_topologies_script_every_node_and_complete(name):
 
 def test_table1_honours_the_trial_knobs():
     """Table I runs the generic trial: faults, invariants and profiles reach it."""
-    config = ExperimentConfig.tiny().with_overrides(faults="link_flap", invariants=True, profile=True)
+    config = ExperimentConfig.tiny().with_overrides(faults="link_flap", profile=True)
     result = run_experiment("table1", config, workers=2)
     trials = [trial for point in result.points for trial in point.trial_results]
     assert len(trials) == 3

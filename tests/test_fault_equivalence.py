@@ -8,20 +8,20 @@ Four families of invariants, now under an *unreliable* network:
   while links drop, partitions split and heal, and nodes stall mid-transfer;
 * recovery — a healed partition re-knits the swarm (time-to-recover
   extras), retransmission survives sustained loss, and churn kills compose
-  with stalls without tripping a single runtime invariant;
+  with stalls without a frame ever reaching a detached or stalled node;
 * zero-fault identity — ``faults="none"`` must not even mention faults in
-  its output, and enabling the invariant monitor alone must not change a
-  byte of any result.
+  its output, and the end-of-trial invariant check every trial runs must
+  leave the state it inspects untouched.
 """
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.experiments import ExperimentConfig, run_experiment, run_trials
+from repro.experiments import ExperimentConfig, get_builder, run_experiment, run_trials
 from repro.experiments.runner import run_protocol_trial
-from repro.faults import FaultEpisode, FaultManager, FaultModel, FaultPlan, InvariantMonitor, LINK, STALL
+from repro.faults import FaultEpisode, FaultManager, FaultModel, FaultPlan, LINK, STALL, check_trial
 from repro.mobility import StaticPlacement
 from repro.simulation import Simulator
 from repro.wireless import ChannelConfig, Radio, WirelessMedium
@@ -33,7 +33,6 @@ FAULT_CONFIG = dict(
     fault_mean_up=4.0,
     fault_mean_down=2.0,
     fault_pair_fraction=0.5,
-    invariants=True,
     num_files=2,
     file_size=40_000,
     max_duration=45.0,
@@ -107,7 +106,6 @@ def test_partition_heal_rediscovery_and_recovery_metrics():
         faults="partition",
         fault_at=1.0,
         fault_duration=5.0,
-        invariants=True,
         num_files=2,
         file_size=40_000,
         max_duration=120.0,
@@ -141,7 +139,6 @@ def test_retransmission_survives_sustained_degrade():
         fault_period=1.0,
         fault_duty=0.5,
         fault_severity=0.6,
-        invariants=True,
         dapes_retransmit_jitter=0.3,
         num_files=2,
         file_size=40_000,
@@ -212,15 +209,23 @@ def chaos_schedules(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(chaos_schedules())
+# One schedule that always puts frames on the air towards a stalled node.
+@example(([FaultEpisode(STALL, 0.0, 5.0, subject="b")], [], [(t, "a") for t in (1.0, 1.5, 2.0, 2.5)]))
 def test_stall_kill_interleavings_hold_invariants(case):
     """Any interleaving of stalls, link flaps, abrupt kills and traffic must
-    run to completion without a single safety violation."""
+    run to completion without a frame reaching a detached or stalled node."""
     episodes, kills, sends = case
     sim, medium, radios = chaos_world()
     manager = FaultManager(sim, medium, ScriptedFaults(episodes),
                            list(radios), horizon=20.0)
-    monitor = InvariantMonitor(sim, medium, faults=manager)
-    monitor.install()
+    unsafe = []
+    for node, radio in radios.items():
+        def deliver(frame, node=node, original=radio.deliver):
+            if node not in medium.node_ids or manager.node_stalled(node):
+                unsafe.append((node, sim.now))
+            original(frame)
+
+        radio.deliver = deliver
     manager.activate()
     for when, node in kills:
         sim.schedule_call(when, medium.detach, node)
@@ -228,7 +233,7 @@ def test_stall_kill_interleavings_hold_invariants(case):
     for index, (when, node) in enumerate(sends):
         sim.schedule_call(when, radios[node].broadcast, f"payload-{index}", 500, "t")
     sim.run()
-    assert monitor.violations == []
+    assert unsafe == []
     # Whatever was suppressed or replayed is accounted, never lost silently.
     metrics = manager.metrics()
     assert metrics["faults.replayed_frames"] <= metrics["faults.stalled_sends"]
@@ -247,17 +252,40 @@ def test_zero_fault_run_is_byte_identical_to_prefault_shape():
     assert "recovery." not in flat
 
 
-def test_invariant_monitor_is_pure_observation():
-    """Enabling the monitor alone changes no byte of the result."""
-    base = ExperimentConfig.tiny()
-    monitored = base.with_overrides(invariants=True)
-    assert run_fingerprint(base) == run_fingerprint(monitored)
+def pit_state(scenario):
+    holders = [*scenario.nodes.values(), *scenario.pure_forwarders.values()]
+    return {
+        holder.node_id: (
+            holder.forwarder.pit.expirations,
+            holder.forwarder.stats.pit_expirations,
+            [(entry.name, entry.expiry, set(entry.in_faces), set(entry.out_faces), set(entry.nonces))
+             for entry in holder.forwarder.pit.entries()],
+        )
+        for holder in holders
+    }
+
+
+def test_trial_check_is_pure_observation():
+    """The check reads the PITs it inspects and changes none of them: an
+    entry expiring exactly now is not overdue, and it is neither flagged
+    nor dropped."""
+    scenario = get_builder("dapes").build(ExperimentConfig.tiny(), 42)
+    scenario.start()
+    scenario.sim.run(until=1.0)  # mid-exchange: PITs hold entries
+    [entry, *_] = [
+        entry
+        for node in scenario.nodes.values()
+        for entry in node.forwarder.pit.entries()
+    ]
+    entry.expiry = scenario.sim.now
+    before = pit_state(scenario)
+    check_trial(scenario)
+    assert pit_state(scenario) == before
 
 
 @pytest.mark.parametrize("protocol", ["dapes", "bithoc", "ekta"])
 def test_invariants_pass_on_clean_runs(protocol):
-    config = ExperimentConfig.tiny().with_overrides(invariants=True)
-    result = run_protocol_trial(protocol, config, 42)
+    result = run_protocol_trial(protocol, ExperimentConfig.tiny(), 42)
     assert result.completion_ratio > 0
 
 

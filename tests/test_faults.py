@@ -3,7 +3,8 @@
 Covers the deterministic model contract (plans are pure functions of the
 per-entity named streams), the ``register_fault`` registry, the manager's
 link/partition/stall/degrade state machine against a live micro medium,
-the ``fault_`` config-override prefix, the invariant monitor, and —
+the ``fault_`` config-override prefix, the end-of-trial invariant check
+every trial runs, and —
 critically — the zero-fault path: ``faults="none"`` must build no manager,
 schedule no events and leave every result byte-identical to a pre-fault
 run (asserted end-to-end in test_fault_equivalence.py).
@@ -24,7 +25,6 @@ from repro.faults import (
     FaultManager,
     FaultModel,
     FaultPlan,
-    InvariantMonitor,
     InvariantViolationError,
     LinkFlap,
     Partition,
@@ -32,12 +32,13 @@ from repro.faults import (
     available_fault_models,
     build_fault_manager,
     build_fault_model,
-    build_invariant_monitor,
     fault_node_ids,
     pair_key,
     validate_faults,
 )
-from repro.experiments import ExperimentConfig, get_experiment
+from repro.experiments import ExperimentConfig, get_experiment, run_protocol_trial
+from repro.experiments.scenario import DapesScenario
+from repro.ndn import Forwarder
 from repro.mobility import StaticPlacement
 from repro.simulation import Simulator
 from repro.wireless import ChannelConfig, Radio, WirelessMedium
@@ -382,7 +383,7 @@ def test_fault_override_prefix_merges_params():
 
 def test_config_roundtrips_fault_fields():
     config = ExperimentConfig.tiny().with_overrides(
-        faults="partition", fault_at=5.0, invariants=True
+        faults="partition", fault_at=5.0
     )
     rebuilt = ExperimentConfig.from_dict(config.as_dict())
     assert rebuilt == config
@@ -391,41 +392,30 @@ def test_config_roundtrips_fault_fields():
 def test_fault_specs_registered():
     faults_spec = get_experiment("faults")
     assert faults_spec.overrides["faults"] == "link_flap"
-    assert faults_spec.overrides["invariants"] is True
     partition_spec = get_experiment("partition")
     assert partition_spec.overrides["faults"] == "partition"
 
 
 # ================================================================ invariants
-def test_invariant_monitor_disabled_by_default():
-    sim, medium, radios = micro_world()
-    config = ExperimentConfig.tiny()
-    assert build_invariant_monitor(config, sim, medium) is None
+def test_trial_check_fails_a_trial_whose_pit_entries_outlive_their_expiry(monkeypatch):
+    """A forwarder that never handles an Interest's expiry keeps the entry:
+    the check at the end of the trial must fail it."""
+    monkeypatch.setattr(Forwarder, "_check_expiry", lambda self, name: None)
+    with pytest.raises(InvariantViolationError) as caught:
+        run_protocol_trial("dapes", ExperimentConfig.small(), 42)
+    violations = caught.value.violations
+    assert violations
+    assert all(violation.startswith("liveness: PIT entry") for violation in violations)
 
 
-def test_invariant_monitor_flags_delivery_to_detached_node():
-    sim, medium, radios = micro_world()
-    monitor = InvariantMonitor(sim, medium)
-    monitor.install()
-    airtime = radios["a"].broadcast("payload", 2000, kind="t")
-    # Detach the receiver while the frame is on the air: the medium's own
-    # guard drops the delivery, so no violation is recorded...
-    sim.schedule_call(airtime / 2, medium.detach, "b")
-    sim.run()
-    assert monitor.violations == []
-    # ...but a delivery that somehow reached a detached node would be.
-    monitor._on_deliver("b", None)
-    assert any("detached" in violation for violation in monitor.violations)
-
-
-def test_invariant_monitor_flags_delivery_to_stalled_node():
-    sim, medium, radios = micro_world()
-    manager = manager_with(sim, medium, [FaultEpisode(STALL, 0.0, 50.0, subject="b")])
-    monitor = InvariantMonitor(sim, medium, faults=manager)
-    sim.run(until=1.0)
-    monitor._on_deliver("b", None)
-    assert any("stalled" in violation for violation in monitor.violations)
-    sim.run()
+def test_trial_check_fails_a_trial_that_miscounts_a_download(monkeypatch):
+    """Downloads that completed but are reported as starved fail the trial."""
+    monkeypatch.setattr(DapesScenario, "download_time", lambda self, node_id: None)
+    with pytest.raises(InvariantViolationError) as caught:
+        run_protocol_trial("dapes", ExperimentConfig.tiny(), 42)
+    violations = caught.value.violations
+    assert violations
+    assert all(violation.startswith("accounting:") for violation in violations)
 
 
 def test_invariant_violation_error_summarizes():
