@@ -7,7 +7,9 @@ from repro.experiments.fig9_multihop import SPEC_FIG9GH, probability_variants
 
 def test_fig9h_forwarding_probability_transmissions(benchmark, bench_config, report):
     spec = SPEC_FIG9GH.with_variants(probability_variants((None, 0.2, 0.6)))
-    result = run_sweep(benchmark, spec, bench_config, axes={"wifi_range": (60.0,)})
+    # Ten trials: the two-trial means swap order on any change of behaviour.
+    config = bench_config.with_overrides(trials=10)
+    result = run_sweep(benchmark, spec, config, axes={"wifi_range": (60.0,)})
     report(result)
 
     assert result.points

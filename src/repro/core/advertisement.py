@@ -141,9 +141,9 @@ class Advertising:
 
     A bitmap Interest carries the requester's bitmap and its Data the
     target's.  Every bitmap heard, whether requested, answered or
-    overheard, goes through :meth:`record`.  Answers wait for their PEBA
-    delay, and a request that expires lets its target go dark
-    (``dark_neighbor_fallback``).
+    overheard, goes through :meth:`record` once per reception.  Answers
+    wait for their PEBA delay, and a request that expires lets its target
+    go dark (``dark_neighbor_fallback``).
     """
 
     def __init__(self, peer: "DapesPeer"):
@@ -155,16 +155,19 @@ class Advertising:
 
     # ----------------------------------------------------------------- events
     def interest(self, interest: Interest) -> None:
-        """A bitmap Interest: answer it with our bitmap if it is addressed to us."""
+        """A bitmap Interest: answer it with our bitmap if it is addressed to us.
+
+        :meth:`overheard` already recorded the requester's bitmap.
+        """
         name = interest.name
         if DapesNamespace.bitmap_target(name) != self.node_id:
             return
         collection = DapesNamespace.bitmap_collection(name)
         session = self.sessions.get(collection)
-        heard = self.record(interest.application_parameters)
         if session is None or session.store is None or session.metadata is None:
             return
         now = self.sim.now
+        heard = self._decode(interest.application_parameters)
         if heard is not None:
             # Collision inference: a repeated request from the same requester
             # shortly after we responded means our previous response (or a
@@ -216,10 +219,8 @@ class Advertising:
         bitmap or is our own.  The neighbour is touched first, then
         the bitmap goes to the knowledge, the tracker and the session's RPF.
         """
-        if not isinstance(payload, (bytes, bytearray)):
-            return None
-        decoded = _decode_payload(bytes(payload))
-        if decoded is None or decoded[0] == self.node_id:
+        decoded = self._decode(payload)
+        if decoded is None:
             return None
         # Each record gets its own copy: the memoized Bitmap is shared.
         peer_id, collection, bitmap = decoded[0], decoded[1], decoded[2].copy()
@@ -231,6 +232,13 @@ class Advertising:
         if session is not None and session.fetch is not None:
             session.fetch.observe_bitmap(peer_id, bitmap, now)
         return peer_id, collection
+
+    def _decode(self, payload) -> Optional[Tuple[str, str, Bitmap]]:
+        """``(peer, collection, shared bitmap)`` from another node's bitmap payload, else ``None``."""
+        if not isinstance(payload, (bytes, bytearray)):
+            return None
+        decoded = _decode_payload(bytes(payload))
+        return None if decoded is None or decoded[0] == self.node_id else decoded
 
     def maybe_request(self, session: "CollectionSession", peer_id: str) -> None:
         """Ask ``peer_id`` for its bitmap, now or interleaved with data fetching."""

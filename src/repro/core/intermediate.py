@@ -3,8 +3,10 @@
 The :class:`DapesForwardingStrategy` is installed on every node that runs the
 DAPES application — downloading peers, repositories and intermediate nodes
 that merely relay.  It always bridges the wireless face and the application
-face (so the local application sees and can answer Interests), and, when
-multi-hop communication is enabled, additionally decides whether to
+face (so the local application sees and can answer Interests) and hands the
+application every Data heard on the air once, at reception; the app face
+carries only Content Store answers to the application's own Interests.  When
+multi-hop communication is enabled, it also decides whether to
 *re-broadcast* Interests received over the air:
 
 * Interests for data the local application itself holds are never
@@ -118,10 +120,17 @@ class DapesForwardingStrategy(ProbabilisticSuppressionStrategy):
                 self.interests_suppressed += 1
         return decision
 
+    def data_faces(self, data, incoming_face_id, downstream):
+        # Data heard on the air reaches the application once, at reception
+        # (on_data_received); the app face carries only Content Store answers.
+        if self.peer is not None and isinstance(self.forwarder.face(incoming_face_id), BroadcastFace):
+            downstream.difference_update(self._app_face_ids())
+        return downstream
+
     def on_data_received(self, data: Data, incoming_face_id: int) -> None:
         face = self.forwarder.face(incoming_face_id)
         if self.peer is not None and isinstance(face, BroadcastFace):
-            self.peer.observe_data(data)
+            self.peer.on_data(data)
         super().on_data_received(data, incoming_face_id)
 
     def on_interest_expired(self, entry) -> None:

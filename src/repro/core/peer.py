@@ -17,11 +17,12 @@ gives the packet's name:
   pipeline of Interests for the packets RPF picks, with random transmission
   timers, retransmissions and opportunistic use of overheard packets.
 
-Each part answers four events — ``interest`` (an Interest for the
-application), ``overheard`` (an Interest heard on the air), ``data`` (Data,
-solicited or overheard) and ``expired`` (one of our PIT entries timed out) —
-and owns its state and timers.  The peer keeps the sessions, the public API,
-housekeeping and the one responder the parts share.
+Each part answers four events — ``overheard`` (an Interest heard on the
+air), ``interest`` (that Interest again, once the forwarder hands it to the
+application; ``overheard`` has always run first), ``data`` (Data, once per
+reception, solicited or overheard) and ``expired`` (one of our PIT entries
+timed out) — and owns its state and timers.  The peer keeps the sessions,
+the public API, housekeeping and the one responder the parts share.
 
 The same class also covers the producer role (:meth:`publish_collection`),
 repositories (a peer with ``interested_in_all=True``) and intermediate DAPES
@@ -134,7 +135,7 @@ class DapesPeer:
             "collection-data": self.fetching,
         }
         app_face.on_interest = self._on_app_interest
-        app_face.on_data = self._on_app_data
+        app_face.on_data = self.on_data
         self._housekeeping_timer = PeriodicTimer(sim, self._housekeeping, period=1.0)
 
     # ------------------------------------------------------------------ setup
@@ -254,19 +255,15 @@ class DapesPeer:
         self.load.messages_received += 1
         self._parts[DapesNamespace.classify(interest.name)].interest(interest)
 
-    def _on_app_data(self, data: Data) -> None:
-        """Data satisfying one of our Interests reached the application."""
-        self.load.activation()
-        self.load.messages_received += 1
-        self._parts[DapesNamespace.classify(data.name)].data(data)
-
     def observe_interest(self, interest: Interest) -> None:
         """Called by the forwarding strategy for every Interest heard on the air."""
         self._parts[DapesNamespace.classify(interest.name)].overheard(interest)
 
-    def observe_data(self, data: Data) -> None:
-        """Called by the forwarding strategy for every Data packet heard on the air."""
+    def on_data(self, data: Data) -> None:
+        """One Data reception: heard on the air (from the strategy) or a CS answer (app face)."""
         self.cancel_response(data.name)
+        self.load.activation()
+        self.load.messages_received += 1
         self._parts[DapesNamespace.classify(data.name)].data(data)
 
     def on_pit_expired(self, entry) -> None:
@@ -382,10 +379,8 @@ class Discovery:
 
     # ----------------------------------------------------------------- events
     def interest(self, interest: Interest) -> None:
-        """A discovery Interest: note the sender and offer our collections."""
-        sender = DapesNamespace.discovery_sender(interest.name)
-        if sender != self.node_id:
-            self.touch(sender)
+        """A discovery Interest: offer our collections (:meth:`overheard` noted the sender)."""
+        if DapesNamespace.discovery_sender(interest.name) != self.node_id:
             self._offer(interest)
 
     def overheard(self, interest: Interest) -> None:

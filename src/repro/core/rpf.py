@@ -239,9 +239,7 @@ class Fetching:
             self.peer.respond(data)
 
     def overheard(self, interest: Interest) -> None:
-        parsed = DapesNamespace.parse_packet_name(interest.name)
-        if parsed is not None:
-            self.knowledge.observe_interest("(unknown)", parsed.collection, self.sim.now)
+        """An overheard packet Interest names no requester, so it says nothing about a neighbour."""
 
     def data(self, data: Data) -> None:
         parsed = DapesNamespace.parse_packet_name(data.name)

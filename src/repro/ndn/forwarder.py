@@ -173,7 +173,7 @@ class Forwarder:
         # Only echoing to the application face it came from is suppressed.
         if isinstance(incoming_face, AppFace):
             downstream.discard(incoming_face.face_id)
-        for face_id in downstream:
+        for face_id in self.strategy.data_faces(data, incoming_face.face_id, downstream):
             self._send_data(data, face_id)
         self.strategy.on_data_received(data, incoming_face.face_id)
 

@@ -40,9 +40,6 @@ class Pit:
         # Entries with can_be_prefix=True need a scan to match Data; exact
         # entries (the overwhelming majority) resolve with one dict lookup.
         self._prefix_entries = 0
-        self.aggregations = 0
-        self.loops_detected = 0
-        self.expirations = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -78,7 +75,6 @@ class Pit:
                 self._prefix_entries += 1
             return entry, True, False
         if interest.nonce in entry.nonces and incoming_face_id not in entry.in_faces:
-            self.loops_detected += 1
             return entry, False, True
         if interest.nonce in entry.nonces and incoming_face_id in entry.in_faces:
             # Retransmission from the same face: refresh the expiry.
@@ -87,7 +83,6 @@ class Pit:
         entry.in_faces.add(incoming_face_id)
         entry.nonces.add(interest.nonce)
         entry.expiry = max(entry.expiry, now + interest.lifetime)
-        self.aggregations += 1
         return entry, False, False
 
     # ------------------------------------------------------------ resolution
@@ -99,7 +94,7 @@ class Pit:
             return [entry] if entry is not None else []
         satisfied = [entry for entry in self._entries.values() if entry.matches(data)]
         for entry in satisfied:
-            self._drop(entry)
+            self.remove(entry.name)
         return satisfied
 
     def remove(self, name) -> Optional[PitEntry]:
@@ -107,18 +102,6 @@ class Pit:
         if entry is not None and entry.can_be_prefix:
             self._prefix_entries -= 1
         return entry
-
-    def expire(self, now: float) -> List[PitEntry]:
-        """Remove and return entries whose lifetime has elapsed."""
-        expired = [entry for entry in self._entries.values() if entry.expiry <= now]
-        for entry in expired:
-            self._drop(entry)
-            self.expirations += 1
-        return expired
-
-    def _drop(self, entry: PitEntry) -> None:
-        if self._entries.pop(entry.name, None) is not None and entry.can_be_prefix:
-            self._prefix_entries -= 1
 
     # ------------------------------------------------------------ accounting
     @property

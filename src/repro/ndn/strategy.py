@@ -47,6 +47,10 @@ class ForwardingStrategy:
         """Return the faces (and delays) to forward ``interest`` to."""
         return []
 
+    def data_faces(self, data: Data, incoming_face_id: int, downstream: set[int]) -> set[int]:
+        """The faces, of those its satisfied PIT entries came in on, that get ``data``."""
+        return downstream
+
     def on_data_received(self, data: Data, incoming_face_id: int) -> None:
         """Called whenever Data (solicited or not) is received."""
 

@@ -288,14 +288,32 @@ def _names(peer, other, metadata):
 
 
 def _entry_points(peer):
-    """The five ways a packet reaches a peer, each with the part event it must raise."""
+    """The four ways a packet reaches a peer, each with the part event it must raise."""
     return [
         ("app Interest", "interest", lambda name: peer.app_face.on_interest(Interest(name=name))),
         ("overheard Interest", "overheard", lambda name: peer.observe_interest(Interest(name=name))),
-        ("app Data", "data", lambda name: peer.app_face.on_data(Data(name=name, content=b"?"))),
-        ("overheard Data", "data", lambda name: peer.observe_data(Data(name=name, content=b"?"))),
+        ("Data", "data", lambda name: peer.on_data(Data(name=name, content=b"?"))),
         ("PIT expiry", "expired", lambda name: peer.on_pit_expired(SimpleNamespace(name=name))),
     ]
+
+
+def test_data_reaches_the_peer_once_from_the_air_or_from_the_content_store(monkeypatch):
+    sim, medium, producer, downloader, _ = build_pair()
+    received = []
+    monkeypatch.setattr(downloader.peer.fetching, "data", received.append)
+    # Data on the air answering the peer's own Interest: the strategy hands it
+    # over at reception, and the app face does not hand it over again.
+    answer = Data(name=Name("/other/file/0"), content=b"x")
+    downloader.peer.express(Interest(name=answer.name))
+    sim.run(until=0.5)
+    producer.peer.app_face.put_data(answer)
+    sim.run(until=1.0)
+    assert received == [answer]
+    # A Content Store answer comes through the app face.
+    downloader.peer.express(Interest(name=answer.name))
+    sim.run(until=1.5)
+    assert received == [answer, answer]
+    assert downloader.forwarder.stats.cs_hits_served == 1
 
 
 def test_the_table_is_keyed_by_every_kind_classify_returns():
@@ -345,31 +363,47 @@ def _run_small(**overrides):
     return scenario
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP 1(e): solicited Data reaches the peer twice")
-def test_each_received_data_frame_reaches_the_fetch_part_once(monkeypatch):
-    # The strategy's observe_data hands the peer a Data frame heard on the
-    # air; the app face delivers the same object again after the
-    # forwarder's forwarding_delay.  One reception is one (peer, object)
-    # pair arriving within that delay.
+def _repeated_receptions(monkeypatch, part, event):
+    """Run ``_run_small()`` with ``part.event`` spied on; return ``(calls, repeats)``.
+
+    One reception is one (peer, object) pair arriving within the forwarder's
+    ``forwarding_delay``: no frame is heard twice that fast, but the app face
+    would hand the peer an object it had just handled that much later.
+    """
     window = ForwarderConfig().forwarding_delay * 1.05
     last_seen = {}
-    repeats = []
-    real = Fetching.data
+    calls, repeats = [], []
+    real = getattr(part, event)
 
-    def data(self, packet):
-        key = (self.peer.node_id, id(packet))
+    def spy(self, carried):
+        key = (self.peer.node_id, id(carried))
         seen = last_seen.get(key)
-        if seen is not None and seen[1] is packet and self.sim.now - seen[0] <= window:
+        if seen is not None and seen[1] is carried and self.sim.now - seen[0] <= window:
             repeats.append(key[0])
-        last_seen[key] = (self.sim.now, packet)
-        real(self, packet)
+        last_seen[key] = (self.sim.now, carried)
+        calls.append(key[0])
+        return real(self, carried)
 
-    monkeypatch.setattr(Fetching, "data", data)
+    monkeypatch.setattr(part, event, spy)
     _run_small()
+    return calls, repeats
+
+
+def test_each_received_data_frame_reaches_the_fetch_part_once(monkeypatch):
+    calls, repeats = _repeated_receptions(monkeypatch, Fetching, "data")
+    assert calls
     assert repeats == []
 
 
-@pytest.mark.xfail(strict=True, reason='ROADMAP 1(e): bitmap Interests target the phantom "(unknown)"')
+def test_each_bitmap_reception_reaches_advertising_record_once(monkeypatch):
+    # A bitmap travels in a bitmap Interest's parameters (recorded when the
+    # Interest is overheard) or in a bitmap Data's content (recorded when the
+    # Data is received); the answering part does not record it again.
+    calls, repeats = _repeated_receptions(monkeypatch, Advertising, "record")
+    assert calls
+    assert repeats == []
+
+
 @pytest.mark.parametrize("exchange", ["interleaved", "before"])
 def test_no_bitmap_interest_targets_a_name_that_is_not_a_node(exchange, monkeypatch):
     targets = []

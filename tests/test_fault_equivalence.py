@@ -180,19 +180,30 @@ class ScriptedFaults(FaultModel):
         return FaultPlan(episodes=self.episodes)
 
 
+# Who hears whom in chaos_world (40 m range on a 0/30/55/80 m chain).
+CHAOS_NEIGHBOURS = {"a": ("b",), "b": ("a", "c"), "c": ("b", "d"), "d": ("c",)}
+
+
 @st.composite
 def chaos_schedules(draw):
-    """Interleaved stalls, link flaps, kills and traffic over a small world."""
+    """Interleaved stalls, link flaps, kills and traffic over a small world.
+
+    Every stall comes with frames sent by a neighbour of the stalled node
+    inside its stall window, so the stall-delivery path is exercised.
+    """
     nodes = ["a", "b", "c", "d"]
-    episodes = []
+    episodes, sends = [], []
     for _ in range(draw(st.integers(min_value=0, max_value=4))):
         start = draw(st.floats(min_value=0.0, max_value=8.0))
         length = draw(st.floats(min_value=0.1, max_value=4.0))
         if draw(st.booleans()):
-            episodes.append(
-                FaultEpisode(STALL, start, start + length,
-                             subject=draw(st.sampled_from(nodes)))
-            )
+            stalled = draw(st.sampled_from(nodes))
+            episodes.append(FaultEpisode(STALL, start, start + length, subject=stalled))
+            sends += draw(st.lists(
+                st.tuples(st.floats(min_value=start, max_value=start + length),
+                          st.sampled_from(CHAOS_NEIGHBOURS[stalled])),
+                min_size=1, max_size=3,
+            ))
         else:
             pair = draw(st.sampled_from([("a", "b"), ("b", "c"), ("c", "d")]))
             episodes.append(FaultEpisode(LINK, start, start + length, subject=pair))
@@ -200,7 +211,7 @@ def chaos_schedules(draw):
         st.tuples(st.floats(min_value=0.0, max_value=10.0), st.sampled_from(nodes)),
         max_size=2, unique_by=lambda kill: kill[1],
     ))
-    sends = draw(st.lists(
+    sends += draw(st.lists(
         st.tuples(st.floats(min_value=0.0, max_value=10.0), st.sampled_from(nodes)),
         min_size=1, max_size=6,
     ))
@@ -256,7 +267,6 @@ def pit_state(scenario):
     holders = [*scenario.nodes.values(), *scenario.pure_forwarders.values()]
     return {
         holder.node_id: (
-            holder.forwarder.pit.expirations,
             holder.forwarder.stats.pit_expirations,
             [(entry.name, entry.expiry, set(entry.in_faces), set(entry.out_faces), set(entry.nonces))
              for entry in holder.forwarder.pit.entries()],

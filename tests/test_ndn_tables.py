@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.ndn import ContentStore, Data, Interest, Name, Pit
+from repro.ndn import AppFace, ContentStore, Data, Forwarder, Interest, Name, Pit
 
 
 # --------------------------------------------------------------- content store
@@ -75,16 +75,16 @@ def test_pit_aggregates_second_face():
     entry, is_new, is_loop = pit.insert(Interest(name=Name("/a/0")), 2, now=0.5)
     assert not is_new and not is_loop
     assert entry.in_faces == {1, 2}
-    assert pit.aggregations == 1
+    assert len(pit) == 1
 
 
 def test_pit_detects_looped_nonce():
     pit = Pit()
     interest = Interest(name=Name("/a/0"))
     pit.insert(interest, 1, now=0.0)
-    _, _, is_loop = pit.insert(interest, 2, now=0.1)
-    assert is_loop
-    assert pit.loops_detected == 1
+    entry, is_new, is_loop = pit.insert(interest, 2, now=0.1)
+    assert is_loop and not is_new
+    assert entry.in_faces == {1}
 
 
 def test_pit_retransmission_from_same_face_refreshes_expiry():
@@ -113,14 +113,15 @@ def test_pit_prefix_entry_matches_longer_data():
     assert len(satisfied) == 1
 
 
-def test_pit_expire_removes_old_entries():
-    pit = Pit()
-    pit.insert(Interest(name=Name("/a"), lifetime=1.0), 1, now=0.0)
-    pit.insert(Interest(name=Name("/b"), lifetime=10.0), 1, now=0.0)
-    expired = pit.expire(now=5.0)
-    assert [entry.name for entry in expired] == [Name("/a")]
-    assert pit.expirations == 1
-    assert Name("/b") in pit
+def test_pit_expire_removes_old_entries(sim):
+    # Entries expire through the forwarder, which counts them.
+    forwarder = Forwarder(sim, "n")
+    face = forwarder.add_face(AppFace())
+    face.express_interest(Interest(name=Name("/a"), lifetime=1.0))
+    face.express_interest(Interest(name=Name("/b"), lifetime=10.0))
+    sim.run(until=5.0)
+    assert [entry.name for entry in forwarder.pit.entries()] == [Name("/b")]
+    assert forwarder.stats.pit_expirations == 1
 
 
 def test_pit_size_bytes_positive():

@@ -169,7 +169,9 @@ def test_urban_spec_registered_with_aliases():
 
 
 def test_urban_spec_shows_obstacle_gap_on_the_same_seed():
-    config = ExperimentConfig.tiny().with_overrides(max_duration=120.0)
+    # Eight trials: one tiny() download takes under a second, too short a
+    # sample for a 1.2x claim.
+    config = ExperimentConfig.tiny().with_overrides(max_duration=120.0, trials=8)
     result = run_experiment("urban", config, axes={"obstacle_density": (1.0,)})
     by_label = {point.label: point for point in result.points}
     for protocol in ("DAPES", "Bithoc"):
