@@ -10,7 +10,7 @@ def test_fig9h_forwarding_probability_transmissions(benchmark, bench_config, rep
     # Ten trials: the two-trial means swap order on any change of behaviour.
     config = bench_config.with_overrides(trials=10)
     result = run_sweep(benchmark, spec, config, axes={"wifi_range": (60.0,)})
-    report(result)
+    report(result, slug="fig-9h-transmissions-vs-forwarding-probability")
 
     assert result.points
     # Paper claim (Fig. 9h): forwarding more Interests increases the overhead.

@@ -5,8 +5,8 @@ scenarios running on top of Named Data Networking (NDN).  This package
 provides:
 
 * ``repro.simulation`` — a deterministic discrete-event simulation engine.
-* ``repro.mobility`` — node mobility models (random direction, random
-  waypoint, scripted traces).
+* ``repro.mobility`` — node mobility models (random direction, static
+  placement, scripted traces and the urban street walks they replay).
 * ``repro.wireless`` — an IEEE 802.11b-like broadcast medium with range,
   loss and collision modelling.
 * ``repro.crypto`` — simulated signatures, digests, Merkle trees and trust
@@ -20,6 +20,11 @@ provides:
   the Bithoc / Ekta baseline applications.
 * ``repro.experiments`` — scenario builders and runners that regenerate every
   figure and table of the paper's evaluation.
+
+Each package's public names resolve on first use (:mod:`repro._exports`), so
+importing a package loads only the modules whose names are read.  Planning a
+sweep, listing or storing results, and talking to a cluster load no protocol
+stack; a scenario builder imports its stack when it builds a trial.
 
 Quickstart::
 

@@ -20,18 +20,11 @@ transport retransmissions under route breakage) without claiming
 line-for-line fidelity to the original codebases, which are not available.
 """
 
-from repro.baselines.base_peer import IpSwarmPeer, SwarmDescriptor
-from repro.baselines.bithoc import BithocPeer, build_bithoc_peer
-from repro.baselines.dht import DhtKeySpace, DhtRegistry
-from repro.baselines.ekta import EktaPeer, build_ekta_peer
+from repro._exports import lazy_exports
 
-__all__ = [
-    "BithocPeer",
-    "DhtKeySpace",
-    "DhtRegistry",
-    "EktaPeer",
-    "IpSwarmPeer",
-    "SwarmDescriptor",
-    "build_bithoc_peer",
-    "build_ekta_peer",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "base_peer": ("IpSwarmPeer", "SwarmDescriptor"),
+    "bithoc": ("BithocPeer", "build_bithoc_peer"),
+    "dht": ("DhtKeySpace", "DhtRegistry"),
+    "ekta": ("EktaPeer", "build_ekta_peer"),
+})

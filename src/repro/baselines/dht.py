@@ -16,7 +16,6 @@ the simplification is conservative in favour of the baseline (see
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
 KEY_BITS = 64
@@ -35,22 +34,27 @@ def circular_distance(a: int, b: int) -> int:
     return min(diff, size - diff)
 
 
-@dataclass
 class DhtKeySpace:
     """Membership view used to find the root node of a key."""
 
-    members: List[str] = field(default_factory=list)
+    def __init__(self):
+        # Member id -> its key-space position, hashed once when it joins.
+        self._positions: Dict[str, int] = {}
 
     def add_member(self, node_id: str) -> None:
-        if node_id not in self.members:
-            self.members.append(node_id)
+        if node_id not in self._positions:
+            self._positions[node_id] = dht_id(node_id)
 
     def root_of(self, key: str) -> Optional[str]:
         """The member whose id is numerically closest to ``key``."""
-        if not self.members:
+        if not self._positions:
             return None
         key_position = dht_id(key)
-        return min(self.members, key=lambda member: (circular_distance(dht_id(member), key_position), member))
+        member, _position = min(
+            self._positions.items(),
+            key=lambda item: (circular_distance(item[1], key_position), item[0]),
+        )
+        return member
 
     def is_root(self, node_id: str, key: str) -> bool:
         return self.root_of(key) == node_id

@@ -6,48 +6,31 @@ wire into ``world()``.  Importing this package registers the built-in
 models: ``none``, ``poisson``, ``flashcrowd``, ``trace``.
 """
 
-from repro.churn.base import (
-    ACTIONS,
-    ARRIVE,
-    DEPART,
-    KILL,
-    ChurnEvent,
-    ChurnModel,
-    ChurnPlan,
-    available_churn_models,
-    build_churn_model,
-    churn_model_class,
-    register_churn,
-    validate_churn,
-)
-from repro.churn.flashcrowd import FlashCrowd
-from repro.churn.manager import (
-    DEFAULT_DRAIN_DELAY,
-    ChurnManager,
-    build_churn_manager,
-    churnable_node_ids,
-)
-from repro.churn.poisson import PoissonChurn
-from repro.churn.trace import TraceChurn
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ACTIONS",
-    "ARRIVE",
-    "DEPART",
-    "KILL",
-    "ChurnEvent",
-    "ChurnModel",
-    "ChurnPlan",
-    "ChurnManager",
-    "DEFAULT_DRAIN_DELAY",
-    "FlashCrowd",
-    "PoissonChurn",
-    "TraceChurn",
-    "available_churn_models",
-    "build_churn_manager",
-    "build_churn_model",
-    "churn_model_class",
-    "churnable_node_ids",
-    "register_churn",
-    "validate_churn",
-]
+# Each model registers itself when its module is imported.
+from repro.churn import base  # noqa: F401
+from repro.churn import flashcrowd  # noqa: F401
+from repro.churn import poisson  # noqa: F401
+from repro.churn import trace  # noqa: F401
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "base": (
+        "ACTIONS",
+        "ARRIVE",
+        "DEPART",
+        "KILL",
+        "ChurnEvent",
+        "ChurnModel",
+        "ChurnPlan",
+        "available_churn_models",
+        "build_churn_model",
+        "churn_model_class",
+        "register_churn",
+        "validate_churn",
+    ),
+    "flashcrowd": ("FlashCrowd",),
+    "manager": ("DEFAULT_DRAIN_DELAY", "ChurnManager", "build_churn_manager", "churnable_node_ids"),
+    "poisson": ("PoissonChurn",),
+    "trace": ("TraceChurn",),
+})

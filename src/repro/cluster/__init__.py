@@ -19,39 +19,19 @@ mechanics; the ``repro-experiments serve | worker | submit | status``
 subcommands wire it to the CLI.
 """
 
-from repro.cluster.coordinator import Coordinator, build_submission_payload
-from repro.cluster.errors import (
-    ClusterError,
-    CoordinatorUnavailable,
-    ProtocolError,
-    SubmissionFailed,
-)
-from repro.cluster.leases import ClusterTask, Lease, LeaseRecord, LeaseTable
-from repro.cluster.protocol import (
-    DEFAULT_HOST,
-    DEFAULT_PORT,
-    PROTOCOL_VERSION,
-    ClusterClient,
-)
-from repro.cluster.status import render_status
-from repro.cluster.worker import ClusterWorker, default_worker_id
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ClusterClient",
-    "ClusterError",
-    "ClusterTask",
-    "ClusterWorker",
-    "Coordinator",
-    "CoordinatorUnavailable",
-    "DEFAULT_HOST",
-    "DEFAULT_PORT",
-    "Lease",
-    "LeaseRecord",
-    "LeaseTable",
-    "PROTOCOL_VERSION",
-    "ProtocolError",
-    "SubmissionFailed",
-    "build_submission_payload",
-    "default_worker_id",
-    "render_status",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "coordinator": ("Coordinator",),
+    "errors": ("ClusterError", "CoordinatorUnavailable", "ProtocolError", "SubmissionFailed"),
+    "leases": ("ClusterTask", "Lease", "LeaseRecord", "LeaseTable"),
+    "protocol": (
+        "DEFAULT_HOST",
+        "DEFAULT_PORT",
+        "PROTOCOL_VERSION",
+        "ClusterClient",
+        "build_submission_payload",
+    ),
+    "status": ("render_status",),
+    "worker": ("ClusterWorker", "default_worker_id"),
+})

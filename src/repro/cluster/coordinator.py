@@ -44,7 +44,7 @@ import threading
 import time
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Union
 
 from repro.cluster.errors import ProtocolError
 from repro.cluster.leases import DONE, FAILED, LEASED, PENDING, ClusterTask, LeaseTable
@@ -60,33 +60,7 @@ from repro.experiments.spec import get_experiment
 from repro.experiments.store import ResultStore
 from repro.experiments.sweep import SweepGrid, SweepRequest
 
-__all__ = ["Coordinator", "build_submission_payload"]
-
-
-def build_submission_payload(
-    experiments: Sequence[str],
-    config: ExperimentConfig,
-    axes_by_spec: Optional[Dict[str, Dict[str, Sequence[object]]]] = None,
-    *,
-    tag: Optional[str] = None,
-    resume: bool = True,
-) -> Dict[str, object]:
-    """The JSON-native ``submit`` payload for a list of registered specs.
-
-    Shared by the ``repro-experiments submit`` CLI and in-process tests so
-    both send exactly the grid ``run --dry-run`` lists.
-    """
-    requests: List[Dict[str, object]] = []
-    for name in experiments:
-        axes = (axes_by_spec or {}).get(name)
-        requests.append(
-            {
-                "experiment": name,
-                "config": config.as_dict(),
-                "axes": {key: list(values) for key, values in axes.items()} if axes else None,
-            }
-        )
-    return {"requests": requests, "tag": tag, "resume": resume}
+__all__ = ["Coordinator"]
 
 
 class _Submission:
@@ -252,7 +226,7 @@ class Coordinator:
 
     # ----------------------------------------------------------------- submit
     def submit(self, payload: Dict[str, object]) -> Dict[str, object]:
-        """Accept one submission payload (see :func:`build_submission_payload`)."""
+        """Accept one submission payload (see :func:`~repro.cluster.protocol.build_submission_payload`)."""
         raw_requests = payload.get("requests")
         if not raw_requests or not isinstance(raw_requests, list):
             raise ValueError("submission carries no requests")

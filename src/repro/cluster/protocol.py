@@ -20,6 +20,10 @@ worker surviving a coordinator restart (or a coordinator still binding its
 port) re-delivers its request instead of dying — safe because every
 cluster operation is idempotent (claims re-lease, results merge by
 content-hash task key, heartbeats are monotonic).
+
+:func:`build_submission_payload` builds a ``submit`` request's wire data
+next to the client, so a submitting process imports neither the coordinator
+nor ``socketserver``.
 """
 
 from __future__ import annotations
@@ -27,15 +31,19 @@ from __future__ import annotations
 import json
 import socket
 import time
-from typing import Dict, Iterator, Optional
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence
 
 from repro.cluster.errors import ClusterError, CoordinatorUnavailable, ProtocolError
+
+if TYPE_CHECKING:
+    from repro.experiments.scenario import ExperimentConfig
 
 __all__ = [
     "PROTOCOL_VERSION",
     "DEFAULT_HOST",
     "DEFAULT_PORT",
     "ClusterClient",
+    "build_submission_payload",
     "decode_message",
     "encode_message",
 ]
@@ -67,6 +75,32 @@ def decode_message(line: bytes) -> Dict[str, object]:
     if not isinstance(message, dict):
         raise ProtocolError(f"message must be a JSON object, got {type(message).__name__}")
     return message
+
+
+def build_submission_payload(
+    experiments: Sequence[str],
+    config: ExperimentConfig,
+    axes_by_spec: Optional[Dict[str, Dict[str, Sequence[object]]]] = None,
+    *,
+    tag: Optional[str] = None,
+    resume: bool = True,
+) -> Dict[str, object]:
+    """The JSON-native ``submit`` payload for a list of registered specs.
+
+    Shared by the ``repro-experiments submit`` CLI and in-process tests so
+    both send exactly the grid ``run --dry-run`` lists.
+    """
+    requests: List[Dict[str, object]] = []
+    for name in experiments:
+        axes = (axes_by_spec or {}).get(name)
+        requests.append(
+            {
+                "experiment": name,
+                "config": config.as_dict(),
+                "axes": {key: list(values) for key, values in axes.items()} if axes else None,
+            }
+        )
+    return {"requests": requests, "tag": tag, "resume": resume}
 
 
 class ClusterClient:

@@ -27,38 +27,18 @@ multi-hop communication design of Section V:
   forwarder, faces, application) together.
 """
 
-from repro.core.bitmap import Bitmap
-from repro.core.collection import CollectionBuilder, FileCollection, FileSpec, PacketStore
-from repro.core.config import DapesConfig
-from repro.core.knowledge import NeighborKnowledge
-from repro.core.metadata import CollectionMetadata, FileMetadata, MetadataFormat
-from repro.core.namespace import DapesNamespace
-from repro.core.node import DapesNode, build_dapes_peer
-from repro.core.peba import PebaScheduler, peba_average_delay
-from repro.core.peer import DapesPeer
-from repro.core.pure_forwarder import PureForwarderNode
-from repro.core.rpf import EncounterBasedRpf, FetchStrategy, LocalNeighborhoodRpf, make_fetch_strategy
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Bitmap",
-    "CollectionBuilder",
-    "CollectionMetadata",
-    "DapesConfig",
-    "DapesNamespace",
-    "DapesNode",
-    "DapesPeer",
-    "EncounterBasedRpf",
-    "FetchStrategy",
-    "FileCollection",
-    "FileMetadata",
-    "FileSpec",
-    "LocalNeighborhoodRpf",
-    "MetadataFormat",
-    "NeighborKnowledge",
-    "PacketStore",
-    "PebaScheduler",
-    "PureForwarderNode",
-    "build_dapes_peer",
-    "make_fetch_strategy",
-    "peba_average_delay",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "bitmap": ("Bitmap",),
+    "collection": ("CollectionBuilder", "FileCollection", "FileSpec", "PacketStore"),
+    "config": ("DapesConfig",),
+    "knowledge": ("NeighborKnowledge",),
+    "metadata": ("CollectionMetadata", "FileMetadata", "MetadataFormat"),
+    "namespace": ("DapesNamespace",),
+    "node": ("DapesNode", "build_dapes_peer"),
+    "peba": ("PebaScheduler", "peba_average_delay"),
+    "peer": ("DapesPeer",),
+    "pure_forwarder": ("PureForwarderNode",),
+    "rpf": ("EncounterBasedRpf", "FetchStrategy", "LocalNeighborhoodRpf", "make_fetch_strategy"),
+})

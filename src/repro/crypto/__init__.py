@@ -12,19 +12,12 @@ preserves the semantics the protocol needs — sign/verify, digests, Merkle
 proofs, trust decisions — without external dependencies.
 """
 
-from repro.crypto.digest import sha256_hex
-from repro.crypto.keys import KeyPair, KeyStore
-from repro.crypto.merkle import MerkleTree
-from repro.crypto.signing import Signature, sign, verify
-from repro.crypto.trust import TrustAnchorStore
+from repro._exports import lazy_exports
 
-__all__ = [
-    "KeyPair",
-    "KeyStore",
-    "MerkleTree",
-    "Signature",
-    "TrustAnchorStore",
-    "sha256_hex",
-    "sign",
-    "verify",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "digest": ("sha256_hex",),
+    "keys": ("KeyPair", "KeyStore"),
+    "merkle": ("MerkleTree",),
+    "signing": ("Signature", "sign", "verify"),
+    "trust": ("TrustAnchorStore",),
+})

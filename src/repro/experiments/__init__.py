@@ -47,79 +47,45 @@ CLI subcommands).  EXPERIMENTS.md documents the spec schema,
 resume/caching semantics, the store layout and CLI examples.
 """
 
-from repro.experiments.fig10_comparison import SPEC_FIG10, improvements
-from repro.experiments.fig9_bitmaps import SPEC_FIG9C, SPEC_FIG9D
-from repro.experiments.fig9_multihop import SPEC_FIG9GH
-from repro.experiments.fig9_rpf import SPEC_FIG9A, SPEC_FIG9B
-from repro.experiments.fig9_scaling import SPEC_FIG9E, SPEC_FIG9F
-from repro.experiments.metrics import RunResult, SweepPoint, SweepResult, percentile
-from repro.experiments.query import ResultSet
-from repro.experiments.report import DiffReport, diff, to_csv, to_gnuplot, to_markdown, to_text
-from repro.experiments.runner import run_protocol_trial, run_trials
-from repro.experiments.store import ResultStore, StoredRun, TaskCache
-from repro.experiments.scenario import (
-    ExperimentConfig,
-    Scenario,
-    ScenarioBuilder,
-    available_protocols,
-    get_builder,
-    register_protocol,
-)
-from repro.experiments.spec import (
-    Axis,
-    ExperimentSpec,
-    Variant,
-    available_experiments,
-    get_experiment,
-    register_experiment,
-)
-from repro.experiments.sweep import SweepRequest, run_experiment, run_suite
-from repro.experiments.churn import SPEC_CHURN, SPEC_FLASHCROWD
-from repro.experiments.faults import SPEC_FAULTS, SPEC_PARTITION
-from repro.experiments.table1_feasibility import SPEC_TABLE1
-from repro.experiments.urban import SPEC_URBAN
-from repro.experiments.topology import (
-    Topology,
-    available_topologies,
-    get_topology,
-    register_topology,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Axis",
-    "DiffReport",
-    "ExperimentConfig",
-    "ExperimentSpec",
-    "ResultSet",
-    "ResultStore",
-    "RunResult",
-    "Scenario",
-    "ScenarioBuilder",
-    "StoredRun",
-    "SweepPoint",
-    "SweepRequest",
-    "SweepResult",
-    "TaskCache",
-    "Topology",
-    "Variant",
-    "available_experiments",
-    "available_protocols",
-    "available_topologies",
-    "diff",
-    "get_builder",
-    "get_experiment",
-    "get_topology",
-    "improvements",
-    "percentile",
-    "register_experiment",
-    "register_protocol",
-    "register_topology",
-    "run_experiment",
-    "run_protocol_trial",
-    "run_suite",
-    "run_trials",
-    "to_csv",
-    "to_gnuplot",
-    "to_markdown",
-    "to_text",
-]
+# The figure and workload modules register their specs when imported, so a
+# fresh process (a pool or cluster worker included) knows every spec name.
+# The order of these imports is the registration order that ``list`` and
+# ``run all`` follow.
+from repro.experiments import fig10_comparison  # noqa: F401
+from repro.experiments import fig9_bitmaps  # noqa: F401
+from repro.experiments import fig9_multihop  # noqa: F401
+from repro.experiments import fig9_rpf  # noqa: F401
+from repro.experiments import fig9_scaling  # noqa: F401
+from repro.experiments import churn  # noqa: F401
+from repro.experiments import faults  # noqa: F401
+from repro.experiments import table1_feasibility  # noqa: F401
+from repro.experiments import urban  # noqa: F401
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "fig10_comparison": ("improvements",),
+    "metrics": ("RunResult", "SweepPoint", "SweepResult", "percentile"),
+    "query": ("ResultSet",),
+    "report": ("DiffReport", "diff", "to_csv", "to_gnuplot", "to_markdown", "to_text"),
+    "runner": ("run_protocol_trial", "run_trials"),
+    "store": ("ResultStore", "StoredRun", "TaskCache"),
+    "scenario": (
+        "ExperimentConfig",
+        "Scenario",
+        "ScenarioBuilder",
+        "available_protocols",
+        "get_builder",
+        "register_protocol",
+    ),
+    "spec": (
+        "Axis",
+        "ExperimentSpec",
+        "Variant",
+        "available_experiments",
+        "get_experiment",
+        "register_experiment",
+    ),
+    "sweep": ("SweepRequest", "run_experiment", "run_suite"),
+    "topology": ("Topology", "available_topologies", "get_topology", "register_topology"),
+})

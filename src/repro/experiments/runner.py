@@ -9,6 +9,7 @@ trials share that scheduler's seeds, process pool and serial fallback.
 
 from __future__ import annotations
 
+import gc
 import time
 from typing import Dict, List, Optional
 
@@ -27,6 +28,25 @@ def run_protocol_trial(
     parameters: Optional[Dict[str, object]] = None,
 ) -> RunResult:
     """Run one trial of any registered protocol and collect the paper's metrics."""
+    # The finished world is one cyclic object graph (nodes, faces, timers and
+    # the medium point back at each other), so reference counting cannot
+    # free it; collect it on return rather than carry it into the next trial.
+    # Freezing what existed before the trial keeps that collection to the
+    # trial's own objects, so its cost does not grow with the host process.
+    gc.freeze()
+    try:
+        return _run_trial(protocol, config, seed, parameters)
+    finally:
+        gc.collect()
+        gc.unfreeze()
+
+
+def _run_trial(
+    protocol: str,
+    config: ExperimentConfig,
+    seed: int,
+    parameters: Optional[Dict[str, object]],
+) -> RunResult:
     scenario = get_builder(protocol).build(config, seed)
     sim = scenario.sim
     expected = len(scenario.downloader_ids)

@@ -18,6 +18,12 @@ An experiment world is one choice on each of two axes:
 suite and the benchmark harness (:meth:`ExperimentConfig.small`,
 :meth:`ExperimentConfig.tiny`); EXPERIMENTS.md documents the scaling, the
 topology catalogue and the parallel trial runner.
+
+Importing this module loads no protocol stack.  Planning a sweep needs only
+:class:`ExperimentConfig` and the registered *names*; each builder imports
+the stack it runs inside :meth:`ScenarioBuilder.build` (the engine and the
+medium inside :meth:`ScenarioBuilder.world`), so ``--dry-run``, ``list``, a
+resumed run and a cluster client never compile the simulator.
 """
 
 from __future__ import annotations
@@ -25,25 +31,20 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
-from repro.crypto.keys import KeyPair
-from repro.crypto.trust import TrustAnchorStore
-from repro.simulation import Simulator
-from repro.wireless import ChannelConfig, WirelessMedium
-from repro.baselines import DhtKeySpace, SwarmDescriptor, build_bithoc_peer, build_ekta_peer
-from repro.core import (
-    CollectionBuilder,
-    DapesConfig,
-    DapesNode,
-    FileCollection,
-    PureForwarderNode,
-    build_dapes_peer,
-)
-from repro.churn import build_churn_manager
-from repro.faults import build_fault_manager
+from repro.core.config import DapesConfig
 from repro.experiments.topology import get_topology
 from repro.registry import Registry
+from repro.wireless.channel import ChannelConfig
+
+if TYPE_CHECKING:
+    from repro.baselines.base_peer import SwarmDescriptor
+    from repro.core.collection import FileCollection
+    from repro.core.node import DapesNode
+    from repro.core.pure_forwarder import PureForwarderNode
+    from repro.simulation import Simulator
+    from repro.wireless.medium import WirelessMedium
 
 PRODUCER_IDENTITY = "/residents/producer"
 COLLECTION_LABEL = "damaged-bridge"
@@ -271,6 +272,8 @@ class ExperimentConfig:
 
 def build_collection(config: ExperimentConfig) -> FileCollection:
     """The shared file collection (a set of image files, per the paper's use case)."""
+    from repro.core.collection import CollectionBuilder
+
     builder = CollectionBuilder(
         COLLECTION_LABEL,
         COLLECTION_TIMESTAMP,
@@ -417,8 +420,15 @@ class ScenarioBuilder(ABC):
 
         The topology's environment (obstacle geometry, if it emits one) is
         threaded into the medium, where obstacle-aware propagation models
-        ray-test links against it.
+        ray-test links against it.  The engine, the medium and the
+        churn/fault managers are imported here, so a process that only plans
+        (``--dry-run``, ``list``, a cluster client) never loads them.
         """
+        from repro.churn import build_churn_manager
+        from repro.faults import build_fault_manager
+        from repro.simulation import Simulator
+        from repro.wireless.medium import WirelessMedium
+
         sim = Simulator(seed=seed)
         topology = get_topology(config.topology)
         names = topology.node_names(config)
@@ -439,6 +449,11 @@ class DapesScenarioBuilder(ScenarioBuilder):
     """DAPES on every participating node, pure NDN forwarders elsewhere."""
 
     def build(self, config, seed):
+        from repro.core.node import build_dapes_peer
+        from repro.core.pure_forwarder import PureForwarderNode
+        from repro.crypto.keys import KeyPair
+        from repro.crypto.trust import TrustAnchorStore
+
         dapes_config = config.dapes
         sim, names, medium, churn, faults = self.world(config, seed)
 
@@ -523,6 +538,8 @@ class IpScenarioBuilder(ScenarioBuilder):
     """One of the IP baselines (Bithoc or Ekta) on every node."""
 
     def build(self, config, seed):
+        from repro.baselines import DhtKeySpace, SwarmDescriptor, build_bithoc_peer, build_ekta_peer
+
         sim, names, medium, churn, faults = self.world(config, seed)
 
         per_file = max(1, -(-config.file_size // config.packet_size))

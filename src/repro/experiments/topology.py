@@ -44,25 +44,24 @@ field returns ``None``).  Register additional topologies with
     @register_topology("ring")
     class RingTopology(Topology):
         def build_mobility(self, config, sim, names): ...
+
+Each topology imports its mobility models inside ``build_mobility`` (and the
+obstacle types inside ``build_environment``), so resolving a topology name
+at plan time loads no mobility code.
 """
 
 from __future__ import annotations
 
 import hashlib
 from abc import ABC, abstractmethod
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.mobility import (
-    CompositeMobility,
-    MobilityModel,
-    RandomDirectionMobility,
-    ScriptedMobility,
-    StaticPlacement,
-    street_walk,
-)
 from repro.registry import Registry
-from repro.simulation import Simulator
-from repro.wireless.environment import Environment, Obstacle
+
+if TYPE_CHECKING:
+    from repro.mobility import MobilityModel
+    from repro.simulation import Simulator
+    from repro.wireless.environment import Environment
 
 TOPOLOGIES = Registry("topology")
 register_topology = TOPOLOGIES.register
@@ -111,6 +110,8 @@ class QuadrantTopology(Topology):
     """The paper's Fig. 7 layout: quadrant-centre repositories, free roaming."""
 
     def build_mobility(self, config, sim, names):
+        from repro.mobility import CompositeMobility, RandomDirectionMobility, StaticPlacement
+
         mobility = CompositeMobility()
         static = StaticPlacement()
         anchors = [
@@ -143,6 +144,8 @@ class ClusteredTopology(Topology):
     GRID = 2  # 2x2 cells
 
     def build_mobility(self, config, sim, names):
+        from repro.mobility import CompositeMobility, RandomDirectionMobility, StaticPlacement
+
         mobility = CompositeMobility()
         static = StaticPlacement()
         grid = self.GRID
@@ -183,6 +186,8 @@ class CorridorTopology(Topology):
     ASPECT = 5.0
 
     def build_mobility(self, config, sim, names):
+        from repro.mobility import CompositeMobility, RandomDirectionMobility, StaticPlacement
+
         mobility = CompositeMobility()
         static = StaticPlacement()
         length = config.area_size * self.ASPECT
@@ -243,6 +248,8 @@ class UrbanGridTopology(Topology):
         return blocks
 
     def build_mobility(self, config, sim, names):
+        from repro.mobility import CompositeMobility, ScriptedMobility, StaticPlacement, street_walk
+
         mobility = CompositeMobility()
         static = StaticPlacement()
         lines, _width = self.geometry(config)
@@ -268,6 +275,8 @@ class UrbanGridTopology(Topology):
         return mobility
 
     def build_environment(self, config) -> Optional[Environment]:
+        from repro.wireless.environment import Environment, Obstacle
+
         density = config.obstacle_density
         if density <= 0.0:
             return Environment()
@@ -319,6 +328,8 @@ class ScriptedTopology(Topology):
         }
 
     def build_mobility(self, config, sim, names):
+        from repro.mobility import ScriptedMobility
+
         mobility = ScriptedMobility()
         for node_id, waypoints in self.TRACES.items():
             mobility.add_node(node_id, waypoints)

@@ -8,53 +8,37 @@ registers the built-in models: ``none``, ``link_flap``, ``partition``,
 ``stall``, ``degrade``.
 """
 
-from repro.faults.base import (
-    DEGRADE,
-    KINDS,
-    LINK,
-    PARTITION,
-    SPATIAL,
-    STALL,
-    FaultEpisode,
-    FaultModel,
-    FaultPlan,
-    available_fault_models,
-    build_fault_model,
-    fault_model_class,
-    pair_key,
-    register_fault,
-    validate_faults,
-)
-from repro.faults.degrade import Degrade
-from repro.faults.invariants import InvariantViolationError, check_trial
-from repro.faults.link_flap import LinkFlap
-from repro.faults.manager import FaultManager, build_fault_manager, fault_node_ids
-from repro.faults.partition import Partition
-from repro.faults.stall import Stall
+from repro._exports import lazy_exports
 
-__all__ = [
-    "DEGRADE",
-    "KINDS",
-    "LINK",
-    "PARTITION",
-    "SPATIAL",
-    "STALL",
-    "Degrade",
-    "FaultEpisode",
-    "FaultManager",
-    "FaultModel",
-    "FaultPlan",
-    "InvariantViolationError",
-    "LinkFlap",
-    "Partition",
-    "Stall",
-    "available_fault_models",
-    "build_fault_manager",
-    "build_fault_model",
-    "check_trial",
-    "fault_model_class",
-    "fault_node_ids",
-    "pair_key",
-    "register_fault",
-    "validate_faults",
-]
+# Each model registers itself when its module is imported.
+from repro.faults import base  # noqa: F401
+from repro.faults import degrade  # noqa: F401
+from repro.faults import link_flap  # noqa: F401
+from repro.faults import partition  # noqa: F401
+from repro.faults import stall  # noqa: F401
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "base": (
+        "DEGRADE",
+        "KINDS",
+        "LINK",
+        "PARTITION",
+        "SPATIAL",
+        "STALL",
+        "FaultEpisode",
+        "FaultModel",
+        "FaultPlan",
+        "available_fault_models",
+        "build_fault_model",
+        "fault_model_class",
+        "pair_key",
+        "register_fault",
+        "validate_faults",
+    ),
+    "degrade": ("Degrade",),
+    "invariants": ("InvariantViolationError", "check_trial"),
+    "link_flap": ("LinkFlap",),
+    "manager": ("FaultManager", "build_fault_manager", "fault_node_ids"),
+    "partition": ("Partition",),
+    "stall": ("Stall",),
+})

@@ -19,9 +19,11 @@ granting the baselines free, collision-free addressing is a conservative
 simplification in their favour, and this paragraph is where it is stated.
 """
 
-from repro.ip.netstack import IpNode
-from repro.ip.packet import IpPacket
-from repro.ip.tcp import ReliableTransport
-from repro.ip.udp import UdpService
+from repro._exports import lazy_exports
 
-__all__ = ["IpNode", "IpPacket", "ReliableTransport", "UdpService"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "netstack": ("IpNode",),
+    "packet": ("IpPacket",),
+    "tcp": ("ReliableTransport",),
+    "udp": ("UdpService",),
+})

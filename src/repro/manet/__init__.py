@@ -8,8 +8,10 @@
   source-routed data packets, route caches, route error reports).
 """
 
-from repro.manet.dsdv import DsdvRouting
-from repro.manet.dsr import DsrRouting
-from repro.manet.routing_base import RoutingProtocol
+from repro._exports import lazy_exports
 
-__all__ = ["DsdvRouting", "DsrRouting", "RoutingProtocol"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "dsdv": ("DsdvRouting",),
+    "dsr": ("DsrRouting",),
+    "routing_base": ("RoutingProtocol",),
+})

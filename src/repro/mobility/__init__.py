@@ -15,20 +15,13 @@ position at an arbitrary simulated time.  Models are deterministic for a
 given random stream.
 """
 
-from repro.mobility.base import MobilityModel, Position
-from repro.mobility.composite import CompositeMobility
-from repro.mobility.random_direction import RandomDirectionMobility
-from repro.mobility.scripted import ScriptedMobility, Waypoint
-from repro.mobility.static import StaticPlacement
-from repro.mobility.street import street_walk
+from repro._exports import lazy_exports
 
-__all__ = [
-    "CompositeMobility",
-    "MobilityModel",
-    "Position",
-    "RandomDirectionMobility",
-    "ScriptedMobility",
-    "StaticPlacement",
-    "Waypoint",
-    "street_walk",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "base": ("MobilityModel", "Position"),
+    "composite": ("CompositeMobility",),
+    "random_direction": ("RandomDirectionMobility",),
+    "scripted": ("ScriptedMobility", "Waypoint"),
+    "static": ("StaticPlacement",),
+    "street": ("street_walk",),
+})

@@ -11,31 +11,14 @@ application (:class:`~repro.ndn.face.AppFace`) or to the shared wireless
 broadcast medium (:class:`~repro.ndn.face.BroadcastFace`).
 """
 
-from repro.ndn.content_store import ContentStore
-from repro.ndn.face import AppFace, BroadcastFace, Face
-from repro.ndn.forwarder import Forwarder, ForwarderConfig
-from repro.ndn.name import Name
-from repro.ndn.packet import Data, Interest
-from repro.ndn.pit import Pit, PitEntry
-from repro.ndn.strategy import (
-    ForwardingStrategy,
-    MulticastStrategy,
-    ProbabilisticSuppressionStrategy,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "AppFace",
-    "BroadcastFace",
-    "ContentStore",
-    "Data",
-    "Face",
-    "Forwarder",
-    "ForwarderConfig",
-    "ForwardingStrategy",
-    "Interest",
-    "MulticastStrategy",
-    "Name",
-    "Pit",
-    "PitEntry",
-    "ProbabilisticSuppressionStrategy",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "content_store": ("ContentStore",),
+    "face": ("AppFace", "BroadcastFace", "Face"),
+    "forwarder": ("Forwarder", "ForwarderConfig"),
+    "name": ("Name",),
+    "packet": ("Data", "Interest"),
+    "pit": ("Pit", "PitEntry"),
+    "strategy": ("ForwardingStrategy", "MulticastStrategy", "ProbabilisticSuppressionStrategy"),
+})

@@ -7,15 +7,10 @@ decisions are drawn from named :class:`~repro.simulation.random_streams.RandomSt
 so that adding a new consumer of randomness does not perturb existing ones.
 """
 
-from repro.simulation.engine import EventHandle, Simulator, SimulationError
-from repro.simulation.random_streams import RandomStreams
-from repro.simulation.timers import PeriodicTimer, Timer
+from repro._exports import lazy_exports
 
-__all__ = [
-    "EventHandle",
-    "PeriodicTimer",
-    "RandomStreams",
-    "SimulationError",
-    "Simulator",
-    "Timer",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "engine": ("EventHandle", "Simulator", "SimulationError"),
+    "random_streams": ("RandomStreams",),
+    "timers": ("PeriodicTimer", "Timer"),
+})

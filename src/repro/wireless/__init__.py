@@ -15,45 +15,23 @@ real-world experiments) and a 10 % loss rate.  This package models:
   of the paper's "number of transmissions" (overhead) metric.
 """
 
-from repro.wireless.channel import ChannelConfig
-from repro.wireless.environment import Environment, Obstacle, segments_intersect
-from repro.wireless.frames import Frame
-from repro.wireless.medium import WirelessMedium
-from repro.wireless.propagation import (
-    LogDistancePropagation,
-    ObstaclePropagation,
-    PropagationModel,
-    UnitDiskPropagation,
-    available_propagation_models,
-    build_propagation,
-    register_propagation,
-)
-from repro.wireless.radio import Radio
-from repro.wireless.spatial import (
-    GridNeighborIndex,
-    NeighborIndex,
-    build_neighbor_index,
-)
-from repro.wireless.stats import MediumStats, NodeRadioStats
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ChannelConfig",
-    "Environment",
-    "Frame",
-    "GridNeighborIndex",
-    "LogDistancePropagation",
-    "MediumStats",
-    "NeighborIndex",
-    "NodeRadioStats",
-    "Obstacle",
-    "ObstaclePropagation",
-    "PropagationModel",
-    "Radio",
-    "UnitDiskPropagation",
-    "WirelessMedium",
-    "available_propagation_models",
-    "build_neighbor_index",
-    "build_propagation",
-    "register_propagation",
-    "segments_intersect",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "channel": ("ChannelConfig",),
+    "environment": ("Environment", "Obstacle", "segments_intersect"),
+    "frames": ("Frame",),
+    "medium": ("WirelessMedium",),
+    "propagation": (
+        "LogDistancePropagation",
+        "ObstaclePropagation",
+        "PropagationModel",
+        "UnitDiskPropagation",
+        "available_propagation_models",
+        "build_propagation",
+        "register_propagation",
+    ),
+    "radio": ("Radio",),
+    "spatial": ("GridNeighborIndex", "NeighborIndex", "build_neighbor_index"),
+    "stats": ("MediumStats", "NodeRadioStats"),
+})

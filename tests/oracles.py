@@ -21,7 +21,6 @@ from contextlib import contextmanager
 from typing import List
 from unittest import mock
 
-import repro.experiments.scenario as scenario_module
 import repro.wireless.medium as medium_module
 from repro.wireless import WirelessMedium
 from repro.wireless.spatial import NeighborIndex
@@ -87,7 +86,9 @@ def oracle(index: str = "grid", delivery: str = "batched"):
     if index == "brute":
         patches.append(mock.patch.object(medium_module, "build_neighbor_index", brute_index))
     if delivery == "per_receiver":
-        patches.append(mock.patch.object(scenario_module, "WirelessMedium", per_receiver_medium))
+        # ScenarioBuilder.world imports the medium class from its module when
+        # it builds a world, so the module attribute is the seam.
+        patches.append(mock.patch.object(medium_module, "WirelessMedium", per_receiver_medium))
     for patch in patches:
         patch.start()
     try:

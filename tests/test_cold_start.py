@@ -1,9 +1,10 @@
-"""A process loads what its run uses: NumPy and the pool machinery on first use.
+"""A process loads what its run uses: NumPy and the pool machinery on first use,
+and a protocol stack only when a scenario builder builds a trial of it.
 
 Every check runs in a fresh interpreter (the pytest process already holds
-NumPy and ``multiprocessing``) and reads ``sys.modules`` after each stage —
-a deterministic set check, no timing.  ``python tests/test_cold_start.py``
-prints the same report for the CI log.
+NumPy, ``multiprocessing`` and every stack) and reads ``sys.modules`` after
+each stage — a deterministic set check, no timing.  ``python
+tests/test_cold_start.py`` prints the same report for the CI log.
 """
 
 from __future__ import annotations
@@ -55,14 +56,19 @@ print(json.dumps({"stages": report, "numpy_available": numpy_available()}))
 """ % (OPTIONAL,)
 
 
-def cold_start_report() -> dict:
-    """One fresh interpreter's ``{"stages": {stage: [optional modules loaded so far]}, "numpy_available"}``."""
+def _child(script: str) -> str:
+    """The last line ``script`` prints in a fresh interpreter that imports from ``src/``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     child = subprocess.run(
-        [sys.executable, "-c", _STAGES], env=env, check=True, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", script], env=env, check=True, capture_output=True, text=True, timeout=120
     )
-    return json.loads(child.stdout.splitlines()[-1])
+    return child.stdout.splitlines()[-1]
+
+
+def cold_start_report() -> dict:
+    """One fresh interpreter's ``{"stages": {stage: [optional modules loaded so far]}, "numpy_available"}``."""
+    return json.loads(_child(_STAGES))
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +89,95 @@ def test_positions_array_loads_numpy_and_only_numpy(report):
     assert report["stages"]["positions_array call"] == expected
 
 
+#: The protocol stacks and the engine below them: a process that only plans,
+#: stores or submits a sweep loads none of these packages.
+STACKS = (
+    "repro.simulation", "repro.mobility", "repro.ndn", "repro.crypto",
+    "repro.ip", "repro.manet", "repro.baselines",
+)
+
+_PLAN = """
+from repro.cluster import ClusterClient, build_submission_payload
+from repro.experiments import ExperimentConfig, SweepRequest, get_experiment
+from repro.experiments.sweep import task_listing
+config = ExperimentConfig.small()
+assert task_listing([SweepRequest(get_experiment(name), config) for name in ("fig9a", "fig9b")])
+build_submission_payload(["fig9a", "fig9b"], config)
+ClusterClient()
+stage("plan fig9a+fig9b, submit payload")
+"""
+
+_BUILD = """
+from repro.experiments import ExperimentConfig, get_builder
+for protocol in %r:
+    get_builder(protocol).build(ExperimentConfig.tiny(), 1)
+stage(%r)
+"""
+
+_MODULE_STAGES = """
+import json, sys
+report = {}
+def stage(name):
+    report[name] = sorted(m for m in sys.modules if m.startswith("repro.") or m == "socketserver")
+%s
+print(json.dumps(report))
+"""
+
+#: Each run is one fresh interpreter; the stages of a run share it, in order.
+MODULE_RUNS = (
+    _PLAN + _BUILD % (("dapes",), "then a dapes build"),
+    _BUILD % (("bithoc", "ekta"), "bithoc + ekta builds"),
+)
+
+
+def module_report() -> dict:
+    """``{stage: sorted repro modules (and socketserver) loaded so far}`` over :data:`MODULE_RUNS`."""
+    report = {}
+    for script in MODULE_RUNS:
+        report.update(json.loads(_child(_MODULE_STAGES % script)))
+    return report
+
+
+def under(modules, package: str) -> list:
+    return [module for module in modules if module == package or module.startswith(package + ".")]
+
+
+@pytest.fixture(scope="module")
+def modules() -> dict:
+    return module_report()
+
+
+def test_planning_and_submitting_load_no_protocol_stack(modules):
+    loaded = modules["plan fig9a+fig9b, submit payload"]
+    assert [module for package in STACKS for module in under(loaded, package)] == []
+    assert under(loaded, "repro.core") == ["repro.core", "repro.core.config"]
+    assert set(under(loaded, "repro.wireless")) <= {
+        "repro.wireless", "repro.wireless.channel", "repro.wireless.propagation",
+        "repro.wireless.environment",
+    }
+    for server_side in ("repro.cluster.coordinator", "repro.cluster.leases", "repro.cluster.worker", "socketserver"):
+        assert server_side not in loaded
+
+
+def test_a_dapes_build_loads_no_ip_stack(modules):
+    loaded = modules["then a dapes build"]
+    assert under(loaded, "repro.ndn") and under(loaded, "repro.crypto")
+    for package in ("repro.baselines", "repro.ip", "repro.manet"):
+        assert under(loaded, package) == []
+
+
+def test_an_ip_build_loads_no_ndn_stack(modules):
+    loaded = modules["bithoc + ekta builds"]
+    assert under(loaded, "repro.baselines") and under(loaded, "repro.manet")
+    assert under(loaded, "repro.ndn") == [] and under(loaded, "repro.crypto") == []
+    assert set(under(loaded, "repro.core")) <= {
+        "repro.core", "repro.core.bitmap", "repro.core.config", "repro.core.stats",
+    }
+
+
 if __name__ == "__main__":
     for stage_name, loaded in cold_start_report()["stages"].items():
         print(f"{stage_name:<34} {', '.join(loaded) or '-'}")
+    for stage_name, loaded in module_report().items():
+        stacks = [package for package in STACKS + ("repro.core",) if under(loaded, package)]
+        print(f"{stage_name:<34} {len(loaded)} repro modules; packages: {', '.join(stacks) or '-'}")

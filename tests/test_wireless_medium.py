@@ -500,7 +500,7 @@ def test_mutually_audible_same_instant_responders_never_collide(delivery, k):
     assert medium.csma_deferrals == k * (k - 1) // 2
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP 2(c)")
+@pytest.mark.xfail(strict=True, reason="ROADMAP 5(c)")
 @DELIVERY_MODES
 def test_frame_arriving_in_the_csma_gap_is_received(delivery):
     # b hears a's frame [0, 1] and, handed a frame at 0.5 ms, defers until
