@@ -10,7 +10,7 @@ pre-configure the downloading nodes).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Container, Dict, List, Optional
 
 from repro.core.bitmap import Bitmap
 from repro.core.stats import NodeLoadStats
@@ -107,20 +107,14 @@ class IpSwarmPeer:
         return self.completion_time - (self.start_time or 0.0)
 
     # ------------------------------------------------------------- selection
-    def rarest_missing(self, neighbor_bitmaps: Dict[str, Bitmap], exclude=()) -> Optional[int]:
+    def rarest_missing(
+        self, neighbor_bitmaps: Dict[str, Bitmap], exclude: Container[int] = ()
+    ) -> Optional[int]:
         """Rarest missing piece that at least one of ``neighbor_bitmaps`` holds."""
-        excluded = set(exclude)
-        candidates = [
-            index
-            for index in self.bitmap.missing()
-            if index not in excluded
-            and any(bitmap.get(index) for bitmap in neighbor_bitmaps.values() if index < bitmap.size)
-        ]
-        if not candidates:
-            return None
-        bitmaps = list(neighbor_bitmaps.values())
-        candidates.sort(key=lambda index: (-Bitmap.rarity(index, bitmaps), index))
-        return candidates[0]
+        size = self.bitmap.size
+        presence = Bitmap.presence_counts(size, neighbor_bitmaps.values())
+        candidates = [index for index in self.bitmap.missing() if presence[index] and index not in exclude]
+        return Bitmap.rarest(candidates, presence, len(neighbor_bitmaps), 0, size)
 
     def holders_of(self, index: int, neighbor_bitmaps: Dict[str, Bitmap]) -> List[str]:
         """Neighbours whose bitmap shows they hold ``index``."""

@@ -7,7 +7,7 @@ A set bit means the peer has the packet.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 
 class Bitmap:
@@ -56,12 +56,6 @@ class Bitmap:
         self._check(index)
         return bool(self._bits[index >> 3] & (1 << (index & 7)))
 
-    def __getitem__(self, index: int) -> bool:
-        return self.get(index)
-
-    def __iter__(self) -> Iterator[bool]:
-        return (self.get(index) for index in range(self._size))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Bitmap):
             return NotImplemented
@@ -82,22 +76,6 @@ class Bitmap:
     def is_complete(self) -> bool:
         """Whether every packet is present."""
         return self.count() == self._size
-
-    def ones(self) -> List[int]:
-        """Indices of packets the peer has (ascending)."""
-        result: List[int] = []
-        append = result.append
-        for byte_index, byte in enumerate(self._bits):
-            if not byte:
-                continue
-            base = byte_index << 3
-            while byte:
-                low = byte & -byte
-                append(base + low.bit_length() - 1)
-                byte &= byte - 1
-        if result and result[-1] >= self._size:
-            return [index for index in result if index < self._size]
-        return result
 
     def missing(self) -> List[int]:
         """Indices of packets the peer is missing (ascending).
@@ -128,14 +106,6 @@ class Bitmap:
         self._check_compatible(other)
         result = Bitmap(self._size)
         result._bits = bytearray(a | b for a, b in zip(self._bits, other._bits))
-        result._recount()
-        return result
-
-    def intersection(self, other: "Bitmap") -> "Bitmap":
-        """Packets present in both bitmaps."""
-        self._check_compatible(other)
-        result = Bitmap(self._size)
-        result._bits = bytearray(a & b for a, b in zip(self._bits, other._bits))
         result._recount()
         return result
 
@@ -188,17 +158,11 @@ class Bitmap:
 
     # -------------------------------------------------------------- helpers
     @staticmethod
-    def rarity(index: int, bitmaps: Sequence["Bitmap"]) -> int:
-        """How many of ``bitmaps`` are missing packet ``index`` (higher = rarer)."""
-        return sum(1 for bitmap in bitmaps if not bitmap.get(index))
-
-    @staticmethod
-    def presence_counts(size: int, bitmaps: Sequence["Bitmap"]) -> List[int]:
+    def presence_counts(size: int, bitmaps: Iterable["Bitmap"]) -> List[int]:
         """Per-index count of ``bitmaps`` holding each packet.
 
-        ``rarity(i, bitmaps) == len(bitmaps) - presence_counts(size, bitmaps)[i]``
-        — but computed in one pass over the set bits instead of
-        ``size * len(bitmaps)`` :meth:`get` calls (the RPF selection hot path).
+        One pass over the set bits instead of ``size * len(bitmaps)``
+        :meth:`get` calls (the rarest-first hot path).
         """
         counts = [0] * size
         for bitmap in bitmaps:
@@ -213,6 +177,25 @@ class Bitmap:
                         counts[index] += 1
                     byte &= byte - 1
         return counts
+
+    @staticmethod
+    def rarest(
+        candidates: Iterable[int], presence: Sequence[int], total: int, offset: int, size: int
+    ) -> Optional[int]:
+        """The rarest-first pick among ``candidates``, or ``None`` if there are none.
+
+        A packet's rarity is how many of the ``total`` known bitmaps lack it
+        (``presence`` is :meth:`presence_counts` over them); ties go to the
+        packet that comes first in sequence order rotated to start at
+        ``offset``.  DAPES ranks every missing packet, so a packet no known
+        bitmap holds ranks rarest; Bithoc passes only pieces some neighbour
+        holds (``presence > 0``) with ``offset=0``.
+        """
+        return min(
+            candidates,
+            key=lambda index: (presence[index] - total, (index - offset) % size),
+            default=None,
+        )
 
     @classmethod
     def full(cls, size: int) -> "Bitmap":

@@ -207,10 +207,6 @@ class PacketStore:
     def is_complete(self) -> bool:
         return self.bitmap.is_complete()
 
-    @property
-    def missing(self) -> List[int]:
-        return self.bitmap.missing()
-
     # -------------------------------------------------------------- mutation
     def add_packet(self, data: Data, now: float = 0.0) -> bool:
         """Store a received packet after integrity verification.

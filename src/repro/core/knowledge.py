@@ -108,20 +108,6 @@ class NeighborKnowledge:
             return None
         return record.bitmap
 
-    def known_bitmaps(self, collection: str, now: float, exclude: Set[str] = frozenset()) -> List[Bitmap]:
-        """All fresh bitmaps known for ``collection`` (excluding some neighbours)."""
-        records = self._by_collection.get(collection)
-        if not records:
-            return []
-        cutoff = now - self.timeout
-        return [
-            record.bitmap
-            for neighbor, record in records.items()
-            if neighbor not in exclude
-            and record.bitmap is not None
-            and record.last_update >= cutoff
-        ]
-
     def someone_has_packet(
         self, collection: str, packet_index: int, now: float, exclude: Set[str] = frozenset()
     ) -> bool:

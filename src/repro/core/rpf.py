@@ -12,20 +12,17 @@ dynamic off-the-grid communication:
   to keep state across encounters.
 
 Both support starting the download at a random packet instead of the first
-one, which increases the diversity of disseminated data (Fig. 9a).
+one, which increases the diversity of disseminated data (Fig. 9a).  Both
+rank by :meth:`Bitmap.rarest`, the rule Bithoc's piece picker shares.
 
-The component is deliberately generic: any object implementing
-:class:`FetchStrategy` can be plugged into a peer.  :class:`Fetching` is the
-peer's data part: the pipeline RPF feeds, its retransmission timers, the
-answers to packet Interests and completion.
+:class:`Fetching` is the peer's data part: the pipeline RPF feeds, its
+retransmission timers, the answers to packet Interests and completion.
 """
 
 from __future__ import annotations
 
 import random
-from abc import ABC, abstractmethod
-from collections import OrderedDict
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Container, Dict, List, Optional
 
 from repro.ndn.name import Name
 from repro.ndn.packet import Data, Interest
@@ -44,76 +41,52 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.peer import CollectionSession, CompletionCallback, DapesPeer
 
 
-class FetchStrategy(ABC):
-    """Decides which missing packets to request, and in which order."""
+class FetchStrategy:
+    """Picks the next missing packet to request from the bitmaps it keeps.
+
+    The base class keeps each observed peer's latest bitmap and nothing
+    else: what the two flavours differ in is when a bitmap is dropped.
+    """
 
     def __init__(self, random_start: bool = True, rng: Optional[random.Random] = None):
         self.random_start = random_start
         self._rng = rng if rng is not None else random.Random(0)
         self._start_offset: Optional[int] = None
+        self._bitmaps: Dict[str, Bitmap] = {}
 
     # ------------------------------------------------------------------ API
-    @abstractmethod
     def observe_bitmap(self, peer_id: str, bitmap: Bitmap, now: float) -> None:
         """Record a bitmap advertisement received from ``peer_id``."""
+        self._bitmaps[peer_id] = bitmap
 
-    @abstractmethod
     def forget_peer(self, peer_id: str) -> None:
-        """Remove a disconnected peer's contribution (if the flavour keeps any)."""
+        """A peer disconnected; its bitmap is kept unless the flavour says otherwise."""
 
-    @abstractmethod
     def reset_encounter(self) -> None:
-        """Called when the peer's neighbourhood empties (encounter over)."""
-
-    @abstractmethod
-    def known_bitmaps(self) -> List[Bitmap]:
-        """The bitmaps currently contributing to rarity estimation."""
+        """The peer's neighbourhood emptied (encounter over)."""
 
     @property
     def state_size_bytes(self) -> int:
         """Memory held across encounters (Table I proxy); none by default."""
         return 0
 
-    def select(self, own: Bitmap, count: int, exclude: Iterable[int] = ()) -> List[int]:
-        """Pick up to ``count`` missing packet indices to request next.
+    def pick(self, own: Bitmap, exclude: Container[int] = ()) -> Optional[int]:
+        """The rarest missing packet not in ``exclude``, or ``None``.
 
-        ``exclude`` lists indices that already have an outstanding Interest.
-        Packets are ordered by decreasing rarity; ties are broken by the
-        (possibly rotated) sequence order so that peers that start at a
-        random packet naturally spread over the collection.
+        ``exclude`` holds the indices that already have an outstanding
+        Interest.  Ties go to the (possibly rotated) sequence order, so that
+        peers that start at a random packet spread over the collection.
         """
-        if count <= 0:
-            return []
-        excluded = set(exclude)
-        if excluded:
-            missing = [index for index in own.missing() if index not in excluded]
-        else:
-            missing = own.missing()
+        missing = own.missing()
+        if exclude:
+            missing = [index for index in missing if index not in exclude]
         if not missing:
-            return []
-        bitmaps = self.known_bitmaps()
+            return None
         size = own.size
         offset = self._start(size)
-        if not bitmaps:
-            # No knowledge yet: sequential from the start offset.
-            if count == 1:
-                # min() picks the first minimum in iteration order, exactly
-                # like a stable sort's head — without sorting everything.
-                return [min(missing, key=lambda index: (index - offset) % size)]
-            return sorted(missing, key=lambda index: (index - offset) % size)[:count]
-        # Rarity for every index in one pass over the bitmaps' set bits,
-        # rather than len(missing) * len(bitmaps) Bitmap.get calls.  The key
-        # is unchanged: rarity = len(bitmaps) - presence.
-        presence = Bitmap.presence_counts(size, bitmaps)
-        total = len(bitmaps)
-        key = lambda index: (presence[index] - total, (index - offset) % size)  # noqa: E731
-        if count == 1:
-            return [min(missing, key=key)]
-        return sorted(missing, key=key)[:count]
-
-    def rarity_of(self, index: int) -> int:
-        """Current rarity estimate of packet ``index``."""
-        return Bitmap.rarity(index, self.known_bitmaps())
+        bitmaps = self._bitmaps
+        presence = Bitmap.presence_counts(size, bitmaps.values())
+        return Bitmap.rarest(missing, presence, len(bitmaps), offset, size)
 
     # ------------------------------------------------------------- internals
     def _start(self, size: int) -> int:
@@ -127,30 +100,20 @@ class FetchStrategy(ABC):
 class LocalNeighborhoodRpf(FetchStrategy):
     """RPF across the peers currently within communication range."""
 
-    def __init__(self, random_start: bool = True, rng: Optional[random.Random] = None):
-        super().__init__(random_start=random_start, rng=rng)
-        self._neighborhood: Dict[str, Bitmap] = {}
-
-    def observe_bitmap(self, peer_id: str, bitmap: Bitmap, now: float) -> None:
-        self._neighborhood[peer_id] = bitmap
-
     def forget_peer(self, peer_id: str) -> None:
-        self._neighborhood.pop(peer_id, None)
+        self._bitmaps.pop(peer_id, None)
 
     def reset_encounter(self) -> None:
         # The per-encounter list expires when peers disconnect: no long-term state.
-        self._neighborhood.clear()
-
-    def known_bitmaps(self) -> List[Bitmap]:
-        return list(self._neighborhood.values())
-
-    @property
-    def neighborhood_size(self) -> int:
-        return len(self._neighborhood)
+        self._bitmaps.clear()
 
 
 class EncounterBasedRpf(FetchStrategy):
-    """RPF based on the history of encountered peers in the swarm."""
+    """RPF based on the history of encountered peers in the swarm.
+
+    Disconnection and the end of an encounter erase nothing: the last
+    ``history`` peers' bitmaps persist, least recently observed dropped first.
+    """
 
     def __init__(
         self,
@@ -162,48 +125,29 @@ class EncounterBasedRpf(FetchStrategy):
         if history < 1:
             raise ValueError("history must be >= 1")
         self.history = history
-        self._encounters: "OrderedDict[str, Bitmap]" = OrderedDict()
 
     def observe_bitmap(self, peer_id: str, bitmap: Bitmap, now: float) -> None:
         # A repeat encounter updates the stored bitmap and refreshes recency.
-        if peer_id in self._encounters:
-            self._encounters.pop(peer_id)
-        self._encounters[peer_id] = bitmap
-        while len(self._encounters) > self.history:
-            self._encounters.popitem(last=False)
-
-    def forget_peer(self, peer_id: str) -> None:
-        # Disconnection does not erase history: that is the point of this flavour.
-        return None
-
-    def reset_encounter(self) -> None:
-        # History persists across encounters.
-        return None
-
-    def known_bitmaps(self) -> List[Bitmap]:
-        return list(self._encounters.values())
-
-    @property
-    def remembered_peers(self) -> List[str]:
-        return list(self._encounters)
+        bitmaps = self._bitmaps
+        bitmaps.pop(peer_id, None)
+        bitmaps[peer_id] = bitmap
+        while len(bitmaps) > self.history:
+            del bitmaps[next(iter(bitmaps))]
 
     @property
     def state_size_bytes(self) -> int:
         """Memory used by the encounter history (Table I proxy)."""
-        return sum(bitmap.wire_size for bitmap in self._encounters.values())
+        return sum(bitmap.wire_size for bitmap in self._bitmaps.values())
 
 
 def make_fetch_strategy(
-    name: str,
-    random_start: bool = True,
-    history: int = ENCOUNTER_HISTORY,
-    rng: Optional[random.Random] = None,
+    name: str, random_start: bool = True, rng: Optional[random.Random] = None
 ) -> FetchStrategy:
     """Factory used by :class:`~repro.core.config.DapesConfig.rpf_strategy`."""
     if name == "local":
         return LocalNeighborhoodRpf(random_start=random_start, rng=rng)
     if name == "encounter":
-        return EncounterBasedRpf(history=history, random_start=random_start, rng=rng)
+        return EncounterBasedRpf(random_start=random_start, rng=rng)
     raise ValueError(f"unknown RPF strategy {name!r} (expected 'local' or 'encounter')")
 
 
@@ -308,10 +252,10 @@ class Fetching:
             ):
                 self.peer.advertising.request(session, session.pending_bitmap_targets.pop(0))
                 continue
-            picks = session.fetch.select(session.store.bitmap, 1, exclude=session.outstanding.keys())
-            if not picks:
+            index = session.fetch.pick(session.store.bitmap, session.outstanding)
+            if index is None:
                 break
-            self._request(session, picks[0])
+            self._request(session, index)
 
     def _request(self, session: "CollectionSession", index: int, retries: int = 0) -> None:
         """Express a data Interest for packet ``index`` after a random wait."""

@@ -538,7 +538,19 @@ class IpScenarioBuilder(ScenarioBuilder):
     """One of the IP baselines (Bithoc or Ekta) on every node."""
 
     def build(self, config, seed):
-        from repro.baselines import DhtKeySpace, SwarmDescriptor, build_bithoc_peer, build_ekta_peer
+        from repro.baselines.base_peer import SwarmDescriptor
+
+        # Import only this protocol's stack: Bithoc's DSDV and TCP, or Ekta's
+        # DSR, UDP and DHT (whose key space is one per trial).
+        if self.protocol == "bithoc":
+            from repro.baselines.bithoc import build_bithoc_peer as build_peer
+        else:
+            from functools import partial
+
+            from repro.baselines.dht import DhtKeySpace
+            from repro.baselines.ekta import build_ekta_peer
+
+            build_peer = partial(build_ekta_peer, keyspace=DhtKeySpace())
 
         sim, names, medium, churn, faults = self.world(config, seed)
 
@@ -554,22 +566,14 @@ class IpScenarioBuilder(ScenarioBuilder):
         downloader_ids = names["downloaders"][1:] + names["stationary"]
         swarm_members = [seed_id] + downloader_ids
 
-        peers: Dict[str, object] = {}
-        keyspace = DhtKeySpace()
-        for node_id in swarm_members:
-            if self.protocol == "bithoc":
-                peer = build_bithoc_peer(sim, medium, node_id, descriptor, seed_all=(node_id == seed_id))
-            else:
-                peer = build_ekta_peer(sim, medium, node_id, descriptor, keyspace,
-                                       seed_all=(node_id == seed_id))
-            peers[node_id] = peer
+        peers: Dict[str, object] = {
+            node_id: build_peer(sim, medium, node_id, descriptor, seed_all=(node_id == seed_id))
+            for node_id in swarm_members
+        }
 
         # The remaining nodes forward packets based on their routing tables.
         for node_id in names["pure"] + names["intermediate"]:
-            if self.protocol == "bithoc":
-                build_bithoc_peer(sim, medium, node_id, descriptor, forwarder_only=True)
-            else:
-                build_ekta_peer(sim, medium, node_id, descriptor, keyspace, forwarder_only=True)
+            build_peer(sim, medium, node_id, descriptor, forwarder_only=True)
 
         for peer in peers.values():
             peer.set_swarm(swarm_members)

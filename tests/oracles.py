@@ -13,15 +13,23 @@ twins live here, on the test side, so no config field selects them:
   event per receiver (the seed schedule), the oracle for batched delivery.
 * :func:`oracle` — a context manager that builds every medium a trial or a
   serial spec run constructs inside it with either oracle swapped in.
+* :func:`oracle_select` and :func:`oracle_rarest_missing` — the two
+  rarest-first pickers as they were before both moved onto
+  :meth:`repro.core.bitmap.Bitmap.rarest`: DAPES's ``select(own, count,
+  exclude)`` list API and Bithoc's per-piece ``rarity`` sort.  Only their
+  reads of the peer's state changed (``strategy._bitmaps`` for the deleted
+  ``known_bitmaps()``, ``own`` for ``self.bitmap``).
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import List
+from typing import Dict, Iterable, List, Optional, Sequence
 from unittest import mock
 
 import repro.wireless.medium as medium_module
+from repro.core.bitmap import Bitmap
+from repro.core.rpf import FetchStrategy
 from repro.wireless import WirelessMedium
 from repro.wireless.spatial import NeighborIndex
 
@@ -99,3 +107,62 @@ def oracle(index: str = "grid", delivery: str = "batched"):
     for selected, name in ((index == "brute", "index"), (delivery == "per_receiver", "delivery")):
         if selected and name not in used:
             raise AssertionError(f"oracle({name}=...) was selected but no medium used it")
+
+
+def oracle_select(strategy: FetchStrategy, own: Bitmap, count: int, exclude: Iterable[int] = ()) -> List[int]:
+    """Pick up to ``count`` missing packet indices to request next.
+
+    ``exclude`` lists indices that already have an outstanding Interest.
+    Packets are ordered by decreasing rarity; ties are broken by the
+    (possibly rotated) sequence order so that peers that start at a
+    random packet naturally spread over the collection.
+    """
+    if count <= 0:
+        return []
+    excluded = set(exclude)
+    if excluded:
+        missing = [index for index in own.missing() if index not in excluded]
+    else:
+        missing = own.missing()
+    if not missing:
+        return []
+    bitmaps = list(strategy._bitmaps.values())
+    size = own.size
+    offset = strategy._start(size)
+    if not bitmaps:
+        # No knowledge yet: sequential from the start offset.
+        if count == 1:
+            # min() picks the first minimum in iteration order, exactly
+            # like a stable sort's head — without sorting everything.
+            return [min(missing, key=lambda index: (index - offset) % size)]
+        return sorted(missing, key=lambda index: (index - offset) % size)[:count]
+    # Rarity for every index in one pass over the bitmaps' set bits,
+    # rather than len(missing) * len(bitmaps) Bitmap.get calls.  The key
+    # is unchanged: rarity = len(bitmaps) - presence.
+    presence = Bitmap.presence_counts(size, bitmaps)
+    total = len(bitmaps)
+    key = lambda index: (presence[index] - total, (index - offset) % size)  # noqa: E731
+    if count == 1:
+        return [min(missing, key=key)]
+    return sorted(missing, key=key)[:count]
+
+
+def oracle_rarity(index: int, bitmaps: Sequence[Bitmap]) -> int:
+    """How many of ``bitmaps`` are missing packet ``index`` (higher = rarer)."""
+    return sum(1 for bitmap in bitmaps if not bitmap.get(index))
+
+
+def oracle_rarest_missing(own: Bitmap, neighbor_bitmaps: Dict[str, Bitmap], exclude=()) -> Optional[int]:
+    """Rarest missing piece that at least one of ``neighbor_bitmaps`` holds."""
+    excluded = set(exclude)
+    candidates = [
+        index
+        for index in own.missing()
+        if index not in excluded
+        and any(bitmap.get(index) for bitmap in neighbor_bitmaps.values() if index < bitmap.size)
+    ]
+    if not candidates:
+        return None
+    bitmaps = list(neighbor_bitmaps.values())
+    candidates.sort(key=lambda index: (-oracle_rarity(index, bitmaps), index))
+    return candidates[0]

@@ -119,6 +119,11 @@ def test_bithoc_rarest_piece_selection_uses_neighbour_bitmaps():
     assert peer.rarest_missing(neighbours) == 1
     assert peer.holders_of(2, neighbours) == ["x", "y"]
     assert peer.rarest_missing(neighbours, exclude=[1]) == 2
+    # Only pieces some neighbour holds are candidates, and held pieces are not.
+    assert peer.rarest_missing(neighbours, exclude=[1, 2]) is None
+    assert peer.rarest_missing({}) is None
+    peer.add_piece(1)
+    assert peer.rarest_missing(neighbours) == 2
 
 
 # ----------------------------------------------------------------------- Ekta

@@ -5,6 +5,11 @@ import pytest
 from repro.core import Bitmap
 
 
+def ones(bitmap):
+    """Indices of the packets ``bitmap`` holds, ascending."""
+    return [index for index in range(bitmap.size) if bitmap.get(index)]
+
+
 def test_new_bitmap_is_empty():
     bitmap = Bitmap(10)
     assert bitmap.count() == 0
@@ -16,7 +21,6 @@ def test_set_get_and_clear():
     bitmap = Bitmap(10)
     bitmap.set(3)
     assert bitmap.get(3)
-    assert bitmap[3]
     bitmap.set(3, False)
     assert not bitmap.get(3)
 
@@ -36,9 +40,15 @@ def test_negative_size_rejected():
 
 def test_ones_and_missing_partition_indices():
     bitmap = Bitmap(6, set_bits=[0, 2, 4])
-    assert bitmap.ones() == [0, 2, 4]
+    assert ones(bitmap) == [0, 2, 4]
     assert bitmap.missing() == [1, 3, 5]
-    assert set(bitmap.ones()) | set(bitmap.missing()) == set(range(6))
+    assert set(ones(bitmap)) | set(bitmap.missing()) == set(range(6))
+
+
+def test_missing_ignores_padding_bits():
+    bitmap = Bitmap(10, set_bits=range(8))
+    assert bitmap.missing() == [8, 9]
+    assert Bitmap.full(10).missing() == []
 
 
 def test_full_bitmap_is_complete():
@@ -47,9 +57,11 @@ def test_full_bitmap_is_complete():
     assert bitmap.count() == 9
 
 
-def test_iteration_matches_bits():
+def test_get_matches_bits_and_len_is_size():
     bitmap = Bitmap(4, set_bits=[1, 3])
-    assert list(bitmap) == [False, True, False, True]
+    assert [bitmap.get(index) for index in range(4)] == [False, True, False, True]
+    assert len(bitmap) == 4
+    assert not Bitmap(0)  # an empty bitmap is falsy through __len__
 
 
 def test_equality_and_copy():
@@ -60,13 +72,12 @@ def test_equality_and_copy():
     assert a != b
 
 
-def test_union_intersection_difference():
+def test_union_difference():
     a = Bitmap(8, set_bits=[0, 1, 2])
     b = Bitmap(8, set_bits=[2, 3])
-    assert a.union(b).ones() == [0, 1, 2, 3]
-    assert a.intersection(b).ones() == [2]
-    assert a.difference(b).ones() == [0, 1]
-    assert b.difference(a).ones() == [3]
+    assert ones(a.union(b)) == [0, 1, 2, 3]
+    assert ones(a.difference(b)) == [0, 1]
+    assert ones(b.difference(a)) == [3]
 
 
 def test_set_algebra_requires_same_size():
@@ -94,9 +105,21 @@ def test_wire_encoding_clears_padding_bits():
 
 def test_rarity_counts_missing_across_bitmaps():
     peers = [Bitmap(4, set_bits=[0]), Bitmap(4, set_bits=[0, 1]), Bitmap(4)]
-    assert Bitmap.rarity(0, peers) == 1
-    assert Bitmap.rarity(1, peers) == 2
-    assert Bitmap.rarity(3, peers) == 3
+    presence = Bitmap.presence_counts(4, peers)
+    assert presence == [2, 1, 0, 0]
+    # Rarity, how many bitmaps lack a packet, is len(peers) - presence.
+    assert [len(peers) - count for count in presence] == [1, 2, 3, 3]
+    # Bits beyond ``size`` (a longer bitmap) are not counted.
+    assert Bitmap.presence_counts(2, [Bitmap(10, set_bits=[1, 9])]) == [0, 1]
+
+
+def test_rarest_ranks_by_rarity_then_rotated_order():
+    presence = [2, 1, 0, 0]
+    assert Bitmap.rarest(range(4), presence, 3, 0, 4) == 2
+    assert Bitmap.rarest(range(4), presence, 3, 3, 4) == 3  # rotation breaks the tie
+    assert Bitmap.rarest([0, 1], presence, 3, 0, 4) == 1
+    assert Bitmap.rarest([0, 1], presence, 3, 1, 4) == 1  # rarity beats the rotation
+    assert Bitmap.rarest([], presence, 3, 0, 4) is None
 
 
 def test_compact_encoding_is_one_bit_per_packet():

@@ -126,8 +126,15 @@ print(json.dumps(report))
 #: Each run is one fresh interpreter; the stages of a run share it, in order.
 MODULE_RUNS = (
     _PLAN + _BUILD % (("dapes",), "then a dapes build"),
-    _BUILD % (("bithoc", "ekta"), "bithoc + ekta builds"),
+    _BUILD % (("bithoc",), "bithoc build"),
+    _BUILD % (("ekta",), "ekta build"),
 )
+
+#: What each IP baseline alone loads of the other's stack: nothing.
+OTHER_BASELINE = {
+    "bithoc build": ("repro.baselines.ekta", "repro.baselines.dht", "repro.manet.dsr", "repro.ip.udp"),
+    "ekta build": ("repro.baselines.bithoc", "repro.manet.dsdv", "repro.ip.tcp"),
+}
 
 
 def module_report() -> dict:
@@ -167,12 +174,18 @@ def test_a_dapes_build_loads_no_ip_stack(modules):
 
 
 def test_an_ip_build_loads_no_ndn_stack(modules):
-    loaded = modules["bithoc + ekta builds"]
-    assert under(loaded, "repro.baselines") and under(loaded, "repro.manet")
-    assert under(loaded, "repro.ndn") == [] and under(loaded, "repro.crypto") == []
-    assert set(under(loaded, "repro.core")) <= {
-        "repro.core", "repro.core.bitmap", "repro.core.config", "repro.core.stats",
-    }
+    for stage in OTHER_BASELINE:
+        loaded = modules[stage]
+        assert under(loaded, "repro.baselines") and under(loaded, "repro.manet"), stage
+        assert under(loaded, "repro.ndn") == [] and under(loaded, "repro.crypto") == [], stage
+        assert set(under(loaded, "repro.core")) <= {
+            "repro.core", "repro.core.bitmap", "repro.core.config", "repro.core.stats",
+        }, stage
+
+
+@pytest.mark.parametrize("stage", sorted(OTHER_BASELINE))
+def test_an_ip_build_loads_only_its_own_baseline(modules, stage):
+    assert [module for module in OTHER_BASELINE[stage] if module in modules[stage]] == []
 
 
 if __name__ == "__main__":

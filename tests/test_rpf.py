@@ -3,12 +3,30 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core import Bitmap, EncounterBasedRpf, LocalNeighborhoodRpf, make_fetch_strategy
+from repro.baselines.base_peer import IpSwarmPeer, SwarmDescriptor
+from repro.core import Bitmap, EncounterBasedRpf, FetchStrategy, LocalNeighborhoodRpf, make_fetch_strategy
+from repro.simulation import Simulator
+
+from oracles import oracle_rarest_missing, oracle_select
 
 
 def bitmap(size, ones):
     return Bitmap(size, set_bits=ones)
+
+
+def picks(strategy, own, count, exclude=()):
+    """Up to ``count`` successive picks, each excluded from the next (a growing pipeline)."""
+    outstanding = dict.fromkeys(exclude, 0)
+    result = []
+    while len(result) < count:
+        index = strategy.pick(own, outstanding)
+        if index is None:
+            break
+        result.append(index)
+        outstanding[index] = 0
+    return result
 
 
 def test_factory_dispatch():
@@ -18,6 +36,11 @@ def test_factory_dispatch():
         make_fetch_strategy("unknown")
 
 
+def test_fetch_strategy_has_no_abstract_methods():
+    assert not getattr(FetchStrategy, "__abstractmethods__", None)
+    assert FetchStrategy(random_start=False).pick(bitmap(3, [0]), ()) == 1
+
+
 def test_local_rpf_prioritizes_rarest_packet():
     strategy = LocalNeighborhoodRpf(random_start=False)
     own = bitmap(4, [])
@@ -25,54 +48,55 @@ def test_local_rpf_prioritizes_rarest_packet():
     strategy.observe_bitmap("p2", bitmap(4, [0, 1]), now=0.0)
     strategy.observe_bitmap("p3", bitmap(4, [0]), now=0.0)
     # Rarity: packet 3 missing from all three, packet 2 from two, packet 1 from one.
-    assert strategy.select(own, 3) == [3, 2, 1]
-    assert strategy.rarity_of(3) == 3
+    assert strategy.pick(own) == 3
+    assert picks(strategy, own, 3) == [3, 2, 1]
 
 
 def test_local_rpf_excludes_outstanding_requests():
     strategy = LocalNeighborhoodRpf(random_start=False)
     own = bitmap(4, [])
     strategy.observe_bitmap("p1", bitmap(4, [0]), now=0.0)
-    picks = strategy.select(own, 4, exclude=[3, 2])
-    assert 3 not in picks and 2 not in picks
+    assert picks(strategy, own, 4, exclude=[3, 2]) == [1, 0]
 
 
 def test_local_rpf_without_knowledge_is_sequential_from_start():
     strategy = LocalNeighborhoodRpf(random_start=False)
     own = bitmap(5, [0])
-    assert strategy.select(own, 10) == [1, 2, 3, 4]
+    assert picks(strategy, own, 10) == [1, 2, 3, 4]
 
 
 def test_local_rpf_random_start_rotates_order():
     strategy = LocalNeighborhoodRpf(random_start=True, rng=random.Random(3))
     own = bitmap(50, [])
-    picks = strategy.select(own, 5)
-    assert picks[0] != 0  # with this seed the start offset is non-zero
+    chosen = picks(strategy, own, 5)
+    assert chosen[0] != 0  # with this seed the start offset is non-zero
     # consecutive from the offset, wrapping around
-    offsets = [(pick - picks[0]) % 50 for pick in picks]
+    offsets = [(pick - chosen[0]) % 50 for pick in chosen]
     assert offsets == [0, 1, 2, 3, 4]
 
 
-def test_local_rpf_select_empty_when_complete():
+def test_local_rpf_pick_none_when_nothing_to_request():
     strategy = LocalNeighborhoodRpf()
-    assert strategy.select(Bitmap.full(4), 4) == []
-    assert strategy.select(bitmap(4, []), 0) == []
+    assert strategy.pick(Bitmap.full(4)) is None
+    assert strategy.pick(bitmap(4, [0, 1]), {2: 0, 3: 0}) is None
 
 
 def test_local_rpf_forgets_departed_peer():
     strategy = LocalNeighborhoodRpf(random_start=False)
     strategy.observe_bitmap("p1", bitmap(4, [0]), now=0.0)
+    assert strategy.pick(bitmap(4, [])) == 1  # packet 0 is the common one
     strategy.forget_peer("p1")
-    assert strategy.known_bitmaps() == []
-    assert strategy.neighborhood_size == 0
+    assert strategy.pick(bitmap(4, [])) == 0  # no knowledge left: sequential
+    assert strategy.state_size_bytes == 0
 
 
 def test_local_rpf_reset_encounter_clears_all_state():
     strategy = LocalNeighborhoodRpf(random_start=False)
     strategy.observe_bitmap("p1", bitmap(4, [0]), now=0.0)
     strategy.observe_bitmap("p2", bitmap(4, [1]), now=0.0)
+    assert strategy.pick(bitmap(4, [])) == 2
     strategy.reset_encounter()
-    assert strategy.known_bitmaps() == []
+    assert strategy.pick(bitmap(4, [])) == 0
 
 
 def test_encounter_rpf_keeps_history_across_encounters():
@@ -80,23 +104,35 @@ def test_encounter_rpf_keeps_history_across_encounters():
     strategy.observe_bitmap("p1", bitmap(4, [0]), now=0.0)
     strategy.reset_encounter()
     strategy.forget_peer("p1")
-    assert len(strategy.known_bitmaps()) == 1  # history survives disconnection
+    assert strategy.pick(bitmap(4, [])) == 1  # history survives disconnection
+    assert strategy.state_size_bytes == 1
 
 
 def test_encounter_rpf_history_is_bounded():
     strategy = EncounterBasedRpf(history=3, random_start=False)
     for index in range(6):
-        strategy.observe_bitmap(f"p{index}", bitmap(4, [0]), now=float(index))
-    assert len(strategy.known_bitmaps()) == 3
-    assert strategy.remembered_peers == ["p3", "p4", "p5"]
+        # Peer p<i> lacks only packet i.
+        strategy.observe_bitmap(f"p{index}", bitmap(6, set(range(6)) - {index}), now=float(index))
+    assert strategy.state_size_bytes == 3 * bitmap(6, []).wire_size
+    # Only p3, p4 and p5 are remembered: their gaps are the rare packets.
+    assert picks(strategy, bitmap(6, []), 6) == [3, 4, 5, 0, 1, 2]
 
 
 def test_encounter_rpf_repeat_encounter_updates_bitmap():
     strategy = EncounterBasedRpf(history=5, random_start=False)
     strategy.observe_bitmap("p1", bitmap(4, [0]), now=0.0)
     strategy.observe_bitmap("p1", bitmap(4, [0, 1, 2]), now=1.0)
-    assert len(strategy.known_bitmaps()) == 1
-    assert strategy.known_bitmaps()[0].count() == 3
+    assert strategy.state_size_bytes == 1  # one entry
+    assert picks(strategy, bitmap(4, []), 4) == [3, 0, 1, 2]  # the newer bitmap counts
+
+
+def test_encounter_rpf_repeat_encounter_refreshes_recency():
+    strategy = EncounterBasedRpf(history=2, random_start=False)
+    strategy.observe_bitmap("p1", bitmap(3, [1, 2]), now=0.0)
+    strategy.observe_bitmap("p2", bitmap(3, [0, 2]), now=1.0)
+    strategy.observe_bitmap("p1", bitmap(3, [1, 2]), now=2.0)
+    strategy.observe_bitmap("p3", bitmap(3, [0, 2]), now=3.0)  # evicts p2, not p1
+    assert picks(strategy, bitmap(3, []), 3) == [0, 1, 2]
 
 
 def test_encounter_rpf_rarity_over_history():
@@ -104,7 +140,7 @@ def test_encounter_rpf_rarity_over_history():
     strategy.observe_bitmap("p1", bitmap(3, [0, 1]), now=0.0)
     strategy.observe_bitmap("p2", bitmap(3, [0]), now=1.0)
     own = bitmap(3, [])
-    assert strategy.select(own, 3) == [2, 1, 0]
+    assert picks(strategy, own, 3) == [2, 1, 0]
 
 
 def test_encounter_rpf_validates_history():
@@ -117,3 +153,74 @@ def test_encounter_rpf_state_size_grows_with_history():
     strategy.observe_bitmap("p1", bitmap(800, []), now=0.0)
     strategy.observe_bitmap("p2", bitmap(800, []), now=0.0)
     assert strategy.state_size_bytes == 2 * 100
+
+
+# ------------------------------------------------ pick == the old select(…, 1)
+PEERS = [f"p{index}" for index in range(5)]
+
+
+@st.composite
+def fetch_histories(draw):
+    """A strategy's construction and a random run of the calls a peer makes on it."""
+    size = draw(st.integers(min_value=1, max_value=40))
+    indices = st.sets(st.integers(min_value=0, max_value=size - 1))
+    operation = st.one_of(
+        st.tuples(st.just("observe"), st.sampled_from(PEERS), indices),
+        st.tuples(st.just("forget"), st.sampled_from(PEERS)),
+        st.tuples(st.just("reset")),
+        st.tuples(st.just("pick"), indices, indices),
+    )
+    return {
+        "size": size,
+        "flavour": draw(st.sampled_from(["local", "encounter"])),
+        "history": draw(st.integers(min_value=1, max_value=4)),
+        "random_start": draw(st.booleans()),
+        "seed": draw(st.integers(min_value=0, max_value=2**16)),
+        "operations": draw(st.lists(operation, max_size=30)),
+    }
+
+
+def _strategy(case):
+    rng = random.Random(case["seed"])
+    if case["flavour"] == "local":
+        return LocalNeighborhoodRpf(random_start=case["random_start"], rng=rng)
+    return EncounterBasedRpf(history=case["history"], random_start=case["random_start"], rng=rng)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fetch_histories())
+def test_pick_is_the_old_select_of_one(case):
+    size = case["size"]
+    production, reference = _strategy(case), _strategy(case)
+    for operation in case["operations"] + [("pick", set(), set())]:
+        kind = operation[0]
+        if kind == "observe":
+            for strategy in (production, reference):
+                strategy.observe_bitmap(operation[1], bitmap(size, operation[2]), now=0.0)
+        elif kind == "forget":
+            production.forget_peer(operation[1])
+            reference.forget_peer(operation[1])
+        elif kind == "reset":
+            production.reset_encounter()
+            reference.reset_encounter()
+        else:
+            own, outstanding = bitmap(size, operation[1]), dict.fromkeys(operation[2], 0)
+            expected = oracle_select(reference, own, 1, exclude=outstanding.keys())
+            assert production.pick(own, outstanding) == (expected[0] if expected else None)
+            # The start offset is drawn at the same moment (never when nothing is missing).
+            assert production._rng.getstate() == reference._rng.getstate()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=40), st.data())
+def test_bithoc_pick_is_the_old_rarest_missing(size, data):
+    indices = st.sets(st.integers(min_value=0, max_value=size - 1))
+    peer = IpSwarmPeer(Simulator(), "a", SwarmDescriptor("coll", total_pieces=size, piece_size=512))
+    for index in data.draw(indices):
+        peer.bitmap.set(index)
+    neighbours = {
+        name: bitmap(size, data.draw(indices))
+        for name in data.draw(st.lists(st.sampled_from(PEERS), unique=True))
+    }
+    exclude = data.draw(indices)
+    assert peer.rarest_missing(neighbours, exclude) == oracle_rarest_missing(peer.bitmap, neighbours, exclude)

@@ -37,6 +37,22 @@ def test_registry_covers_all_paper_artefacts():
     assert artefacts >= ALL_ARTEFACTS
 
 
+#: The order the spec modules register in (the imports in
+#: ``repro/experiments/__init__.py``): ``list`` prints it and ``run all`` runs it.
+REGISTRATION_ORDER = [
+    "fig10", "fig9c", "fig9d", "fig9gh", "fig9a", "fig9b", "fig9e", "fig9f",
+    "churn", "flashcrowd", "faults", "partition", "table1", "urban",
+]
+
+
+def test_registration_order_is_pinned(capsys):
+    assert available_experiments() == REGISTRATION_ORDER
+    assert cli._resolve_names(["all"]) == REGISTRATION_ORDER
+    assert cli.main(["list"]) == 0
+    listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()[1:] if line.strip()]
+    assert listed[: len(REGISTRATION_ORDER)] == REGISTRATION_ORDER
+
+
 def test_aliases_resolve_to_canonical_specs():
     assert get_experiment("fig9g").name == "fig9gh"
     assert get_experiment("fig9h").name == "fig9gh"
