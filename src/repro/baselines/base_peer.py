@@ -62,7 +62,6 @@ class IpSwarmPeer:
         if seed_all:
             for index in range(descriptor.total_pieces):
                 self.bitmap.set(index)
-        self.is_seed = seed_all
         self.swarm_members: List[str] = []
         self.load = NodeLoadStats()
         self.start_time: Optional[float] = None

@@ -60,7 +60,6 @@ class BithocPeer(IpSwarmPeer):
         self.ip_node = ip_node
         self.routing = routing
         self.transport = transport
-        self.hello_interval = hello_interval
         self.neighbor_timeout = neighbor_timeout
         self.request_timeout = request_timeout
         self.pipeline_size = pipeline_size
@@ -201,7 +200,6 @@ class BithocPeer(IpSwarmPeer):
             piece = payload["piece"]
             requester = payload.get("from", src)
             if self.has_piece(piece):
-                self.load.interests_answered += 1
                 self.transport.send_message(
                     requester,
                     PIECE_PORT,

@@ -56,9 +56,6 @@ class DhtKeySpace:
         )
         return member
 
-    def is_root(self, node_id: str, key: str) -> bool:
-        return self.root_of(key) == node_id
-
 
 class DhtRegistry:
     """Provider records stored at a key's root node."""
@@ -73,13 +70,6 @@ class DhtRegistry:
     def providers(self, key: str) -> List[str]:
         """Known providers of ``key`` (sorted for determinism)."""
         return sorted(self._providers.get(key, set()))
-
-    def remove_provider(self, key: str, provider: str) -> None:
-        providers = self._providers.get(key)
-        if providers is not None:
-            providers.discard(provider)
-            if not providers:
-                del self._providers[key]
 
     def __len__(self) -> int:
         return len(self._providers)

@@ -63,14 +63,12 @@ class EktaPeer(IpSwarmPeer):
         self.registry = DhtRegistry()
         self.request_timeout = request_timeout
         self.lookup_timeout = lookup_timeout
-        self.publish_interval = publish_interval
         self.pipeline_size = pipeline_size
         self._rng = sim.rng(f"ekta.{node_id}")
         self._providers: Dict[int, List[str]] = {}  # file index -> provider ids
         self._pending_lookups: Dict[int, _LookupState] = {}
         self._outstanding: Dict[int, Tuple[str, float]] = {}  # piece -> (provider, sent_at)
         self._published_files: set = set()
-        self.dht_messages_sent = 0
         self._publish_timer = PeriodicTimer(sim, self._publish_held_files, period=publish_interval, jitter=1.0, rng=self._rng)
         self._engine_timer = PeriodicTimer(sim, self._engine_tick, period=0.5, jitter=0.1, rng=self._rng)
 
@@ -126,7 +124,6 @@ class EktaPeer(IpSwarmPeer):
                 self.registry.publish(key, self.node_id)
                 self._published_files.add(file_index)
                 continue
-            self.dht_messages_sent += 1
             self.load.messages_sent += 1
             self.udp.send(
                 root,
@@ -149,7 +146,6 @@ class EktaPeer(IpSwarmPeer):
                 self._providers[file_index] = providers
             return
         self._pending_lookups[file_index] = _LookupState(file_index=file_index, sent_at=self.sim.now)
-        self.dht_messages_sent += 1
         self.load.messages_sent += 1
         self.udp.send(
             root,
@@ -169,7 +165,6 @@ class EktaPeer(IpSwarmPeer):
             self.registry.publish(payload["key"], payload["provider"])
         elif message_type == "lookup":
             providers = self.registry.providers(payload["key"])
-            self.dht_messages_sent += 1
             self.load.messages_sent += 1
             self.udp.send(
                 payload.get("from", src),
@@ -268,7 +263,6 @@ class EktaPeer(IpSwarmPeer):
             piece = payload["piece"]
             requester = payload.get("from", src)
             if self.has_piece(piece):
-                self.load.interests_answered += 1
                 self.load.messages_sent += 1
                 self.udp.send(
                     requester,

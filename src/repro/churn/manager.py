@@ -16,8 +16,8 @@ three-state machine:
 An *abrupt kill* skips the drain entirely: ``kill`` (falling back to
 ``stop``) then instant detach, mid-transfer — the fault-injection path.
 Redundant events (a depart for an already-offline node, say, from a
-hand-written trace) are counted and ignored rather than raised, so trace
-replays never crash a run half-way.
+hand-written trace) are counted (``churn.redundant_events``) and ignored
+rather than raised, so trace replays never crash a run half-way.
 
 Zero churn never reaches this module: ``build_churn_manager`` returns
 ``None`` for ``churn="none"`` and the builders keep the entire subsystem
@@ -129,6 +129,7 @@ class ChurnManager:
             "churn.departures": self.departures,
             "churn.abrupt_kills": self.abrupt_kills,
             "churn.orphaned_sends": self.medium.orphaned_sends,
+            "churn.redundant_events": self.redundant_events,
         }
 
     # -------------------------------------------------------------- activation

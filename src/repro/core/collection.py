@@ -86,10 +86,6 @@ class FileCollection:
     def total_packets(self) -> int:
         return sum(spec.packet_count(self.packet_size) for spec in self.files)
 
-    @property
-    def total_bytes(self) -> int:
-        return sum(spec.size_bytes for spec in self.files)
-
     def packet_contents(self) -> List[Tuple[str, List[bytes]]]:
         """Per-file packet payloads (synthetic for modelled files)."""
         result: List[Tuple[str, List[bytes]]] = []

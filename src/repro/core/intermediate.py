@@ -60,6 +60,7 @@ class DapesForwardingStrategy(ProbabilisticSuppressionStrategy):
         self.peer = peer
         self.knowledge = knowledge if knowledge is not None else NeighborKnowledge()
         self.multi_hop = multi_hop
+        # Read by examples/disaster_recovery_collection.py (relay work).
         self.interests_rebroadcast = 0
         self._face_roles_version = -1
         self._app_faces_cache: list[int] = []
@@ -116,8 +117,6 @@ class DapesForwardingStrategy(ProbabilisticSuppressionStrategy):
             if rebroadcast_delay is not None:
                 decision.extend((face_id, rebroadcast_delay) for face_id in self._broadcast_face_ids())
                 self.interests_rebroadcast += 1
-            else:
-                self.interests_suppressed += 1
         return decision
 
     def data_faces(self, data, incoming_face_id, downstream):

@@ -35,9 +35,6 @@ class PacketName:
     file_name: str
     sequence: int
 
-    def to_name(self) -> Name:
-        return Name([self.collection, self.file_name, str(self.sequence)])
-
 
 class DapesNamespace:
     """Builders and parsers for every name DAPES uses."""

@@ -69,6 +69,7 @@ class PebaScheduler:
         self.enabled = enabled
         self._rng = rng if rng is not None else random.Random(0)
         self._slots = 0  # 0 means "no collision detected yet in this encounter"
+        # Collisions per decision: the PEBA evidence ROADMAP item 1(a) reports.
         self.collisions_detected = 0
         self.decisions = 0
 

@@ -211,10 +211,6 @@ class DapesPeer:
         start = session.start_time if session.start_time is not None else 0.0
         return session.completion_time - start
 
-    @property
-    def completed_collections(self) -> List[str]:
-        return [cid for cid, session in self.sessions.items() if session.completion_time is not None]
-
     def progress(self, collection_id: str) -> float:
         session = self.sessions.get(Name(collection_id)[0])
         if session is None or session.store is None:
@@ -288,7 +284,6 @@ class DapesPeer:
             self._pending_responses.pop(data.name, None)
             self.load.activation()
             self.load.messages_sent += 1
-            self.load.interests_answered += 1
             self.app_face.put_data(data)
 
         self._pending_responses[data.name] = self.sim.schedule(max(delay, 0.0), _send)
@@ -331,8 +326,6 @@ class DapesPeer:
             self.advertising.tracker.reset()
             self.advertising.peba.reset_encounter()
             for session in self.sessions.values():
-                if session.fetch is not None:
-                    session.fetch.reset_encounter()
                 session.bitmaps_requested.clear()
                 session.bitmaps_received = 0
         self.knowledge.prune(now)

@@ -46,26 +46,13 @@ class PureForwarderNode:
             config=ForwarderConfig(cs_capacity=cs_capacity, cache_unsolicited=True),
             strategy=self.strategy,
         )
-        self.broadcast_face = self.forwarder.add_face(
+        self.forwarder.add_face(
             BroadcastFace(
                 self.radio,
                 protocol="dapes",
                 classify=lambda packet: DapesNamespace.classify(packet.name),
             )
         )
-
-    @property
-    def forward_probability(self) -> float:
-        return self.strategy.forward_probability
-
-    @forward_probability.setter
-    def forward_probability(self, value: float) -> None:
-        self.strategy.forward_probability = value
-
-    @property
-    def cached_packets(self) -> int:
-        """Number of Data packets currently cached."""
-        return len(self.forwarder.cs)
 
     @property
     def state_size_bytes(self) -> int:

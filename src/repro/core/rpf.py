@@ -62,9 +62,6 @@ class FetchStrategy:
     def forget_peer(self, peer_id: str) -> None:
         """A peer disconnected; its bitmap is kept unless the flavour says otherwise."""
 
-    def reset_encounter(self) -> None:
-        """The peer's neighbourhood emptied (encounter over)."""
-
     @property
     def state_size_bytes(self) -> int:
         """Memory held across encounters (Table I proxy); none by default."""
@@ -98,14 +95,16 @@ class FetchStrategy:
 
 
 class LocalNeighborhoodRpf(FetchStrategy):
-    """RPF across the peers currently within communication range."""
+    """RPF across the peers currently within communication range.
+
+    A bitmap is only recorded from a neighbour the peer has just touched,
+    and dropped when the peer forgets that neighbour, so the remembered
+    peers are always among the current neighbours: when the encounter
+    ends, nothing is left.
+    """
 
     def forget_peer(self, peer_id: str) -> None:
         self._bitmaps.pop(peer_id, None)
-
-    def reset_encounter(self) -> None:
-        # The per-encounter list expires when peers disconnect: no long-term state.
-        self._bitmaps.clear()
 
 
 class EncounterBasedRpf(FetchStrategy):

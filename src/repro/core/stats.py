@@ -10,8 +10,14 @@ one :class:`NodeLoadStats` property each:
   knowledge store, RPF history, advertisement tracker);
 * context switches → scheduler activations of the node's handlers/timers;
 * system calls     → frames sent + frames received + timers armed;
-* page faults      → state-table misses (CS misses, knowledge-store misses,
-  metadata/packet-store misses).
+* page faults      → Data packets the packet store refused
+  (``PacketStore.add_packet`` returned ``False``: a name outside the
+  metadata or a failed digest check).  No honest run refuses one, so every
+  committed Table I row reads ``0.0``.
+
+Each field is read by :meth:`NodeLoadStats.as_dict` (the trial's
+``node_loads``: Table I and ``perfbench --trace 1``), directly or through a
+proxy.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from typing import Dict
 
 @dataclass
 class NodeLoadStats:
-    """Counters tracked by each DAPES node."""
+    """Counters tracked by each DAPES node and each IP baseline peer."""
 
     messages_sent: int = 0
     messages_received: int = 0
@@ -30,7 +36,6 @@ class NodeLoadStats:
     scheduler_activations: int = 0
     state_misses: int = 0
     state_bytes_peak: int = 0
-    interests_answered: int = 0
     packets_downloaded: int = 0
     packets_overheard: int = 0
     bitmaps_sent: int = 0

@@ -9,14 +9,14 @@ Merkle tree whose root hash is carried in the metadata.
 The paper uses real RSA signatures via ndn-cxx; this reproduction substitutes
 an HMAC-SHA256 based scheme (see :mod:`repro.crypto.signing`).  The substitution
 preserves the semantics the protocol needs — sign/verify, digests, Merkle
-proofs, trust decisions — without external dependencies.
+roots, trust decisions — without external dependencies.
 """
 
 from repro._exports import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "digest": ("sha256_hex",),
-    "keys": ("KeyPair", "KeyStore"),
+    "keys": ("KeyPair",),
     "merkle": ("MerkleTree",),
     "signing": ("Signature", "sign", "verify"),
     "trust": ("TrustAnchorStore",),

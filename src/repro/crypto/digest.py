@@ -10,10 +10,3 @@ def sha256_hex(data: bytes) -> str:
     if not isinstance(data, (bytes, bytearray)):
         raise TypeError(f"expected bytes, got {type(data).__name__}")
     return hashlib.sha256(bytes(data)).hexdigest()
-
-
-def short_digest(data: bytes, length: int = 8) -> str:
-    """Truncated hex digest, used in compact metadata displays."""
-    if length <= 0:
-        raise ValueError("length must be positive")
-    return sha256_hex(data)[:length]

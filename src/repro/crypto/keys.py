@@ -1,4 +1,4 @@
-"""Key pairs and the key registry.
+"""Key pairs.
 
 Each participant (resident) owns a public/private key pair used to sign the
 packets it produces.  Key material is random bytes; the "public key" is a
@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -56,30 +56,3 @@ def derive_public_key(private_key: bytes) -> str:
     """Derive the public identifier for a private key."""
     return hashlib.sha256(b"public:" + private_key).hexdigest()
 
-
-class KeyStore:
-    """Registry mapping identities to key pairs (the producer's key chain)."""
-
-    def __init__(self):
-        self._keys: Dict[str, KeyPair] = {}
-
-    def create(self, owner: str, seed: Optional[bytes] = None) -> KeyPair:
-        """Create and store a key pair for ``owner``; returns the pair."""
-        key = KeyPair.generate(owner, seed=seed)
-        self._keys[owner] = key
-        return key
-
-    def add(self, key: KeyPair) -> None:
-        self._keys[key.owner] = key
-
-    def get(self, owner: str) -> KeyPair:
-        try:
-            return self._keys[owner]
-        except KeyError:
-            raise KeyError(f"no key pair for owner {owner!r}") from None
-
-    def __contains__(self, owner: str) -> bool:
-        return owner in self._keys
-
-    def owners(self) -> list[str]:
-        return list(self._keys)

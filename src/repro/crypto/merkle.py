@@ -4,14 +4,13 @@ The Merkle-tree-based metadata format (Section IV-C of the paper) carries one
 root hash per file instead of a digest per packet, keeping the metadata small
 enough to fit in a single network-layer packet.  The trade-off is that a
 receiver can only verify packet integrity once it holds every packet of the
-tree (or an explicit inclusion proof, which this implementation also
-provides as an extension).
+tree.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 
 def _hash_leaf(data: bytes) -> str:
@@ -25,8 +24,7 @@ def _hash_node(left: str, right: str) -> str:
 class MerkleTree:
     """A binary Merkle tree built over a sequence of leaf payloads.
 
-    Odd nodes at any level are promoted unchanged (no duplication), which
-    keeps proofs unambiguous.
+    Odd nodes at any level are promoted unchanged (no duplication).
     """
 
     def __init__(self, leaves: Sequence[bytes]):
@@ -43,50 +41,10 @@ class MerkleTree:
                     parents.append(current[index])
             self._levels.append(parents)
 
-    # ----------------------------------------------------------------- basics
     @property
     def root(self) -> str:
         """The root hash."""
         return self._levels[-1][0]
-
-    @property
-    def leaf_count(self) -> int:
-        return len(self._levels[0])
-
-    def leaf_hash(self, index: int) -> str:
-        return self._levels[0][index]
-
-    # ----------------------------------------------------------------- proofs
-    def proof(self, index: int) -> List[Tuple[str, str]]:
-        """Inclusion proof for leaf ``index``: a list of (side, hash) pairs.
-
-        ``side`` is ``"left"`` if the sibling hash is to the left of the
-        running hash, ``"right"`` otherwise.
-        """
-        if not 0 <= index < self.leaf_count:
-            raise IndexError(f"leaf index {index} out of range (0..{self.leaf_count - 1})")
-        proof: List[Tuple[str, str]] = []
-        position = index
-        for level in self._levels[:-1]:
-            sibling = position ^ 1
-            if sibling < len(level):
-                side = "left" if sibling < position else "right"
-                proof.append((side, level[sibling]))
-            position //= 2
-        return proof
-
-    @staticmethod
-    def verify_proof(leaf_data: bytes, proof: Sequence[Tuple[str, str]], root: str) -> bool:
-        """Verify an inclusion proof for ``leaf_data`` against ``root``."""
-        running = _hash_leaf(bytes(leaf_data))
-        for side, sibling in proof:
-            if side == "left":
-                running = _hash_node(sibling, running)
-            elif side == "right":
-                running = _hash_node(running, sibling)
-            else:
-                raise ValueError(f"invalid proof side {side!r}")
-        return running == root
 
     @classmethod
     def root_of(cls, leaves: Sequence[bytes]) -> str:

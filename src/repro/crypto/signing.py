@@ -16,7 +16,7 @@ import hmac
 from dataclasses import dataclass
 from functools import lru_cache
 
-from repro.crypto.keys import KeyPair, derive_public_key
+from repro.crypto.keys import KeyPair
 
 
 @dataclass(frozen=True)
@@ -62,11 +62,6 @@ def verify(name: str, content: bytes, signature: Signature) -> bool:
         _signing_key(signature.public_key), _message(name, content), hashlib.sha256
     ).hexdigest()
     return hmac.compare_digest(expected, signature.value)
-
-
-def public_key_matches(key: KeyPair, signature: Signature) -> bool:
-    """Whether ``signature`` was produced with ``key``."""
-    return derive_public_key(key.private_key) == signature.public_key
 
 
 def _message(name: str, content: bytes) -> bytes:

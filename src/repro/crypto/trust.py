@@ -5,7 +5,7 @@ the residents of the rural area) and use them to decide whether the producer
 of a file collection can be trusted.  The trust model here is deliberately
 simple: an anchor store holds the public keys of trusted identities; a
 signature is trusted if its public key matches the stored anchor for the
-claimed signer (or if the signer was endorsed by an already-trusted anchor).
+claimed signer.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ class TrustAnchorStore:
 
     def __init__(self):
         self._anchors: Dict[str, str] = {}
-        self._endorsements: Dict[str, str] = {}
 
     # ---------------------------------------------------------------- anchors
     def add_anchor(self, owner: str, public_key: str) -> None:
@@ -32,22 +31,11 @@ class TrustAnchorStore:
         """Trust the owner of ``key`` (convenience for scenario setup)."""
         self.add_anchor(key.owner, key.public_key)
 
-    def endorse(self, endorser: str, subject: str, subject_public_key: str) -> bool:
-        """Record that a trusted ``endorser`` vouches for ``subject``.
-
-        Returns ``False`` (and records nothing) when the endorser itself is
-        not trusted.
-        """
-        if endorser not in self._anchors:
-            return False
-        self._endorsements[subject] = subject_public_key
-        return True
-
     def is_trusted(self, owner: str) -> bool:
-        return owner in self._anchors or owner in self._endorsements
+        return owner in self._anchors
 
     def public_key_of(self, owner: str) -> Optional[str]:
-        return self._anchors.get(owner) or self._endorsements.get(owner)
+        return self._anchors.get(owner)
 
     # ------------------------------------------------------------ verification
     def authenticate(self, name: str, content: bytes, signature: Signature) -> bool:
@@ -58,4 +46,4 @@ class TrustAnchorStore:
         return verify(name, content, signature)
 
     def __len__(self) -> int:
-        return len(self._anchors) + len(self._endorsements)
+        return len(self._anchors)

@@ -12,7 +12,8 @@ item.  Two specs:
   bursts = the same crowd arriving more gradually).
 
 Both record churn counters (``churn.arrivals``, ``churn.departures``,
-``churn.abrupt_kills``, ``churn.orphaned_sends``) in each point's extras,
+``churn.abrupt_kills``, ``churn.orphaned_sends``,
+``churn.redundant_events``) in each point's extras,
 summed across trials.  Axis values reach the model through the ``churn_``
 override prefix (:meth:`ExperimentConfig.with_overrides`), so CLI
 ``--axis mean_session=30,60`` sweeps work like any other axis.

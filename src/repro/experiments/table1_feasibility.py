@@ -27,7 +27,9 @@ transmissions, and the system-load proxies defined in
 page faults).  Absolute OS-level numbers cannot be reproduced in a
 simulation; the proxies are expected to preserve the *ordering* the paper
 observes (scenario 3 fastest and cheapest in transmissions but heaviest in
-memory because of the extra multi-hop state).
+memory because of the extra multi-hop state).  The page-fault proxy counts
+only Data packets the packet store refused, which no honest run produces,
+so that column reads ``0.0`` in every scenario.
 """
 
 from __future__ import annotations

@@ -93,10 +93,6 @@ class FaultManager:
             self._plan = self.model.plan(self.node_ids, self.horizon, stream)
         return self._plan
 
-    def node_stalled(self, node_id: str) -> bool:
-        """Whether ``node_id`` is currently stalled."""
-        return node_id in self._stall_depth
-
     def link_extra_loss(self, sender: str, receiver: str) -> Optional[float]:
         """``None`` when the link is blocked, else the extra loss probability.
 

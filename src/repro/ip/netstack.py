@@ -45,11 +45,6 @@ class IpNode:
         self.routing = None
         self._protocol_handlers: Dict[str, PacketHandler] = {}
         self._broadcast_handlers: Dict[str, BroadcastHandler] = {}
-        self.packets_forwarded = 0
-        self.packets_delivered = 0
-        self.packets_dropped_no_route = 0
-        self.packets_dropped_ttl = 0
-        self.link_failures = 0
 
     # ------------------------------------------------------------- wiring
     def attach_routing(self, routing) -> None:
@@ -75,7 +70,6 @@ class IpNode:
             self._deliver(packet)
             return True
         if packet.ttl <= 0:
-            self.packets_dropped_ttl += 1
             return False
         # Source-routed protocols (DSR / Ekta) stamp the full route at the
         # origin so intermediate nodes never need route discoveries of their
@@ -91,13 +85,11 @@ class IpNode:
                 packet.source_route = list(route)
         next_hop = self._next_hop(packet)
         if next_hop is None:
-            self.packets_dropped_no_route += 1
             if self.routing is not None:
                 self.routing.on_no_route(packet)
             return False
         if next_hop not in self.medium.neighbours_of(self.node_id):
             # Link-layer delivery failure (no ACK): tell the routing protocol.
-            self.link_failures += 1
             if self.routing is not None:
                 self.routing.on_delivery_failure(packet, next_hop)
             return False
@@ -144,17 +136,13 @@ class IpNode:
             if payload.dst == self.node_id:
                 self._deliver(payload)
             elif payload.ttl > 1:
-                self.packets_forwarded += 1
                 self.send(payload.forwarded_copy())
-            else:
-                self.packets_dropped_ttl += 1
             return
         handler = self._broadcast_handlers.get(frame.kind)
         if handler is not None:
             handler(frame.sender, payload, frame.kind)
 
     def _deliver(self, packet: IpPacket) -> None:
-        self.packets_delivered += 1
         handler = self._protocol_handlers.get(packet.protocol)
         if handler is not None:
             handler(packet)

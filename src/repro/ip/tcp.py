@@ -44,7 +44,6 @@ class _PendingMessage:
     dst: str
     segments: list
     acked: set = field(default_factory=set)
-    next_to_send: int = 0
     retries: int = 0
     timer: Optional[object] = None
     on_delivered: Optional[Callable[[], None]] = None
@@ -76,11 +75,6 @@ class ReliableTransport:
         self._handlers: Dict[int, MessageHandler] = {}
         self._pending: Dict[int, _PendingMessage] = {}
         self._reassembly: Dict[Tuple[str, int], Dict[int, object]] = {}
-        self.segments_sent = 0
-        self.acks_sent = 0
-        self.retransmissions = 0
-        self.messages_delivered = 0
-        self.messages_failed = 0
         node.register_protocol(self.PROTOCOL, self._on_packet)
 
     # ---------------------------------------------------------------- sending
@@ -137,7 +131,6 @@ class ReliableTransport:
         pending.timer = self.sim.schedule(timeout, self._on_timeout, message_id)
 
     def _send_segment(self, dst: str, segment: _Segment) -> None:
-        self.segments_sent += 1
         packet = IpPacket(
             src=self.node.node_id,
             dst=dst,
@@ -158,11 +151,9 @@ class ReliableTransport:
         pending.retries += 1
         if pending.retries > self.max_retries:
             self._pending.pop(message_id, None)
-            self.messages_failed += 1
             if pending.on_failed is not None:
                 pending.on_failed()
             return
-        self.retransmissions += 1
         self._send_window(message_id)
 
     # -------------------------------------------------------------- receiving
@@ -175,7 +166,6 @@ class ReliableTransport:
 
     def _on_data_segment(self, src: str, segment: _Segment) -> None:
         # Acknowledge every received segment (cost of reliability).
-        self.acks_sent += 1
         ack_packet = IpPacket(
             src=self.node.node_id,
             dst=src,
@@ -192,7 +182,6 @@ class ReliableTransport:
         received[segment.index] = segment
         if len(received) == segment.total:
             del self._reassembly[key]
-            self.messages_delivered += 1
             final = received[segment.total - 1]
             port, payload = final.payload
             handler = self._handlers.get(port)

@@ -19,8 +19,6 @@ class UdpService:
         self.node = node
         self.app_protocol = app_protocol or node.app_protocol
         self._handlers: Dict[int, DatagramHandler] = {}
-        self.datagrams_sent = 0
-        self.datagrams_received = 0
         node.register_protocol(self.PROTOCOL, self._on_packet)
 
     def bind(self, port: int, handler: DatagramHandler) -> None:
@@ -38,12 +36,10 @@ class UdpService:
             kind=kind,
             app_protocol=self.app_protocol,
         )
-        self.datagrams_sent += 1
         return self.node.send(packet)
 
     def _on_packet(self, packet: IpPacket) -> None:
         port, payload = packet.payload
-        self.datagrams_received += 1
         handler = self._handlers.get(port)
         if handler is not None:
             handler(packet.src, payload, port)

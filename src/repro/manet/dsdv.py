@@ -50,8 +50,6 @@ class DsdvRouting(RoutingProtocol):
         self._own_sequence = 0
         self._update_timer: Optional[PeriodicTimer] = None
         self._triggered_pending = False
-        self.updates_sent = 0
-        self.updates_received = 0
 
     # ---------------------------------------------------------------- set-up
     def attach(self, node) -> None:
@@ -79,8 +77,6 @@ class DsdvRouting(RoutingProtocol):
         for route in self._routes.values():
             entries.append((route.destination, route.metric, route.sequence))
         size = 8 + ROUTE_ENTRY_WIRE_BYTES * len(entries)
-        self.updates_sent += 1
-        self.control_messages_sent += 1
         self.node.broadcast(("dsdv", entries), size, kind="dsdv-update")
 
     def _trigger_update(self) -> None:
@@ -101,7 +97,6 @@ class DsdvRouting(RoutingProtocol):
     def _on_update(self, sender: str, payload, kind: str) -> None:
         if self.node is None:
             return
-        self.updates_received += 1
         _, entries = payload
         now = self.node.sim.now
         changed = False
@@ -168,10 +163,6 @@ class DsdvRouting(RoutingProtocol):
             del self._routes[destination]
 
     # -------------------------------------------------------------- accounting
-    @property
-    def route_count(self) -> int:
-        return len(self._routes)
-
     @property
     def state_size_bytes(self) -> int:
         return ROUTE_ENTRY_WIRE_BYTES * len(self._routes) + 64

@@ -51,10 +51,6 @@ class DsrRouting(RoutingProtocol):
         self._request_serial = 0
         self._pending_discovery: Dict[str, int] = {}  # destination -> retries so far
         self._waiting_packets: Dict[str, List[IpPacket]] = {}
-        self.rreq_sent = 0
-        self.rrep_sent = 0
-        self.rerr_sent = 0
-        self.discoveries = 0
 
     # ----------------------------------------------------------------- set-up
     def attach(self, node) -> None:
@@ -115,8 +111,6 @@ class DsrRouting(RoutingProtocol):
                 if (hop_a, hop_b) == broken:
                     del self._cache[destination]
                     break
-        self.rerr_sent += 1
-        self.control_messages_sent += 1
         self.node.broadcast(("rerr", broken), RERR_BYTES, kind="dsr-rerr")
         if packet.src == self.node.node_id:
             self.on_no_route(packet)
@@ -130,9 +124,6 @@ class DsrRouting(RoutingProtocol):
 
     def _send_rreq(self, dst: str) -> None:
         self._request_serial += 1
-        self.discoveries += 1
-        self.rreq_sent += 1
-        self.control_messages_sent += 1
         request_id = (self.node.node_id, self._request_serial)
         self._seen_requests.add(request_id)
         record = [self.node.node_id]
@@ -188,8 +179,6 @@ class DsrRouting(RoutingProtocol):
         delay = self.node.sim.rng(f"dsr.{self.node.node_id}").uniform(0.002, 0.020)
 
         def _forward() -> None:
-            self.rreq_sent += 1
-            self.control_messages_sent += 1
             self.node.broadcast(("rreq", request_id, dst, record, hops_left - 1), size, kind="dsr-rreq")
 
         self.node.sim.schedule(delay, _forward)
@@ -200,8 +189,6 @@ class DsrRouting(RoutingProtocol):
         delay = self.node.sim.rng(f"dsr.{self.node.node_id}").uniform(0.001, 0.010)
 
         def _send() -> None:
-            self.rrep_sent += 1
-            self.control_messages_sent += 1
             self.node.broadcast(("rrep", list(route), request_id), size, kind="dsr-rrep")
 
         self.node.sim.schedule(delay, _send)

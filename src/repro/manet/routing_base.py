@@ -13,7 +13,6 @@ class RoutingProtocol(ABC):
 
     def __init__(self):
         self.node = None
-        self.control_messages_sent = 0
 
     def attach(self, node) -> None:
         """Bind the protocol to its :class:`~repro.ip.netstack.IpNode`."""

@@ -22,10 +22,6 @@ class Position:
     x: float
     y: float
 
-    def distance_to(self, other: "Position") -> float:
-        """Euclidean distance to ``other`` in metres."""
-        return math.hypot(self.x - other.x, self.y - other.y)
-
     def __iter__(self):
         yield self.x
         yield self.y

@@ -23,10 +23,6 @@ class ContentStore:
         self.capacity = capacity
         self._entries: "OrderedDict[Name, Data]" = OrderedDict()
         self._size_bytes = 0
-        self.hits = 0
-        self.misses = 0
-        self.insertions = 0
-        self.evictions = 0
 
     # --------------------------------------------------------------- queries
     def find(self, interest: Interest) -> Optional[Data]:
@@ -35,25 +31,12 @@ class ContentStore:
             for name, data in self._entries.items():
                 if interest.name.is_prefix_of(name):
                     self._entries.move_to_end(name)
-                    self.hits += 1
                     return data
-            self.misses += 1
             return None
         data = self._entries.get(interest.name)
         if data is None:
-            self.misses += 1
             return None
         self._entries.move_to_end(interest.name)
-        self.hits += 1
-        return data
-
-    def get(self, name: NameLike) -> Optional[Data]:
-        """Exact-name lookup without statistics side effects beyond hit/miss."""
-        data = self._entries.get(Name(name))
-        if data is None:
-            self.misses += 1
-        else:
-            self.hits += 1
         return data
 
     def __contains__(self, name: NameLike) -> bool:
@@ -76,11 +59,9 @@ class ContentStore:
             return
         self._entries[name] = data
         self._size_bytes += data.wire_size
-        self.insertions += 1
         while len(self._entries) > self.capacity:
             _, evicted = self._entries.popitem(last=False)
             self._size_bytes -= evicted.wire_size
-            self.evictions += 1
 
     def clear(self) -> None:
         self._entries.clear()

@@ -29,15 +29,16 @@ class ForwarderConfig:
 
 @dataclass
 class ForwarderStats:
-    """Counters used by the experiment harness and the Table I proxies."""
+    """The forwarder's counters.
+
+    Nothing in the simulator reads them: each is one of the five ``ndn.*``
+    counts ``perfbench/tracepass.py`` (``NDN_COUNTS``) reads by name.
+    """
 
     interests_received: int = 0
     data_received: int = 0
     interests_forwarded: int = 0
     cs_hits_served: int = 0
-    loops_dropped: int = 0
-    hop_limit_drops: int = 0
-    unsolicited_data: int = 0
     pit_expirations: int = 0
 
 
@@ -94,7 +95,6 @@ class Forwarder:
         """Full Interest processing pipeline (Figure 1, left half)."""
         self.stats.interests_received += 1
         if interest.hop_limit <= 0:
-            self.stats.hop_limit_drops += 1
             return
 
         cached = self.cs.find(interest)
@@ -105,7 +105,6 @@ class Forwarder:
 
         entry, is_new, is_loop = self.pit.insert(interest, incoming_face.face_id, self.sim.now)
         if is_loop:
-            self.stats.loops_dropped += 1
             return
         if is_new:
             # Schedule cleanup when the Interest lifetime elapses.
@@ -158,7 +157,6 @@ class Forwarder:
         self.stats.data_received += 1
         satisfied = self.pit.satisfy(data)
         if not satisfied:
-            self.stats.unsolicited_data += 1
             if self.config.cache_unsolicited or self.strategy.should_cache_unsolicited(data):
                 self.cs.insert(data)
             self.strategy.on_data_received(data, incoming_face.face_id)

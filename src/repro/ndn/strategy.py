@@ -119,8 +119,6 @@ class ProbabilisticSuppressionStrategy(ForwardingStrategy):
         # raw tuple serves as well as a Name prefix without allocating one
         # per heard frame.
         self._suppressed_until: dict[tuple, float] = {}
-        self.interests_suppressed = 0
-        self.interests_forwarded = 0
         self._rng = None
 
     def attach(self, forwarder) -> None:
@@ -133,14 +131,10 @@ class ProbabilisticSuppressionStrategy(ForwardingStrategy):
             return []
         delay = None if self._is_suppressed(interest.name) else self._probabilistic_delay()
         if delay is None:
-            self.interests_suppressed += 1
             return []
         # A pure forwarder typically has a single (broadcast) face: the
         # re-broadcast goes back out the face the Interest arrived on.
-        decision = [(face_id, delay) for face_id in self.forwarder.face_ids()]
-        if decision:
-            self.interests_forwarded += 1
-        return decision
+        return [(face_id, delay) for face_id in self.forwarder.face_ids()]
 
     def on_data_received(self, data, incoming_face_id):
         self._suppressed_until.pop(self._suppression_key(data.name), None)

@@ -15,7 +15,12 @@ from typing import Dict
 
 @dataclass
 class NodeRadioStats:
-    """Per-node radio counters."""
+    """Per-node radio counters.
+
+    Read per receiver by the hand-computed MAC tests and by the delivery
+    fingerprint ``tests/test_delivery_equivalence.py`` compares across the
+    batched and per-receiver schedules.
+    """
 
     frames_sent: int = 0
     frames_received: int = 0

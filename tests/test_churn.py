@@ -289,6 +289,7 @@ def test_manager_redundant_events_are_counted_not_raised():
     # Second depart (draining) and the arrive-while-online are redundant; the
     # kill supersedes the drain and still counts.
     assert manager.redundant_events == 2
+    assert manager.metrics()["churn.redundant_events"] == 2
     assert manager.departures == 1 and manager.abrupt_kills == 1
 
 

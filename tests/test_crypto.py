@@ -1,11 +1,11 @@
 """Unit tests for keys, signatures, digests, Merkle trees and trust anchors."""
 
+import hashlib
+
 import pytest
 
-from repro.crypto import KeyPair, KeyStore, MerkleTree, TrustAnchorStore, sha256_hex, sign, verify
-from repro.crypto.digest import short_digest
+from repro.crypto import KeyPair, MerkleTree, TrustAnchorStore, sha256_hex, sign, verify
 from repro.crypto.keys import derive_public_key
-from repro.crypto.signing import public_key_matches
 
 
 # ----------------------------------------------------------------------- keys
@@ -30,16 +30,6 @@ def test_empty_private_key_rejected():
         KeyPair(owner="/a", private_key=b"")
 
 
-def test_keystore_create_and_get():
-    store = KeyStore()
-    key = store.create("/alice", seed=b"x")
-    assert store.get("/alice") is key
-    assert "/alice" in store
-    assert store.owners() == ["/alice"]
-    with pytest.raises(KeyError):
-        store.get("/bob")
-
-
 # ------------------------------------------------------------------- digests
 def test_sha256_hex_known_value():
     assert sha256_hex(b"") == "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
@@ -48,12 +38,6 @@ def test_sha256_hex_known_value():
 def test_sha256_hex_rejects_non_bytes():
     with pytest.raises(TypeError):
         sha256_hex("not-bytes")
-
-
-def test_short_digest_truncates():
-    assert short_digest(b"abc", length=8) == sha256_hex(b"abc")[:8]
-    with pytest.raises(ValueError):
-        short_digest(b"abc", length=0)
 
 
 # ---------------------------------------------------------------- signatures
@@ -78,14 +62,6 @@ def test_signature_from_wrong_key_fails_verification():
     assert not verify("/name", b"content", forged)
 
 
-def test_public_key_matches_helper():
-    alice = KeyPair.generate("/alice", seed=b"a")
-    bob = KeyPair.generate("/bob", seed=b"b")
-    signature = sign("/n", b"c", alice)
-    assert public_key_matches(alice, signature)
-    assert not public_key_matches(bob, signature)
-
-
 def test_signature_size_positive():
     key = KeyPair.generate("/alice", seed=b"a")
     assert sign("/n", b"c", key).size_bytes > 32
@@ -93,9 +69,7 @@ def test_signature_size_positive():
 
 # -------------------------------------------------------------- merkle trees
 def test_merkle_single_leaf_root_is_leaf_hash():
-    tree = MerkleTree([b"only"])
-    assert tree.root == tree.leaf_hash(0)
-    assert tree.leaf_count == 1
+    assert MerkleTree([b"only"]).root == hashlib.sha256(b"leaf:only").hexdigest()
 
 
 def test_merkle_root_changes_with_any_leaf():
@@ -106,27 +80,6 @@ def test_merkle_root_changes_with_any_leaf():
 
 def test_merkle_root_depends_on_order():
     assert MerkleTree([b"a", b"b"]).root != MerkleTree([b"b", b"a"]).root
-
-
-def test_merkle_proof_verifies_for_every_leaf():
-    leaves = [f"packet-{i}".encode() for i in range(7)]  # odd count exercises promotion
-    tree = MerkleTree(leaves)
-    for index, leaf in enumerate(leaves):
-        proof = tree.proof(index)
-        assert MerkleTree.verify_proof(leaf, proof, tree.root)
-
-
-def test_merkle_proof_fails_for_wrong_leaf():
-    leaves = [b"a", b"b", b"c", b"d"]
-    tree = MerkleTree(leaves)
-    proof = tree.proof(1)
-    assert not MerkleTree.verify_proof(b"not-b", proof, tree.root)
-
-
-def test_merkle_proof_index_out_of_range():
-    tree = MerkleTree([b"a", b"b"])
-    with pytest.raises(IndexError):
-        tree.proof(5)
 
 
 def test_merkle_empty_rejected():
@@ -161,21 +114,3 @@ def test_trust_anchor_rejects_key_mismatch():
     trust.add_anchor_key(other)  # trusted under a different public key
     signature = sign("/n", b"c", key)
     assert not trust.authenticate("/n", b"c", signature)
-
-
-def test_endorsement_extends_trust():
-    anchor = KeyPair.generate("/elder", seed=b"e")
-    newcomer = KeyPair.generate("/newcomer", seed=b"n")
-    trust = TrustAnchorStore()
-    trust.add_anchor_key(anchor)
-    assert trust.endorse("/elder", "/newcomer", newcomer.public_key)
-    assert trust.is_trusted("/newcomer")
-    signature = sign("/n", b"c", newcomer)
-    assert trust.authenticate("/n", b"c", signature)
-
-
-def test_endorsement_by_untrusted_party_rejected():
-    trust = TrustAnchorStore()
-    assert not trust.endorse("/nobody", "/x", "key")
-    assert not trust.is_trusted("/x")
-    assert len(trust) == 0

@@ -68,7 +68,7 @@ def test_two_peer_download_over_lossless_channel():
     sim.run(until=60.0)
     assert downloader.peer.progress(metadata.collection) == 1.0
     assert downloader.peer.download_time(metadata.collection) is not None
-    assert metadata.collection in downloader.peer.completed_collections
+    assert downloader.peer.sessions[metadata.collection].completion_time is not None
 
 
 def test_two_peer_download_over_lossy_channel():
@@ -248,6 +248,14 @@ def test_state_size_and_load_counters_populate():
     sim, medium, producer, downloader, _ = build_pair()
     metadata = producer.peer.publish_collection(build_collection())
     downloader.peer.join(metadata.collection)
+    answered = []
+    put_data = producer.peer.app_face.put_data
+
+    def spy(data):
+        answered.append(data.name)
+        put_data(data)
+
+    producer.peer.app_face.put_data = spy
     producer.start()
     downloader.start()
     sim.run(until=60.0)
@@ -258,7 +266,8 @@ def test_state_size_and_load_counters_populate():
     assert load.context_switches > 0
     assert load.system_calls > 0
     assert load.memory_overhead_mb >= 0.0
-    assert producer.peer.load.interests_answered > 0
+    # The producer answered packet Interests from its store.
+    assert any(DapesNamespace.classify(name) == "collection-data" for name in answered)
 
 
 # ------------------------------------------------------------ packet-kind table

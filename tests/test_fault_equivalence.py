@@ -232,7 +232,7 @@ def test_stall_kill_interleavings_hold_invariants(case):
     unsafe = []
     for node, radio in radios.items():
         def deliver(frame, node=node, original=radio.deliver):
-            if node not in medium.node_ids or manager.node_stalled(node):
+            if node not in medium.node_ids or manager.sender_stalled(node):
                 unsafe.append((node, sim.now))
             original(frame)
 

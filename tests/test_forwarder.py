@@ -84,32 +84,56 @@ def test_pit_aggregation_prevents_duplicate_forwarding(sim):
 
 
 def test_looping_interest_dropped(sim):
-    forwarder = Forwarder(sim, "n", strategy=MulticastStrategy())
+    consulted = []
+
+    class ForwardEverything(MulticastStrategy):
+        """Forwards every Interest it sees, aggregated or not, to every other face."""
+
+        def decide_interest_forwarding(self, interest, incoming_face_id, entry, is_new):
+            consulted.append(incoming_face_id)
+            return [(face_id, 0.0) for face_id in self.forwarder.face_ids() if face_id != incoming_face_id]
+
+    forwarder = Forwarder(sim, "n", strategy=ForwardEverything())
     face_one = forwarder.add_face(AppFace())
     face_two = forwarder.add_face(AppFace())
+    heard = {"one": [], "two": []}
+    face_one.on_interest = heard["one"].append
+    face_two.on_interest = heard["two"].append
     interest = Interest(name=Name("/loop"))
     face_one.receive_interest(interest)
     face_two.receive_interest(interest)  # same nonce arrives from elsewhere: loop
     sim.run(until=1.0)
-    assert forwarder.stats.loops_dropped == 1
+    # The looped copy never reaches the strategy, so it is not sent back out.
+    assert consulted == [face_one.face_id]
+    assert len(heard["two"]) == 1 and heard["one"] == []
+    assert forwarder.pit.get("/loop").in_faces == {face_one.face_id}
 
 
 def test_hop_limit_exhaustion_drops_interest(sim):
     forwarder = Forwarder(sim, "n", strategy=MulticastStrategy())
     face = forwarder.add_face(AppFace())
+    other = forwarder.add_face(AppFace())
+    forwarded = []
+    other.on_interest = forwarded.append
     exhausted = Interest(name=Name("/x"), hop_limit=1).clone_for_forwarding()
     assert exhausted.hop_limit == 0
     face.receive_interest(exhausted)
     sim.run(until=1.0)
-    assert forwarder.stats.hop_limit_drops == 1
+    assert forwarded == []
+    assert Name("/x") not in forwarder.pit
+    assert forwarder.stats.interests_received == 1 and forwarder.stats.interests_forwarded == 0
 
 
 def test_unsolicited_data_dropped_unless_configured(sim):
     forwarder = Forwarder(sim, "n", config=ForwarderConfig(cache_unsolicited=False))
     face = forwarder.add_face(AppFace())
+    other = forwarder.add_face(AppFace())
+    relayed = []
+    other.on_data = relayed.append
     face.put_data(Data(name=Name("/unsolicited"), content=b"x"))
     sim.run(until=1.0)
-    assert forwarder.stats.unsolicited_data == 1
+    assert forwarder.stats.data_received == 1
+    assert relayed == []  # no PIT entry asked for it
     assert Name("/unsolicited") not in forwarder.cs
 
     cached_forwarder = Forwarder(sim, "m", config=ForwarderConfig(cache_unsolicited=True))
@@ -158,9 +182,10 @@ def test_probabilistic_strategy_zero_probability_never_forwards(lossless_world):
     forwarder = Forwarder(sim, "a", strategy=ProbabilisticSuppressionStrategy(forward_probability=0.0))
     wifi = forwarder.add_face(BroadcastFace(radio))
     wifi.receive_interest(Interest(name=Name("/x")))
+    assert not forwarder.pit.get("/x").forwarded
     sim.run(until=1.0)
     assert forwarder.stats.interests_forwarded == 0
-    assert forwarder.strategy.interests_suppressed == 1
+    assert medium.stats.frames_transmitted == 0
 
 
 def test_probabilistic_strategy_always_forwards_with_probability_one(lossless_world):
@@ -199,11 +224,10 @@ def _check_suppression_after_unanswered_interest(lossless_world, kind):
     assert strategy.suppressed_prefixes  # the forwarded Interest brought nothing back
     # A later Interest under the suppressed prefix is not re-broadcast.
     on_air = medium.stats.frames_transmitted
-    suppressed = strategy.interests_suppressed
     wifi.receive_interest(Interest(name=Name("/coll/file/1"), lifetime=0.5))
+    assert wifi.face_id not in strategy.forwarder.pit.get("/coll/file/1").out_faces
     sim.run(until=3.0)
     assert medium.stats.frames_transmitted == on_air
-    assert strategy.interests_suppressed == suppressed + 1
 
 
 def _check_suppression_cleared_by_data(lossless_world, kind):
@@ -230,6 +254,15 @@ def test_dapes_suppression_after_unanswered_interest(lossless_world):
 
 def test_dapes_suppression_cleared_by_data(lossless_world):
     _check_suppression_cleared_by_data(lossless_world, "dapes")
+
+
+@pytest.mark.parametrize("hop_limit, rebroadcast", [(1, False), (2, True)])
+def test_dapes_relay_rebroadcasts_only_interests_with_hops_left(lossless_world, hop_limit, rebroadcast):
+    sim, medium, strategy, wifi = _relay(lossless_world, "dapes")
+    wifi.receive_interest(Interest(name=Name("/coll/file/0"), hop_limit=hop_limit))
+    assert (wifi.face_id in strategy.forwarder.pit.get("/coll/file/0").out_faces) == rebroadcast
+    sim.run(until=1.0)
+    assert medium.stats.frames_transmitted == int(rebroadcast)
 
 
 def test_pure_forwarder_caches_overheard_data(lossless_world):

@@ -24,6 +24,20 @@ def build_world(positions, routing_factory, wifi_range=60.0, seed=1, loss_rate=0
     return sim, medium, nodes, routers
 
 
+def originated_rreqs(node):
+    """Spy on ``node``'s link broadcasts: the ids of the Route Requests it originates."""
+    sent = []
+    broadcast = node.broadcast
+
+    def spy(payload, size_bytes, kind):
+        if kind == "dsr-rreq" and payload[1][0] == node.node_id:
+            sent.append(payload[1])
+        broadcast(payload, size_bytes, kind)
+
+    node.broadcast = spy
+    return sent
+
+
 # ----------------------------------------------------------------------- DSDV
 def test_dsdv_learns_direct_neighbours():
     sim, medium, nodes, routers = build_world({"a": (0, 0), "b": (30, 0)}, lambda: DsdvRouting(update_interval=1.0))
@@ -38,7 +52,7 @@ def test_dsdv_learns_multi_hop_routes():
     )
     sim.run(until=6.0)
     assert routers["a"].next_hop("b") == "m"
-    assert routers["a"].route_count >= 2
+    assert routers["a"].next_hop("m") == "m"
 
 
 def test_dsdv_prefers_fresher_sequence_numbers_and_shorter_metrics():
@@ -94,6 +108,7 @@ def test_dsr_discovers_route_on_demand():
     )
     udp_a = UdpService(nodes["a"])
     udp_b = UdpService(nodes["b"])
+    requests = originated_rreqs(nodes["a"])
     received = []
     udp_b.bind(7, lambda src, payload, port: received.append(payload))
     assert not udp_a.send("b", 7, "first", 64)  # triggers discovery, packet queued
@@ -101,7 +116,7 @@ def test_dsr_discovers_route_on_demand():
     assert received == ["first"]
     route = routers["a"].route_to("b")
     assert route == ["a", "m", "b"]
-    assert routers["a"].rreq_sent >= 1
+    assert len(requests) >= 1
     # Before discovery there was no route; afterwards data flows immediately.
     assert udp_a.send("b", 7, "second", 64)
     sim.run(until=12.0)
@@ -114,10 +129,12 @@ def test_dsr_source_routes_are_stamped_on_data_packets():
     )
     udp_a = UdpService(nodes["a"])
     UdpService(nodes["b"])
+    requests = originated_rreqs(nodes["m"])
     udp_a.send("b", 7, "x", 64)
     sim.run(until=10.0)
+    assert medium.stats.transmitted_by_kind["udp-data"] >= 2  # a -> m -> b
     # The intermediate node must not have needed a discovery of its own.
-    assert routers["m"].discoveries == 0
+    assert requests == []
 
 
 def test_dsr_reverse_route_learned_from_rreq():
@@ -155,7 +172,8 @@ def test_dsr_discovery_gives_up_after_retries():
     udp_a.send("b", 7, "x", 64)
     sim.run(until=10.0)
     assert routers["a"].route_to("b") is None
-    assert routers["a"].rreq_sent == 3  # initial + 2 retries
+    # b is out of range, so every Route Request on the air is a's.
+    assert medium.stats.transmitted_by_kind["dsr-rreq"] == 3  # initial + 2 retries
 
 
 def test_dsr_intermediate_nodes_do_not_start_discoveries_for_foreign_packets():
@@ -165,9 +183,12 @@ def test_dsr_intermediate_nodes_do_not_start_discoveries_for_foreign_packets():
     medium = WirelessMedium(sim, mobility, ChannelConfig())
     node = IpNode(sim, medium, "m")
     node.attach_routing(routing)
+    requests = originated_rreqs(node)
     foreign = IpPacket(src="someone-else", dst="far", protocol="udp", payload=(1, "x"), payload_size=8)
     routing.on_no_route(foreign)
-    assert routing.discoveries == 0
+    sim.run(until=5.0)
+    assert requests == []
+    assert medium.stats.frames_transmitted == 0
 
 
 def test_dsr_route_cache_expires():

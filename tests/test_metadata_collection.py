@@ -27,7 +27,7 @@ def producer_key():
 # ----------------------------------------------------------------- collections
 def test_collection_packet_counts(collection):
     assert collection.total_packets == 7  # 5 + 2 packets
-    assert collection.total_bytes == 7 * 1024
+    assert sum(spec.size_bytes for spec in collection.files) == 7 * 1024
 
 
 def test_file_spec_validation():
@@ -215,7 +215,7 @@ def test_packet_store_state_size_excludes_payload_bytes(collection, producer_key
     store = PacketStore(metadata)
     store.mark_all_present(collection, producer_key)
     # Protocol state must stay far below the collection size (payloads go to disk).
-    assert store.state_size_bytes < collection.total_bytes / 2
+    assert store.state_size_bytes < sum(spec.size_bytes for spec in collection.files) / 2
 
 
 def test_synthetic_packet_content_is_deterministic():

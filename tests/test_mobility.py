@@ -29,7 +29,7 @@ def test_every_model_implements_only_position_xy():
 
 
 def test_position_distance():
-    assert Position(0, 0).distance_to(Position(3, 4)) == pytest.approx(5.0)
+    assert math.dist(Position(0, 0), Position(3, 4)) == pytest.approx(5.0)
 
 
 def test_static_placement_returns_fixed_positions():
@@ -78,7 +78,7 @@ def test_random_direction_respects_speed_bounds():
     previous = model.position("n", 0.0)
     for step in range(1, 50):
         current = model.position("n", float(step))
-        distance = previous.distance_to(current)
+        distance = math.dist(previous, current)
         assert distance <= 10.0 + 1e-6  # cannot exceed max speed per second
         previous = current
 
@@ -153,13 +153,13 @@ def interpolate_by_scan(waypoints, time):
 
 
 def speed_bound_by_walk(traces):
-    """The reference: every leg of every trace, through ``Position.distance_to``."""
+    """The reference: every leg of every trace, through ``math.dist``."""
     fastest = 0.0
     for waypoints in traces:
         for earlier, later in zip(waypoints, waypoints[1:]):
             span = later.time - earlier.time
             if span > 0:
-                distance = Position(earlier.x, earlier.y).distance_to(Position(later.x, later.y))
+                distance = math.dist((earlier.x, earlier.y), (later.x, later.y))
                 fastest = max(fastest, distance / span)
     return fastest
 

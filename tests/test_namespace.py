@@ -34,7 +34,9 @@ def test_parse_packet_name_roundtrip():
     assert parsed.collection == "damaged-bridge-1533783192"
     assert parsed.file_name == "bridge-picture"
     assert parsed.sequence == 42
-    assert parsed.to_name() == Name("/damaged-bridge-1533783192/bridge-picture/42")
+    assert DapesNamespace.packet_name(parsed.collection, parsed.file_name, parsed.sequence) == Name(
+        "/damaged-bridge-1533783192/bridge-picture/42"
+    )
 
 
 def test_parse_packet_name_rejects_non_packet_names():

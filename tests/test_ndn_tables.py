@@ -11,13 +11,14 @@ def test_cs_insert_and_exact_match():
     data = Data(name=Name("/a/0"), content=b"x")
     cs.insert(data)
     assert cs.find(Interest(name=Name("/a/0"))) is data
-    assert cs.hits == 1
+    assert Name("/a/0") in cs and len(cs) == 1
 
 
-def test_cs_miss_counted():
+def test_cs_miss_returns_none():
     cs = ContentStore()
+    cs.insert(Data(name=Name("/present"), content=b"x"))
     assert cs.find(Interest(name=Name("/missing"))) is None
-    assert cs.misses == 1
+    assert Name("/missing") not in cs and len(cs) == 1
 
 
 def test_cs_prefix_match_with_can_be_prefix():
@@ -36,7 +37,7 @@ def test_cs_lru_eviction():
     assert Name("/1") in cs
     assert Name("/2") not in cs
     assert Name("/3") in cs
-    assert cs.evictions == 1
+    assert len(cs) == 2
 
 
 def test_cs_zero_capacity_stores_nothing():
@@ -50,7 +51,7 @@ def test_cs_reinsert_same_name_refreshes():
     cs.insert(Data(name=Name("/a"), content=b"old"))
     cs.insert(Data(name=Name("/a"), content=b"new"))
     assert len(cs) == 1
-    assert cs.get("/a").content == b"new"
+    assert cs.find(Interest(name=Name("/a"))).content == b"new"
 
 
 def test_cs_size_bytes_nonzero():

@@ -73,14 +73,6 @@ def test_bitmap_set_algebra_laws(size, data):
 
 
 # ---------------------------------------------------------------------- merkle
-@given(st.lists(st.binary(min_size=1, max_size=32), min_size=1, max_size=24))
-@settings(max_examples=50)
-def test_merkle_proofs_verify_for_all_leaves(leaves):
-    tree = MerkleTree(leaves)
-    for index, leaf in enumerate(leaves):
-        assert MerkleTree.verify_proof(leaf, tree.proof(index), tree.root)
-
-
 @given(st.lists(st.binary(min_size=1, max_size=16), min_size=2, max_size=16), st.data())
 @settings(max_examples=50)
 def test_merkle_root_detects_any_single_leaf_change(leaves, data):

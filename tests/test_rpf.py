@@ -90,19 +90,48 @@ def test_local_rpf_forgets_departed_peer():
     assert strategy.state_size_bytes == 0
 
 
-def test_local_rpf_reset_encounter_clears_all_state():
-    strategy = LocalNeighborhoodRpf(random_start=False)
-    strategy.observe_bitmap("p1", bitmap(4, [0]), now=0.0)
-    strategy.observe_bitmap("p2", bitmap(4, [1]), now=0.0)
-    assert strategy.pick(bitmap(4, [])) == 2
-    strategy.reset_encounter()
-    assert strategy.pick(bitmap(4, [])) == 0
+@pytest.mark.parametrize("wifi_range", [40.0, 60.0])
+def test_local_rpf_remembers_only_current_neighbours(monkeypatch, wifi_range):
+    """Local RPF keeps a bitmap only while its sender is in the neighbour table.
+
+    Checked after every call that changes either side (a bitmap recorded, a
+    neighbour forgotten) and at each housekeeping pass, over a whole DAPES
+    trial: so when an encounter ends, local RPF already holds nothing.
+    """
+    from repro.core.advertisement import Advertising
+    from repro.core.peer import DapesPeer, Discovery
+    from repro.experiments import ExperimentConfig, run_protocol_trial
+
+    checks = {"calls": 0, "encounters_over": 0}
+
+    def check(peer):
+        neighbours = set(peer.discovery.neighbors)
+        for session in peer.sessions.values():
+            if isinstance(session.fetch, LocalNeighborhoodRpf):
+                checks["calls"] += 1
+                assert set(session.fetch._bitmaps) <= neighbours, peer.node_id
+                if not neighbours:
+                    checks["encounters_over"] += 1
+
+    def after(method, owner):
+        def wrapper(self, *args):
+            result = method(self, *args)
+            check(owner(self))
+            return result
+        return wrapper
+
+    monkeypatch.setattr(Advertising, "record", after(Advertising.record, lambda part: part.peer))
+    monkeypatch.setattr(Discovery, "forget", after(Discovery.forget, lambda part: part.peer))
+    monkeypatch.setattr(DapesPeer, "_housekeeping", after(DapesPeer._housekeeping, lambda peer: peer))
+    config = ExperimentConfig.small().with_overrides(wifi_range=wifi_range)
+    assert config.dapes.rpf_strategy == "local"
+    run_protocol_trial("dapes", config, seed=42)
+    assert checks["calls"] > 0 and checks["encounters_over"] > 0
 
 
 def test_encounter_rpf_keeps_history_across_encounters():
     strategy = EncounterBasedRpf(history=10, random_start=False)
     strategy.observe_bitmap("p1", bitmap(4, [0]), now=0.0)
-    strategy.reset_encounter()
     strategy.forget_peer("p1")
     assert strategy.pick(bitmap(4, [])) == 1  # history survives disconnection
     assert strategy.state_size_bytes == 1
@@ -167,7 +196,6 @@ def fetch_histories(draw):
     operation = st.one_of(
         st.tuples(st.just("observe"), st.sampled_from(PEERS), indices),
         st.tuples(st.just("forget"), st.sampled_from(PEERS)),
-        st.tuples(st.just("reset")),
         st.tuples(st.just("pick"), indices, indices),
     )
     return {
@@ -200,9 +228,6 @@ def test_pick_is_the_old_select_of_one(case):
         elif kind == "forget":
             production.forget_peer(operation[1])
             reference.forget_peer(operation[1])
-        elif kind == "reset":
-            production.reset_encounter()
-            reference.reset_encounter()
         else:
             own, outstanding = bitmap(size, operation[1]), dict.fromkeys(operation[2], 0)
             expected = oracle_select(reference, own, 1, exclude=outstanding.keys())
