@@ -172,10 +172,10 @@ class BithocPeer(IpSwarmPeer):
                 continue
             # Nothing useful nearby: try a far peer for a piece nobody close has.
             far = self.far_peers()
-            remaining = [p for p in self.bitmap.missing() if p not in self._outstanding]
+            remaining = self.bitmap.missing_mask(self._outstanding)
             if not far or not remaining:
                 break
-            piece = remaining[0]
+            piece = (remaining & -remaining).bit_length() - 1
             target = self._rng.choice(far)
             self._request_piece(piece, target)
 

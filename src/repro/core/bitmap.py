@@ -7,7 +7,7 @@ A set bit means the peer has the packet.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional
 
 
 class Bitmap:
@@ -100,26 +100,46 @@ class Bitmap:
                 clear &= clear - 1
         return result
 
+    def missing_mask(self, exclude: Iterable[int] = ()) -> int:
+        """The missing packets not in ``exclude``, as one int (bit ``i`` = packet ``i``)."""
+        mask = ~self.as_int() & ((1 << self._size) - 1)
+        for index in exclude:
+            mask &= ~(1 << index)
+        return mask
+
+    def all_set(self, start: int, stop: int) -> bool:
+        """Whether every packet in ``range(start, stop)`` is present."""
+        if not 0 <= start <= stop <= self._size:
+            raise IndexError(f"bit range {start}:{stop} out of range (size {self._size})")
+        full = (1 << (stop - start)) - 1
+        window = int.from_bytes(self._bits[start >> 3 : (stop + 7) >> 3], "little") >> (start & 7)
+        return window & full == full
+
+    def as_int(self) -> int:
+        """The bitmap as one int: bit ``i`` is set when packet ``i`` is present."""
+        return int.from_bytes(self._bits, "little")
+
     # ----------------------------------------------------------- set algebra
     def union(self, other: "Bitmap") -> "Bitmap":
         """Packets present in either bitmap."""
         self._check_compatible(other)
-        result = Bitmap(self._size)
-        result._bits = bytearray(a | b for a, b in zip(self._bits, other._bits))
-        result._recount()
-        return result
+        return self._from_int(self.as_int() | other.as_int())
 
     def difference(self, other: "Bitmap") -> "Bitmap":
         """Packets present here but missing from ``other``."""
         self._check_compatible(other)
+        return self._from_int(self.as_int() & ~other.as_int())
+
+    def _from_int(self, value: int) -> "Bitmap":
+        """A bitmap of this size holding the packets set in ``value``."""
         result = Bitmap(self._size)
-        result._bits = bytearray(a & ~b & 0xFF for a, b in zip(self._bits, other._bits))
-        result._recount()
+        result._bits = bytearray(value.to_bytes(len(self._bits), "little"))
+        result._count = value.bit_count()
         return result
 
     def _recount(self) -> None:
         """Resynchronize the cached popcount after a bulk ``_bits`` rewrite."""
-        self._count = sum(bin(byte).count("1") for byte in self._bits)
+        self._count = self.as_int().bit_count()
 
     def _check_compatible(self, other: "Bitmap") -> None:
         if self._size != other._size:
@@ -158,44 +178,42 @@ class Bitmap:
 
     # -------------------------------------------------------------- helpers
     @staticmethod
-    def presence_counts(size: int, bitmaps: Iterable["Bitmap"]) -> List[int]:
-        """Per-index count of ``bitmaps`` holding each packet.
+    def rarest(candidates: int, bitmaps: Iterable["Bitmap"], offset: int = 0) -> Optional[int]:
+        """The rarest-first pick among the packets set in ``candidates``, or ``None``.
 
-        One pass over the set bits instead of ``size * len(bitmaps)``
-        :meth:`get` calls (the rarest-first hot path).
+        A packet's rarity is how many of the known ``bitmaps`` lack it; ties
+        go to the packet that comes first in sequence order rotated to start
+        at ``offset``.  DAPES ranks every missing packet, so a packet no
+        known bitmap holds ranks rarest; Bithoc passes only pieces some
+        neighbour holds (``presence > 0``) with ``offset=0``.
+
+        The count is bit-sliced: ``planes[k]`` holds the candidates whose
+        number of holders has binary digit ``k`` set, and each bitmap is
+        added into the planes with a ripple carry, so a pick costs a few
+        whole-int operations per bitmap and none per packet.
         """
-        counts = [0] * size
+        if not candidates:
+            return None
+        planes: List[int] = []
         for bitmap in bitmaps:
-            for byte_index, byte in enumerate(bitmap._bits):
-                if not byte:
-                    continue
-                base = byte_index << 3
-                while byte:
-                    low = byte & -byte
-                    index = base + low.bit_length() - 1
-                    if index < size:
-                        counts[index] += 1
-                    byte &= byte - 1
-        return counts
-
-    @staticmethod
-    def rarest(
-        candidates: Iterable[int], presence: Sequence[int], total: int, offset: int, size: int
-    ) -> Optional[int]:
-        """The rarest-first pick among ``candidates``, or ``None`` if there are none.
-
-        A packet's rarity is how many of the ``total`` known bitmaps lack it
-        (``presence`` is :meth:`presence_counts` over them); ties go to the
-        packet that comes first in sequence order rotated to start at
-        ``offset``.  DAPES ranks every missing packet, so a packet no known
-        bitmap holds ranks rarest; Bithoc passes only pieces some neighbour
-        holds (``presence > 0``) with ``offset=0``.
-        """
-        return min(
-            candidates,
-            key=lambda index: (presence[index] - total, (index - offset) % size),
-            default=None,
-        )
+            carry = bitmap.as_int() & candidates
+            for digit, plane in enumerate(planes):
+                if not carry:
+                    break
+                planes[digit] = plane ^ carry
+                carry &= plane
+            if carry:
+                planes.append(carry)
+        # Most significant digit first: keep the candidates with a 0 there
+        # whenever some exist, which leaves those with the fewest holders.
+        for plane in reversed(planes):
+            fewer = candidates & ~plane
+            if fewer:
+                candidates = fewer
+        later = candidates >> offset
+        if later:
+            return offset + (later & -later).bit_length() - 1
+        return (candidates & -candidates).bit_length() - 1
 
     @classmethod
     def full(cls, size: int) -> "Bitmap":

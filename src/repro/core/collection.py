@@ -242,7 +242,7 @@ class PacketStore:
         file_meta = self.metadata.file(file_name)
         base = self.metadata.global_index(file_name, 0)
         indices = range(base, base + file_meta.packet_count)
-        if not all(self.bitmap.get(i) for i in indices):
+        if not self.bitmap.all_set(base, base + file_meta.packet_count):
             return
         contents = [self.packets[i].content for i in indices]
         if self.metadata.verify_file(file_name, contents):

@@ -43,7 +43,7 @@ class PureForwarderNode:
         self.forwarder = Forwarder(
             sim,
             node_id,
-            config=ForwarderConfig(cs_capacity=cs_capacity, cache_unsolicited=True),
+            config=ForwarderConfig(cs_capacity=cs_capacity),
             strategy=self.strategy,
         )
         self.forwarder.add_face(

@@ -13,7 +13,11 @@ dynamic off-the-grid communication:
 
 Both support starting the download at a random packet instead of the first
 one, which increases the diversity of disseminated data (Fig. 9a).  Both
-rank by :meth:`Bitmap.rarest`, the rule Bithoc's piece picker shares.
+rank by :meth:`Bitmap.rarest`, the rule Bithoc's piece picker shares.  A
+pick takes the missing, not yet requested packets as one int
+(:meth:`Bitmap.missing_mask`) and counts their holders over the kept
+bitmaps with whole-int operations, so it costs a few operations per known
+bitmap and none per packet; the strategy keeps no index beside the bitmaps.
 
 :class:`Fetching` is the peer's data part: the pipeline RPF feeds, its
 retransmission timers, the answers to packet Interests and completion.
@@ -22,7 +26,7 @@ retransmission timers, the answers to packet Interests and completion.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Container, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
 from repro.ndn.name import Name
 from repro.ndn.packet import Data, Interest
@@ -67,23 +71,17 @@ class FetchStrategy:
         """Memory held across encounters (Table I proxy); none by default."""
         return 0
 
-    def pick(self, own: Bitmap, exclude: Container[int] = ()) -> Optional[int]:
+    def pick(self, own: Bitmap, exclude: Iterable[int] = ()) -> Optional[int]:
         """The rarest missing packet not in ``exclude``, or ``None``.
 
         ``exclude`` holds the indices that already have an outstanding
         Interest.  Ties go to the (possibly rotated) sequence order, so that
         peers that start at a random packet spread over the collection.
         """
-        missing = own.missing()
-        if exclude:
-            missing = [index for index in missing if index not in exclude]
-        if not missing:
+        candidates = own.missing_mask(exclude)
+        if not candidates:
             return None
-        size = own.size
-        offset = self._start(size)
-        bitmaps = self._bitmaps
-        presence = Bitmap.presence_counts(size, bitmaps.values())
-        return Bitmap.rarest(missing, presence, len(bitmaps), offset, size)
+        return Bitmap.rarest(candidates, self._bitmaps.values(), self._start(own.size))
 
     # ------------------------------------------------------------- internals
     def _start(self, size: int) -> int:

@@ -23,7 +23,6 @@ class ForwarderConfig:
     """Tunables of one forwarder instance."""
 
     cs_capacity: int = 4096
-    cache_unsolicited: bool = False
     forwarding_delay: float = 0.0002
 
 
@@ -157,7 +156,7 @@ class Forwarder:
         self.stats.data_received += 1
         satisfied = self.pit.satisfy(data)
         if not satisfied:
-            if self.config.cache_unsolicited or self.strategy.should_cache_unsolicited(data):
+            if self.strategy.should_cache_unsolicited(data):
                 self.cs.insert(data)
             self.strategy.on_data_received(data, incoming_face.face_id)
             return

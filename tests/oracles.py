@@ -18,7 +18,13 @@ twins live here, on the test side, so no config field selects them:
   :meth:`repro.core.bitmap.Bitmap.rarest`: DAPES's ``select(own, count,
   exclude)`` list API and Bithoc's per-piece ``rarity`` sort.  Only their
   reads of the peer's state changed (``strategy._bitmaps`` for the deleted
-  ``known_bitmaps()``, ``own`` for ``self.bitmap``).
+  ``known_bitmaps()``, ``own`` for ``self.bitmap``), and ``oracle_rarity``
+  counts a bitmap too short to cover a piece as lacking it.
+* :func:`oracle_presence_counts` and :func:`oracle_rarest` — the per-index
+  presence list and the list-key ranking that ``Bitmap.rarest`` replaced
+  with bit-sliced counting.  :func:`oracle_select` counts through the
+  first, and ``tests/test_bitmap.py`` judges ``Bitmap.rarest`` against the
+  second, so no oracle shares code with the picker it judges.
 """
 
 from __future__ import annotations
@@ -139,7 +145,7 @@ def oracle_select(strategy: FetchStrategy, own: Bitmap, count: int, exclude: Ite
     # Rarity for every index in one pass over the bitmaps' set bits,
     # rather than len(missing) * len(bitmaps) Bitmap.get calls.  The key
     # is unchanged: rarity = len(bitmaps) - presence.
-    presence = Bitmap.presence_counts(size, bitmaps)
+    presence = oracle_presence_counts(size, bitmaps)
     total = len(bitmaps)
     key = lambda index: (presence[index] - total, (index - offset) % size)  # noqa: E731
     if count == 1:
@@ -149,7 +155,7 @@ def oracle_select(strategy: FetchStrategy, own: Bitmap, count: int, exclude: Ite
 
 def oracle_rarity(index: int, bitmaps: Sequence[Bitmap]) -> int:
     """How many of ``bitmaps`` are missing packet ``index`` (higher = rarer)."""
-    return sum(1 for bitmap in bitmaps if not bitmap.get(index))
+    return sum(1 for bitmap in bitmaps if index >= bitmap.size or not bitmap.get(index))
 
 
 def oracle_rarest_missing(own: Bitmap, neighbor_bitmaps: Dict[str, Bitmap], exclude=()) -> Optional[int]:
@@ -166,3 +172,29 @@ def oracle_rarest_missing(own: Bitmap, neighbor_bitmaps: Dict[str, Bitmap], excl
     bitmaps = list(neighbor_bitmaps.values())
     candidates.sort(key=lambda index: (-oracle_rarity(index, bitmaps), index))
     return candidates[0]
+
+
+def oracle_presence_counts(size: int, bitmaps: Iterable[Bitmap]) -> List[int]:
+    """Per-index count of ``bitmaps`` holding each packet (indices below ``size`` only)."""
+    counts = [0] * size
+    for bitmap in bitmaps:
+        for byte_index, byte in enumerate(bitmap.to_bytes()):
+            base = byte_index << 3
+            while byte:
+                low = byte & -byte
+                index = base + low.bit_length() - 1
+                if index < size:
+                    counts[index] += 1
+                byte &= byte - 1
+    return counts
+
+
+def oracle_rarest(
+    candidates: Iterable[int], presence: Sequence[int], total: int, offset: int, size: int
+) -> Optional[int]:
+    """The list-key rarest-first pick: fewest holders, then sequence order rotated to ``offset``."""
+    return min(
+        candidates,
+        key=lambda index: (presence[index] - total, (index - offset) % size),
+        default=None,
+    )

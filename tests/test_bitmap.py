@@ -1,8 +1,13 @@
 """Unit tests for the bitmap data advertisements (Section IV-D)."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import Bitmap
+
+from oracles import oracle_presence_counts, oracle_rarest
 
 
 def ones(bitmap):
@@ -103,23 +108,80 @@ def test_wire_encoding_clears_padding_bits():
     assert bitmap.count() == 9  # only 9 valid bits despite 16 set bits on the wire
 
 
+def mask(*indices):
+    """The int with bit ``i`` set for each of ``indices``."""
+    return sum(1 << index for index in indices)
+
+
 def test_rarity_counts_missing_across_bitmaps():
     peers = [Bitmap(4, set_bits=[0]), Bitmap(4, set_bits=[0, 1]), Bitmap(4)]
-    presence = Bitmap.presence_counts(4, peers)
-    assert presence == [2, 1, 0, 0]
-    # Rarity, how many bitmaps lack a packet, is len(peers) - presence.
-    assert [len(peers) - count for count in presence] == [1, 2, 3, 3]
-    # Bits beyond ``size`` (a longer bitmap) are not counted.
-    assert Bitmap.presence_counts(2, [Bitmap(10, set_bits=[1, 9])]) == [0, 1]
+    # Packets 0..3 are held by 2, 1, 0 and 0 of the three peers.
+    assert Bitmap.rarest(mask(0, 1, 2, 3), peers) == 2
+    assert Bitmap.rarest(mask(0, 1), peers) == 1
+    assert Bitmap.rarest(mask(0), peers) == 0
+    # Only the candidates are counted, whatever a known bitmap's length:
+    # bit 9 of a longer bitmap and the end of a shorter one change nothing.
+    assert Bitmap.rarest(mask(0, 1), [Bitmap(10, set_bits=[0, 9])]) == 1
+    assert Bitmap.rarest(mask(1, 9), [Bitmap(2, set_bits=[1])]) == 9
 
 
 def test_rarest_ranks_by_rarity_then_rotated_order():
-    presence = [2, 1, 0, 0]
-    assert Bitmap.rarest(range(4), presence, 3, 0, 4) == 2
-    assert Bitmap.rarest(range(4), presence, 3, 3, 4) == 3  # rotation breaks the tie
-    assert Bitmap.rarest([0, 1], presence, 3, 0, 4) == 1
-    assert Bitmap.rarest([0, 1], presence, 3, 1, 4) == 1  # rarity beats the rotation
-    assert Bitmap.rarest([], presence, 3, 0, 4) is None
+    # Packets 0..3 are held by 2, 1, 0 and 0 of the three peers.
+    peers = [Bitmap(4, set_bits=[0, 1]), Bitmap(4, set_bits=[0]), Bitmap(4)]
+    assert Bitmap.rarest(mask(0, 1, 2, 3), peers, 0) == 2
+    assert Bitmap.rarest(mask(0, 1, 2, 3), peers, 3) == 3  # rotation breaks the tie
+    assert Bitmap.rarest(mask(0, 1), peers, 0) == 1
+    assert Bitmap.rarest(mask(0, 1), peers, 1) == 1  # rarity beats the rotation
+    assert Bitmap.rarest(mask(0, 1), peers, 2) == 1  # wraps round to the lowest index
+    assert Bitmap.rarest(0, peers, 0) is None
+    assert Bitmap.rarest(mask(5), [], 3) == 5  # no knowledge: rotated sequence order
+
+
+def _scatter(size, seed, density):
+    rng = random.Random(seed)
+    return {index for index in range(size) if rng.random() < density}
+
+
+def index_sets(size):
+    """A set of indices below ``size``, each present with one drawn density (0 and 1 included)."""
+    densities = st.one_of(st.sampled_from([0.0, 0.05, 0.5, 0.95, 1.0]), st.floats(0.0, 1.0))
+    return st.builds(_scatter, st.just(size), st.integers(0, 2**32 - 1), densities)
+
+
+def bitmaps_of(size):
+    return index_sets(size).map(lambda ones: Bitmap(size, set_bits=ones))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_rarest_is_the_list_key_ranking(data):
+    size = data.draw(st.integers(min_value=1, max_value=300))
+    # Up to 24 known bitmaps (five bit-planes), some shorter or longer than ``size``.
+    sizes = st.one_of(st.just(size), st.integers(min_value=1, max_value=320))
+    known = data.draw(st.lists(sizes.flatmap(bitmaps_of), max_size=24))
+    if data.draw(st.booleans()):
+        known += [known[-1] if known else Bitmap.full(size)] * data.draw(st.integers(0, 24 - len(known)))
+    candidates = data.draw(index_sets(size))
+    offset = data.draw(st.integers(min_value=0, max_value=size - 1))
+    presence = oracle_presence_counts(size, known)
+    expected = oracle_rarest(sorted(candidates), presence, len(known), offset, size)
+    assert Bitmap.rarest(mask(*candidates), known, offset) == expected
+
+
+def test_missing_mask_clears_present_and_excluded_packets():
+    bitmap = Bitmap(10, set_bits=[0, 3])
+    assert bitmap.missing_mask() == mask(*bitmap.missing())
+    assert bitmap.missing_mask([1, 3, 9]) == mask(2, 4, 5, 6, 7, 8)
+    assert Bitmap.full(9).missing_mask() == 0
+
+
+def test_all_set_checks_one_range():
+    bitmap = Bitmap(20, set_bits=range(5, 17))
+    assert bitmap.all_set(5, 17) and bitmap.all_set(6, 9) and bitmap.all_set(3, 3)
+    assert not bitmap.all_set(4, 17) and not bitmap.all_set(5, 18)
+    assert Bitmap.full(20).all_set(0, 20)
+    with pytest.raises(IndexError):
+        bitmap.all_set(5, 21)
 
 
 def test_compact_encoding_is_one_bit_per_packet():

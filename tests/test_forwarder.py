@@ -8,7 +8,6 @@ from repro.ndn import (
     BroadcastFace,
     Data,
     Forwarder,
-    ForwarderConfig,
     Interest,
     MulticastStrategy,
     Name,
@@ -125,7 +124,8 @@ def test_hop_limit_exhaustion_drops_interest(sim):
 
 
 def test_unsolicited_data_dropped_unless_configured(sim):
-    forwarder = Forwarder(sim, "n", config=ForwarderConfig(cache_unsolicited=False))
+    # The default MulticastStrategy does not cache unsolicited Data.
+    forwarder = Forwarder(sim, "n")
     face = forwarder.add_face(AppFace())
     other = forwarder.add_face(AppFace())
     relayed = []
@@ -136,7 +136,11 @@ def test_unsolicited_data_dropped_unless_configured(sim):
     assert relayed == []  # no PIT entry asked for it
     assert Name("/unsolicited") not in forwarder.cs
 
-    cached_forwarder = Forwarder(sim, "m", config=ForwarderConfig(cache_unsolicited=True))
+    class CachingStrategy(MulticastStrategy):
+        def should_cache_unsolicited(self, data):
+            return True
+
+    cached_forwarder = Forwarder(sim, "m", strategy=CachingStrategy())
     cached_face = cached_forwarder.add_face(AppFace())
     cached_face.put_data(Data(name=Name("/unsolicited"), content=b"x"))
     sim.run(until=2.0)

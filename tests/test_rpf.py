@@ -185,26 +185,58 @@ def test_encounter_rpf_state_size_grows_with_history():
 
 
 # ------------------------------------------------ pick == the old select(…, 1)
-PEERS = [f"p{index}" for index in range(5)]
+PEERS = [f"p{index}" for index in range(24)]
+
+
+def _scatter(size, seed, density):
+    rng = random.Random(seed)
+    return {index for index in range(size) if rng.random() < density}
+
+
+def index_sets(size):
+    """A set of indices below ``size``, each present with one drawn density (0 and 1 included)."""
+    densities = st.one_of(st.sampled_from([0.0, 0.05, 0.5, 0.95, 1.0]), st.floats(0.0, 1.0))
+    return st.builds(_scatter, st.just(size), st.integers(0, 2**32 - 1), densities)
+
+
+@st.composite
+def known_bitmaps(draw, size):
+    """A neighbour's advertised bitmap: usually ``size`` packets, sometimes shorter or longer."""
+    known_size = draw(st.one_of(st.just(size), st.integers(min_value=1, max_value=size + 20)))
+    return bitmap(known_size, draw(index_sets(known_size)))
+
+
+@st.composite
+def crowds(draw):
+    """Distinct peers in a random order, often all of them."""
+    count = draw(st.one_of(st.integers(min_value=0, max_value=len(PEERS)), st.just(len(PEERS))))
+    return draw(st.permutations(PEERS))[:count]
 
 
 @st.composite
 def fetch_histories(draw):
-    """A strategy's construction and a random run of the calls a peer makes on it."""
-    size = draw(st.integers(min_value=1, max_value=40))
-    indices = st.sets(st.integers(min_value=0, max_value=size - 1))
-    operation = st.one_of(
-        st.tuples(st.just("observe"), st.sampled_from(PEERS), indices),
-        st.tuples(st.just("forget"), st.sampled_from(PEERS)),
-        st.tuples(st.just("pick"), indices, indices),
-    )
+    """A strategy's construction and a random run of the calls a peer makes on it.
+
+    Up to 300 packets (multi-digit ints, sizes not a multiple of 8) and up
+    to 24 peers against a history of up to 21, so the rarity count reaches
+    five bit-planes and the encounter history trims.
+    """
+    size = draw(st.integers(min_value=1, max_value=300))
+    operations = [("observe", peer, draw(known_bitmaps(size))) for peer in draw(crowds())]
+    for kind in draw(st.lists(st.sampled_from(["observe", "forget", "pick"]), max_size=30)):
+        if kind == "observe":
+            operations.append((kind, draw(st.sampled_from(PEERS)), draw(known_bitmaps(size))))
+        elif kind == "forget":
+            operations.append((kind, draw(st.sampled_from(PEERS))))
+        else:
+            operations.append((kind, draw(index_sets(size)), draw(index_sets(size))))
     return {
         "size": size,
         "flavour": draw(st.sampled_from(["local", "encounter"])),
-        "history": draw(st.integers(min_value=1, max_value=4)),
+        "history": draw(st.one_of(st.integers(min_value=1, max_value=21), st.just(20), st.just(21))),
         "random_start": draw(st.booleans()),
         "seed": draw(st.integers(min_value=0, max_value=2**16)),
-        "operations": draw(st.lists(operation, max_size=30)),
+        "operations": operations,
     }
 
 
@@ -224,7 +256,7 @@ def test_pick_is_the_old_select_of_one(case):
         kind = operation[0]
         if kind == "observe":
             for strategy in (production, reference):
-                strategy.observe_bitmap(operation[1], bitmap(size, operation[2]), now=0.0)
+                strategy.observe_bitmap(operation[1], operation[2], now=0.0)
         elif kind == "forget":
             production.forget_peer(operation[1])
             reference.forget_peer(operation[1])
@@ -237,15 +269,11 @@ def test_pick_is_the_old_select_of_one(case):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(min_value=1, max_value=40), st.data())
+@given(st.integers(min_value=1, max_value=300), st.data())
 def test_bithoc_pick_is_the_old_rarest_missing(size, data):
-    indices = st.sets(st.integers(min_value=0, max_value=size - 1))
     peer = IpSwarmPeer(Simulator(), "a", SwarmDescriptor("coll", total_pieces=size, piece_size=512))
-    for index in data.draw(indices):
+    for index in data.draw(index_sets(size)):
         peer.bitmap.set(index)
-    neighbours = {
-        name: bitmap(size, data.draw(indices))
-        for name in data.draw(st.lists(st.sampled_from(PEERS), unique=True))
-    }
-    exclude = data.draw(indices)
+    neighbours = {name: data.draw(known_bitmaps(size)) for name in data.draw(crowds())}
+    exclude = data.draw(index_sets(size))
     assert peer.rarest_missing(neighbours, exclude) == oracle_rarest_missing(peer.bitmap, neighbours, exclude)
