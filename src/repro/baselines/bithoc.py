@@ -129,12 +129,11 @@ class BithocPeer(IpSwarmPeer):
             forwarded["ttl"] = payload["ttl"] - 1
             forwarded["hops"] = hops
             size = HELLO_BASE_BYTES + bitmap.wire_size
+            self.sim.schedule_call(self._rng.uniform(0.002, 0.030), self._reflood, forwarded, size)
 
-            def _reflood() -> None:
-                self.load.messages_sent += 1
-                self.ip_node.broadcast(forwarded, size, kind="bithoc-hello")
-
-            self.sim.schedule(self._rng.uniform(0.002, 0.030), _reflood)
+    def _reflood(self, payload: dict, size: int) -> None:
+        self.load.messages_sent += 1
+        self.ip_node.broadcast(payload, size, kind="bithoc-hello")
 
     # ----------------------------------------------------------------- engine
     def close_neighbors(self) -> Dict[str, Bitmap]:

@@ -93,7 +93,7 @@ class EktaPeer(IpSwarmPeer):
         return f"{self.descriptor.collection_id}/file/{file_index}"
 
     def _held_files(self) -> List[int]:
-        """Files this peer can serve (at least half of the pieces held).
+        """Files this peer can serve (at least a quarter of the pieces held).
 
         Publishing partially-held files mirrors BitTorrent-style behaviour
         (peers serve while they download); requiring at least a quarter of
@@ -102,13 +102,15 @@ class EktaPeer(IpSwarmPeer):
         """
         held = []
         per_file = self.descriptor.pieces_per_file
+        total = self.descriptor.total_pieces
+        bits = self.bitmap.as_int()
+        window = (1 << per_file) - 1
         for file_index in range(self.descriptor.files):
             start = file_index * per_file
-            end = min(start + per_file, self.descriptor.total_pieces)
-            if start >= self.descriptor.total_pieces:
+            if start >= total:
                 break
-            have = sum(1 for i in range(start, end) if self.bitmap.get(i))
-            if have * 4 >= (end - start):
+            have = ((bits >> start) & window).bit_count()
+            if have * 4 >= min(per_file, total - start):
                 held.append(file_index)
         return held
 
@@ -202,24 +204,43 @@ class EktaPeer(IpSwarmPeer):
             if now - self._pending_lookups[file_index].sent_at > self.lookup_timeout:
                 del self._pending_lookups[file_index]
 
-        missing = [p for p in self.bitmap.missing() if p not in self._outstanding]
-        refreshed: set = set()
-        for piece in missing:
+        # Walk the missing, unrequested pieces (a snapshot, as one int) file
+        # by file in ascending order.  Everything but the pipeline depends
+        # only on the piece's file, so each file's state is settled once.
+        missing = self.bitmap.missing_mask(self._outstanding)
+        per_file = self.descriptor.pieces_per_file
+        while missing:
             if len(self._outstanding) >= self.pipeline_size:
-                break
-            file_index = self.descriptor.file_of_piece(piece)
+                return
+            file_index = ((missing & -missing).bit_length() - 1) // per_file
+            end = (file_index + 1) * per_file
+            pieces = missing & ((1 << end) - 1)
+            missing ^= pieces
             providers = self._providers.get(file_index)
             if not providers:
+                # The file's first missing piece asks the DHT; the rest wait.
+                # Only a file whose root is this peer gains providers at once
+                # (a repeated lookup with none changes nothing).
                 if file_index not in self._pending_lookups:
                     self._lookup_file(file_index)
-                continue
+                providers = self._providers.get(file_index)
+                if not providers:
+                    continue
+                pieces &= pieces - 1
+                if not pieces:
+                    continue
             # Periodically refresh the provider list so late joiners are found.
-            if file_index not in refreshed and file_index not in self._pending_lookups:
-                if self._rng.random() < 0.2:
-                    self._lookup_file(file_index)
-                refreshed.add(file_index)
-            provider = self._pick_provider(providers)
-            self._request_piece(piece, provider)
+            # The file's first request still picks from the list read before
+            # the refresh; each later one reads it anew.
+            if file_index not in self._pending_lookups and self._rng.random() < 0.2:
+                self._lookup_file(file_index)
+            while pieces:
+                if len(self._outstanding) >= self.pipeline_size:
+                    return
+                low = pieces & -pieces
+                pieces ^= low
+                self._request_piece(low.bit_length() - 1, self._pick_provider(providers))
+                providers = self._providers[file_index]
 
     def _pick_provider(self, providers: List[str]) -> str:
         """Pick a provider, preferring those reachable over short routes.

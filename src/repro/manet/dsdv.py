@@ -3,11 +3,13 @@
 Every node periodically broadcasts its routing table (destination, metric,
 sequence number).  A received advertisement installs or refreshes routes via
 the neighbour it came from when the advertised sequence number is newer, or
-equal with a better metric.  Broken links (detected by the IP stack through
-missing link-layer acknowledgements) bump the destination's sequence number
-to an odd value and trigger an immediate update — the classic DSDV behaviour
-that makes it chatty under mobility, which is precisely the overhead source
-the paper measures for Bithoc.
+equal with a better metric.  A broken link (detected by the IP stack through
+missing link-layer acknowledgements) deletes every route through that
+neighbour and triggers an immediate update; accepted topology news triggers
+one too — the behaviour that makes DSDV chatty under mobility, which is
+precisely the overhead source the paper measures for Bithoc.  Each handler
+costs what the message changes: an accepted entry updates its route in
+place, and the expiry sweep is skipped while no route can be stale yet.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from repro.manet.routing_base import RoutingProtocol
 ROUTE_ENTRY_WIRE_BYTES = 12
 
 
-@dataclass
+@dataclass(slots=True)
 class DsdvRoute:
     """One routing-table entry."""
 
@@ -47,23 +49,29 @@ class DsdvRouting(RoutingProtocol):
         self.route_lifetime = route_lifetime
         self.triggered_update_delay = triggered_update_delay
         self._routes: Dict[str, DsdvRoute] = {}
+        # A lower bound on every route's installed_at: the oldest one the
+        # last expiry sweep kept (or that sweep's time when it kept none).
+        # installed_at only grows between sweeps, so while now minus this
+        # bound is within route_lifetime no route can be stale.
+        self._oldest_install = 0.0
         self._own_sequence = 0
         self._update_timer: Optional[PeriodicTimer] = None
         self._triggered_pending = False
+        self._rng = None
 
     # ---------------------------------------------------------------- set-up
     def attach(self, node) -> None:
         super().attach(node)
+        self._rng = node.sim.rng(f"dsdv.{node.node_id}")
         node.register_broadcast("dsdv-update", self._on_update)
 
     def start(self) -> None:
         if self.node is None:
             raise RuntimeError("attach the protocol to a node before starting it")
-        rng = self.node.sim.rng(f"dsdv.{self.node.node_id}")
         self._update_timer = PeriodicTimer(
-            self.node.sim, self._broadcast_update, period=self.update_interval, jitter=0.5, rng=rng
+            self.node.sim, self._broadcast_update, period=self.update_interval, jitter=0.5, rng=self._rng
         )
-        self._update_timer.start(initial_delay=rng.uniform(0.0, 1.0))
+        self._update_timer.start(initial_delay=self._rng.uniform(0.0, 1.0))
 
     def stop(self) -> None:
         if self._update_timer is not None:
@@ -85,46 +93,39 @@ class DsdvRouting(RoutingProtocol):
         self._triggered_pending = True
         # Jitter keeps every node that learnt the same news from advertising
         # it at the exact same instant.
-        jitter = self.node.sim.rng(f"dsdv.{self.node.node_id}").uniform(0.0, 0.2)
+        jitter = self._rng.uniform(0.0, 0.2)
+        self.node.sim.schedule_call(self.triggered_update_delay + jitter, self._fire_triggered_update)
 
-        def _fire() -> None:
-            self._triggered_pending = False
-            self._broadcast_update()
-
-        self.node.sim.schedule(self.triggered_update_delay + jitter, _fire)
+    def _fire_triggered_update(self) -> None:
+        self._triggered_pending = False
+        self._broadcast_update()
 
     # --------------------------------------------------------------- receiving
     def _on_update(self, sender: str, payload, kind: str) -> None:
-        if self.node is None:
-            return
         _, entries = payload
         now = self.node.sim.now
+        own = self.node.node_id
+        routes = self._routes
         changed = False
         for destination, metric, sequence in entries:
-            if destination == self.node.node_id:
+            current = routes.get(destination)
+            if current is None:
+                # The own id is never installed, so it always lands here.
+                if destination != own:
+                    routes[destination] = DsdvRoute(destination, sender, metric + 1, sequence, now)
+                    changed = True
                 continue
             new_metric = metric + 1
-            current = self._routes.get(destination)
-            accept = False
-            if current is None:
-                accept = True
-            elif sequence > current.sequence:
-                accept = True
-            elif sequence == current.sequence and new_metric < current.metric:
-                accept = True
-            if accept:
+            if sequence > current.sequence or (sequence == current.sequence and new_metric < current.metric):
                 # Only genuine topology news (new destination, different next
                 # hop or metric) triggers an immediate update; sequence-number
                 # refreshes propagate with the next periodic advertisement.
-                if current is None or current.next_hop != sender or current.metric != new_metric:
+                if current.next_hop != sender or current.metric != new_metric:
                     changed = True
-                self._routes[destination] = DsdvRoute(
-                    destination=destination,
-                    next_hop=sender,
-                    metric=new_metric,
-                    sequence=sequence,
-                    installed_at=now,
-                )
+                    current.next_hop = sender
+                    current.metric = new_metric
+                current.sequence = sequence
+                current.installed_at = now
         if changed:
             # Fresh topology information propagates through triggered updates.
             self._trigger_update()
@@ -138,29 +139,29 @@ class DsdvRouting(RoutingProtocol):
         return route.next_hop
 
     def on_delivery_failure(self, packet: IpPacket, next_hop: str) -> None:
-        """A link broke: invalidate every route through that neighbour."""
-        now = self.node.sim.now
-        invalidated = False
-        for destination in list(self._routes):
-            route = self._routes[destination]
-            if route.next_hop == next_hop:
-                # Odd sequence number marks the route as broken (DSDV convention).
-                del self._routes[destination]
-                invalidated = True
-        if invalidated:
+        """A link broke: delete every route through that neighbour and trigger an update."""
+        broken = [destination for destination, route in self._routes.items() if route.next_hop == next_hop]
+        for destination in broken:
+            del self._routes[destination]
+        if broken:
             self._trigger_update()
 
     def _expire_routes(self) -> None:
-        if self.node is None:
-            return
         now = self.node.sim.now
-        stale = [
-            destination
-            for destination, route in self._routes.items()
-            if now - route.installed_at > self.route_lifetime
-        ]
+        lifetime = self.route_lifetime
+        if now - self._oldest_install <= lifetime:
+            return
+        oldest = now
+        stale = []
+        for destination, route in self._routes.items():
+            installed_at = route.installed_at
+            if now - installed_at > lifetime:
+                stale.append(destination)
+            elif installed_at < oldest:
+                oldest = installed_at
         for destination in stale:
             del self._routes[destination]
+        self._oldest_install = oldest
 
     # -------------------------------------------------------------- accounting
     @property

@@ -7,7 +7,8 @@ cached route to it) answers with a Route Reply (RREP) carrying the full
 source route, sent back along the reversed record.  Data packets carry the
 source route in their header (the per-packet overhead the paper's Ekta
 results include).  Broken links produce Route Errors (RERR) that purge the
-offending link from caches and trigger a new discovery on demand.
+offending link from caches and trigger a new discovery on demand.  A purge
+checks the link hop by hop only in routes that contain its far end.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ RERR_BYTES = 20
 HOP_WIRE_BYTES = 4
 
 
-@dataclass
+@dataclass(slots=True)
 class _RouteCacheEntry:
     route: List[str]  # full path including source and destination
     installed_at: float
@@ -51,10 +52,12 @@ class DsrRouting(RoutingProtocol):
         self._request_serial = 0
         self._pending_discovery: Dict[str, int] = {}  # destination -> retries so far
         self._waiting_packets: Dict[str, List[IpPacket]] = {}
+        self._rng = None
 
     # ----------------------------------------------------------------- set-up
     def attach(self, node) -> None:
         super().attach(node)
+        self._rng = node.sim.rng(f"dsr.{node.node_id}")
         node.register_broadcast("dsr-rreq", self._on_rreq)
         node.register_broadcast("dsr-rrep", self._on_rrep)
         node.register_broadcast("dsr-rerr", self._on_rerr)
@@ -105,12 +108,7 @@ class DsrRouting(RoutingProtocol):
     def on_delivery_failure(self, packet: IpPacket, next_hop: str) -> None:
         """Broken link: purge routes using it and report a Route Error."""
         broken = (self.node.node_id, next_hop)
-        for destination in list(self._cache):
-            route = self._cache[destination].route
-            for hop_a, hop_b in zip(route, route[1:]):
-                if (hop_a, hop_b) == broken:
-                    del self._cache[destination]
-                    break
+        self._purge_link(broken)
         self.node.broadcast(("rerr", broken), RERR_BYTES, kind="dsr-rerr")
         if packet.src == self.node.node_id:
             self.on_no_route(packet)
@@ -129,7 +127,7 @@ class DsrRouting(RoutingProtocol):
         record = [self.node.node_id]
         size = RREQ_BASE_BYTES + HOP_WIRE_BYTES * len(record)
         self.node.broadcast(("rreq", request_id, dst, record, self.max_flood_hops), size, kind="dsr-rreq")
-        self.node.sim.schedule(self.discovery_timeout, self._check_discovery, dst)
+        self.node.sim.schedule_call(self.discovery_timeout, self._check_discovery, dst)
 
     def _check_discovery(self, dst: str) -> None:
         if dst not in self._pending_discovery:
@@ -161,7 +159,7 @@ class DsrRouting(RoutingProtocol):
         record = record + [self.node.node_id]
         now = self.node.sim.now
         # Learn the reverse route back to the request originator for free.
-        self._install_route(list(reversed(record)), now)
+        self._install_route(record[::-1], now)
         if dst == self.node.node_id:
             self._send_rrep(record, request_id)
             return
@@ -176,22 +174,15 @@ class DsrRouting(RoutingProtocol):
         size = RREQ_BASE_BYTES + HOP_WIRE_BYTES * len(record)
         # Random re-broadcast jitter keeps neighbouring forwarders from
         # flooding the same request at the exact same instant.
-        delay = self.node.sim.rng(f"dsr.{self.node.node_id}").uniform(0.002, 0.020)
-
-        def _forward() -> None:
-            self.node.broadcast(("rreq", request_id, dst, record, hops_left - 1), size, kind="dsr-rreq")
-
-        self.node.sim.schedule(delay, _forward)
+        delay = self._rng.uniform(0.002, 0.020)
+        payload = ("rreq", request_id, dst, record, hops_left - 1)
+        self.node.sim.schedule_call(delay, self.node.broadcast, payload, size, "dsr-rreq")
 
     def _send_rrep(self, route: List[str], request_id) -> None:
         """Send a Route Reply carrying ``route`` back towards its first hop."""
         size = RREP_BASE_BYTES + HOP_WIRE_BYTES * len(route)
-        delay = self.node.sim.rng(f"dsr.{self.node.node_id}").uniform(0.001, 0.010)
-
-        def _send() -> None:
-            self.node.broadcast(("rrep", list(route), request_id), size, kind="dsr-rrep")
-
-        self.node.sim.schedule(delay, _send)
+        delay = self._rng.uniform(0.001, 0.010)
+        self.node.sim.schedule_call(delay, self.node.broadcast, ("rrep", list(route), request_id), size, "dsr-rrep")
 
     def _on_rrep(self, sender: str, payload, kind: str) -> None:
         _, route, _request_id = payload
@@ -217,23 +208,32 @@ class DsrRouting(RoutingProtocol):
             self._send_rrep(route, _request_id)
 
     def _on_rerr(self, sender: str, payload, kind: str) -> None:
-        _, broken = payload
-        hop_a, hop_b = broken
-        for destination in list(self._cache):
-            route = self._cache[destination].route
-            for a, b in zip(route, route[1:]):
-                if (a, b) == (hop_a, hop_b):
-                    del self._cache[destination]
-                    break
+        self._purge_link(payload[1])
+
+    def _purge_link(self, broken: Tuple[str, str]) -> None:
+        """Drop every cached route that uses the link ``broken`` = (hop_a, hop_b)."""
+        hop_b = broken[1]
+        # The membership test runs at C speed and skips most routes: a route
+        # without the link's far end cannot use the link.  (Every cached
+        # route starts at this node, so the near end of a local failure
+        # would skip nothing.)
+        stale = [
+            destination
+            for destination, entry in self._cache.items()
+            if hop_b in entry.route and broken in zip(entry.route, entry.route[1:])
+        ]
+        for destination in stale:
+            del self._cache[destination]
 
     # ----------------------------------------------------------------- helpers
     def _install_route(self, route: List[str], now: float) -> None:
+        """Cache ``route`` (a fresh list the cache then owns) if it is new or shorter."""
         if len(route) < 2 or route[0] != self.node.node_id:
             return
         destination = route[-1]
         current = self._cache.get(destination)
         if current is None or len(route) < len(current.route):
-            self._cache[destination] = _RouteCacheEntry(route=list(route), installed_at=now)
+            self._cache[destination] = _RouteCacheEntry(route=route, installed_at=now)
         else:
             current.installed_at = now
 

@@ -25,6 +25,15 @@ twins live here, on the test side, so no config field selects them:
   with bit-sliced counting.  :func:`oracle_select` counts through the
   first, and ``tests/test_bitmap.py`` judges ``Bitmap.rarest`` against the
   second, so no oracle shares code with the picker it judges.
+* :class:`OracleDsdvRouting` and :class:`OracleDsrRouting` — the routing
+  handlers before each learnt to cost what its message changes: DSDV's
+  update handler allocating a fresh route per accepted entry, its expiry
+  sweep on every call and its failure handler; DSR's Route Error and
+  delivery-failure handlers pairing up every hop of every cached route.
+  :class:`OracleEktaPeer` is Ekta's engine tick before it walked the
+  missing pieces by masks (one ``file_of_piece`` per missing piece) and
+  its per-piece held-file count.  :func:`old_baselines` swaps all three
+  into the Bithoc and Ekta builders for whole-trial comparisons.
 """
 
 from __future__ import annotations
@@ -33,9 +42,15 @@ from contextlib import contextmanager
 from typing import Dict, Iterable, List, Optional, Sequence
 from unittest import mock
 
+import repro.baselines.bithoc as bithoc_module
+import repro.baselines.ekta as ekta_module
 import repro.wireless.medium as medium_module
+from repro.baselines.ekta import EktaPeer
 from repro.core.bitmap import Bitmap
 from repro.core.rpf import FetchStrategy
+from repro.ip.packet import IpPacket
+from repro.manet.dsdv import DsdvRoute, DsdvRouting
+from repro.manet.dsr import RERR_BYTES, DsrRouting
 from repro.wireless import WirelessMedium
 from repro.wireless.spatial import NeighborIndex
 
@@ -198,3 +213,172 @@ def oracle_rarest(
         key=lambda index: (presence[index] - total, (index - offset) % size),
         default=None,
     )
+
+
+class OracleDsdvRouting(DsdvRouting):
+    """DSDV whose handlers allocate per accepted entry and sweep on every call."""
+
+    def _on_update(self, sender: str, payload, kind: str) -> None:
+        if self.node is None:
+            return
+        _, entries = payload
+        now = self.node.sim.now
+        changed = False
+        for destination, metric, sequence in entries:
+            if destination == self.node.node_id:
+                continue
+            new_metric = metric + 1
+            current = self._routes.get(destination)
+            accept = False
+            if current is None:
+                accept = True
+            elif sequence > current.sequence:
+                accept = True
+            elif sequence == current.sequence and new_metric < current.metric:
+                accept = True
+            if accept:
+                if current is None or current.next_hop != sender or current.metric != new_metric:
+                    changed = True
+                self._routes[destination] = DsdvRoute(
+                    destination=destination,
+                    next_hop=sender,
+                    metric=new_metric,
+                    sequence=sequence,
+                    installed_at=now,
+                )
+        if changed:
+            self._trigger_update()
+
+    def on_delivery_failure(self, packet: IpPacket, next_hop: str) -> None:
+        invalidated = False
+        for destination in list(self._routes):
+            route = self._routes[destination]
+            if route.next_hop == next_hop:
+                del self._routes[destination]
+                invalidated = True
+        if invalidated:
+            self._trigger_update()
+
+    def _expire_routes(self) -> None:
+        if self.node is None:
+            return
+        now = self.node.sim.now
+        stale = [
+            destination
+            for destination, route in self._routes.items()
+            if now - route.installed_at > self.route_lifetime
+        ]
+        for destination in stale:
+            del self._routes[destination]
+
+
+class OracleDsrRouting(DsrRouting):
+    """DSR whose link purges pair up every hop of every cached route."""
+
+    def on_delivery_failure(self, packet: IpPacket, next_hop: str) -> None:
+        broken = (self.node.node_id, next_hop)
+        for destination in list(self._cache):
+            route = self._cache[destination].route
+            for hop_a, hop_b in zip(route, route[1:]):
+                if (hop_a, hop_b) == broken:
+                    del self._cache[destination]
+                    break
+        self.node.broadcast(("rerr", broken), RERR_BYTES, kind="dsr-rerr")
+        if packet.src == self.node.node_id:
+            self.on_no_route(packet)
+
+    def _on_rerr(self, sender: str, payload, kind: str) -> None:
+        _, broken = payload
+        hop_a, hop_b = broken
+        for destination in list(self._cache):
+            route = self._cache[destination].route
+            for a, b in zip(route, route[1:]):
+                if (a, b) == (hop_a, hop_b):
+                    del self._cache[destination]
+                    break
+
+
+class OracleEktaPeer(EktaPeer):
+    """Ekta walking its missing pieces one ``file_of_piece`` at a time."""
+
+    def _held_files(self) -> List[int]:
+        held = []
+        per_file = self.descriptor.pieces_per_file
+        for file_index in range(self.descriptor.files):
+            start = file_index * per_file
+            end = min(start + per_file, self.descriptor.total_pieces)
+            if start >= self.descriptor.total_pieces:
+                break
+            have = sum(1 for i in range(start, end) if self.bitmap.get(i))
+            if have * 4 >= (end - start):
+                held.append(file_index)
+        return held
+
+    def _engine_tick(self) -> None:
+        self.load.activation()
+        if self.is_complete or not self.interested:
+            return
+        now = self.sim.now
+        for piece in list(self._outstanding):
+            provider, sent_at = self._outstanding[piece]
+            if now - sent_at > self.request_timeout:
+                del self._outstanding[piece]
+                self.load.retransmissions += 1
+                file_index = self.descriptor.file_of_piece(piece)
+                providers = self._providers.get(file_index, [])
+                if provider in providers and len(providers) > 1:
+                    providers.remove(provider)
+
+        for file_index in list(self._pending_lookups):
+            if now - self._pending_lookups[file_index].sent_at > self.lookup_timeout:
+                del self._pending_lookups[file_index]
+
+        missing = [p for p in self.bitmap.missing() if p not in self._outstanding]
+        refreshed: set = set()
+        for piece in missing:
+            if len(self._outstanding) >= self.pipeline_size:
+                break
+            file_index = self.descriptor.file_of_piece(piece)
+            providers = self._providers.get(file_index)
+            if not providers:
+                if file_index not in self._pending_lookups:
+                    self._lookup_file(file_index)
+                continue
+            if file_index not in refreshed and file_index not in self._pending_lookups:
+                if self._rng.random() < 0.2:
+                    self._lookup_file(file_index)
+                refreshed.add(file_index)
+            provider = self._pick_provider(providers)
+            self._request_piece(piece, provider)
+
+
+@contextmanager
+def old_baselines():
+    """Build every Bithoc and Ekta node inside the block from the oracle classes above.
+
+    Fails when the block built none of them, so a run that bypassed the
+    builders cannot pass silently.
+    """
+    used = set()
+
+    def counting(name, cls):
+        def build(*args, **kwargs):
+            used.add(name)
+            return cls(*args, **kwargs)
+
+        return build
+
+    patches = [
+        mock.patch.object(bithoc_module, "DsdvRouting", counting("dsdv", OracleDsdvRouting)),
+        mock.patch.object(ekta_module, "DsrRouting", counting("dsr", OracleDsrRouting)),
+        mock.patch.object(ekta_module, "EktaPeer", counting("ekta", OracleEktaPeer)),
+    ]
+    for patch in patches:
+        patch.start()
+    try:
+        yield
+    finally:
+        for patch in reversed(patches):
+            patch.stop()
+    if not used:
+        raise AssertionError("old_baselines() was entered but no Bithoc or Ekta node was built")
