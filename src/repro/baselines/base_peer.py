@@ -10,7 +10,7 @@ pre-configure the downloading nodes).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.core.bitmap import Bitmap
 from repro.core.stats import NodeLoadStats
@@ -106,15 +106,6 @@ class IpSwarmPeer:
         return self.completion_time - (self.start_time or 0.0)
 
     # ------------------------------------------------------------- selection
-    def rarest_missing(
-        self, neighbor_bitmaps: Dict[str, Bitmap], exclude: Iterable[int] = ()
-    ) -> Optional[int]:
-        """Rarest missing piece that at least one of ``neighbor_bitmaps`` holds."""
-        held = 0
-        for bitmap in neighbor_bitmaps.values():
-            held |= bitmap.as_int()
-        return Bitmap.rarest(self.bitmap.missing_mask(exclude) & held, neighbor_bitmaps.values())
-
     def holders_of(self, index: int, neighbor_bitmaps: Dict[str, Bitmap]) -> List[str]:
         """Neighbours whose bitmap shows they hold ``index``."""
         return [

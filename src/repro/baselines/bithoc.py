@@ -163,7 +163,8 @@ class BithocPeer(IpSwarmPeer):
                 self.load.retransmissions += 1
         close = self.close_neighbors()
         while len(self._outstanding) < self.pipeline_size:
-            piece = self.rarest_missing(close, exclude=self._outstanding.keys())
+            remaining = self.bitmap.missing_mask(self._outstanding)
+            piece = Bitmap.rarest(remaining, close.values())
             if piece is not None:
                 holders = self.holders_of(piece, close)
                 target = self._rng.choice(holders)
@@ -171,12 +172,10 @@ class BithocPeer(IpSwarmPeer):
                 continue
             # Nothing useful nearby: try a far peer for a piece nobody close has.
             far = self.far_peers()
-            remaining = self.bitmap.missing_mask(self._outstanding)
             if not far or not remaining:
                 break
-            piece = (remaining & -remaining).bit_length() - 1
             target = self._rng.choice(far)
-            self._request_piece(piece, target)
+            self._request_piece(Bitmap.first(remaining), target)
 
     def _request_piece(self, piece: int, target: str) -> None:
         self._outstanding[piece] = (target, self.sim.now)

@@ -77,29 +77,6 @@ class Bitmap:
         """Whether every packet is present."""
         return self.count() == self._size
 
-    def missing(self) -> List[int]:
-        """Indices of packets the peer is missing (ascending).
-
-        Scans byte-wise and skips full bytes, so a nearly complete download
-        costs O(size / 8) instead of ``size`` method calls.
-        """
-        result: List[int] = []
-        append = result.append
-        size = self._size
-        for byte_index, byte in enumerate(self._bits):
-            if byte == 0xFF:
-                continue
-            base = byte_index << 3
-            clear = ~byte & 0xFF
-            while clear:
-                low = clear & -clear
-                index = base + low.bit_length() - 1
-                if index >= size:
-                    break
-                append(index)
-                clear &= clear - 1
-        return result
-
     def missing_mask(self, exclude: Iterable[int] = ()) -> int:
         """The missing packets not in ``exclude``, as one int (bit ``i`` = packet ``i``)."""
         mask = ~self.as_int() & ((1 << self._size) - 1)
@@ -179,18 +156,14 @@ class Bitmap:
     # -------------------------------------------------------------- helpers
     @staticmethod
     def rarest(candidates: int, bitmaps: Iterable["Bitmap"], offset: int = 0) -> Optional[int]:
-        """The rarest-first pick among the packets set in ``candidates``, or ``None``.
+        """The rarest of the ``candidates`` some known bitmap holds, or ``None`` if none is held.
 
-        A packet's rarity is how many of the known ``bitmaps`` lack it; ties
-        go to the packet that comes first in sequence order rotated to start
-        at ``offset``.  DAPES ranks every missing packet, so a packet no
-        known bitmap holds ranks rarest; Bithoc passes only pieces some
-        neighbour holds (``presence > 0``) with ``offset=0``.
-
-        The count is bit-sliced: ``planes[k]`` holds the candidates whose
-        number of holders has binary digit ``k`` set, and each bitmap is
-        added into the planes with a ripple carry, so a pick costs a few
-        whole-int operations per bitmap and none per packet.
+        A packet's rarity is how many of the ``bitmaps`` lack it, and a
+        candidate none holds is not ranked.  Ties go to :meth:`first` from
+        ``offset``.  The count is bit-sliced: ``planes[k]`` holds the
+        candidates whose number of holders has binary digit ``k`` set, and
+        each bitmap is added into the planes with a ripple carry, so a pick
+        costs a few whole-int operations per bitmap and none per packet.
         """
         if not candidates:
             return None
@@ -204,16 +177,25 @@ class Bitmap:
                 carry &= plane
             if carry:
                 planes.append(carry)
+        held = 0
+        for plane in planes:  # a candidate is held when some plane has it set
+            held |= plane
+        candidates &= held
         # Most significant digit first: keep the candidates with a 0 there
         # whenever some exist, which leaves those with the fewest holders.
         for plane in reversed(planes):
             fewer = candidates & ~plane
             if fewer:
                 candidates = fewer
+        return Bitmap.first(candidates, offset)
+
+    @staticmethod
+    def first(candidates: int, offset: int = 0) -> Optional[int]:
+        """The lowest packet set in ``candidates`` from ``offset`` on, else the lowest (``None`` if 0)."""
         later = candidates >> offset
         if later:
             return offset + (later & -later).bit_length() - 1
-        return (candidates & -candidates).bit_length() - 1
+        return (candidates & -candidates).bit_length() - 1 if candidates else None
 
     @classmethod
     def full(cls, size: int) -> "Bitmap":

@@ -11,13 +11,13 @@ dynamic off-the-grid communication:
   ``history`` encountered peers (swarm-wide estimate), which requires peers
   to keep state across encounters.
 
-Both support starting the download at a random packet instead of the first
-one, which increases the diversity of disseminated data (Fig. 9a).  Both
-rank by :meth:`Bitmap.rarest`, the rule Bithoc's piece picker shares.  A
-pick takes the missing, not yet requested packets as one int
-(:meth:`Bitmap.missing_mask`) and counts their holders over the kept
-bitmaps with whole-int operations, so it costs a few operations per known
-bitmap and none per packet; the strategy keeps no index beside the bitmaps.
+Both pick by the one rule Bithoc shares, :meth:`Bitmap.rarest`: of the
+missing, not yet requested packets some neighbour's bitmap holds, request
+the one the fewest kept bitmaps hold; when none is held, request the first
+missing one anyway, as a peer further away may answer.  Both may start at
+a random packet instead of the first, which spreads the disseminated data
+(Fig. 9a); ties and the fallback follow the sequence order rotated to it.
+A pick costs a few whole-int operations per kept bitmap and none per packet.
 
 :class:`Fetching` is the peer's data part: the pipeline RPF feeds, its
 retransmission timers, the answers to packet Interests and completion.
@@ -26,7 +26,7 @@ retransmission timers, the answers to packet Interests and completion.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set
 
 from repro.ndn.name import Name
 from repro.ndn.packet import Data, Interest
@@ -49,7 +49,8 @@ class FetchStrategy:
     """Picks the next missing packet to request from the bitmaps it keeps.
 
     The base class keeps each observed peer's latest bitmap and nothing
-    else: what the two flavours differ in is when a bitmap is dropped.
+    else: what the two flavours differ in is when a bitmap is dropped and
+    which kept bitmaps are in range (:meth:`_available`).
     """
 
     def __init__(self, random_start: bool = True, rng: Optional[random.Random] = None):
@@ -72,18 +73,26 @@ class FetchStrategy:
         return 0
 
     def pick(self, own: Bitmap, exclude: Iterable[int] = ()) -> Optional[int]:
-        """The rarest missing packet not in ``exclude``, or ``None``.
+        """The next missing packet not in ``exclude`` to request, or ``None`` (Section IV-E).
 
         ``exclude`` holds the indices that already have an outstanding
-        Interest.  Ties go to the (possibly rotated) sequence order, so that
-        peers that start at a random packet spread over the collection.
+        Interest.  Of those a neighbour's bitmap holds, the one the fewest
+        kept bitmaps hold wins; when none is held, the first one, since a
+        peer further away may answer it.  Ties and that fallback follow the
+        (possibly rotated) sequence order.
         """
         candidates = own.missing_mask(exclude)
         if not candidates:
             return None
-        return Bitmap.rarest(candidates, self._bitmaps.values(), self._start(own.size))
+        offset = self._start(own.size)
+        index = Bitmap.rarest(self._available(candidates), self._bitmaps.values(), offset)
+        return Bitmap.first(candidates, offset) if index is None else index
 
     # ------------------------------------------------------------- internals
+    def _available(self, candidates: int) -> int:
+        """The candidates a peer in range may send; by default every kept bitmap is in range."""
+        return candidates
+
     def _start(self, size: int) -> int:
         if not self.random_start:
             return 0
@@ -109,7 +118,9 @@ class EncounterBasedRpf(FetchStrategy):
     """RPF based on the history of encountered peers in the swarm.
 
     Disconnection and the end of an encounter erase nothing: the last
-    ``history`` peers' bitmaps persist, least recently observed dropped first.
+    ``history`` peers' bitmaps persist, least recently observed dropped first,
+    and rarity counts over all of them.  Only a peer still in range can
+    answer, though, so a pick ranks only what one of those holds.
     """
 
     def __init__(
@@ -122,6 +133,7 @@ class EncounterBasedRpf(FetchStrategy):
         if history < 1:
             raise ValueError("history must be >= 1")
         self.history = history
+        self._in_range: Set[str] = set()
 
     def observe_bitmap(self, peer_id: str, bitmap: Bitmap, now: float) -> None:
         # A repeat encounter updates the stored bitmap and refreshes recency.
@@ -130,6 +142,18 @@ class EncounterBasedRpf(FetchStrategy):
         bitmaps[peer_id] = bitmap
         while len(bitmaps) > self.history:
             del bitmaps[next(iter(bitmaps))]
+        self._in_range.add(peer_id)
+
+    def forget_peer(self, peer_id: str) -> None:
+        self._in_range.discard(peer_id)
+
+    def _available(self, candidates: int) -> int:
+        held = 0
+        for peer_id in self._in_range:
+            bitmap = self._bitmaps.get(peer_id)
+            if bitmap is not None:
+                held |= bitmap.as_int()
+        return candidates & held
 
     @property
     def state_size_bytes(self) -> int:
@@ -261,31 +285,31 @@ class Fetching:
         name = session.metadata.packet_name(index)
         session.outstanding[index] = retries
         delay = self.rng.uniform(0.0, TRANSMISSION_WINDOW)
+        self.sim.schedule_call(delay, self._express, session, index, name, retries)
+        self.load.timers_armed += 1
 
-        def _express() -> None:
-            if not self.peer.started:
-                # Liveness guard: the peer departed between scheduling and
-                # firing; a stopped peer must not express new Interests.
-                session.outstanding.pop(index, None)
-                return
-            if session.store is None or session.store.has(index):
-                session.outstanding.pop(index, None)
-                self.fill(session)
-                return
-            self.peer.express(Interest(name=name, lifetime=INTEREST_LIFETIME))
-            # Application-level retransmission timer (RTT-style), much shorter
-            # than the Interest lifetime so a single lost frame does not stall
-            # the pipeline.
-            rto = DATA_RETRANSMIT_TIMEOUT * (2 ** min(retries, 4))
-            if self.config.retransmit_jitter:
-                # Jittered exponential backoff: desynchronize peers whose
-                # retransmission timers would otherwise collide under
-                # sustained loss.  Zero jitter draws nothing (byte-identity).
-                rto *= 1.0 + self.rng.uniform(0.0, self.config.retransmit_jitter)
-            self.sim.schedule_call(rto, self._check, session, index, retries)
-            self.load.timers_armed += 1
-
-        self.sim.schedule_call(delay, _express)
+    def _express(self, session: "CollectionSession", index: int, name: Name, retries: int) -> None:
+        """Send the data Interest :meth:`_request` scheduled and arm its RTO."""
+        if not self.peer.started:
+            # Liveness guard: the peer departed between scheduling and
+            # firing; a stopped peer must not express new Interests.
+            session.outstanding.pop(index, None)
+            return
+        if session.store is None or session.store.has(index):
+            session.outstanding.pop(index, None)
+            self.fill(session)
+            return
+        self.peer.express(Interest(name=name, lifetime=INTEREST_LIFETIME))
+        # Application-level retransmission timer (RTT-style), much shorter
+        # than the Interest lifetime so a single lost frame does not stall
+        # the pipeline.
+        rto = DATA_RETRANSMIT_TIMEOUT * (2 ** min(retries, 4))
+        if self.config.retransmit_jitter:
+            # Jittered exponential backoff: desynchronize peers whose
+            # retransmission timers would otherwise collide under
+            # sustained loss.  Zero jitter draws nothing (byte-identity).
+            rto *= 1.0 + self.rng.uniform(0.0, self.config.retransmit_jitter)
+        self.sim.schedule_call(rto, self._check, session, index, retries)
         self.load.timers_armed += 1
 
     def _check(self, session: "CollectionSession", index: int, retries: int) -> None:

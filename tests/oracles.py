@@ -20,11 +20,20 @@ twins live here, on the test side, so no config field selects them:
   reads of the peer's state changed (``strategy._bitmaps`` for the deleted
   ``known_bitmaps()``, ``own`` for ``self.bitmap``), and ``oracle_rarity``
   counts a bitmap too short to cover a piece as lacking it.
+  ``oracle_select`` is DAPES's rule before it ranked only packets a peer
+  in range holds: it ranks a packet no kept bitmap holds rarest of all,
+  so it still agrees with ``FetchStrategy.pick`` whenever a peer in range
+  holds every candidate, or no kept bitmap holds any.
+* :func:`oracle_pick` — ``FetchStrategy.pick``'s rule as a list scan: the
+  candidates a peer in range holds, by presence count over every kept
+  bitmap, else every candidate in rotated order.  :func:`oracle_missing`
+  lists a bitmap's missing packets for all of these.
 * :func:`oracle_presence_counts` and :func:`oracle_rarest` — the per-index
   presence list and the list-key ranking that ``Bitmap.rarest`` replaced
-  with bit-sliced counting.  :func:`oracle_select` counts through the
-  first, and ``tests/test_bitmap.py`` judges ``Bitmap.rarest`` against the
-  second, so no oracle shares code with the picker it judges.
+  with bit-sliced counting.  :func:`oracle_select` and :func:`oracle_pick`
+  count through the first, and ``tests/test_bitmap.py`` judges
+  ``Bitmap.rarest`` against the second, so no oracle shares code with the
+  picker it judges.
 * :class:`OracleDsdvRouting` and :class:`OracleDsrRouting` — the routing
   handlers before each learnt to cost what its message changes: DSDV's
   update handler allocating a fresh route per accepted entry, its expiry
@@ -130,6 +139,11 @@ def oracle(index: str = "grid", delivery: str = "batched"):
             raise AssertionError(f"oracle({name}=...) was selected but no medium used it")
 
 
+def oracle_missing(bitmap: Bitmap) -> List[int]:
+    """The packets ``bitmap`` lacks, ascending (the deleted ``Bitmap.missing``, one ``get`` per packet)."""
+    return [index for index in range(bitmap.size) if not bitmap.get(index)]
+
+
 def oracle_select(strategy: FetchStrategy, own: Bitmap, count: int, exclude: Iterable[int] = ()) -> List[int]:
     """Pick up to ``count`` missing packet indices to request next.
 
@@ -142,9 +156,9 @@ def oracle_select(strategy: FetchStrategy, own: Bitmap, count: int, exclude: Ite
         return []
     excluded = set(exclude)
     if excluded:
-        missing = [index for index in own.missing() if index not in excluded]
+        missing = [index for index in oracle_missing(own) if index not in excluded]
     else:
-        missing = own.missing()
+        missing = oracle_missing(own)
     if not missing:
         return []
     bitmaps = list(strategy._bitmaps.values())
@@ -168,6 +182,31 @@ def oracle_select(strategy: FetchStrategy, own: Bitmap, count: int, exclude: Ite
     return sorted(missing, key=key)[:count]
 
 
+def oracle_pick(
+    strategy: FetchStrategy, own: Bitmap, exclude: Iterable[int], in_range: Iterable[str]
+) -> Optional[int]:
+    """The next packet to request: the rarest a peer in range holds, else the first.
+
+    Rarity counts over every kept bitmap, availability only over the kept
+    bitmaps of the peers in ``in_range``.  Both orders are the sequence
+    order rotated to the strategy's start offset, which is drawn only when
+    some packet is missing and not excluded.
+    """
+    excluded = set(exclude)
+    missing = [index for index in oracle_missing(own) if index not in excluded]
+    if not missing:
+        return None
+    size = own.size
+    offset = strategy._start(size)
+    kept = strategy._bitmaps
+    presence = oracle_presence_counts(size, kept.values())
+    available = oracle_presence_counts(size, [kept[peer] for peer in in_range if peer in kept])
+    held = [index for index in missing if available[index] > 0]
+    if held:
+        return oracle_rarest(held, presence, len(kept), offset, size)
+    return min(missing, key=lambda index: (index - offset) % size)
+
+
 def oracle_rarity(index: int, bitmaps: Sequence[Bitmap]) -> int:
     """How many of ``bitmaps`` are missing packet ``index`` (higher = rarer)."""
     return sum(1 for bitmap in bitmaps if index >= bitmap.size or not bitmap.get(index))
@@ -178,7 +217,7 @@ def oracle_rarest_missing(own: Bitmap, neighbor_bitmaps: Dict[str, Bitmap], excl
     excluded = set(exclude)
     candidates = [
         index
-        for index in own.missing()
+        for index in oracle_missing(own)
         if index not in excluded
         and any(bitmap.get(index) for bitmap in neighbor_bitmaps.values() if index < bitmap.size)
     ]
@@ -333,7 +372,7 @@ class OracleEktaPeer(EktaPeer):
             if now - self._pending_lookups[file_index].sent_at > self.lookup_timeout:
                 del self._pending_lookups[file_index]
 
-        missing = [p for p in self.bitmap.missing() if p not in self._outstanding]
+        missing = [p for p in oracle_missing(self.bitmap) if p not in self._outstanding]
         refreshed: set = set()
         for piece in missing:
             if len(self._outstanding) >= self.pipeline_size:

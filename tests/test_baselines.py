@@ -108,18 +108,34 @@ def test_bithoc_rarest_piece_selection_uses_neighbour_bitmaps():
     sim, medium = build_static_world({"a": (0, 0)})
     descriptor = SwarmDescriptor("coll", total_pieces=4, piece_size=512, files=1)
     peer = build_bithoc_peer(sim, medium, "a", descriptor)
+    from repro.baselines.bithoc import _NeighborInfo
     from repro.core import Bitmap
 
     neighbours = {"x": Bitmap(4, set_bits=[1, 2]), "y": Bitmap(4, set_bits=[2])}
     # Piece 2 is held by both (common), piece 1 by one (rarer among holders).
-    assert peer.rarest_missing(neighbours) == 1
+    assert Bitmap.rarest(peer.bitmap.missing_mask(), neighbours.values()) == 1
     assert peer.holders_of(2, neighbours) == ["x", "y"]
-    assert peer.rarest_missing(neighbours, exclude=[1]) == 2
+    assert Bitmap.rarest(peer.bitmap.missing_mask([1]), neighbours.values()) == 2
     # Only pieces some neighbour holds are candidates, and held pieces are not.
-    assert peer.rarest_missing(neighbours, exclude=[1, 2]) is None
-    assert peer.rarest_missing({}) is None
+    assert Bitmap.rarest(peer.bitmap.missing_mask([1, 2]), neighbours.values()) is None
+    assert Bitmap.rarest(peer.bitmap.missing_mask(), []) is None
     peer.add_piece(1)
-    assert peer.rarest_missing(neighbours) == 2
+    assert Bitmap.rarest(peer.bitmap.missing_mask(), neighbours.values()) == 2
+
+    # The engine tick requests through the same ranking: the rare piece 1
+    # from its one holder, then piece 2; with no far peer, nothing else.
+    peer = build_bithoc_peer(sim, medium, "b", descriptor)
+    peer._neighbors = {
+        name: _NeighborInfo(bitmap=bitmap, hops=1, last_heard=0.0) for name, bitmap in neighbours.items()
+    }
+    peer._engine_tick()
+    assert list(peer._outstanding) == [1, 2]
+    assert peer._outstanding[1][0] == "x"
+    # A far peer is asked for the first piece no close neighbour holds.
+    peer.set_swarm(["x", "y", "far"])
+    peer._engine_tick()
+    assert list(peer._outstanding) == [1, 2, 0, 3]
+    assert peer._outstanding[0][0] == peer._outstanding[3][0] == "far"
 
 
 # ----------------------------------------------------------------------- Ekta

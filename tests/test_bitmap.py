@@ -15,6 +15,11 @@ def ones(bitmap):
     return [index for index in range(bitmap.size) if bitmap.get(index)]
 
 
+def bits(value):
+    """Indices of the set bits of ``value``, ascending."""
+    return [index for index in range(value.bit_length()) if value >> index & 1]
+
+
 def test_new_bitmap_is_empty():
     bitmap = Bitmap(10)
     assert bitmap.count() == 0
@@ -46,14 +51,14 @@ def test_negative_size_rejected():
 def test_ones_and_missing_partition_indices():
     bitmap = Bitmap(6, set_bits=[0, 2, 4])
     assert ones(bitmap) == [0, 2, 4]
-    assert bitmap.missing() == [1, 3, 5]
-    assert set(ones(bitmap)) | set(bitmap.missing()) == set(range(6))
+    assert bits(bitmap.missing_mask()) == [1, 3, 5]
+    assert set(ones(bitmap)) | set(bits(bitmap.missing_mask())) == set(range(6))
 
 
 def test_missing_ignores_padding_bits():
     bitmap = Bitmap(10, set_bits=range(8))
-    assert bitmap.missing() == [8, 9]
-    assert Bitmap.full(10).missing() == []
+    assert bits(bitmap.missing_mask()) == [8, 9]
+    assert Bitmap.full(10).missing_mask() == 0
 
 
 def test_full_bitmap_is_complete():
@@ -116,25 +121,39 @@ def mask(*indices):
 def test_rarity_counts_missing_across_bitmaps():
     peers = [Bitmap(4, set_bits=[0]), Bitmap(4, set_bits=[0, 1]), Bitmap(4)]
     # Packets 0..3 are held by 2, 1, 0 and 0 of the three peers.
-    assert Bitmap.rarest(mask(0, 1, 2, 3), peers) == 2
+    assert Bitmap.rarest(mask(0, 1, 2, 3), peers) == 1
     assert Bitmap.rarest(mask(0, 1), peers) == 1
     assert Bitmap.rarest(mask(0), peers) == 0
+    # A packet no known bitmap holds is never picked.
+    assert Bitmap.rarest(mask(2, 3), peers) is None
     # Only the candidates are counted, whatever a known bitmap's length:
     # bit 9 of a longer bitmap and the end of a shorter one change nothing.
-    assert Bitmap.rarest(mask(0, 1), [Bitmap(10, set_bits=[0, 9])]) == 1
-    assert Bitmap.rarest(mask(1, 9), [Bitmap(2, set_bits=[1])]) == 9
+    assert Bitmap.rarest(mask(0, 1), [Bitmap(10, set_bits=[0, 1, 9]), Bitmap(2, set_bits=[0])]) == 1
+    assert Bitmap.rarest(mask(1, 9), [Bitmap(2, set_bits=[1])]) == 1
+    assert Bitmap.rarest(mask(9), [Bitmap(2, set_bits=[1]), Bitmap(12, set_bits=[8, 10])]) is None
 
 
 def test_rarest_ranks_by_rarity_then_rotated_order():
-    # Packets 0..3 are held by 2, 1, 0 and 0 of the three peers.
-    peers = [Bitmap(4, set_bits=[0, 1]), Bitmap(4, set_bits=[0]), Bitmap(4)]
-    assert Bitmap.rarest(mask(0, 1, 2, 3), peers, 0) == 2
-    assert Bitmap.rarest(mask(0, 1, 2, 3), peers, 3) == 3  # rotation breaks the tie
-    assert Bitmap.rarest(mask(0, 1), peers, 0) == 1
-    assert Bitmap.rarest(mask(0, 1), peers, 1) == 1  # rarity beats the rotation
-    assert Bitmap.rarest(mask(0, 1), peers, 2) == 1  # wraps round to the lowest index
+    # Packets 0..4 are held by 2, 2, 1, 1 and 0 of the three peers.
+    peers = [Bitmap(5, set_bits=[0, 1, 2, 3]), Bitmap(5, set_bits=[0, 1]), Bitmap(5)]
+    everything = mask(0, 1, 2, 3, 4)
+    assert Bitmap.rarest(everything, peers, 0) == 2
+    assert Bitmap.rarest(everything, peers, 3) == 3  # rotation breaks the tie
+    assert Bitmap.rarest(everything, peers, 4) == 2  # wraps round past the unheld packet 4
+    assert Bitmap.rarest(mask(0, 1), peers, 0) == 0
+    assert Bitmap.rarest(mask(0, 1), peers, 1) == 1
+    assert Bitmap.rarest(mask(0, 2), peers, 1) == 2  # rarity beats the rotation
     assert Bitmap.rarest(0, peers, 0) is None
-    assert Bitmap.rarest(mask(5), [], 3) == 5  # no knowledge: rotated sequence order
+    assert Bitmap.rarest(mask(4), peers, 0) is None  # held by nobody
+    assert Bitmap.rarest(mask(5), [], 3) is None  # no knowledge: nothing is held
+
+
+def test_first_is_the_rotated_sequence_order():
+    assert Bitmap.first(mask(1, 5), 3) == 5
+    assert Bitmap.first(mask(1, 5), 5) == 5
+    assert Bitmap.first(mask(1, 5), 6) == 1  # wraps round to the lowest index
+    assert Bitmap.first(mask(1, 5)) == 1
+    assert Bitmap.first(0, 2) is None
 
 
 def _scatter(size, seed, density):
@@ -164,13 +183,14 @@ def test_rarest_is_the_list_key_ranking(data):
     candidates = data.draw(index_sets(size))
     offset = data.draw(st.integers(min_value=0, max_value=size - 1))
     presence = oracle_presence_counts(size, known)
-    expected = oracle_rarest(sorted(candidates), presence, len(known), offset, size)
+    held = [index for index in sorted(candidates) if presence[index] > 0]
+    expected = oracle_rarest(held, presence, len(known), offset, size)
     assert Bitmap.rarest(mask(*candidates), known, offset) == expected
 
 
 def test_missing_mask_clears_present_and_excluded_packets():
     bitmap = Bitmap(10, set_bits=[0, 3])
-    assert bitmap.missing_mask() == mask(*bitmap.missing())
+    assert bitmap.missing_mask() == mask(1, 2, 4, 5, 6, 7, 8, 9)
     assert bitmap.missing_mask([1, 3, 9]) == mask(2, 4, 5, 6, 7, 8)
     assert Bitmap.full(9).missing_mask() == 0
 
