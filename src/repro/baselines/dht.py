@@ -40,21 +40,29 @@ class DhtKeySpace:
     def __init__(self):
         # Member id -> its key-space position, hashed once when it joins.
         self._positions: Dict[str, int] = {}
+        # Key -> its root: a pure function of the key and the membership,
+        # so the memo lives until the membership changes.
+        self._roots: Dict[str, str] = {}
 
     def add_member(self, node_id: str) -> None:
         if node_id not in self._positions:
             self._positions[node_id] = dht_id(node_id)
+            self._roots.clear()
 
     def root_of(self, key: str) -> Optional[str]:
         """The member whose id is numerically closest to ``key``."""
+        root = self._roots.get(key)
+        if root is not None:
+            return root
         if not self._positions:
             return None
         key_position = dht_id(key)
-        member, _position = min(
+        root, _position = min(
             self._positions.items(),
             key=lambda item: (circular_distance(item[1], key_position), item[0]),
         )
-        return member
+        self._roots[key] = root
+        return root
 
 
 class DhtRegistry:

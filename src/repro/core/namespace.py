@@ -151,27 +151,25 @@ class DapesNamespace:
 
 @functools.lru_cache(maxsize=65536)
 def _classify(name: Name) -> str:
-    components = name.components
     # Same decision order as the is_*_name predicates, inlined: the prefixes
     # are /dapes/discovery and /dapes/bitmap; metadata names are
     # /<collection>/metadata-file/...
-    if len(components) >= 2 and components[0] == "dapes":
-        second = components[1]
+    if len(name) >= 2 and name[0] == "dapes":
+        second = name[1]
         if second == "discovery":
             return "discovery"
         if second == "bitmap":
             return "bitmap"
-    if len(components) >= 3 and components[1] == METADATA_COMPONENT:
+    if len(name) >= 3 and name[1] == METADATA_COMPONENT:
         return "metadata"
     return "collection-data"
 
 
 @functools.lru_cache(maxsize=65536)
 def _parse_packet_name(name: Name) -> Optional[PacketName]:
-    components = name.components
-    if len(components) != 3:
+    if len(name) != 3:
         return None
-    collection, file_name, sequence = components
+    collection, file_name, sequence = name
     if file_name == METADATA_COMPONENT:
         return None
     try:

@@ -14,7 +14,7 @@ trial and every result is what it would be without it.  What it checks:
   never heals starves downloads; it must never *miscount* them.
 
 Delivery safety — no frame reaches a detached or stalled node — is the
-medium's own guard in ``WirelessMedium._complete_reception``, and the
+medium's own guard in ``WirelessMedium._complete_transmission``, and the
 stall/kill property test drives it through random interleavings.
 """
 

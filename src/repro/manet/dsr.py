@@ -23,6 +23,42 @@ RREQ_BASE_BYTES = 16
 RREP_BASE_BYTES = 16
 RERR_BYTES = 20
 HOP_WIRE_BYTES = 4
+#: Seconds a node remembers, at the least, a Route Request id or a Route
+#: Reply it has handled.  Duplicates of one flood arrive within a few
+#: re-broadcast jitters (<= 20 ms per hop, max_flood_hops hops) of each
+#: other; a memory of one to two periods bounds the sets in long runs.
+SEEN_PERIOD = 10.0
+
+
+class _RecentSet:
+    """The keys added in the current and the previous ``SEEN_PERIOD`` window.
+
+    Two generations: an add that finds a new window moves the current set to
+    ``previous`` (or drops both when a whole window passed without adds), so
+    a key is remembered for at least one period and membership is two set
+    lookups.
+    """
+
+    __slots__ = ("_window", "_current", "_previous")
+
+    def __init__(self):
+        self._window = 0
+        self._current: Set = set()
+        self._previous: Set = set()
+
+    def __contains__(self, key) -> bool:
+        return key in self._current or key in self._previous
+
+    def __len__(self) -> int:
+        return len(self._current) + len(self._previous)
+
+    def add(self, key, now: float) -> None:
+        window = int(now // SEEN_PERIOD)
+        if window != self._window:
+            self._previous = self._current if window == self._window + 1 else set()
+            self._current = set()
+            self._window = window
+        self._current.add(key)
 
 
 @dataclass(slots=True)
@@ -47,8 +83,8 @@ class DsrRouting(RoutingProtocol):
         self.max_discovery_retries = max_discovery_retries
         self.max_flood_hops = max_flood_hops
         self._cache: Dict[str, _RouteCacheEntry] = {}
-        self._seen_requests: Set[Tuple[str, int]] = set()
-        self._seen_replies: Set[Tuple] = set()
+        self._seen_requests = _RecentSet()  # (origin, serial) of handled RREQs
+        self._seen_replies = _RecentSet()  # (request id, route) of forwarded RREPs
         self._request_serial = 0
         self._pending_discovery: Dict[str, int] = {}  # destination -> retries so far
         self._waiting_packets: Dict[str, List[IpPacket]] = {}
@@ -123,7 +159,7 @@ class DsrRouting(RoutingProtocol):
     def _send_rreq(self, dst: str) -> None:
         self._request_serial += 1
         request_id = (self.node.node_id, self._request_serial)
-        self._seen_requests.add(request_id)
+        self._seen_requests.add(request_id, self.node.sim.now)
         record = [self.node.node_id]
         size = RREQ_BASE_BYTES + HOP_WIRE_BYTES * len(record)
         self.node.broadcast(("rreq", request_id, dst, record, self.max_flood_hops), size, kind="dsr-rreq")
@@ -155,9 +191,9 @@ class DsrRouting(RoutingProtocol):
         _, request_id, dst, record, hops_left = payload
         if request_id in self._seen_requests or self.node.node_id in record:
             return
-        self._seen_requests.add(request_id)
-        record = record + [self.node.node_id]
         now = self.node.sim.now
+        self._seen_requests.add(request_id, now)
+        record = record + [self.node.node_id]
         # Learn the reverse route back to the request originator for free.
         self._install_route(record[::-1], now)
         if dst == self.node.node_id:
@@ -193,8 +229,8 @@ class DsrRouting(RoutingProtocol):
         reply_key = (_request_id, tuple(route))
         if reply_key in self._seen_replies:
             return
-        self._seen_replies.add(reply_key)
         now = self.node.sim.now
+        self._seen_replies.add(reply_key, now)
         index = route.index(self.node.node_id)
         # Cache the downstream part of the route (towards the destination).
         self._install_route(route[index:], now)

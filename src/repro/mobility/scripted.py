@@ -11,15 +11,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
-from operator import attrgetter
-from typing import Dict, Iterable, List, Optional, Tuple
+from operator import itemgetter
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.mobility.base import MobilityModel
 
 
-@dataclass(frozen=True)
-class Waypoint:
+class Waypoint(NamedTuple):
     """A timed waypoint: the node is at ``(x, y)`` exactly at ``time``."""
 
     time: float
@@ -27,7 +25,7 @@ class Waypoint:
     y: float
 
 
-_waypoint_time = attrgetter("time")
+_waypoint_time = itemgetter(0)
 
 
 class ScriptedMobility(MobilityModel):
@@ -63,7 +61,7 @@ class ScriptedMobility(MobilityModel):
             parsed.append(waypoint)
         if not parsed:
             raise ValueError(f"node {node_id!r} needs at least one waypoint")
-        parsed.sort(key=lambda w: w.time)
+        parsed.sort(key=_waypoint_time)
         self._waypoints[node_id] = parsed
         self._current.pop(node_id, None)
         self._speed_bound = None

@@ -15,10 +15,51 @@ never draw randomness and cannot influence each other.
 
 from __future__ import annotations
 
+import functools
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.mobility.scripted import Waypoint
+
+Cell = Tuple[int, int]
+#: One step of a walk: (next state, x, y, street distance to it), where a
+#: state is (intersection, previous intersection or None).
+Step = Tuple[Tuple[Cell, Optional[Cell]], float, float, float]
+
+
+@functools.lru_cache(maxsize=8)
+def _step_table(
+    xs: Tuple[float, ...], ys: Tuple[float, ...]
+) -> Dict[Tuple[Cell, Optional[Cell]], Tuple[Step, ...]]:
+    """The steps a walk may take from each state, in the order it draws from.
+
+    From intersection ``(column, row)`` a walk may go east, west, north or
+    south (in that order) while it stays on the grid; it avoids going
+    straight back to the previous intersection whenever any other street
+    continues — walks sweep the city instead of oscillating on one segment.
+    """
+    columns, rows = len(xs), len(ys)
+    table = {}
+    for column in range(columns):
+        for row in range(rows):
+            here = (column, row)
+            choices = [
+                (column + dc, row + dr)
+                for dc, dr in ((1, 0), (-1, 0), (0, 1), (0, -1))
+                if 0 <= column + dc < columns and 0 <= row + dr < rows
+            ]
+            for previous in [None, *choices]:
+                forward = [cell for cell in choices if cell != previous]
+                table[here, previous] = tuple(
+                    (
+                        (cell, here),
+                        xs[cell[0]],
+                        ys[cell[1]],
+                        abs(xs[cell[0]] - xs[column]) + abs(ys[cell[1]] - ys[row]),
+                    )
+                    for cell in forward or choices
+                )
+    return table
 
 
 def street_walk(
@@ -55,26 +96,15 @@ def street_walk(
         raise ValueError("speeds must satisfy 0 < min_speed <= max_speed")
     if duration <= 0:
         raise ValueError("duration must be positive")
-    xs, ys = sorted(xs), sorted(ys)
-    columns, rows = len(xs), len(ys)
-    column, row = rng.randrange(columns), rng.randrange(rows)
-    previous: Optional[Tuple[int, int]] = None
+    xs, ys = tuple(sorted(xs)), tuple(sorted(ys))
+    table = _step_table(xs, ys)
+    column, row = rng.randrange(len(xs)), rng.randrange(len(ys))
+    state = ((column, row), None)
     now = 0.0
     waypoints = [Waypoint(now, xs[column], ys[row])]
+    choice, uniform = rng.choice, rng.uniform
     while now < duration:
-        choices = [
-            (column + dc, row + dr)
-            for dc, dr in ((1, 0), (-1, 0), (0, 1), (0, -1))
-            if 0 <= column + dc < columns and 0 <= row + dr < rows
-        ]
-        # Avoid immediate backtracking when any other street continues —
-        # walks sweep the city instead of oscillating on one segment.
-        forward = [cell for cell in choices if cell != previous]
-        next_column, next_row = rng.choice(forward or choices)
-        speed = rng.uniform(min_speed, max_speed)
-        distance = abs(xs[next_column] - xs[column]) + abs(ys[next_row] - ys[row])
-        now += distance / speed
-        waypoints.append(Waypoint(now, xs[next_column], ys[next_row]))
-        previous = (column, row)
-        column, row = next_column, next_row
+        state, x, y, distance = choice(table[state])
+        now += distance / uniform(min_speed, max_speed)
+        waypoints.append(Waypoint(now, x, y))
     return waypoints

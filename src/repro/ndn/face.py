@@ -131,7 +131,7 @@ class BroadcastFace(Face):
     def _on_frame(self, frame: Frame) -> None:
         payload = frame.payload
         if isinstance(payload, Interest):
-            self.receive_interest(payload)
+            self.forwarder.process_interest(payload, self)
         elif isinstance(payload, Data):
-            self.receive_data(payload)
+            self.forwarder.process_data(payload, self)
         # Frames of other protocols sharing the channel are ignored.

@@ -158,7 +158,7 @@ class ProbabilisticSuppressionStrategy(ForwardingStrategy):
         return self._rng.uniform(self.min_wait, self.max_wait)
 
     def _suppression_key(self, name: Name) -> tuple:
-        return name.components[:self.suppression_prefix_length]
+        return name[:self.suppression_prefix_length]
 
     def _is_suppressed(self, name: Name) -> bool:
         key = self._suppression_key(name)

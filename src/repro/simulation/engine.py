@@ -60,7 +60,8 @@ class EventHandle:
         if not self.fired and not self.cancelled:
             self.cancelled = True
             if self._sim is not None:
-                self._sim._active_events -= 1
+                # Still queued (it has not fired): the run loop discards it.
+                self._sim._cancelled += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "fired" if self.fired else ("cancelled" if self.cancelled else "pending")
@@ -93,19 +94,21 @@ class Simulator:
         # means the third element is never compared.
         self._queue: list[tuple] = []
         self._sequence = itertools.count()
-        self._now = 0.0
+        #: Current simulated time in seconds (set by the run loop only).
+        self.now = 0.0
         self._running = False
-        self._stopped = False
-        self._active_events = 0
+        #: Whether :meth:`stop` was requested for the current run.
+        #: Batch-processing events (e.g. the wireless medium's batched frame
+        #: delivery) poll this between logical sub-events so a ``stop()``
+        #: issued mid-batch halts exactly where the equivalent per-event
+        #: schedule would have.
+        self.stopping = False
+        # Cancelled handles still in the queue: pending_events subtracts
+        # them, so scheduling and firing keep no counter of their own.
+        self._cancelled = 0
         self.events_processed = 0
         self.seed = seed
         self.streams = RandomStreams(seed)
-
-    # ------------------------------------------------------------------ time
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     # ------------------------------------------------------------ scheduling
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any, **kwargs: Any) -> EventHandle:
@@ -113,21 +116,19 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"cannot schedule an event in the past (delay={delay})")
         # Inlined schedule_at: this is the hottest call in the simulator.
-        time = self._now + delay
+        time = self.now + delay
         handle = EventHandle(time, callback, args, kwargs, sim=self)
         heapq.heappush(self._queue, (time, next(self._sequence), handle))
-        self._active_events += 1
         return handle
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any, **kwargs: Any) -> EventHandle:
         """Schedule ``callback`` at an absolute simulated time."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule an event at {time}, which is before now ({self._now})"
+                f"cannot schedule an event at {time}, which is before now ({self.now})"
             )
         handle = EventHandle(time, callback, args, kwargs, sim=self)
         heapq.heappush(self._queue, (time, next(self._sequence), handle))
-        self._active_events += 1
         return handle
 
     def schedule_call(self, delay: float, callback: Callable[..., Any], *args: Any) -> None:
@@ -140,8 +141,7 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule an event in the past (delay={delay})")
-        heapq.heappush(self._queue, (self._now + delay, next(self._sequence), callback, args))
-        self._active_events += 1
+        heapq.heappush(self._queue, (self.now + delay, next(self._sequence), callback, args))
 
     def reserve_slot(self) -> int:
         """Consume and return a sequence number for :meth:`schedule_reserved`.
@@ -155,8 +155,7 @@ class Simulator:
 
     def schedule_reserved(self, slot: int, callback: Callable[..., Any], *args: Any) -> None:
         """Enqueue ``callback`` at the current time under a reserved slot."""
-        heapq.heappush(self._queue, (self._now, slot, callback, args))
-        self._active_events += 1
+        heapq.heappush(self._queue, (self.now, slot, callback, args))
 
     def cancel(self, handle: Optional[EventHandle]) -> None:
         """Cancel a previously scheduled event (safe to pass ``None``)."""
@@ -172,31 +171,30 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is already running")
         self._running = True
-        self._stopped = False
+        self.stopping = False
         processed = 0
         queue = self._queue
         heappop = heapq.heappop
         try:
             while queue:
-                if self._stopped:
+                if self.stopping:
                     break
                 event_time = queue[0][0]
                 if until is not None and event_time > until:
-                    self._now = until
+                    self.now = until
                     break
                 entry = heappop(queue)
                 if len(entry) == 4:
                     # schedule_call fast path: no handle, not cancellable.
-                    self._now = event_time
-                    self._active_events -= 1
+                    self.now = event_time
                     entry[2](*entry[3])
                 else:
                     handle = entry[2]
                     if handle.cancelled:
+                        self._cancelled -= 1
                         continue
-                    self._now = event_time
+                    self.now = event_time
                     handle.fired = True
-                    self._active_events -= 1
                     if handle.kwargs:
                         handle.callback(*handle.args, **handle.kwargs)
                     else:
@@ -205,8 +203,8 @@ class Simulator:
                 if max_events is not None and processed >= max_events:
                     break
             else:
-                if until is not None and until > self._now:
-                    self._now = until
+                if until is not None and until > self.now:
+                    self.now = until
         finally:
             # Flushed once instead of per event; callbacks that adjust
             # events_processed mid-run (batched delivery) only add to it,
@@ -216,18 +214,7 @@ class Simulator:
 
     def stop(self) -> None:
         """Stop the run loop after the currently executing event returns."""
-        self._stopped = True
-
-    @property
-    def stopping(self) -> bool:
-        """Whether :meth:`stop` was requested for the current run.
-
-        Batch-processing events (e.g. the wireless medium's batched frame
-        delivery) poll this between logical sub-events so a ``stop()`` issued
-        mid-batch halts exactly where the equivalent per-event schedule would
-        have.
-        """
-        return self._stopped
+        self.stopping = True
 
     # ------------------------------------------------------------- utilities
     def rng(self, name: str):
@@ -238,17 +225,17 @@ class Simulator:
     def pending_events(self) -> int:
         """Number of events still queued (cancelled entries excluded).
 
-        Tracked incrementally: schedule/cancel/fire adjust a counter, so this
-        is O(1) rather than a sweep of the whole queue.
+        O(1): the queue length less the cancelled handles still in it (a
+        cancel counts one, the run loop's discarding it uncounts it).
         """
-        return self._active_events
+        return len(self._queue) - self._cancelled
 
     def metrics(self) -> Dict[str, float]:
         """Engine counters for a run profile."""
         return {
             "engine.events": float(self.events_processed),
-            "engine.pending_at_end": float(self._active_events),
+            "engine.pending_at_end": float(self.pending_events),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Simulator t={self._now:.3f} pending={self.pending_events} processed={self.events_processed}>"
+        return f"<Simulator t={self.now:.3f} pending={self.pending_events} processed={self.events_processed}>"

@@ -48,11 +48,6 @@ class Frame:
         self.destination = destination
         self.frame_id = next(_frame_ids) if frame_id is None else frame_id
 
-    @property
-    def is_broadcast(self) -> bool:
-        """Whether the frame is a link-layer broadcast."""
-        return self.destination is None
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         target = "broadcast" if self.destination is None else self.destination
         return f"Frame(#{self.frame_id} {self.sender}->{target} {self.kind} {self.size_bytes}B)"

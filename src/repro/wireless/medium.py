@@ -37,16 +37,22 @@ and event ordering — are identical to scheduling one event per receiver:
 such a scheduler gives one transmission's reception events consecutive
 sequence numbers, so they always fire back-to-back with nothing
 interleaved, which is exactly what the batch loop reproduces.
-``Simulator.events_processed`` still advances by one per reception.  The
+``Simulator.events_processed`` still advances by one per reception.  A
+reception is a ``[frame, corrupted, link_loss]`` list, opened inline by
+:meth:`WirelessMedium._begin_transmission` and settled by the one loop of
+:meth:`WirelessMedium._complete_transmission`, which ends each delivery in
+:meth:`Radio.deliver <repro.wireless.radio.Radio.deliver>`.  The
 per-receiver schedule is the test suite's oracle: ``PerReceiverMedium`` in
-``tests/oracles.py`` overrides :meth:`WirelessMedium._schedule_delivery`.
+``tests/oracles.py`` overrides :meth:`WirelessMedium._schedule_delivery` to
+send each reception through that loop as a batch of one.
 """
 
 from __future__ import annotations
 
+import math
+from itertools import repeat
 from typing import Dict, List, Optional, Set, Tuple
 
-import math
 from repro.mobility.base import MobilityModel
 from repro.simulation import Simulator
 from repro.wireless.channel import ChannelConfig
@@ -60,22 +66,6 @@ from repro.wireless.stats import MediumStats
 MAX_CSMA_DEFERRALS = 16
 #: 802.11-style link-layer ARQ: retransmit a lost unicast frame this many times.
 UNICAST_RETRY_LIMIT = 3
-
-
-class _Reception:
-    """One frame in flight towards a particular receiver.
-
-    A compact mutable record (no dataclass machinery, ``__slots__`` only):
-    one exists per (receiver, in-flight frame) and they are created and
-    destroyed on the hottest path of the simulator.
-    """
-
-    __slots__ = ("frame", "corrupted", "link_loss")
-
-    def __init__(self, frame: Frame, corrupted: bool, link_loss: float):
-        self.frame = frame
-        self.corrupted = corrupted
-        self.link_loss = link_loss
 
 
 class _RetryState:
@@ -116,6 +106,9 @@ class WirelessMedium:
             self.config, mobility, max_range=self.config.max_range()
         )
         self._radios: Dict[str, "Radio"] = {}
+        # Each attached node's nominal range (its radio's override, else the
+        # channel's), fixed at attach.
+        self._nominal: Dict[str, float] = {}
         self._busy_until: Dict[str, float] = {}
         # What a receiver needs to know about its receptions in flight (those
         # with end time > now), in two scalars: when the last of them ends —
@@ -123,7 +116,7 @@ class WirelessMedium:
         # one that is still uncorrupted, if any (two that overlap corrupt
         # each other, so there is never a second).
         self._rx_busy_until: Dict[str, float] = {}
-        self._rx_clean: Dict[str, Optional[_Reception]] = {}
+        self._rx_clean: Dict[str, Optional[list]] = {}
         self._loss_rng = sim.rng("wireless.loss")
         self._backoff_rng = sim.rng("wireless.csma")
         # Per-link loss draws (propagation models only) use their own named
@@ -188,6 +181,9 @@ class WirelessMedium:
                 f"({wifi_range!r}); must be a positive finite number or None"
             )
         self._radios[radio.node_id] = radio
+        self._nominal[radio.node_id] = (
+            wifi_range if wifi_range is not None else self.config.wifi_range
+        )
         self._busy_until[radio.node_id] = 0.0
         self._rx_busy_until[radio.node_id] = 0.0
         self._rx_clean[radio.node_id] = None
@@ -197,6 +193,7 @@ class WirelessMedium:
     def detach(self, node_id: str) -> None:
         """Detach a node's radio (e.g. a node powering off)."""
         self._radios.pop(node_id, None)
+        self._nominal.pop(node_id, None)
         self._busy_until.pop(node_id, None)
         self._rx_busy_until.pop(node_id, None)
         self._rx_clean.pop(node_id, None)
@@ -241,7 +238,7 @@ class WirelessMedium:
             # peer (routing maintenance, liveness checks) get the empty set.
             return []
         when = self.sim.now if time is None else time
-        nominal = self._range_of(node_id)
+        nominal = self._nominal[node_id]
         faults = self._faults
         if self._trivial:
             reachable = self._index.neighbors(node_id, nominal, when)
@@ -336,81 +333,68 @@ class WirelessMedium:
         end_time = now + airtime
         self.stats.record_transmission(frame.kind, frame.protocol, frame.size_bytes)
 
-        nominal = self._range_of(sender_id)
-        batch = []
-        open_reception = self._open_reception
-        faults = self._faults
-        if self._trivial:
+        nominal = self._nominal[sender_id]
+        trivial = self._trivial
+        if trivial:
             # Seed fast path: every index candidate is a loss-free receiver
-            # (no per-link evaluation, no extra allocations).
-            for receiver_id in self._index.neighbors(sender_id, nominal, now):
-                if faults is not None:
-                    extra = faults.link_extra_loss(sender_id, receiver_id)
-                    if extra is None:
-                        continue  # link blocked (flap or partition boundary)
-                else:
-                    extra = 0.0
-                batch.append((receiver_id, open_reception(receiver_id, frame, now, end_time, extra)))
+            # (no per-link evaluation).
+            links = zip(self._index.neighbors(sender_id, nominal, now), repeat(0.0))
         else:
             candidates = self._index.neighbors(
                 sender_id, self.propagation.max_range(nominal), now
             )
-            for receiver_id, link_loss in self._evaluate_links(
-                sender_id, nominal, candidates, now
-            ):
-                if faults is not None:
-                    extra = faults.link_extra_loss(sender_id, receiver_id)
-                    if extra is None:
-                        continue
-                    if extra:
-                        link_loss = 1.0 - (1.0 - link_loss) * (1.0 - extra)
-                batch.append(
-                    (receiver_id, open_reception(receiver_id, frame, now, end_time, link_loss))
-                )
+            links = self._evaluate_links(sender_id, nominal, candidates, now)
+        faults = self._faults
+        tx_busy_until = self._busy_until
+        rx_busy_until = self._rx_busy_until
+        rx_clean = self._rx_clean
+        stats = self.stats
+        batch = []
+        for receiver_id, link_loss in links:
+            if faults is not None:
+                extra = faults.link_extra_loss(sender_id, receiver_id)
+                if extra is None:
+                    continue  # link blocked (flap or partition boundary)
+                if trivial:
+                    link_loss = extra
+                elif extra:
+                    link_loss = 1.0 - (1.0 - link_loss) * (1.0 - extra)
+            # Half-duplex: a transmitting node cannot receive.
+            corrupted = tx_busy_until[receiver_id] > now
+            reception = [frame, corrupted, link_loss]
+            last_end = rx_busy_until[receiver_id]
+            if last_end > now:
+                # Overlaps a reception still in flight: they corrupt each
+                # other, and each counts once toward ``stats.collisions`` —
+                # when an overlap first corrupts it (one lost earlier, to an
+                # overlap or to half-duplex, is not counted again).  A clean
+                # reception on record here is in flight: it was the last
+                # arrival, so it is the one that ends at ``last_end``.
+                clean = rx_clean[receiver_id]
+                if clean is not None:
+                    clean[1] = True
+                    stats.collisions += 1
+                    rx_clean[receiver_id] = None
+                if not corrupted:
+                    reception[1] = True
+                    stats.collisions += 1
+                if end_time > last_end:
+                    rx_busy_until[receiver_id] = end_time
+            else:
+                rx_busy_until[receiver_id] = end_time
+                rx_clean[receiver_id] = None if corrupted else reception
+            batch.append((receiver_id, reception))
         if batch:
             self._schedule_delivery(airtime, batch)
 
-    def _schedule_delivery(self, airtime: float, batch: List[Tuple[str, _Reception]]) -> None:
+    def _schedule_delivery(self, airtime: float, batch: List[Tuple[str, list]]) -> None:
         """Schedule one transmission's receptions: a single completion event."""
         self.sim.schedule_call(airtime, self._complete_transmission, batch)
 
-    def _range_of(self, node_id: str) -> float:
-        radio = self._radios[node_id]
-        return radio.wifi_range if radio.wifi_range is not None else self.config.wifi_range
-
-    def _open_reception(
-        self, receiver_id: str, frame: Frame, now: float, end_time: float, link_loss: float
-    ) -> _Reception:
-        """Start ``frame`` arriving at ``receiver_id`` until ``end_time``."""
-        # Half-duplex: a transmitting node cannot receive.
-        reception = _Reception(frame, self._busy_until[receiver_id] > now, link_loss)
-        rx_busy_until = self._rx_busy_until[receiver_id]
-        if rx_busy_until > now:
-            # Overlaps a reception still in flight: they corrupt each other,
-            # and each counts once toward ``stats.collisions`` — when an
-            # overlap first corrupts it (one lost earlier, to an overlap or
-            # to half-duplex, is not counted again).  A clean reception on
-            # record here is in flight: it was the last arrival, so it is
-            # the one that ends at ``rx_busy_until``.
-            clean = self._rx_clean[receiver_id]
-            if clean is not None:
-                clean.corrupted = True
-                self.stats.collisions += 1
-                self._rx_clean[receiver_id] = None
-            if not reception.corrupted:
-                reception.corrupted = True
-                self.stats.collisions += 1
-            if end_time > rx_busy_until:
-                self._rx_busy_until[receiver_id] = end_time
-        else:
-            self._rx_busy_until[receiver_id] = end_time
-            self._rx_clean[receiver_id] = None if reception.corrupted else reception
-        return reception
-
     def _complete_transmission(
-        self, batch: List[Tuple[str, _Reception]], resume_slot: Optional[int] = None
+        self, batch: List[Tuple[str, list]], resume_slot: Optional[int] = None
     ) -> None:
-        """Batched delivery: resolve every reception of one transmission.
+        """Batched delivery: settle every reception of one transmission.
 
         The loop visits receivers in the order their per-receiver events
         would have fired (attach order — consecutive sequence numbers in the
@@ -425,53 +409,59 @@ class WirelessMedium:
         """
         sim = self.sim
         slot = sim.reserve_slot() if resume_slot is None else resume_slot
-        complete_one = self._complete_reception
+        # Everything fixed per frame is read once: a batch is one frame.
+        frame = batch[0][1][0]
+        destination = frame.destination
+        radios = self._radios
+        stats = self.stats
+        faults = self._faults
+        loss_rate = self.config.loss_rate
+        loss_random = self._loss_rng.random
+        link_random = self._link_rng.random
         processed = 0
-        for index, (receiver_id, reception) in enumerate(batch):
+        for receiver_id, reception in batch:
             if processed and sim.stopping:
-                sim.schedule_reserved(slot, self._complete_transmission, batch[index:], slot)
+                sim.schedule_reserved(slot, self._complete_transmission, batch[processed:], slot)
                 break
-            complete_one(receiver_id, reception)
             processed += 1
+            radio = radios.get(receiver_id)
+            if radio is None:
+                continue  # radio detached mid-flight
+            if reception[1]:
+                radio.stats.frames_collided += 1
+                if destination == receiver_id:
+                    self._maybe_retry_unicast(frame)
+                continue
+            if faults is not None and faults.delivery_suppressed(receiver_id):
+                # The receiver stalled while the frame was on the air: a
+                # silent peer, indistinguishable from loss — so ARQ reacts as
+                # to loss.
+                if destination == receiver_id:
+                    self._maybe_retry_unicast(frame)
+                continue
+            # Per-link propagation loss (fading, lossy wall penetration)
+            # draws from its own stream; unit_disk links carry 0.0 and never
+            # draw, so the seed RNG sequences are untouched.
+            link_loss = reception[2]
+            if (link_loss and link_random() < link_loss) or (
+                loss_rate and loss_random() < loss_rate
+            ):
+                stats.losses += 1
+                radio.stats.frames_lost += 1
+                if destination == receiver_id:
+                    self._maybe_retry_unicast(frame)
+                continue
+            stats.deliveries += 1
+            if destination == receiver_id:
+                self._drop_retry_state(frame.frame_id)
+            if faults is not None:
+                faults.note_delivery(frame.sender, receiver_id)
+            radio.deliver(frame)
         else:
             self.completed_transmissions += 1
         # Keep the logical event count (one per reception) identical to
         # per-receiver scheduling: the run loop counted this batch as one.
         sim.events_processed += processed - 1
-
-    def _complete_reception(self, receiver_id: str, reception: _Reception) -> None:
-        radio = self._radios.get(receiver_id)
-        if radio is None:
-            return  # radio detached mid-flight
-        if reception.corrupted:
-            radio.stats.frames_collided += 1
-            self._maybe_retry_unicast(receiver_id, reception.frame)
-            return
-        faults = self._faults
-        if faults is not None and faults.delivery_suppressed(receiver_id):
-            # The receiver stalled while the frame was on the air: a silent
-            # peer, indistinguishable from loss — so ARQ reacts as to loss.
-            self._maybe_retry_unicast(receiver_id, reception.frame)
-            return
-        # Per-link propagation loss (fading, lossy wall penetration) draws
-        # from its own stream; unit_disk links carry 0.0 and never draw, so
-        # the seed RNG sequences are untouched.
-        if reception.link_loss and self._link_rng.random() < reception.link_loss:
-            self.stats.losses += 1
-            radio.stats.frames_lost += 1
-            self._maybe_retry_unicast(receiver_id, reception.frame)
-            return
-        if self.config.loss_rate and self._loss_rng.random() < self.config.loss_rate:
-            self.stats.losses += 1
-            radio.stats.frames_lost += 1
-            self._maybe_retry_unicast(receiver_id, reception.frame)
-            return
-        self.stats.deliveries += 1
-        if reception.frame.destination == receiver_id:
-            self._drop_retry_state(reception.frame.frame_id)
-        if faults is not None:
-            faults.note_delivery(reception.frame.sender, receiver_id)
-        radio.deliver(reception.frame)
 
     # ------------------------------------------------------------------- ARQ
     def _drop_retry_state(self, frame_id: int) -> None:
@@ -485,13 +475,13 @@ class WirelessMedium:
                 if not peers:
                     del self._retry_index[node_id]
 
-    def _maybe_retry_unicast(self, receiver_id: str, frame: Frame) -> None:
-        """802.11-style link-layer ARQ: retransmit lost unicast frames a few times.
+    def _maybe_retry_unicast(self, frame: Frame) -> None:
+        """802.11-style link-layer ARQ: retransmit a lost unicast frame a few times.
 
-        Only frames addressed to ``receiver_id`` are retried (broadcast frames
+        Called only for a frame lost at its destination (broadcast frames
         have no acknowledgements in 802.11 ad-hoc mode, so neither do ours).
         """
-        if frame.destination != receiver_id or frame.sender not in self._radios:
+        if frame.sender not in self._radios:
             return
         state = self._unicast_retries.get(frame.frame_id)
         if state is None:

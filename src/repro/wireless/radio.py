@@ -74,8 +74,8 @@ class Radio:
     # ------------------------------------------------------------- receiving
     def deliver(self, frame: Frame) -> None:
         """Called by the medium when a frame is successfully received."""
-        addressed_to_me = frame.is_broadcast or frame.destination == self.node_id
-        if addressed_to_me:
+        destination = frame.destination
+        if destination is None or destination == self.node_id:
             self.stats.frames_received += 1
             if self.on_receive is not None:
                 self.on_receive(frame)

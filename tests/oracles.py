@@ -85,11 +85,15 @@ class BruteForceNeighborIndex(NeighborIndex):
 
 
 class PerReceiverMedium(WirelessMedium):
-    """The seed delivery schedule: one completion event per receiver."""
+    """The seed delivery schedule: one completion event per receiver.
+
+    Each event settles a batch of one through the production loop, so a
+    reception has one implementation and only the schedule differs.
+    """
 
     def _schedule_delivery(self, airtime, batch) -> None:
-        for receiver_id, reception in batch:
-            self.sim.schedule_call(airtime, self._complete_reception, receiver_id, reception)
+        for entry in batch:
+            self.sim.schedule_call(airtime, self._complete_transmission, [entry])
 
 
 #: The medium class of each delivery schedule, for worlds built by hand.

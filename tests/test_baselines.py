@@ -31,6 +31,19 @@ def test_keyspace_root_is_deterministic_and_member_bound():
     assert keyspace.root_of("some/key") == root
 
 
+def test_keyspace_root_follows_membership_changes():
+    """``root_of`` is memoized; a join must clear the memo."""
+    members = [f"n{index}" for index in range(12)]
+    keys = ("a", "b/c", "file-0", "piece-7")
+    grown = DhtKeySpace()
+    for count, member in enumerate(members, 1):
+        grown.add_member(member)
+        fresh = DhtKeySpace()
+        for other in members[:count]:
+            fresh.add_member(other)
+        assert [grown.root_of(key) for key in keys] == [fresh.root_of(key) for key in keys]
+
+
 def test_registry_publish_and_lookup():
     registry = DhtRegistry()
     registry.publish("key", "provider-1")

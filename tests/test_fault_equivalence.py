@@ -218,10 +218,16 @@ def chaos_schedules(draw):
     return episodes, kills, sends
 
 
+# A fault-free schedule whose frames reach someone (the channel's 10 % loss
+# at seed 3 spares some of them): the spy must see those deliveries.
+DELIVERING = ([], [], [(t, "b") for t in (1.0, 2.0, 3.0)])
+
+
 @settings(max_examples=40, deadline=None)
 @given(chaos_schedules())
 # One schedule that always puts frames on the air towards a stalled node.
 @example(([FaultEpisode(STALL, 0.0, 5.0, subject="b")], [], [(t, "a") for t in (1.0, 1.5, 2.0, 2.5)]))
+@example(DELIVERING)
 def test_stall_kill_interleavings_hold_invariants(case):
     """Any interleaving of stalls, link flaps, abrupt kills and traffic must
     run to completion without a frame reaching a detached or stalled node."""
@@ -230,8 +236,10 @@ def test_stall_kill_interleavings_hold_invariants(case):
     manager = FaultManager(sim, medium, ScriptedFaults(episodes),
                            list(radios), horizon=20.0)
     unsafe = []
+    delivered = []
     for node, radio in radios.items():
         def deliver(frame, node=node, original=radio.deliver):
+            delivered.append(node)
             if node not in medium.node_ids or manager.sender_stalled(node):
                 unsafe.append((node, sim.now))
             original(frame)
@@ -245,6 +253,12 @@ def test_stall_kill_interleavings_hold_invariants(case):
         sim.schedule_call(when, radios[node].broadcast, f"payload-{index}", 500, "t")
     sim.run()
     assert unsafe == []
+    # The spy is the only way in: every delivery the medium counted reached
+    # a node through Radio.deliver (a bypass would leave ``unsafe`` empty
+    # while checking nothing).
+    assert len(delivered) == medium.stats.deliveries
+    if case == DELIVERING:
+        assert delivered
     # Whatever was suppressed or replayed is accounted, never lost silently.
     metrics = manager.metrics()
     assert metrics["faults.replayed_frames"] <= metrics["faults.stalled_sends"]

@@ -203,3 +203,21 @@ def test_dsr_route_cache_expires():
     sim.schedule(5.0, lambda: None)
     sim.run()
     assert routing.route_to("b") is None
+
+
+def test_dsr_duplicate_memory_is_two_bounded_generations():
+    from repro.manet.dsr import SEEN_PERIOD, _RecentSet
+
+    seen = _RecentSet()
+    seen.add("a", 0.0)
+    seen.add("b", SEEN_PERIOD * 0.5)
+    # Remembered for at least one period after it was added...
+    seen.add("c", SEEN_PERIOD * 1.2)
+    assert "a" in seen and "b" in seen and "c" in seen
+    # ...and gone once two windows have passed.
+    seen.add("d", SEEN_PERIOD * 2.1)
+    assert "a" not in seen and "b" not in seen
+    assert "c" in seen and "d" in seen
+    # A whole idle window drops both generations.
+    seen.add("e", SEEN_PERIOD * 5.0)
+    assert len(seen) == 1 and "e" in seen

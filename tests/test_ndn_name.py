@@ -1,6 +1,10 @@
 """Unit tests for NDN names."""
 
+import pickle
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.ndn import Name
 
@@ -62,8 +66,12 @@ def test_is_prefix_of():
 
 
 def test_equality_with_string():
-    assert Name("/a/b") == "/a/b"
-    assert Name("/a/b") != "/a/c"
+    # A Name is its component tuple: it equals a Name or that tuple, never
+    # the str it was parsed from (compare with Name(text) instead).
+    assert Name("/a/b") == Name("/a/b") == ("a", "b")
+    assert Name("/a/b") != "/a/b"
+    assert Name("/a/b") != Name("/a/c")
+    assert Name("/a/b") == Name("/a/b").components
 
 
 def test_hashable_and_usable_as_dict_key():
@@ -89,3 +97,28 @@ def test_wire_size_grows_with_components():
 
 def test_join_helper():
     assert Name.join(["/a/b", "c", Name("/d")]) == Name("/a/b/c/d")
+
+
+component = st.text(min_size=1, max_size=6).filter(lambda text: "/" not in text)
+components = st.lists(component, max_size=5)
+name_inputs = st.one_of(
+    components.map(lambda parts: "/" + "/".join(parts)),  # str
+    components,                                             # list of str
+    components.map(tuple),                                  # tuple of str
+    components.map(Name),                                   # Name
+)
+
+
+@given(name_inputs, st.integers(min_value=0, max_value=6))
+def test_name_is_its_component_tuple(value, k):
+    name = Name(value)
+    parts = tuple(part for part in value.split("/") if part) if isinstance(value, str) else tuple(value)
+    assert type(name.components) is tuple and name.components == parts
+    assert hash(name) == hash(parts)
+    assert name == parts
+    copy = pickle.loads(pickle.dumps(name))
+    assert type(copy) is Name and copy == name
+    # A slice is a plain tuple: the suppression strategy's key.
+    assert type(name[:k]) is tuple and name[:k] == parts[:k]
+    assert Name(str(name)) == name
+    assert name.wire_size == sum(len(part.encode("utf-8")) + 2 for part in parts) + 2
